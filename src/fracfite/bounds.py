@@ -17,9 +17,10 @@ inequality a statement about L = c - a alone:
         >= Gamma(alpha) / (2^{2(2-alpha)} + B(alpha, alpha))
 
 whenever a nontrivial solution pair vanishes somewhere in the window
-(f at one point, its order-alpha derivative at another). Inverting the
-monotone left side gives the minimal admissible length; optimizing the
-free exponent p tightens it.
+(f at one point, its order-alpha derivative at another). With
+d = |1/q - (1-alpha)| the left side is the pure power m L^{alpha-d} below
+L = 1 and m L^{alpha+d} above, so the minimal admissible length has a
+closed form, and the free exponent p is optimal where d is smallest.
 
 audit_estimates re-derives every inequality of the chain numerically on
 randomized instances, including the two steps that are only used en route
@@ -28,7 +29,6 @@ randomized instances, including the two steps that are only used en route
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,39 +162,30 @@ def fite_lhs(order: Order, p: float, m: float, length: float) -> float:
 
 
 def min_length(order: Order, m: float, p: float) -> float:
-    """Unique length at which the bound becomes active, by bisection.
+    """Unique length at which the bound becomes active, in closed form.
 
-    The left side grows like L^{alpha - |1/q - (1-alpha)|} below L = 1 and
-    L^{alpha + |...|} above; both exponents are positive on the admissible
-    set, so it is strictly increasing and the root is unique.
+    With d = |1/q - (1-alpha)| the left side is m L^{alpha-d} for L < 1 and
+    m L^{alpha+d} for L >= 1. Both exponents are positive on the admissible
+    set, so it is strictly increasing and lhs = rhs has the single root
+    (rhs/m)^{1/(alpha-d)} when rhs/m < 1 and (rhs/m)^{1/(alpha+d)} otherwise.
     """
     if not (m > 0.0):
         raise ValueError(f"m must be positive, got {m!r}")
-    holder_params(order, p)  # admissibility check
-    rhs = fite_rhs(order)
-    lo, hi = 1e-12, 1.0
-    while fite_lhs(order, p, m, lo) >= rhs:
-        lo *= 1e-12
-    while fite_lhs(order, p, m, hi) < rhs:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if fite_lhs(order, p, m, mid) < rhs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    hp = holder_params(order, p)
+    d = abs(1.0 / hp.q - order.gamma)
+    ratio = fite_rhs(order) / m
+    return ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
 
 
 def best_min_length(order: Order, m: float) -> tuple[float, float]:
-    """Tightest certificate: maximize min_length over admissible p.
+    """Tightest certificate: (p*, min_length at p*) over admissible p.
 
-    The objective is unimodal in p (it only depends on |1/q - (1-alpha)|),
-    so golden-section search over the clamped open interval
-    (1, 1/(2(1-alpha))) finds the optimum; for alpha > 2/3 this is the
-    interior point p = 1/alpha, otherwise the upper boundary.
+    On either branch of min_length a smaller d = |1/q - (1-alpha)| gives a
+    longer root, and d = |alpha - 1/p| falls as p rises to 1/alpha. For
+    alpha > 2/3 the point p = 1/alpha (d = 0) is admissible, so p* = 1/alpha.
+    Otherwise 1/alpha lies beyond the admissible range p < 1/(2(1-alpha)),
+    and p* is its upper end, clamped by _CLAMP_EPS so that p* stays strictly
+    admissible; the inequality holds at the open boundary by continuity.
     """
     if not (m > 0.0):
         raise ValueError(f"m must be positive, got {m!r}")
@@ -202,26 +193,8 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
     p_hi = (1.0 - _CLAMP_EPS) / (2.0 * order.gamma)
     if p_hi <= p_lo:
         raise ValueError(f"empty admissible p-range for alpha={order.alpha!r}")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = p_lo, p_hi
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = min_length(order, m, x1)
-    f2 = min_length(order, m, x2)
-    while hi - lo > 1e-8:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = min_length(order, m, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = min_length(order, m, x1)
-    # compare the interior candidate with the clamped endpoints
-    candidates = [(0.5 * (lo + hi), min_length(order, m, 0.5 * (lo + hi))),
-                  (p_lo, min_length(order, m, p_lo)),
-                  (p_hi, min_length(order, m, p_hi))]
-    return max(candidates, key=lambda t: t[1])
+    p_star = min(max(1.0 / order.alpha, p_lo), p_hi)
+    return p_star, min_length(order, m, p_star)
 
 
 def bound_report(order: Order, p: float, m: float, length: float) -> BoundReport:
@@ -287,11 +260,12 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         sup_A = float(np.abs(A_nodes).max())
         norm_f = float(np.abs(W_nodes).max())
 
-        omega = kernel_matrix(grid, beta, ga)
-        q1, q2 = omega[i1] @ (A_nodes * W_nodes), omega[i2] @ (A_nodes * W_nodes)
+        unit, scale = kernel_matrix(grid, beta, ga)
+        rows = scale * unit[[i1, i2]]
+        q1, q2 = rows @ (A_nodes * W_nodes)
 
         # (kernel_product) |Q_{beta,A} f|(t) <= (t-a)^{1-beta-gamma} B(...) |A| |f|
-        lhs = float(omega[i2] @ np.abs(A_nodes * W_nodes))
+        lhs = float(rows[1] @ np.abs(A_nodes * W_nodes))
         rhs = ((t2 - a) ** (1.0 - beta - ga) * beta_fn(1.0 - ga, 1.0 - beta)
                * sup_A * norm_f)
         _assert_le("kernel_product", lhs, rhs, trial_seed)

@@ -18,8 +18,12 @@ the kernel (s-a)^{-gamma} (t_i-s)^{-beta}:
 
 Building Omega costs O(n^2) kernel evaluations; applying it is a
 triangular matrix-vector product, so repeated applications (Picard
-iterations, residuals) are cheap. Matrices are cached per
-(grid, beta, gamma).
+iterations, residuals) are cheap. The substitution s = a + L sigma maps
+the graded grid on [a, a+L] onto the one on [0, 1] and leaves the hat
+functions unchanged, so Omega on [a, a+L] is L^{1-beta-gamma} times the
+unit-interval matrix. Only that unit matrix is built and cached, per
+(n, r, beta, gamma); kernel_matrix returns it with the scalar factor,
+which callers fold into a factor they apply anyway.
 """
 
 from __future__ import annotations
@@ -90,17 +94,18 @@ def _build_matrix(nodes: np.ndarray, a: float, beta: float, gamma: float) -> np.
 
 
 @lru_cache(maxsize=6)
-def _matrix_cached(a: float, c: float, n: int, r: float,
-                   beta: float, gamma: float) -> np.ndarray:
-    grid = build_grid(a, c, n, r)
-    mat = _build_matrix(grid.nodes, a, beta, gamma)
+def _matrix_cached(n: int, r: float, beta: float, gamma: float) -> np.ndarray:
+    mat = _build_matrix(build_grid(0.0, 1.0, n, r).nodes, 0.0, beta, gamma)
     mat.setflags(write=False)
     return mat
 
 
-def kernel_matrix(grid: GradedGrid, beta: float, gamma: float) -> np.ndarray:
-    """Omega such that (Q u)(t_i) = sum_k Omega[i, k] u_k, u = nodal A*W."""
-    return _matrix_cached(grid.a, grid.c, grid.n, grid.r, float(beta), float(gamma))
+def kernel_matrix(grid: GradedGrid, beta: float,
+                  gamma: float) -> tuple[np.ndarray, float]:
+    """(Omega, scale) with (Q u)(t_i) = scale * sum_k Omega[i, k] u_k for
+    u = nodal A*W; Omega is the cached [0, 1] matrix, scale = L^{1-beta-gamma}."""
+    unit = _matrix_cached(grid.n, grid.r, float(beta), float(gamma))
+    return unit, grid.length ** (1.0 - beta - gamma)
 
 
 def _check_regime(beta: float, gamma: float) -> None:
@@ -121,7 +126,8 @@ def q_operator(w: WeightedFn, A: Callable[[float], float], beta: float) -> Weigh
     _check_regime(beta, w.gamma)
     nodes = w.grid.nodes
     u = np.asarray([A(t) for t in nodes], dtype=float) * w.reg_samples
-    vals = kernel_matrix(w.grid, beta, w.gamma) @ u
+    omega, scale = kernel_matrix(w.grid, beta, w.gamma)
+    vals = scale * (omega @ u)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("singular-kernel quadrature produced non-finite values")
     if beta + w.gamma >= 1.0 - 1e-14:

@@ -41,6 +41,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 _DIVERGE_FACTOR = 1e12
 _SUP_SAMPLES = 4097
+SCHEMES = ("auto", "picard", "marching")
 
 
 def sup_norm(fn: Callable[[float], float], a: float, c: float,
@@ -100,7 +101,10 @@ class SolveReport:
     increment_norms: tuple[float, ...] = ()
 
 
-def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid):
+def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
+               scale: float):
+    """Nodal coefficients and free terms; the prefactor pf carries the
+    kernel_matrix scale, so pf * (omega @ u) is the scaled operator."""
     t = grid.nodes
     a = grid.a
     ga = order.gamma
@@ -114,7 +118,7 @@ def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid):
     wq *= pw
     wv *= pw
     pf = np.zeros_like(t)
-    pf[1:] = (t[1:] - a) ** ga / gamma_fn(order.alpha)
+    pf[1:] = scale * (t[1:] - a) ** ga / gamma_fn(order.alpha)
     return Gv, Rv, wq, wv, pf
 
 
@@ -155,12 +159,12 @@ def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if scheme not in ("auto", "picard", "marching"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     ga = order.gamma
     beta = 1.0 - order.alpha
-    omega = kernel_matrix(grid, beta, ga)
-    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid)
+    omega, scale = kernel_matrix(grid, beta, ga)
+    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
 
     increments: list[float] = []
     if scheme != "marching":
@@ -205,8 +209,8 @@ def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
-    omega = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid)
+    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
     wf, wg = report.f.reg_samples, report.g.reg_samples
     f_a, g_a = wf[0], wg[0]
     df = wf - (f_a + pf * (omega @ (Gv * wg + wq)))

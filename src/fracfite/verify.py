@@ -25,7 +25,8 @@ import numpy as np
 
 from .bounds import best_min_length, bound_report
 from .errors import ConvergenceError
-from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, solve_fite, solve_relax_osc)
+from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, solve_fite,
+                   solve_relax_osc)
 from .weighted import Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
@@ -133,6 +134,16 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n: need at least 2 grid cells, got {self.n!r}")
+        if not (self.r >= 1.0):
+            raise ValueError(f"grading: must be >= 1, got {self.r!r}")
+        if not (self.tol > 0.0):
+            raise ValueError(f"tol: must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter: must be >= 1, got {self.max_iter!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
         if not (self.a < self.b < self.c):
             raise ValueError(
                 f"need a < b < c, got a={self.a!r}, b={self.b!r}, c={self.c!r}")

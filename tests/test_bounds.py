@@ -21,6 +21,7 @@ RHS_075 = 0.16669432161567304447
 RHS_06 = 0.15876675315737470415
 MIN_LEN_P15 = 0.06805831757494999317      # rhs(0.75)^{3/2}
 MIN_LEN_BEST = 0.091740494059272800821    # rhs(0.75)^{4/3}
+ALPHAS = (0.55, 0.6, 2.0 / 3.0, 0.75, 0.9, 0.99)
 
 
 class TestHolderParams:
@@ -145,7 +146,7 @@ class TestFiteBound:
     @given(m1=st.floats(0.1, 50.0), m2=st.floats(0.1, 50.0))
     def test_min_length_decreasing_in_m(self, m1, m2):
         lo, hi = sorted((m1, m2))
-        if hi / lo < 1.0 + 1e-9:  # below the bisection resolution
+        if hi / lo < 1.0 + 1e-9:  # below the resolution of pow
             return
         assert min_length(ORDER, hi, 1.5) < min_length(ORDER, lo, 1.5)
 
@@ -165,6 +166,44 @@ class TestFiteBound:
         p_max = (1.0 - 1e-6) / (2.0 * order.gamma)
         assert p_star == pytest.approx(p_max, abs=1e-6)
 
+    def test_min_length_matches_bisection_root_on_both_branches(self):
+        def bisect_root(order, p, m):
+            rhs = fite_rhs(order)
+            lo, hi = 1.0, 1.0
+            while fite_lhs(order, p, m, lo) >= rhs:
+                lo *= 0.5
+            while fite_lhs(order, p, m, hi) < rhs:
+                hi *= 2.0
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
+                if fite_lhs(order, p, m, mid) < rhs:
+                    lo = mid
+                else:
+                    hi = mid
+
+        for alpha in ALPHAS:
+            order = Order(alpha)
+            p_max = 0.5 / order.gamma
+            rhs = fite_rhs(order)
+            # m >= 1 puts L* below 1; m < rhs puts it above 1
+            for m in (1.0, 7.0, 0.5 * rhs, 0.01 * rhs):
+                for p in (1.0 + 0.3 * (p_max - 1.0), 1.0 + 0.9 * (p_max - 1.0)):
+                    ell = min_length(order, m, p)
+                    assert (ell > 1.0) == (m < rhs)
+                    assert ell == pytest.approx(bisect_root(order, p, m), rel=1e-12)
+
+    def test_best_min_length_dominates_dense_p_grid(self):
+        for alpha in ALPHAS:
+            order = Order(alpha)
+            p_lo, p_hi = 1.0 + 1e-6, (1.0 - 1e-6) / (2.0 * order.gamma)
+            for m in (0.05, 1.0, 7.0):
+                p_star, best = best_min_length(order, m)
+                assert p_lo <= p_star <= p_hi
+                for p in np.linspace(p_lo, p_hi, 400):
+                    assert best >= min_length(order, m, p) * (1.0 - 1e-12)
+
     def test_rhs_is_parameter_free(self):
         vals = {fite_rhs(ORDER) for _ in range(5)}
         assert len(vals) == 1
@@ -183,7 +222,7 @@ class TestFiteBound:
 
     def test_lhs_growth_exponent_positive_everywhere(self):
         # alpha - |1/q - (1-alpha)| > 0 across the admissible set, so the
-        # bisection in min_length always brackets a unique root
+        # left side is strictly increasing and min_length's root is unique
         for alpha in np.arange(0.55, 0.951, 0.05):
             order = Order(float(alpha))
             p_max = 0.5 / order.gamma

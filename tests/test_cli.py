@@ -140,6 +140,41 @@ class TestVerify:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+# Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
+# with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
+BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
+                       ("grading", 0.5), ("max_iter", 0)]
+# sweep configs carry no scheme field
+BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS if fv[0] != "scheme"]
+
+
+class TestInvalidScenarioConfig:
+    @pytest.mark.parametrize("field,value", BAD_SCENARIO_FIELDS)
+    def test_solve_rejects(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, {**SOLVE_CONFIG, field: value})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("field,value", BAD_SCENARIO_FIELDS)
+    def test_verify_single_rejects(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, {**SOLVE_CONFIG, field: value})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("field,value", BAD_SWEEP_FIELDS)
+    def test_verify_sweep_rejects(self, tmp_path, capsys, field, value):
+        sweep = {**SWEEP_CONFIG["sweep"], field: value}
+        cfg = write_config(tmp_path, {"sweep": sweep})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+
 class TestAudit:
     def test_small_audit_ok(self, capsys):
         assert main(["audit", "--alpha", "0.75", "--p", "1.5",

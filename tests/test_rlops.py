@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from fracfite import (beta_fn, build_grid, from_callable, from_samples,
-                      gamma_fn, kernel_integral, norm_full, q_operator,
-                      rl_derivative, rl_integral)
-from fracfite.rlops import q_at
+                      gamma_fn, kernel_integral, kernel_matrix, norm_full,
+                      q_operator, rl_derivative, rl_integral)
+from fracfite.rlops import _build_matrix, _matrix_cached, q_at
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 
@@ -137,6 +137,38 @@ class TestQOperator:
         for x in (0.123, 0.5001, 0.987):
             ref = brute_force_q(reg, 1.0, gamma, lambda s: 1.0, beta, a, x)
             assert q_at(w, lambda s: 1.0, beta, x) == pytest.approx(ref, rel=2e-4)
+
+
+class TestKernelMatrixScaling:
+    """Omega on [a, a+L] is L^{1-beta-gamma} times the cached [0, 1] matrix."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("length", [0.05, 5.0, 10.0])
+    def test_scaled_unit_matrix_matches_direct_build(self, alpha, length):
+        g = build_grid(0.0, length, 96, 2.0)
+        unit, scale = kernel_matrix(g, 1.0 - alpha, 1.0 - alpha)
+        direct = _build_matrix(g.nodes, 0.0, 1.0 - alpha, 1.0 - alpha)
+        np.testing.assert_allclose(scale * unit, direct, rtol=1e-12, atol=0.0)
+
+    def test_shifted_interval_matches_direct_build(self):
+        # The direct build evaluates the kernel at the stored nodes
+        # a + L (j/n)^r, whose rounding perturbs the small differences
+        # t_j - a near a; the scaled unit matrix has no such rounding, so
+        # the gap bounds the old path's error, not the identity's.
+        g = build_grid(1.3, 1.6, 96, 2.0)
+        unit, scale = kernel_matrix(g, 0.25, 0.25)
+        direct = _build_matrix(g.nodes, 1.3, 0.25, 0.25)
+        np.testing.assert_allclose(scale * unit, direct, rtol=1e-9, atol=0.0)
+
+    def test_intervals_with_same_n_and_r_share_one_build(self):
+        before = _matrix_cached.cache_info()
+        u1, s1 = kernel_matrix(build_grid(-2.0, 0.7, 37, 1.7), 0.3, 0.3)
+        u2, s2 = kernel_matrix(build_grid(4.0, 9.0, 37, 1.7), 0.3, 0.3)
+        after = _matrix_cached.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
+        assert u1 is u2
+        assert (s1, s2) == pytest.approx((2.7 ** 0.4, 5.0 ** 0.4), rel=1e-14)
 
 
 class TestRLIntegral:
