@@ -9,12 +9,11 @@ grids to confirm that no numerical counterexample to the bound exists.
 """
 
 from .errors import AuditFailure, ConfigError, ConvergenceError
-from .specfn import beta_fn, gamma_fn, log_gamma, mittag_leffler
+from .specfn import beta_fn, gamma_fn, log_gamma
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_raw,
                        eval_reg, from_callable, from_samples, norm_full,
                        norm_window)
-from .rlops import kernel_integral, kernel_matrix, q_operator, rl_derivative, \
-    rl_integral
+from .rlops import kernel_integral, kernel_matrix, q_operator
 from .sfde import (CoefficientSet, SolveReport, coefficient_set, residual,
                    solve_fite, solve_relax_osc, solve_system)
 from .zeros import ZeroSet, find_zeros, first_zero_pair, zero_set
@@ -23,7 +22,7 @@ from .bounds import (AuditReport, BoundReport, ConstantChain, HolderParams,
                      bound_report, constant_chain, fite_lhs, fite_rhs,
                      holder_params, min_length, small_c)
 from .verify import (CoefficientSpec, Scenario, SweepReport, SweepSpec,
-                     VerifyReport, classical_fite_check, run_scenario, sweep)
+                     VerifyReport, run_scenario, sweep)
 
 __version__ = "0.1.0"
 
@@ -33,12 +32,11 @@ __all__ = [
     "GradedGrid", "HolderParams", "Order", "Scenario", "SolveReport",
     "SweepReport", "SweepSpec", "VerifyReport", "WeightedFn", "ZeroSet",
     "audit_estimates", "best_min_length", "beta_fn", "big_C", "big_D",
-    "big_E", "bound_report", "build_grid", "classical_fite_check",
-    "coefficient_set", "constant_chain", "eval_raw", "eval_reg", "find_zeros",
+    "big_E", "bound_report", "build_grid", "coefficient_set",
+    "constant_chain", "eval_raw", "eval_reg", "find_zeros",
     "first_zero_pair", "fite_lhs", "fite_rhs", "from_callable", "from_samples",
     "gamma_fn", "holder_params", "kernel_integral", "kernel_matrix",
-    "log_gamma", "min_length", "mittag_leffler", "norm_full", "norm_window",
-    "q_operator", "residual", "rl_derivative", "rl_integral", "run_scenario",
-    "small_c", "solve_fite", "solve_relax_osc", "solve_system", "sweep",
-    "zero_set",
+    "log_gamma", "min_length", "norm_full", "norm_window", "q_operator",
+    "residual", "run_scenario", "small_c", "solve_fite", "solve_relax_osc",
+    "solve_system", "sweep", "zero_set",
 ]

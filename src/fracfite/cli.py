@@ -31,7 +31,8 @@ from .bounds import audit_estimates, best_min_length, constant_chain, \
     fite_rhs, min_length
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .sfde import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .verify import (CoefficientSpec, Scenario, SweepSpec, run_scenario, sweep)
+from .verify import (COUNTEREXAMPLE, VERDICTS, CoefficientSpec, Scenario,
+                     SweepSpec, run_scenario, solve_scenario, sweep)
 from .weighted import GradedGrid, Order, from_samples
 from .zeros import find_zeros
 
@@ -70,6 +71,10 @@ def _get(cfg: dict, field: str, kind, default=None, required: bool = False):
         raise ConfigError(field, str(exc))
 
 
+def _floats(entries) -> tuple[float, ...]:
+    return tuple(float(x) for x in entries)
+
+
 def _scenario_from_config(cfg: dict, args) -> Scenario:
     alpha = _get(cfg, "alpha", float, required=True)
     if not (0.5 < alpha < 1.0):
@@ -97,7 +102,7 @@ def _scenario_from_config(cfg: dict, args) -> Scenario:
             v_coeff=v_coeff, n=n, r=r,
             tol=_get(cfg, "tol", float, default=DEFAULT_TOL),
             max_iter=_get(cfg, "max_iter", int, default=DEFAULT_MAX_ITER),
-            scheme=_get(cfg, "scheme", str, default="auto"),
+            scheme=_get(cfg, "scheme", str, default="marching"),
         )
     except ValueError as exc:
         raise ConfigError("scenario", str(exc))
@@ -151,11 +156,11 @@ def cmd_solve(args) -> int:
     converged = True
     detail = ""
     try:
-        rep = run_scenario_solve(scenario)
+        rep = solve_scenario(scenario)
     except ConvergenceError as exc:
         converged = False
         detail = str(exc)
-        rep = run_scenario_solve(dataclasses.replace(scenario, scheme="marching"))
+        rep = solve_scenario(dataclasses.replace(scenario, scheme="marching"))
     suffix = "csv" if args.format == "csv" else "json"
     trace_path = out / f"trace.{suffix}"
     _write_trace(trace_path, rep, args.format)
@@ -174,19 +179,6 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {detail}", file=sys.stderr)
         return SOLVER_FAILURE
     return OK
-
-
-def run_scenario_solve(s: Scenario):
-    from .sfde import solve_fite, solve_relax_osc
-    from .weighted import build_grid
-    grid = build_grid(s.a, s.c, s.n, s.r)
-    if s.v_coeff is None:
-        return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a,
-                          grid, tol=s.tol, max_iter=s.max_iter, scheme=s.scheme,
-                          sup_P=s.p_sup)
-    return solve_relax_osc(s.p_coeff.data[0], s.v_coeff.as_callable(s.a),
-                           s.order, s.f_a, s.g_a, grid, tol=s.tol,
-                           max_iter=s.max_iter, scheme=s.scheme)
 
 
 def cmd_bound(args) -> int:
@@ -260,9 +252,9 @@ def cmd_verify(args) -> int:
         if "sweep" in cfg:
             sw = cfg["sweep"]
             spec = SweepSpec(
-                alphas=tuple(_get(sw, "alphas", list, required=True)),
-                p_infs=tuple(_get(sw, "p_infs", list, required=True)),
-                lengths=tuple(_get(sw, "lengths", list, required=True)),
+                alphas=_get(sw, "alphas", _floats, required=True),
+                p_infs=_get(sw, "p_infs", _floats, required=True),
+                lengths=_get(sw, "lengths", _floats, required=True),
                 directions=_get(sw, "directions", int, default=8),
                 seed=args.seed if args.seed is not None
                 else _get(sw, "seed", int, default=0),
@@ -278,21 +270,13 @@ def cmd_verify(args) -> int:
             result = sweep(spec, workers=args.workers, rhs_scale=rhs_scale)
             reports = result.reports
             counts = result.counts
-            spec_obj = {
-                "alphas": list(spec.alphas), "p_infs": list(spec.p_infs),
-                "lengths": list(spec.lengths), "directions": spec.directions,
-                "seed": spec.seed, "a": spec.a, "b_fraction": spec.b_fraction,
-                "n": spec.n, "grading": spec.r, "tol": spec.tol,
-                "max_iter": spec.max_iter,
-                "random_directions": spec.random_directions,
-            }
+            spec_obj = dataclasses.asdict(spec)
+            spec_obj["grading"] = spec_obj.pop("r")
         else:
             scenario = _scenario_from_config(cfg, args)
             rep = run_scenario(scenario, rhs_scale=rhs_scale)
             reports = (rep,)
-            counts = {v: 0 for v in ("BOUND_HOLDS", "NO_ZERO_PAIR",
-                                     "COUNTEREXAMPLE", "SOLVER_FAILED")}
-            counts[rep.verdict] = 1
+            counts = {v: int(v == rep.verdict) for v in VERDICTS}
             result = None
             spec_obj = _scenario_obj(scenario)
     except (ConfigError, ValueError) as exc:
@@ -306,10 +290,10 @@ def cmd_verify(args) -> int:
                       and math.isfinite(result.min_ratio) else None),
         "scenarios": [_report_obj(r) for r in reports],
         "counterexamples": [_report_obj(r) for r in reports
-                            if r.verdict == "COUNTEREXAMPLE"],
+                            if r.verdict == COUNTEREXAMPLE],
     }
     _dump_json(aggregate, out / "verify.json")
-    n_counter = counts.get("COUNTEREXAMPLE", 0)
+    n_counter = counts[COUNTEREXAMPLE]
     print(json.dumps({"counts": counts}, sort_keys=True))
     if n_counter:
         print(f"verification failure: {n_counter} counterexample(s) recorded",

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfn import beta_fn, gamma_fn
+from .specfn import beta_fn
 from .weighted import GradedGrid, WeightedFn, build_grid, from_samples
 
 _GX, _GW = leggauss(16)
@@ -135,119 +135,6 @@ def q_operator(w: WeightedFn, A: Callable[[float], float], beta: float) -> Weigh
     else:
         vals[0] = 0.0
     return from_samples(vals, 0.0, w.grid)
-
-
-def rl_integral(w: WeightedFn, mu: float) -> WeightedFn:
-    """Fractional integral I^mu f = (1/Gamma(mu)) int_a^t f(s) (t-s)^{mu-1} ds."""
-    if not (0.0 < mu < 1.0):
-        raise ValueError(f"integral order must lie in (0, 1), got {mu!r}")
-    res = q_operator(w, lambda s: 1.0, 1.0 - mu)
-    return from_samples(res.reg_samples / gamma_fn(mu), 0.0, w.grid)
-
-
-def _piece_integral(a: float, x: float, beta: float, gamma: float,
-                    s0: float, s1: float, v0: float, v1: float) -> float:
-    """int_{s0}^{s1} v(s) (s-a)^{-gamma} (x-s)^{-beta} ds for linear v with
-    endpoint values v0, v1; a <= s0 < s1 <= x. Endpoint singularities
-    (s0 = a, s1 = x) are removed by power substitutions."""
-    h = s1 - s0
-    if s0 == a and s1 == x:
-        pref = (x - a) ** (1.0 - beta - gamma)
-        return pref * (v0 * beta_fn(1.0 - gamma, 2.0 - beta)
-                       + v1 * beta_fn(2.0 - gamma, 1.0 - beta))
-    if s0 == a and gamma > 0.0:
-        s = a + h * _GX ** (1.0 / (1.0 - gamma))
-        wts = _GW * (h ** (1.0 - gamma) / (1.0 - gamma)) * (x - s) ** (-beta)
-    elif s1 == x:
-        s = x - h * _GX ** (1.0 / (1.0 - beta))
-        wts = _GW * (h ** (1.0 - beta) / (1.0 - beta)) * (s - a) ** (-gamma)
-    else:
-        s = s0 + h * _GX
-        wts = _GW * h * (s - a) ** (-gamma) * (x - s) ** (-beta)
-    return float(wts @ (v0 * (s1 - s) / h + v1 * (s - s0) / h))
-
-
-def _split_toward(s0: float, s1: float, x: float) -> list[float]:
-    """Breakpoints of [s0, s1] geometrically refined toward s1, matched to
-    the distance x - s1 of the kernel singularity beyond the right edge."""
-    d = x - s1
-    pts = [s1]
-    edge = s1 - 4.0 * d
-    while edge > s0 + 0.25 * (s1 - s0):
-        pts.append(edge)
-        edge = s1 - 4.0 * (s1 - edge)
-    pts.append(s0)
-    return pts[::-1]
-
-
-def q_at(w: WeightedFn, A: Callable[[float], float], beta: float, x: float) -> float:
-    """(Q_{beta,A} f)(x) at an arbitrary point x in (a, c].
-
-    Same product integration as the matrix path: full cells below x use
-    the precomputable rules and the cut cell containing x gets its own
-    right-endpoint substitution (or the exact Beta moments when it also
-    touches a). The cell just before the cut one is subdivided toward its
-    right edge whenever x sits close past it, where the kernel is steep.
-    """
-    _check_regime(beta, w.gamma)
-    grid = w.grid
-    a, nodes = grid.a, grid.nodes
-    if not (a < x <= grid.c):
-        raise ValueError(f"x={x!r} outside (a, c] = ({a}, {grid.c}]")
-    gamma = w.gamma
-    u = np.asarray([A(t) for t in nodes], dtype=float) * w.reg_samples
-    k = int(np.searchsorted(nodes, x, side="left")) - 1  # nodes[k] < x <= nodes[k+1]
-    total = 0.0
-    if k >= 2:
-        S, V0, V1 = _cell_rules(nodes[:k], a, gamma)
-        kern = (x - S) ** (-beta)
-        total += float(np.einsum("jg,jg->j", V0, kern) @ u[: k - 1]
-                       + np.einsum("jg,jg->j", V1, kern) @ u[1:k])
-    if k >= 1:
-        # cell [t_{k-1}, t_k]: refine toward the right edge if x is near it
-        s0, s1 = nodes[k - 1], nodes[k]
-        pts = _split_toward(s0, s1, x) if (x - s1) < (s1 - s0) else [s0, s1]
-        for p0, p1 in zip(pts[:-1], pts[1:]):
-            f0, f1 = (p0 - s0) / (s1 - s0), (p1 - s0) / (s1 - s0)
-            total += _piece_integral(
-                a, x, beta, gamma, p0, p1,
-                u[k - 1] + f0 * (u[k] - u[k - 1]),
-                u[k - 1] + f1 * (u[k] - u[k - 1]))
-    # cut cell [t_k, x]; u restricted there is still linear
-    frac = (x - nodes[k]) / (nodes[k + 1] - nodes[k])
-    total += _piece_integral(a, x, beta, gamma, nodes[k], x,
-                             u[k], u[k] + frac * (u[k + 1] - u[k]))
-    return total
-
-
-def rl_derivative(w: WeightedFn, zeta: float) -> WeightedFn:
-    """Riemann-Liouville derivative of order zeta in (0, 1).
-
-    Realized through its definition as d/dt of the order-(1-zeta)
-    integral: the primitive is product-integrated on the grid and then
-    differentiated node-to-node by centered differences spanning the two
-    adjacent cells (one-sided at c). On the graded grid this is a centered
-    second-order formula in the grading parameter, which keeps the
-    fractional-power curvature of the primitive near a under control. The
-    result generally blows up like (t-a)^{-zeta} and is returned with
-    weight exponent zeta; the samples on the first few cells carry the
-    largest differentiation error.
-    """
-    if not (0.0 < zeta < 1.0):
-        raise ValueError(f"derivative order must lie in (0, 1), got {zeta!r}")
-    prim = rl_integral(w, 1.0 - zeta).reg_samples
-    t = w.grid.nodes
-    n = w.grid.n
-    dp = np.empty(n + 1)
-    dp[1:-1] = (prim[2:] - prim[:-2]) / (t[2:] - t[:-2])
-    # one-sided closure at c, second order in the grid index
-    dp[n] = ((3.0 * prim[n] - 4.0 * prim[n - 1] + prim[n - 2])
-             / (3.0 * t[n] - 4.0 * t[n - 1] + t[n - 2]))
-    vals = np.empty(n + 1)
-    vals[1:] = (t[1:] - w.grid.a) ** zeta * dp[1:]
-    # limit value at a: linear extrapolation of the regularized samples
-    vals[0] = vals[1] - (t[1] - w.grid.a) * (vals[2] - vals[1]) / (t[2] - t[1])
-    return from_samples(vals, zeta, w.grid)
 
 
 def kernel_integral(lo: float, hi: float, a: float, t: float,

@@ -9,19 +9,16 @@ is solved through its weakly singular Volterra representation
     f(x) = f_a (x-a)^{alpha-1} + (1/Gamma(alpha)) int_a^x (G g + Q)(s) (x-s)^{alpha-1} ds
 
 and symmetrically for g, with (f, g) sought in the weighted space of
-exponent 1 - alpha. Two independent discretizations of the same product-
-integrated system are provided:
+exponent 1 - alpha. The production solve is a causal marching scheme: at
+each node it solves a 2x2 system for the two regularized unknowns, using
+the history weights of the product-integration quadrature. It needs no
+contraction condition.
 
-  * Picard iteration seeded with the free terms, mirroring the
-    contraction structure of the underlying fixed-point argument, and
-  * a causal marching scheme that solves a 2x2 system for the two
-    regularized unknowns at each node, using the history weights of the
-    same quadrature.
-
-They agree to solver tolerance on every well-posed instance and act as
-mutual oracles. When Picard stalls or diverges (long intervals with a
-large coupling bound), the solver falls back to marching automatically
-and reports which path produced the answer.
+Picard iteration of the same discrete system, seeded with the free
+terms, mirrors the fixed-point argument behind the bound. It is kept as
+the contraction probe (its increment ratios measure the contraction
+factor) and as an oracle for marching; when it stalls or diverges it
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 _DIVERGE_FACTOR = 1e12
 _SUP_SAMPLES = 4097
-SCHEMES = ("auto", "picard", "marching")
+SCHEMES = ("picard", "marching")
 
 
 def sup_norm(fn: Callable[[float], float], a: float, c: float,
@@ -89,8 +86,8 @@ class SolveReport:
     """Converged solution pair and solve diagnostics.
 
     increment_norms holds the full weighted norms of successive Picard
-    increments (empty for a pure marching solve); their ratios measure the
-    observed contraction factor.
+    increments (empty for marching, which also reports 0 iterations);
+    their ratios measure the observed contraction factor.
     """
 
     f: WeightedFn
@@ -147,62 +144,63 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
     return wf, wg
 
 
+def _picard(omega, Gv, Rv, wq, wv, pf, f_a, g_a, tol, max_iter):
+    """Fixed-point iteration seeded with the free terms; returns the
+    samples and the sup-norms of the successive increments."""
+    wf = np.full(omega.shape[0], float(f_a))
+    wg = np.full(omega.shape[0], float(g_a))
+    increments: list[float] = []
+    for _ in range(max_iter):
+        nf = f_a + pf * (omega @ (Gv * wg + wq))
+        ng = g_a + pf * (omega @ (Rv * wf + wv))
+        inc = float(max(np.abs(nf - wf).max(), np.abs(ng - wg).max()))
+        wf, wg = nf, ng
+        increments.append(inc)
+        if not math.isfinite(inc) or inc > _DIVERGE_FACTOR * (increments[0] + 1.0):
+            break
+        if inc <= tol:
+            return wf, wg, increments
+    raise ConvergenceError(
+        f"Picard iteration did not reach tol={tol} within {max_iter} "
+        f"iterations (last increment {increments[-1]:.3e})")
+
+
+def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> float:
+    """Max regularized defect of the two integral equations over t_j, j >= 1."""
+    df = wf - (wf[0] + pf * (omega @ (Gv * wg + wq)))
+    dg = wg - (wg[0] + pf * (omega @ (Rv * wf + wv)))
+    return float(max(np.abs(df[1:]).max(), np.abs(dg[1:]).max()))
+
+
 def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
                  grid: GradedGrid, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
-                 scheme: str = "auto") -> SolveReport:
+                 scheme: str = "marching") -> SolveReport:
     """Solve the coupled integral system on the grid.
 
-    scheme: "auto" runs Picard and falls back to marching on failure,
-    "picard" raises ConvergenceError instead of falling back, "marching"
-    skips the iteration entirely.
+    scheme: "marching" (the default) solves node by node and needs no
+    contraction condition; tol and max_iter do not apply to it. "picard"
+    iterates the fixed-point map, records its increments and raises
+    ConvergenceError when it stalls or diverges.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     ga = order.gamma
-    beta = 1.0 - order.alpha
-    omega, scale = kernel_matrix(grid, beta, ga)
-    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
-
-    increments: list[float] = []
-    if scheme != "marching":
-        wf = np.full(grid.n + 1, float(f_a))
-        wg = np.full(grid.n + 1, float(g_a))
-        failed = False
-        iterations = 0
-        for it in range(1, max_iter + 1):
-            nf = f_a + pf * (omega @ (Gv * wg + wq))
-            ng = g_a + pf * (omega @ (Rv * wf + wv))
-            inc = max(np.abs(nf - wf).max(), np.abs(ng - wg).max())
-            wf, wg = nf, ng
-            increments.append(float(inc))
-            iterations = it
-            if not math.isfinite(inc) or inc > _DIVERGE_FACTOR * (increments[0] + 1.0):
-                failed = True
-                break
-            if inc <= tol:
-                break
-        else:
-            failed = True
-        if not failed:
-            f = from_samples(wf, ga, grid)
-            g = from_samples(wg, ga, grid)
-            report = SolveReport(f=f, g=g, iterations=iterations, residual=0.0,
-                                 method="picard", increment_norms=tuple(increments))
-            return _with_residual(report, coeffs, order)
-        if scheme == "picard":
-            raise ConvergenceError(
-                f"Picard iteration did not reach tol={tol} within {max_iter} "
-                f"iterations (last increment {increments[-1]:.3e})")
-
-    wf, wg = _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a)
-    f = from_samples(wf, ga, grid)
-    g = from_samples(wg, ga, grid)
-    report = SolveReport(f=f, g=g, iterations=len(increments), residual=0.0,
-                         method="marching", increment_norms=tuple(increments))
-    return _with_residual(report, coeffs, order)
+    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
+    data = _node_data(coeffs, order, grid, scale)
+    if scheme == "picard":
+        wf, wg, increments = _picard(omega, *data, f_a, g_a, tol, max_iter)
+    else:
+        wf, wg = _marching(omega, *data, f_a, g_a)
+        increments = []
+    return SolveReport(f=from_samples(wf, ga, grid), g=from_samples(wg, ga, grid),
+                       iterations=len(increments),
+                       residual=_defect(omega, *data, wf, wg), method=scheme,
+                       increment_norms=tuple(increments))
 
 
 def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float:
@@ -210,24 +208,13 @@ def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
-    wf, wg = report.f.reg_samples, report.g.reg_samples
-    f_a, g_a = wf[0], wg[0]
-    df = wf - (f_a + pf * (omega @ (Gv * wg + wq)))
-    dg = wg - (g_a + pf * (omega @ (Rv * wf + wv)))
-    return float(max(np.abs(df[1:]).max(), np.abs(dg[1:]).max()))
-
-
-def _with_residual(report: SolveReport, coeffs, order) -> SolveReport:
-    res = residual(coeffs, order, report)
-    return SolveReport(f=report.f, g=report.g, iterations=report.iterations,
-                       residual=res, method=report.method,
-                       increment_norms=report.increment_norms)
+    return _defect(omega, *_node_data(coeffs, order, grid, scale),
+                   report.f.reg_samples, report.g.reg_samples)
 
 
 def solve_fite(P: Callable[[float], float], order: Order, f_a: float, g_a: float,
                grid: GradedGrid, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, scheme: str = "auto",
+               max_iter: int = DEFAULT_MAX_ITER, scheme: str = "marching",
                sup_P: float | None = None) -> SolveReport:
     """Solve D^alpha(D^alpha f) + P f = 0 via the equivalent system with
     G = 1, Q = 0, R = -P, V = 0. The returned g is D^alpha f by construction."""
@@ -242,7 +229,7 @@ def solve_fite(P: Callable[[float], float], order: Order, f_a: float, g_a: float
 def solve_relax_osc(P_const: float, V: Callable[[float], float], order: Order,
                     f_a: float, g_a: float, grid: GradedGrid,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    scheme: str = "auto") -> SolveReport:
+                    scheme: str = "marching") -> SolveReport:
     """Forced relaxation-oscillation equation D^alpha(D^alpha f) + P f = V(t)
     with a constant coefficient P > 0."""
     if not (P_const > 0.0):

@@ -1,18 +1,14 @@
-"""Special-function kernel: Gamma, Beta and Mittag-Leffler evaluation.
+"""Special-function kernel: Gamma and Beta evaluation.
 
 Everything downstream (singular-kernel moments, the explicit constant
-chain, the solver oracles) funnels through these three functions, so they
-are kept dependency-light and are cross-checked in the test suite against
-stdlib and arbitrary-precision references.
+chain) funnels through these functions, so they are kept dependency-light
+and are cross-checked in the test suite against stdlib and
+arbitrary-precision references.
 """
 
 from __future__ import annotations
 
 import math
-
-import mpmath as mp
-
-from .errors import ConvergenceError
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 # Relative accuracy ~1e-15 for x >= 0.5 in double precision.
@@ -74,59 +70,3 @@ def beta_fn(x: float, y: float) -> float:
     _check_positive("x", x)
     _check_positive("y", y)
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
-# Mittag-Leffler series controls.
-_ML_MAX_TERMS = 10_000
-_ML_RTOL = 1e-16
-_ML_Z_MAX = 50.0
-
-
-def _ml_extra_digits(order: float, weight: float, z: float) -> int:
-    """Decimal digits of cancellation headroom for the alternating series.
-
-    For z < 0 the partial sums can exceed the limit by the magnitude of
-    the largest term; summing with that many extra digits makes the
-    cancellation harmless.
-    """
-    if z >= 0.0:
-        return 0
-    log_z = math.log(abs(z)) if z != 0.0 else -math.inf
-    peak = 0.0
-    for k in range(1, _ML_MAX_TERMS):
-        lt = k * log_z - log_gamma(order * k + weight)
-        if lt > peak:
-            peak = lt
-        elif lt < peak - 60.0:  # far past the hump, terms only shrink
-            break
-    return max(0, math.ceil(peak / math.log(10.0)))
-
-
-def mittag_leffler(order: float, weight: float, z: float) -> float:
-    """E_{order,weight}(z) = sum_k z^k / Gamma(order*k + weight).
-
-    Direct series summation, truncated once a term falls below 1e-16 of
-    the running sum. The summation runs at elevated working precision so
-    that the alternating-series cancellation for z < 0 does not eat into
-    the result (at z = -10, order = 1 the partial sums overshoot by ~10
-    orders of magnitude). Restricted to the desk-scale domain |z| <= 50.
-    """
-    if not (0.0 < order <= 1.0):
-        raise ValueError(f"order must lie in (0, 1], got {order!r}")
-    _check_positive("weight", weight)
-    if not math.isfinite(z) or abs(z) > _ML_Z_MAX:
-        raise ValueError(f"|z| must be <= {_ML_Z_MAX}, got {z!r}")
-
-    dps = 25 + _ml_extra_digits(order, weight, z)
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        total = mp.mpf(0)
-        for k in range(_ML_MAX_TERMS):
-            term = zz**k / mp.gamma(order * k + weight)
-            total += term
-            if total != 0 and abs(term) <= _ML_RTOL * abs(total):
-                return float(total)
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
-        f"(order={order}, weight={weight}, z={z})"
-    )

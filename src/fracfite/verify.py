@@ -9,7 +9,7 @@ and length c - a at the optimized exponent. The possible verdicts:
     BOUND_HOLDS     zero pair found and the inequality is satisfied
     NO_ZERO_PAIR    hypothesis not met (nothing to check)
     COUNTEREXAMPLE  zero pair from a nontrivial solution, inequality fails
-    SOLVER_FAILED   the solve did not converge (sweeps keep going)
+    SOLVER_FAILED   the solve failed (sweeps keep going)
 
 The bound being a proved statement, any COUNTEREXAMPLE is evidence of
 an implementation bug; the sweep exists to hunt for exactly that.
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import best_min_length, bound_report
 from .errors import ConvergenceError
-from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, solve_fite,
-                   solve_relax_osc)
+from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport,
+                   solve_fite, solve_relax_osc)
 from .weighted import Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
@@ -36,6 +36,7 @@ BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 SOLVER_FAILED = "SOLVER_FAILED"
+VERDICTS = (BOUND_HOLDS, NO_ZERO_PAIR, COUNTEREXAMPLE, SOLVER_FAILED)
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,9 @@ class Scenario:
     r: float = 2.0
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    scheme: str = "auto"
+    scheme: str = "marching"
     label: str = ""
+    p_sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -156,10 +158,7 @@ class Scenario:
             raise ValueError("forced scenarios require a constant P")
         if self.v_coeff is not None and p_max <= 0.0:
             raise ValueError("forced scenarios require P > 0")
-
-    @property
-    def p_sup(self) -> float:
-        return self.p_coeff.range_on(self.a, self.c)[1]
+        object.__setattr__(self, "p_sup", p_max)
 
     @property
     def length(self) -> float:
@@ -185,23 +184,26 @@ class VerifyReport:
         return self.lhs / self.rhs if self.rhs else math.nan
 
 
+def solve_scenario(s: Scenario) -> SolveReport:
+    """Solve the scenario's equation on its graded grid."""
+    grid = build_grid(s.a, s.c, s.n, s.r)
+    if s.v_coeff is None:
+        return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a,
+                          grid, tol=s.tol, max_iter=s.max_iter, scheme=s.scheme,
+                          sup_P=s.p_sup)
+    return solve_relax_osc(s.p_coeff.data[0], s.v_coeff.as_callable(s.a),
+                           s.order, s.f_a, s.g_a, grid, tol=s.tol,
+                           max_iter=s.max_iter, scheme=s.scheme)
+
+
 def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
     """Solve one scenario and classify it.
 
     rhs_scale multiplies the bound's right side; it exists purely as a
     fault-injection hook for negative-path tests of the harness.
     """
-    grid = build_grid(s.a, s.c, s.n, s.r)
-    P = s.p_coeff.as_callable(s.a)
     try:
-        if s.v_coeff is None:
-            report = solve_fite(P, s.order, s.f_a, s.g_a, grid,
-                                tol=s.tol, max_iter=s.max_iter, scheme=s.scheme,
-                                sup_P=s.p_sup)
-        else:
-            report = solve_relax_osc(s.p_coeff.data[0], s.v_coeff.as_callable(s.a),
-                                     s.order, s.f_a, s.g_a, grid,
-                                     tol=s.tol, max_iter=s.max_iter, scheme=s.scheme)
+        report = solve_scenario(s)
     except (ConvergenceError, FloatingPointError, OverflowError) as exc:
         return VerifyReport(scenario=s, verdict=SOLVER_FAILED, detail=str(exc))
     except ValueError as exc:
@@ -242,6 +244,13 @@ class SweepSpec:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     random_directions: bool = False
+
+    def __post_init__(self):
+        for name in ("alphas", "p_infs", "lengths"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: must not be empty")
+        if self.directions < 1:
+            raise ValueError(f"directions: must be >= 1, got {self.directions!r}")
 
     def direction_angles(self) -> np.ndarray:
         if self.random_directions:
@@ -297,7 +306,7 @@ def sweep(spec: SweepSpec, workers: int = 1, rhs_scale: float = 1.0) -> SweepRep
             reports = list(pool.map(_run_one, jobs, chunksize=4))
     else:
         reports = [_run_one(j) for j in jobs]
-    counts = {v: 0 for v in (BOUND_HOLDS, NO_ZERO_PAIR, COUNTEREXAMPLE, SOLVER_FAILED)}
+    counts = {v: 0 for v in VERDICTS}
     for rep in reports:
         counts[rep.verdict] += 1
     ratios = [rep.ratio for rep in reports if rep.zero_pair is not None
@@ -309,28 +318,3 @@ def sweep(spec: SweepSpec, workers: int = 1, rhs_scale: float = 1.0) -> SweepRep
         counterexamples=tuple(r for r in reports if r.verdict == COUNTEREXAMPLE),
         min_ratio=min(ratios) if ratios else math.nan,
     )
-
-
-def classical_fite_check(P_const: float, b: float, c: float,
-                         phases: int = 64) -> bool:
-    """Second-order sanity oracle: for x'' + P x = 0 with constant P > 0,
-    whenever x = sin(sqrt(P)(t - t0)) has a zero and x' a zero inside
-    [b, c], classical theory gives (c - b) max(1, P) >= 1.
-
-    The phase t0 is scanned over one period; windows that contain no such
-    pair are vacuous and count as satisfied.
-    """
-    if not (P_const > 0.0):
-        raise ValueError(f"P must be positive, got {P_const!r}")
-    if not (b < c):
-        raise ValueError("need b < c")
-    w = math.sqrt(P_const)
-    half = math.pi / w  # zero spacing of both x and x'
-    for t0 in np.linspace(0.0, 2.0 * half, phases, endpoint=False):
-        # zeros of x at t0 + k half; zeros of x' at t0 + (k + 1/2) half
-        has_x = math.floor((c - t0) / half) >= math.ceil((b - t0) / half)
-        has_dx = (math.floor((c - t0) / half - 0.5)
-                  >= math.ceil((b - t0) / half - 0.5))
-        if has_x and has_dx and (c - b) * max(1.0, P_const) < 1.0:
-            return False
-    return True

@@ -14,10 +14,11 @@ import pytest
 import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
-                      beta_fn, big_C, big_E, build_grid, classical_fite_check,
-                      coefficient_set, fite_rhs, from_callable, gamma_fn,
-                      min_length, q_operator, solve_fite, solve_system, sweep)
+                      beta_fn, big_C, big_E, build_grid, coefficient_set,
+                      fite_rhs, from_callable, gamma_fn, min_length,
+                      q_operator, solve_fite, solve_system, sweep)
 from fracfite.cli import main
+from oracles import classical_fite_check
 
 ORDER = Order(0.75)
 
@@ -125,7 +126,7 @@ def test_criterion_7_contraction():
     E = big_E(ORDER, p, length)
     assert E * m < 0.5
     g = build_grid(0.0, length, 512, 2.0)
-    rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g)
+    rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g, scheme="picard")
     incs = rep.increment_norms
     ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
               if incs[k] > 0.0]

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fracfite
 from fracfite.cli import main
 
 SOLVE_CONFIG = {
@@ -107,12 +112,12 @@ class TestVerify:
         assert agg["spec"]["seed"] == 42
 
     def test_empty_sweep(self, tmp_path):
+        # a sweep that checks nothing is a config error, not a clean pass
         cfg = write_config(tmp_path, {"sweep": {"alphas": [], "p_infs": [],
                                                 "lengths": []}})
         out = tmp_path / "out"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        agg = json.loads((out / "verify.json").read_text())
-        assert agg["scenarios"] == []
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "verify.json").exists()
 
     def test_corrupted_rhs_fails(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
@@ -142,10 +147,21 @@ class TestVerify:
 
 # Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
 # with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
+# "auto" is the retired Picard-then-marching scheme.
 BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
-                       ("grading", 0.5), ("max_iter", 0)]
-# sweep configs carry no scheme field
-BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS if fv[0] != "scheme"]
+                       ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0)]
+# Sweep configs carry no scheme field. A non-numeric list entry gave a
+# traceback (exit 1); an empty list or no directions wrote a verify.json
+# with zero scenarios and exited 0.
+BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS if fv[0] != "scheme"] \
+    + [("alphas", ["x"]), ("alphas", []), ("p_infs", []), ("lengths", []),
+       ("directions", 0)]
+
+
+def names_field(err: str, field: str) -> bool:
+    """Scenario validation says `field: ...`, ConfigError says
+    `config field 'field': ...`."""
+    return f"{field}:" in err or f"config field '{field}':" in err
 
 
 class TestInvalidScenarioConfig:
@@ -171,7 +187,7 @@ class TestInvalidScenarioConfig:
         cfg = write_config(tmp_path, {"sweep": sweep})
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-        assert f"{field}:" in capsys.readouterr().err
+        assert names_field(capsys.readouterr().err, field)
         assert not (out / "verify.json").exists()
 
 
@@ -206,6 +222,15 @@ class TestZeros:
 
     def test_missing_trace(self):
         assert main(["zeros", "--trace", "/nonexistent/trace.csv"]) == 2
+
+
+class TestImports:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # mpmath is a test-only dependency (tests/oracles.py)
+        src = str(Path(fracfite.__file__).resolve().parents[1])
+        code = "import sys, fracfite.cli; assert 'mpmath' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestDeterminism:

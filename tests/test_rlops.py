@@ -9,8 +9,9 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_callable, from_samples,
                       gamma_fn, kernel_integral, kernel_matrix, norm_full,
-                      q_operator, rl_derivative, rl_integral)
-from fracfite.rlops import _build_matrix, _matrix_cached, q_at
+                      q_operator)
+from fracfite.rlops import _build_matrix, _matrix_cached
+from oracles import rl_derivative, rl_integral
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 
@@ -119,24 +120,6 @@ class TestQOperator:
             q_operator(w, lambda s: 1.0, 0.6)   # beta + gamma > 1
         with pytest.raises(ValueError):
             q_operator(w, lambda s: 1.0, 1.2)   # beta outside (0, 1)
-
-    def test_q_at_matches_matrix_at_nodes(self):
-        g = build_grid(0.0, 1.0, 128, 2.0)
-        w = from_callable(lambda t: math.cos(2.0 * t), 1.0, 0.25, g)
-        A = lambda s: 1.0 + s
-        q = q_operator(w, A, 0.3)
-        for i in (1, 2, 17, 128):
-            assert q_at(w, A, 0.3, g.nodes[i]) == pytest.approx(
-                q.reg_samples[i], abs=1e-12)
-
-    def test_q_at_off_node_vs_reference(self):
-        a, beta, gamma = 0.0, 0.3, 0.25
-        reg = lambda s: math.cos(2.0 * s)
-        g = build_grid(a, 1.0, 256, 2.0)
-        w = from_callable(reg, 1.0, gamma, g)
-        for x in (0.123, 0.5001, 0.987):
-            ref = brute_force_q(reg, 1.0, gamma, lambda s: 1.0, beta, a, x)
-            assert q_at(w, lambda s: 1.0, beta, x) == pytest.approx(ref, rel=2e-4)
 
 
 class TestKernelMatrixScaling:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fracfite import (ConvergenceError, Order, big_E, build_grid,
-                      coefficient_set, from_samples, gamma_fn, mittag_leffler,
-                      residual, rl_derivative, solve_fite, solve_relax_osc,
-                      solve_system)
+                      coefficient_set, from_samples, gamma_fn, residual,
+                      solve_fite, solve_relax_osc, solve_system)
+from oracles import mittag_leffler, rl_derivative
 
 ORDER = Order(0.75)
 # Gamma(0.75) * E_{0.75,0.75}(1), 20-digit reference
@@ -27,7 +27,7 @@ class TestSolveSystem:
         g = build_grid(0.0, 1.0, 64, 2.0)
         coeffs = coefficient_set(lambda s: math.cos(s), lambda s: 0.0,
                                  lambda s: -2.0, lambda s: 0.0, 0.0, 1.0)
-        rep = solve_system(coeffs, ORDER, 0.0, 0.0, g)
+        rep = solve_system(coeffs, ORDER, 0.0, 0.0, g, scheme="picard")
         assert rep.iterations == 1
         assert rep.residual == 0.0
         np.testing.assert_array_equal(rep.f.reg_samples, 0.0)
@@ -39,14 +39,15 @@ class TestSolveSystem:
         g = build_grid(0.0, 1.0, 64, 2.0)
         coeffs = coefficient_set(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
                                  lambda s: 0.0, 0.0, 1.0, sup_G=1.0, sup_R=0.0)
-        rep = solve_system(coeffs, ORDER, 1.0, 0.0, g)
+        rep = solve_system(coeffs, ORDER, 1.0, 0.0, g, scheme="picard")
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.f.reg_samples, 1.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
     def test_mittag_leffler_oracle(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+        rep = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
+                           scheme="picard")
         assert rep.method == "picard"
         # W_f(1) = f(1) at unit distance from a
         assert rep.f.reg_samples[-1] == pytest.approx(ML_SOLUTION_AT_1, rel=2e-5)
@@ -105,16 +106,18 @@ class TestSolveSystem:
         E = big_E(ORDER, 4.0 / 3.0, length)
         assert E < 0.5
         g = build_grid(0.0, length, 256, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g)
+        rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g, scheme="picard")
         incs = rep.increment_norms
         ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
                   if incs[k] > 0.0]
         assert ratios and max(ratios) <= E * 1.0 + 0.1
 
-    def test_picard_failure_falls_back_to_marching(self):
+    def test_default_solve_succeeds_where_picard_diverges(self):
+        # same instance as test_picard_scheme_raises_without_fallback
         g = build_grid(0.0, 10.0, 128, 2.0)
         rep = solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g, max_iter=3)
         assert rep.method == "marching"
+        assert rep.iterations == 0
         assert rep.residual < 1e-8
 
     def test_picard_scheme_raises_without_fallback(self):
@@ -130,6 +133,9 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
                          scheme="nonsense")
+        with pytest.raises(ValueError):
+            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
+                         scheme="picard", max_iter=0)
 
 
 class TestSolveFite:

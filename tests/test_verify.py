@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fracfite import (CoefficientSpec, Order, Scenario, SweepSpec,
-                      best_min_length, classical_fite_check, run_scenario,
-                      sweep)
+                      best_min_length, run_scenario, sweep)
+from oracles import classical_fite_check
 
 ORDER = Order(0.75)
 
@@ -110,6 +110,21 @@ class TestRunScenario:
                                          c=4.0, n=256))
         assert rep.m == 3.0
 
+    def test_coefficient_range_sampled_once(self, monkeypatch):
+        # p_sup is fixed during validation; the run does not resample P
+        calls = []
+        range_on = CoefficientSpec.range_on
+
+        def counting(self, a, c, samples=2049):
+            calls.append((a, c))
+            return range_on(self, a, c, samples)
+
+        monkeypatch.setattr(CoefficientSpec, "range_on", counting)
+        s = fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 0.5]), c=2.0)
+        rep = run_scenario(s)
+        assert len(calls) == 1
+        assert rep.m == pytest.approx(2.0)
+
     def test_relax_osc_scenario_runs(self):
         s = fite_scenario(p_coeff=CoefficientSpec.const(1.0),
                           v_coeff=CoefficientSpec.const(1.0),
@@ -121,10 +136,12 @@ class TestRunScenario:
 
 class TestSweep:
     def test_empty_grid(self):
-        spec = SweepSpec(alphas=(), p_infs=(), lengths=(), directions=4)
-        report = sweep(spec)
-        assert report.reports == ()
-        assert all(v == 0 for v in report.counts.values())
+        # a sweep that checks nothing must not pass as a clean sweep
+        with pytest.raises(ValueError, match="alphas"):
+            SweepSpec(alphas=(), p_infs=(), lengths=(), directions=4)
+        with pytest.raises(ValueError, match="directions"):
+            SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
+                      directions=0)
 
     def test_small_sweep_no_counterexamples(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.05, 2.0),
