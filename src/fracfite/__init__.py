@@ -14,8 +14,8 @@ from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_raw,
                        eval_reg, from_callable, from_samples, norm_full,
                        norm_window)
 from .rlops import kernel_integral, kernel_matrix, q_operator
-from .sfde import (CoefficientSet, SolveReport, coefficient_set, residual,
-                   solve_fite, solve_relax_osc, solve_system)
+from .sfde import (CoefficientSet, SolveReport, residual, solve_fite,
+                   solve_relax_osc, solve_system)
 from .zeros import ZeroSet, find_zeros, first_zero_pair, zero_set
 from .bounds import (AuditReport, BoundReport, ConstantChain, HolderParams,
                      audit_estimates, best_min_length, big_C, big_D, big_E,
@@ -32,8 +32,7 @@ __all__ = [
     "GradedGrid", "HolderParams", "Order", "Scenario", "SolveReport",
     "SweepReport", "SweepSpec", "VerifyReport", "WeightedFn", "ZeroSet",
     "audit_estimates", "best_min_length", "beta_fn", "big_C", "big_D",
-    "big_E", "bound_report", "build_grid", "coefficient_set",
-    "constant_chain", "eval_raw", "eval_reg", "find_zeros",
+    "big_E", "bound_report", "build_grid", "constant_chain", "eval_raw", "eval_reg", "find_zeros",
     "first_zero_pair", "fite_lhs", "fite_rhs", "from_callable", "from_samples",
     "gamma_fn", "holder_params", "kernel_integral", "kernel_matrix",
     "log_gamma", "min_length", "norm_full", "norm_window", "q_operator",

@@ -153,31 +153,19 @@ def cmd_solve(args) -> int:
         return CONFIG_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    converged = True
-    detail = ""
     try:
         rep = solve_scenario(scenario)
-    except ConvergenceError as exc:
-        converged = False
-        detail = str(exc)
-        rep = solve_scenario(dataclasses.replace(scenario, scheme="marching"))
-    suffix = "csv" if args.format == "csv" else "json"
-    trace_path = out / f"trace.{suffix}"
-    _write_trace(trace_path, rep, args.format)
-    summary = {
-        "config": _scenario_obj(scenario),
-        "converged": converged,
-        "iterations": rep.iterations,
-        "method": rep.method,
-        "residual": rep.residual,
-        "trace": trace_path.name,
-    }
-    if detail:
-        summary["detail"] = detail
-    _dump_json(summary, out / "summary.json")
-    if not converged:
-        print(f"solver failure: {detail}", file=sys.stderr)
+    except (ConvergenceError, FloatingPointError) as exc:
+        _dump_json({"config": _scenario_obj(scenario), "converged": False,
+                    "detail": str(exc)}, out / "summary.json")
+        print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_FAILURE
+    trace_path = out / f"trace.{args.format}"
+    _write_trace(trace_path, rep, args.format)
+    _dump_json({"config": _scenario_obj(scenario), "converged": True,
+                "iterations": rep.iterations, "method": rep.method,
+                "residual": rep.residual, "trace": trace_path.name},
+               out / "summary.json")
     return OK
 
 

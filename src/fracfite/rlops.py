@@ -116,16 +116,18 @@ def _check_regime(beta: float, gamma: float) -> None:
             f"outside the estimate regime: beta + gamma = {beta + gamma!r} > 1")
 
 
-def q_operator(w: WeightedFn, A: Callable[[float], float], beta: float) -> WeightedFn:
+def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
+               beta: float) -> WeightedFn:
     """(Q_{beta,A} f)(t) = int_a^t A(s) f(s) (t-s)^{-beta} ds on the grid.
 
-    Requires beta + gamma <= 1. The result is continuous on [a, c] and is
-    returned with weight exponent 0; its limit at a is 0 for
-    beta + gamma < 1 and A(a) w_0 B(1-gamma, 1-beta) at equality.
+    A is called once on the node array, as the sfde coefficients are (a
+    scalar result stands for a constant). Requires beta + gamma <= 1.
+    The result is continuous on [a, c] and is returned with weight
+    exponent 0; its limit at a is 0 for beta + gamma < 1 and
+    A(a) w_0 B(1-gamma, 1-beta) at equality.
     """
     _check_regime(beta, w.gamma)
-    nodes = w.grid.nodes
-    u = np.asarray([A(t) for t in nodes], dtype=float) * w.reg_samples
+    u = np.asarray(A(w.grid.nodes), dtype=float) * w.reg_samples
     omega, scale = kernel_matrix(w.grid, beta, w.gamma)
     vals = scale * (omega @ u)
     if not np.all(np.isfinite(vals)):

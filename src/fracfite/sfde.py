@@ -9,7 +9,10 @@ is solved through its weakly singular Volterra representation
     f(x) = f_a (x-a)^{alpha-1} + (1/Gamma(alpha)) int_a^x (G g + Q)(s) (x-s)^{alpha-1} ds
 
 and symmetrically for g, with (f, g) sought in the weighted space of
-exponent 1 - alpha. The production solve is a causal marching scheme: at
+exponent 1 - alpha. The coefficients G, Q, R, V are functions of the
+node array: each solve calls each of them once on the grid nodes (a
+scalar result stands for a constant), so they are written with numpy
+functions. The production solve is a causal marching scheme: at
 each node it solves a 2x2 system for the two regularized unknowns, using
 the history weights of the product-integration quadrature. It needs no
 contraction condition.
@@ -37,48 +40,21 @@ from .weighted import GradedGrid, Order, WeightedFn, from_samples
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 _DIVERGE_FACTOR = 1e12
-_SUP_SAMPLES = 4097
 SCHEMES = ("picard", "marching")
-
-
-def sup_norm(fn: Callable[[float], float], a: float, c: float,
-             samples: int = _SUP_SAMPLES) -> float:
-    """Sampled sup-norm of a continuous coefficient on [a, c]."""
-    tt = np.linspace(a, c, samples)
-    return float(np.abs([fn(t) for t in tt]).max())
+Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of the general system with cached sup-norms of the
-    coupling entries; m = max(|G|_inf, |R|_inf) drives the contraction."""
+    """Coefficients of the general system. Each is called once per solve
+    with the array of grid nodes and returns the values there, or a
+    scalar for a constant; write them with numpy functions (np.cos, not
+    math.cos)."""
 
-    G: Callable[[float], float]
-    Q: Callable[[float], float]
-    R: Callable[[float], float]
-    V: Callable[[float], float]
-    sup_G: float
-    sup_R: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sup_G) and self.sup_G >= 0.0
-                and math.isfinite(self.sup_R) and self.sup_R >= 0.0):
-            raise ValueError("sup-norms must be finite and nonnegative")
-
-    @property
-    def m(self) -> float:
-        return max(self.sup_G, self.sup_R)
-
-
-def coefficient_set(G, Q, R, V, a: float, c: float,
-                    sup_G: float | None = None,
-                    sup_R: float | None = None) -> CoefficientSet:
-    """Build a CoefficientSet, sampling the sup-norms unless given."""
-    return CoefficientSet(
-        G=G, Q=Q, R=R, V=V,
-        sup_G=sup_norm(G, a, c) if sup_G is None else float(sup_G),
-        sup_R=sup_norm(R, a, c) if sup_R is None else float(sup_R),
-    )
+    G: Coefficient
+    Q: Coefficient
+    R: Coefficient
+    V: Coefficient
 
 
 @dataclass(frozen=True)
@@ -105,15 +81,13 @@ def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
     t = grid.nodes
     a = grid.a
     ga = order.gamma
-    Gv = np.asarray([coeffs.G(s) for s in t], dtype=float)
-    Rv = np.asarray([coeffs.R(s) for s in t], dtype=float)
-    # free-term weights of the inhomogeneities, regularized: (t-a)^{1-alpha} Q(t)
-    wq = np.asarray([coeffs.Q(s) for s in t], dtype=float)
-    wv = np.asarray([coeffs.V(s) for s in t], dtype=float)
+    Gv, Rv, Qv, Vv = (np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+                      for fn in (coeffs.G, coeffs.R, coeffs.Q, coeffs.V))
     pw = np.zeros_like(t)
     pw[1:] = (t[1:] - a) ** ga
-    wq *= pw
-    wv *= pw
+    # free-term weights of the inhomogeneities, regularized: (t-a)^{1-alpha} Q(t)
+    wq = Qv * pw
+    wv = Vv * pw
     pf = np.zeros_like(t)
     pf[1:] = scale * (t[1:] - a) ** ga / gamma_fn(order.alpha)
     return Gv, Rv, wq, wv, pf
@@ -197,6 +171,8 @@ def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
     else:
         wf, wg = _marching(omega, *data, f_a, g_a)
         increments = []
+    if not (np.all(np.isfinite(wf)) and np.all(np.isfinite(wg))):
+        raise FloatingPointError(f"{scheme} solve produced non-finite samples")
     return SolveReport(f=from_samples(wf, ga, grid), g=from_samples(wg, ga, grid),
                        iterations=len(increments),
                        residual=_defect(omega, *data, wf, wg), method=scheme,
@@ -212,21 +188,18 @@ def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float
                    report.f.reg_samples, report.g.reg_samples)
 
 
-def solve_fite(P: Callable[[float], float], order: Order, f_a: float, g_a: float,
+def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
                grid: GradedGrid, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, scheme: str = "marching",
-               sup_P: float | None = None) -> SolveReport:
+               max_iter: int = DEFAULT_MAX_ITER,
+               scheme: str = "marching") -> SolveReport:
     """Solve D^alpha(D^alpha f) + P f = 0 via the equivalent system with
     G = 1, Q = 0, R = -P, V = 0. The returned g is D^alpha f by construction."""
-    coeffs = coefficient_set(
-        G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P(s), V=lambda s: 0.0,
-        a=grid.a, c=grid.c, sup_G=1.0,
-        sup_R=sup_norm(P, grid.a, grid.c) if sup_P is None else float(sup_P),
-    )
+    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0,
+                            R=lambda s: -P(s), V=lambda s: 0.0)
     return solve_system(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)
 
 
-def solve_relax_osc(P_const: float, V: Callable[[float], float], order: Order,
+def solve_relax_osc(P_const: float, V: Coefficient, order: Order,
                     f_a: float, g_a: float, grid: GradedGrid,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                     scheme: str = "marching") -> SolveReport:
@@ -234,8 +207,6 @@ def solve_relax_osc(P_const: float, V: Callable[[float], float], order: Order,
     with a constant coefficient P > 0."""
     if not (P_const > 0.0):
         raise ValueError(f"P must be a positive constant, got {P_const!r}")
-    coeffs = coefficient_set(
-        G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P_const, V=V,
-        a=grid.a, c=grid.c, sup_G=1.0, sup_R=float(P_const),
-    )
+    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0,
+                            R=lambda s: -P_const, V=V)
     return solve_system(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)

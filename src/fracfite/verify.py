@@ -91,28 +91,39 @@ class CoefficientSpec:
         return {"table": [list(p) for p in self.data]}
 
     def as_callable(self, a: float):
+        """The coefficient as a function of a node array, as sfde takes it."""
         if self.kind == "const":
             v = self.data[0]
-            return lambda t: v
+            return lambda t: np.full(np.shape(t), v)
         if self.kind == "poly":
             coeffs = self.data
             return lambda t: sum(ck * (t - a) ** k for k, ck in enumerate(coeffs))
         ts = np.asarray([p[0] for p in self.data])
         vs = np.asarray([p[1] for p in self.data])
-        return lambda t: float(np.interp(t, ts, vs))
+        return lambda t: np.interp(t, ts, vs)
 
     def range_on(self, a: float, c: float, samples: int = 2049) -> tuple[float, float]:
-        """(min, max) over [a, c]; exact for const, sampled otherwise."""
-        if self.kind == "const":
-            return self.data[0], self.data[0]
+        """(min, max) over [a, c]; exact for const, sampled otherwise.
+        Raises ValueError if a table does not cover [a, c] or a value is
+        not finite."""
         if self.kind == "table":
             lo, hi = self.data[0][0], self.data[-1][0]
             if lo > a or hi < c:
                 raise ValueError(
                     f"coefficient table covers [{lo}, {hi}], needs [{a}, {c}]")
-        fn = self.as_callable(a)
-        vals = np.asarray([fn(t) for t in np.linspace(a, c, samples)])
-        return float(vals.min()), float(vals.max())
+        vals = self.as_callable(a)(np.linspace(a, c, samples))
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"must be finite on [{a}, {c}], range is [{lo}, {hi}]")
+        return lo, hi
+
+
+def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
+    """spec.range_on(a, c), with any error reported under the field name."""
+    try:
+        return spec.range_on(a, c)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -146,18 +157,23 @@ class Scenario:
             raise ValueError(f"max_iter: must be >= 1, got {self.max_iter!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
+        for name in ("a", "b", "c", "f_a", "g_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if not (self.a < self.b < self.c):
             raise ValueError(
                 f"need a < b < c, got a={self.a!r}, b={self.b!r}, c={self.c!r}")
         if self.f_a == 0.0 and self.g_a == 0.0:
             raise ValueError("trivial data: (f_a, g_a) must not be (0, 0)")
-        p_min, p_max = self.p_coeff.range_on(self.a, self.c)
+        p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)
         if p_min < 0.0:
             raise ValueError(f"coefficient P must be nonnegative, min is {p_min!r}")
-        if self.v_coeff is not None and self.p_coeff.kind != "const":
-            raise ValueError("forced scenarios require a constant P")
-        if self.v_coeff is not None and p_max <= 0.0:
-            raise ValueError("forced scenarios require P > 0")
+        if self.v_coeff is not None:
+            _range_of("V", self.v_coeff, self.a, self.c)
+            if self.p_coeff.kind != "const":
+                raise ValueError("forced scenarios require a constant P")
+            if p_max <= 0.0:
+                raise ValueError("forced scenarios require P > 0")
         object.__setattr__(self, "p_sup", p_max)
 
     @property
@@ -189,8 +205,7 @@ def solve_scenario(s: Scenario) -> SolveReport:
     grid = build_grid(s.a, s.c, s.n, s.r)
     if s.v_coeff is None:
         return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a,
-                          grid, tol=s.tol, max_iter=s.max_iter, scheme=s.scheme,
-                          sup_P=s.p_sup)
+                          grid, tol=s.tol, max_iter=s.max_iter, scheme=s.scheme)
     return solve_relax_osc(s.p_coeff.data[0], s.v_coeff.as_callable(s.a),
                            s.order, s.f_a, s.g_a, grid, tol=s.tol,
                            max_iter=s.max_iter, scheme=s.scheme)
@@ -205,9 +220,6 @@ def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
     try:
         report = solve_scenario(s)
     except (ConvergenceError, FloatingPointError, OverflowError) as exc:
-        return VerifyReport(scenario=s, verdict=SOLVER_FAILED, detail=str(exc))
-    except ValueError as exc:
-        # overflow inside the schemes surfaces as non-finite samples
         return VerifyReport(scenario=s, verdict=SOLVER_FAILED, detail=str(exc))
 
     m = max(1.0, s.p_sup)
@@ -247,8 +259,11 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("alphas", "p_infs", "lengths"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name}: must not be empty")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name}: must be finite, got {list(values)!r}")
         if self.directions < 1:
             raise ValueError(f"directions: must be >= 1, got {self.directions!r}")
 

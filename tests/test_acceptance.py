@@ -14,7 +14,7 @@ import pytest
 import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
-                      beta_fn, big_C, big_E, build_grid, coefficient_set,
+                      beta_fn, big_C, big_E, build_grid, CoefficientSet,
                       fite_rhs, from_callable, gamma_fn, min_length,
                       q_operator, solve_fite, solve_system, sweep)
 from fracfite.cli import main
@@ -61,8 +61,8 @@ def test_criterion_2_quadrature_sharp_case():
 def test_criterion_3_solver_oracle():
     start = time.time()
     g = build_grid(0.0, 1.0, 2048, 2.0)
-    coeffs = coefficient_set(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
-                             lambda s: 0.0, 0.0, 1.0, sup_G=1.0, sup_R=1.0)
+    coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
+                            lambda s: 0.0)
     pic = solve_system(coeffs, ORDER, 1.0, 1.0, g, scheme="picard")
     mar = solve_system(coeffs, ORDER, 1.0, 1.0, g, scheme="marching")
     with mp.workdps(30):

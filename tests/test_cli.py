@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,10 @@ SOLVE_CONFIG = {
     "P": {"const": 1.0}, "f_a": 0.0, "g_a": 1.0,
     "n": 128, "grading": 2.0,
 }
+
+# A valid config whose solve overflows double precision.
+OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
+                   "n": 64}
 
 SWEEP_CONFIG = {
     "sweep": {
@@ -64,7 +69,19 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
-        assert (out / "trace.csv").exists()  # best-effort trace still written
+        assert not (out / "trace.csv").exists()  # no trace of an unsolved run
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_solve_is_a_solver_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, OVERFLOW_CONFIG)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert "solver failure" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"config", "converged", "detail"}
+        assert summary["converged"] is False
+        assert not (out / "trace.csv").exists()
 
     def test_json_trace_format(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)
@@ -135,6 +152,15 @@ class TestVerify:
         agg = json.loads((out / "verify.json").read_text())
         assert agg["scenarios"][0]["verdict"] == "BOUND_HOLDS"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_scenario_is_solver_failed(self, tmp_path):
+        cfg = write_config(tmp_path, OVERFLOW_CONFIG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        agg = json.loads((out / "verify.json").read_text())
+        assert agg["scenarios"][0]["verdict"] == "SOLVER_FAILED"
+
     def test_determinism_including_parallel(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         outs = [tmp_path / f"out{k}" for k in range(3)]
@@ -147,15 +173,21 @@ class TestVerify:
 
 # Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
 # with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
-# "auto" is the retired Picard-then-marching scheme.
+# "auto" is the retired Picard-then-marching scheme. The V table covers
+# [0, 0.5] of [0, 1] and was clamped silently.
 BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
-                       ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0)]
-# Sweep configs carry no scheme field. A non-numeric list entry gave a
-# traceback (exit 1); an empty list or no directions wrote a verify.json
-# with zero scenarios and exited 0.
-BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS if fv[0] != "scheme"] \
+                       ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0),
+                       ("c", math.inf), ("f_a", math.nan), ("g_a", math.inf),
+                       ("P", {"const": math.nan}), ("P", {"const": math.inf}),
+                       ("V", {"table": [[0.0, 1.0], [0.5, 2.0]]})]
+# Sweep configs carry no scheme, c, f_a, g_a, P or V field. A non-numeric
+# list entry gave a traceback (exit 1); an empty list or no directions wrote
+# a verify.json with zero scenarios and exited 0; a non-finite P gave
+# SOLVER_FAILED verdicts and exit 0.
+BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS
+                    if fv[0] not in ("scheme", "c", "f_a", "g_a", "P", "V")] \
     + [("alphas", ["x"]), ("alphas", []), ("p_infs", []), ("lengths", []),
-       ("directions", 0)]
+       ("directions", 0), ("p_infs", [math.nan]), ("p_infs", [math.inf])]
 
 
 def names_field(err: str, field: str) -> bool:

@@ -66,7 +66,7 @@ class TestQOperator:
     def test_nontrivial_instance_vs_reference(self):
         a, beta, gamma = 0.25, 0.3, 0.35
         reg = lambda s: math.sin(2.0 * (s - a)) + 1.5
-        A = lambda s: math.cos(s)
+        A = lambda s: np.cos(s)
         g = build_grid(a, a + 2.0, 512, 2.0)
         w = from_callable(reg, 1.5, gamma, g)
         q = q_operator(w, A, beta)
@@ -93,7 +93,7 @@ class TestQOperator:
             g = build_grid(a, c, 64, 2.0)
             w = from_samples(rng.uniform(-2.0, 2.0, 65), gamma, g)
             A_nodes = rng.uniform(-2.0, 2.0, 65)
-            A = lambda s: float(np.interp(s, g.nodes, A_nodes))
+            A = lambda s: np.interp(s, g.nodes, A_nodes)
             q = q_operator(w, A, beta)
             t = g.nodes[1:]
             bound = ((t - a) ** (1.0 - beta - gamma)

@@ -1,12 +1,10 @@
 """Volterra solver against closed-form oracles and its own marching twin."""
 
-import math
-
 import numpy as np
 import pytest
 
-from fracfite import (ConvergenceError, Order, big_E, build_grid,
-                      coefficient_set, from_samples, gamma_fn, residual,
+from fracfite import (CoefficientSet, ConvergenceError, Order, big_E,
+                      build_grid, from_samples, gamma_fn, residual,
                       solve_fite, solve_relax_osc, solve_system)
 from oracles import mittag_leffler, rl_derivative
 
@@ -18,15 +16,15 @@ ML_SOLUTION_AT_1 = 4.5079728162274022969
 def ml_coeffs(a, c):
     """G = R = 1, Q = V = 0: with f_a = g_a the pair collapses to the
     scalar equation f = f_a (t-a)^{alpha-1} + I^alpha f."""
-    return coefficient_set(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
-                           lambda s: 0.0, a, c, sup_G=1.0, sup_R=1.0)
+    return CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
+                          lambda s: 0.0)
 
 
 class TestSolveSystem:
     def test_zero_fixed_point(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        coeffs = coefficient_set(lambda s: math.cos(s), lambda s: 0.0,
-                                 lambda s: -2.0, lambda s: 0.0, 0.0, 1.0)
+        coeffs = CoefficientSet(lambda s: np.cos(s), lambda s: 0.0,
+                                lambda s: -2.0, lambda s: 0.0)
         rep = solve_system(coeffs, ORDER, 0.0, 0.0, g, scheme="picard")
         assert rep.iterations == 1
         assert rep.residual == 0.0
@@ -37,8 +35,8 @@ class TestSolveSystem:
         # G == 1, R == 0, g_a = 0: one Picard step closes; f is the free
         # term f_a (t-a)^{alpha-1}, i.e. regularized part constant f_a
         g = build_grid(0.0, 1.0, 64, 2.0)
-        coeffs = coefficient_set(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
-                                 lambda s: 0.0, 0.0, 1.0, sup_G=1.0, sup_R=0.0)
+        coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
+                                lambda s: 0.0)
         rep = solve_system(coeffs, ORDER, 1.0, 0.0, g, scheme="picard")
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.f.reg_samples, 1.0)
@@ -84,13 +82,12 @@ class TestSolveSystem:
 
     def test_linearity_of_solution_map(self):
         g = build_grid(0.0, 1.0, 128, 2.0)
-        base = dict(a=0.0, c=1.0, sup_G=1.0, sup_R=1.0)
-        c1 = coefficient_set(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
-                             lambda s: 0.0, **base)
-        c2 = coefficient_set(lambda s: 1.0, lambda s: 0.0, lambda s: -1.0,
-                             lambda s: math.sin(s), **base)
-        csum = coefficient_set(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
-                               lambda s: math.sin(s), **base)
+        c1 = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
+                            lambda s: 0.0)
+        c2 = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: -1.0,
+                            lambda s: np.sin(s))
+        csum = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
+                              lambda s: np.sin(s))
         r1 = solve_system(c1, ORDER, 1.0, 0.0, g, tol=1e-12)
         r2 = solve_system(c2, ORDER, 0.5, 2.0, g, tol=1e-12)
         rs = solve_system(csum, ORDER, 1.5, 2.0, g, tol=1e-12)
@@ -125,6 +122,30 @@ class TestSolveSystem:
         with pytest.raises(ConvergenceError):
             solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g, max_iter=3,
                        scheme="picard")
+
+    @pytest.mark.parametrize("scheme", ["marching", "picard"])
+    def test_each_coefficient_called_once_on_the_nodes(self, scheme):
+        g = build_grid(0.0, 1.0, 64, 2.0)
+        calls = {name: [] for name in "GQRV"}
+
+        def recorded(name, value):
+            def fn(t):
+                calls[name].append(t)
+                return np.full(np.shape(t), value)
+            return fn
+
+        coeffs = CoefficientSet(recorded("G", 1.0), recorded("Q", 0.5),
+                                recorded("R", -1.0), recorded("V", 0.25))
+        solve_system(coeffs, ORDER, 1.0, 0.0, g, scheme=scheme)
+        for name, args in calls.items():
+            assert len(args) == 1, name
+            assert isinstance(args[0], np.ndarray), name
+            np.testing.assert_array_equal(args[0], g.nodes)
+
+    def test_overflow_raises_floating_point_error(self):
+        g = build_grid(0.0, 1e8, 64, 2.0)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            solve_fite(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)
 
     def test_invalid_inputs(self):
         g = build_grid(0.0, 1.0, 16, 2.0)
@@ -179,7 +200,7 @@ class TestSolveRelaxOsc:
 
     def test_smooth_forcing_converges(self):
         g = build_grid(0.0, 2.0, 128, 2.0)
-        rep = solve_relax_osc(1.0, lambda t: math.sin(t), ORDER, 0.0, 0.0, g,
+        rep = solve_relax_osc(1.0, lambda t: np.sin(t), ORDER, 0.0, 0.0, g,
                               tol=1e-10)
         assert rep.residual <= 1e-9
 

@@ -41,6 +41,21 @@ class TestCoefficientSpec:
         with pytest.raises(ValueError):
             spec.range_on(0.0, 1.0)
 
+    @pytest.mark.parametrize("obj", [{"const": 2.5}, {"poly": [1.0, -0.5, 2.0]},
+                                     {"table": [[0.0, 1.0], [1.0, 3.0], [3.0, 0.0]]}])
+    def test_callable_takes_node_array(self, obj):
+        fn = CoefficientSpec.from_obj(obj).as_callable(0.5)
+        t = np.linspace(0.5, 3.0, 17)
+        vals = fn(t)
+        assert isinstance(vals, np.ndarray) and vals.shape == t.shape
+        np.testing.assert_array_equal(vals, [fn(x) for x in t])
+
+    def test_range_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSpec.const(math.nan).range_on(0.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            CoefficientSpec.poly([0.0, 1e300, 1e300]).range_on(0.0, 1e10)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             CoefficientSpec.from_obj({"spline": [1.0]})
@@ -60,6 +75,23 @@ class TestScenarioValidation:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             fite_scenario(p_coeff=CoefficientSpec.const(-0.5))
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "f_a", "g_a"])
+    def test_non_finite_field_rejected(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+                fite_scenario(**{field: value})
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="^P: must be finite"):
+            fite_scenario(p_coeff=CoefficientSpec.const(math.inf))
+        with pytest.raises(ValueError, match="^V: must be finite"):
+            fite_scenario(v_coeff=CoefficientSpec.const(math.nan), f_a=1.0)
+
+    def test_forced_table_must_cover_interval(self):
+        with pytest.raises(ValueError, match="^V: coefficient table covers"):
+            fite_scenario(v_coeff=CoefficientSpec.table([[0.0, 1.0], [0.5, 2.0]]),
+                          f_a=1.0, c=4.0)
 
     def test_forced_scenario_needs_constant_p(self):
         with pytest.raises(ValueError):
@@ -124,6 +156,18 @@ class TestRunScenario:
         rep = run_scenario(s)
         assert len(calls) == 1
         assert rep.m == pytest.approx(2.0)
+
+    def test_overflow_is_solver_failed(self):
+        # valid configs whose solves overflow double precision
+        fite = fite_scenario(order=Order(0.9), c=1e8, b=1e6, n=64,
+                             p_coeff=CoefficientSpec.const(1e300))
+        forced = fite_scenario(c=1e6, b=1e4, n=64, f_a=1.0,
+                               v_coeff=CoefficientSpec.poly([0.0, 1e300]))
+        for s in (fite, forced):
+            with np.errstate(all="ignore"):
+                rep = run_scenario(s)
+            assert rep.verdict == "SOLVER_FAILED"
+            assert "non-finite" in rep.detail
 
     def test_relax_osc_scenario_runs(self):
         s = fite_scenario(p_coeff=CoefficientSpec.const(1.0),

@@ -61,7 +61,7 @@ class TestFindZeros:
     def test_refined_zeros_are_small(self):
         order = Order(0.75)
         g = build_grid(0.0, 8.0, 1024, 2.0)
-        rep = solve_fite(lambda t: 4.0, order, 0.0, 1.0, g, sup_P=4.0)
+        rep = solve_fite(lambda t: 4.0, order, 0.0, 1.0, g)
         zs = find_zeros(rep.f, 0.08, 8.0)
         assert zs.size > 0
         tol = 1e-10 * norm_window(rep.f, 0.08, 8.0)
