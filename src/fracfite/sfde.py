@@ -12,10 +12,11 @@ and symmetrically for g, with (f, g) sought in the weighted space of
 exponent 1 - alpha. The coefficients G, Q, R, V are functions of the
 node array: each solve calls each of them once on the grid nodes (a
 scalar result stands for a constant), so they are written with numpy
-functions. The production solve is a causal marching scheme: at
-each node it solves a 2x2 system for the two regularized unknowns, using
-the history weights of the product-integration quadrature. It needs no
-contraction condition.
+functions. The production solve is a causal marching scheme in blocks
+of nodes: the history of the product-integration quadrature enters a
+block as one product, and the block's own coupling is solved by forward
+substitution through its Schur complement. It needs no contraction
+condition.
 
 Picard iteration of the same discrete system, seeded with the free
 terms, mirrors the fixed-point argument behind the bound. It is kept as
@@ -40,6 +41,7 @@ from .weighted import GradedGrid, Order, WeightedFn, from_samples
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 _DIVERGE_FACTOR = 1e12
+_BLOCK = 32  # rows per block of the marching solve and the residual product
 SCHEMES = ("picard", "marching")
 Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
 
@@ -94,27 +96,39 @@ def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
 
 
 def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
+    """Causal solve in blocks of _BLOCK nodes. The history, with the
+    block's own free terms, enters as one product with omega; the block
+    coupling wf = F + A wg, wg = H + C wf is solved through its Schur
+    complement (I - A C) wf = F + A H. I - A C is lower triangular with
+    diagonal det_i = 1 - (pf_i omega_ii)^2 G_i R_i, checked up front.
+    A block with non-finite inputs ends the solve, leaving NaN behind."""
     n = omega.shape[0] - 1
-    wf = np.empty(n + 1)
-    wg = np.empty(n + 1)
+    wf = np.full(n + 1, np.nan)
+    wg = np.full(n + 1, np.nan)
     wf[0], wg[0] = f_a, g_a
-    uh = np.empty(n + 1)
-    uk = np.empty(n + 1)
-    uh[0] = Gv[0] * g_a + wq[0]
-    uk[0] = Rv[0] * f_a + wv[0]
-    for i in range(1, n + 1):
-        d = omega[i, i]
-        rf = f_a + pf[i] * (omega[i, :i] @ uh[:i] + d * wq[i])
-        rg = g_a + pf[i] * (omega[i, :i] @ uk[:i] + d * wv[i])
-        cf = pf[i] * d * Gv[i]
-        cg = pf[i] * d * Rv[i]
-        det = 1.0 - cf * cg
-        if abs(det) < 1e-12:
-            raise ConvergenceError(f"marching step singular at node {i} (det={det})")
-        wf[i] = (rf + cf * rg) / det
-        wg[i] = (rg + cg * rf) / det
-        uh[i] = Gv[i] * wg[i] + wq[i]
-        uk[i] = Rv[i] * wf[i] + wv[i]
+    U = np.column_stack((wq, wv))  # columns uh = G wg + wq, uk = R wf + wv
+    U[0] += (Gv[0] * g_a, Rv[0] * f_a)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = pf * np.diagonal(omega)
+        det = 1.0 - (d * Gv) * (d * Rv)
+        bad = np.flatnonzero(np.abs(det[1:]) < 1e-12)
+        if bad.size:
+            i = int(bad[0]) + 1
+            raise ConvergenceError(f"marching step singular at node {i} (det={det[i]})")
+        for i0 in range(1, n + 1, _BLOCK):
+            s = slice(i0, min(i0 + _BLOCK, n + 1))
+            hist = omega[s, :s.stop] @ U[:s.stop]
+            po = pf[s, None] * omega[s, s]
+            A, C = po * Gv[s], po * Rv[s]
+            H = g_a + pf[s] * hist[:, 1]
+            M = np.eye(s.stop - i0) - A @ C
+            rhs = f_a + pf[s] * hist[:, 0] + A @ H
+            if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+                break
+            wf[s] = np.linalg.solve(M, rhs)
+            wg[s] = H + C @ wf[s]
+            U[s, 0] = Gv[s] * wg[s] + wq[s]
+            U[s, 1] = Rv[s] * wf[s] + wv[s]
     return wf, wg
 
 
@@ -140,9 +154,15 @@ def _picard(omega, Gv, Rv, wq, wv, pf, f_a, g_a, tol, max_iter):
 
 
 def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> float:
-    """Max regularized defect of the two integral equations over t_j, j >= 1."""
-    df = wf - (wf[0] + pf * (omega @ (Gv * wg + wq)))
-    dg = wg - (wg[0] + pf * (omega @ (Rv * wf + wv)))
+    """Max regularized defect of the two integral equations over t_j, j >= 1;
+    omega is lower triangular, so its product runs in row blocks over it."""
+    U = np.column_stack((Gv * wg + wq, Rv * wf + wv))
+    hist = np.empty_like(U)
+    for i0 in range(0, U.shape[0], _BLOCK):
+        s = slice(i0, i0 + _BLOCK)
+        hist[s] = omega[s, :s.stop] @ U[:s.stop]
+    df = wf - (wf[0] + pf * hist[:, 0])
+    dg = wg - (wg[0] + pf * hist[:, 1])
     return float(max(np.abs(df[1:]).max(), np.abs(dg[1:]).max()))
 
 
@@ -152,10 +172,10 @@ def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
                  scheme: str = "marching") -> SolveReport:
     """Solve the coupled integral system on the grid.
 
-    scheme: "marching" (the default) solves node by node and needs no
-    contraction condition; tol and max_iter do not apply to it. "picard"
-    iterates the fixed-point map, records its increments and raises
-    ConvergenceError when it stalls or diverges.
+    scheme: "marching" (the default) solves block by block along the grid
+    and needs no contraction condition; tol and max_iter do not apply to
+    it. "picard" iterates the fixed-point map, records its increments and
+    raises ConvergenceError when it stalls or diverges.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")

@@ -266,6 +266,8 @@ class SweepSpec:
                 raise ValueError(f"{name}: must be finite, got {list(values)!r}")
         if self.directions < 1:
             raise ValueError(f"directions: must be >= 1, got {self.directions!r}")
+        if not 0.0 < self.b_fraction < 1.0:
+            raise ValueError(f"b_fraction: must lie in (0, 1), got {self.b_fraction!r}")
 
     def direction_angles(self) -> np.ndarray:
         if self.random_directions:

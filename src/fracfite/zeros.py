@@ -3,8 +3,9 @@
 Zeros of f on (a, c] coincide with zeros of its regularized part W, since
 the weight (t-a)^gamma is positive there; W is piecewise linear, so every
 sign change of the samples brackets exactly one zero of the interpolant.
-Sign changes are refined by bisection and polished with the exact linear
-root of the final bracket. Tangential zeros (no sign change) are not
+Consecutive search points (b, the interior nodes, c_w) lie in one grid
+cell, where W is linear, so the zero in a bracket is the exact root of
+that line; there is no bisection. Tangential zeros (no sign change) are not
 detected, which is the conservative direction for the verification
 harness: a missed tangency reads as "no zero found".
 """
@@ -17,8 +18,7 @@ import numpy as np
 
 from .weighted import WeightedFn, eval_reg
 
-_REFINE_REL = 1e-12  # of the grid length, absolute bisection tolerance
-_MERGE_REL = 1e-12
+_MERGE_REL = 1e-12  # of the grid length
 
 
 @dataclass(frozen=True)
@@ -30,26 +30,6 @@ class ZeroSet:
     window: tuple[float, float]
 
 
-def _bisect(w: WeightedFn, lo: float, hi: float, tol: float) -> float:
-    flo = float(eval_reg(w, lo))
-    fhi = float(eval_reg(w, hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = float(eval_reg(w, mid))
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    # final polish: exact root of the (locally linear) interpolant
-    if fhi != flo:
-        z = lo - flo * (hi - lo) / (fhi - flo)
-        if lo <= z <= hi:
-            return z
-    return 0.5 * (lo + hi)
-
-
 def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
     """Sorted zeros of the interpolated regularized part inside [b, c_w]."""
     grid = w.grid
@@ -59,14 +39,10 @@ def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
     inner = grid.nodes[(grid.nodes > b) & (grid.nodes < c_w)]
     pts = np.concatenate([[b], inner, [c_w]])
     vals = np.asarray(eval_reg(w, pts), dtype=float)
-    tol = _REFINE_REL * grid.length
-    found: list[float] = []
-    for i in range(pts.size):
-        if vals[i] == 0.0:
-            found.append(float(pts[i]))
-        elif i + 1 < pts.size and vals[i] * vals[i + 1] < 0.0:
-            found.append(_bisect(w, float(pts[i]), float(pts[i + 1]), tol))
-    found.sort()
+    k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    lo, hi, flo, fhi = pts[k], pts[k + 1], vals[k], vals[k + 1]
+    roots = np.clip(lo - flo * (hi - lo) / (fhi - flo), lo, hi)
+    found = np.sort(np.concatenate([pts[vals == 0.0], roots]))
     merged: list[float] = []
     for z in found:
         if not merged or z - merged[-1] > _MERGE_REL * grid.length:

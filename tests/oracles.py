@@ -3,8 +3,9 @@
 None of these is called by the package's pipeline: the Mittag-Leffler
 series (an arbitrary-precision solver oracle, the reason mpmath is a test
 dependency), the Riemann-Liouville integral and derivative built on
-q_operator, and the closed-form check of the classical second-order
-Fite statement.
+q_operator, the closed-form check of the classical second-order Fite
+statement, and the node-by-node marching loop that the blocked solve in
+sfde replaces.
 """
 
 import math
@@ -133,3 +134,30 @@ def classical_fite_check(P_const: float, b: float, c: float,
         if has_x and has_dx and (c - b) * max(1.0, P_const) < 1.0:
             return False
     return True
+
+
+def marching_reference(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
+    """Node-by-node marching: at each node, one 2x2 solve for the two
+    regularized unknowns. Takes sfde._node_data's arrays, like sfde._marching."""
+    n = omega.shape[0] - 1
+    wf = np.empty(n + 1)
+    wg = np.empty(n + 1)
+    wf[0], wg[0] = f_a, g_a
+    uh = np.empty(n + 1)
+    uk = np.empty(n + 1)
+    uh[0] = Gv[0] * g_a + wq[0]
+    uk[0] = Rv[0] * f_a + wv[0]
+    for i in range(1, n + 1):
+        d = omega[i, i]
+        rf = f_a + pf[i] * (omega[i, :i] @ uh[:i] + d * wq[i])
+        rg = g_a + pf[i] * (omega[i, :i] @ uk[:i] + d * wv[i])
+        cf = pf[i] * d * Gv[i]
+        cg = pf[i] * d * Rv[i]
+        det = 1.0 - cf * cg
+        if abs(det) < 1e-12:
+            raise ConvergenceError(f"marching step singular at node {i} (det={det})")
+        wf[i] = (rf + cf * rg) / det
+        wg[i] = (rg + cg * rf) / det
+        uh[i] = Gv[i] * wg[i] + wq[i]
+        uk[i] = Rv[i] * wf[i] + wv[i]
+    return wf, wg

@@ -71,8 +71,6 @@ class TestSolve:
         assert summary["converged"] is False
         assert not (out / "trace.csv").exists()  # no trace of an unsolved run
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_solve_is_a_solver_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OVERFLOW_CONFIG)
         out = tmp_path / "out"
@@ -82,6 +80,18 @@ class TestSolve:
         assert set(summary) == {"config", "converged", "detail"}
         assert summary["converged"] is False
         assert not (out / "trace.csv").exists()
+
+    def test_overflowing_solve_prints_no_warnings(self, tmp_path):
+        cfg = write_config(tmp_path, {**OVERFLOW_CONFIG, "f_a": 0.0, "g_a": 1.0})
+        src = str(Path(fracfite.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracfite.cli", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3
+        assert ("solver failure: marching solve produced non-finite samples"
+                in proc.stderr)
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_json_trace_format(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)
@@ -152,8 +162,6 @@ class TestVerify:
         agg = json.loads((out / "verify.json").read_text())
         assert agg["scenarios"][0]["verdict"] == "BOUND_HOLDS"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_scenario_is_solver_failed(self, tmp_path):
         cfg = write_config(tmp_path, OVERFLOW_CONFIG)
         out = tmp_path / "out"
@@ -187,7 +195,8 @@ BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
 BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS
                     if fv[0] not in ("scheme", "c", "f_a", "g_a", "P", "V")] \
     + [("alphas", ["x"]), ("alphas", []), ("p_infs", []), ("lengths", []),
-       ("directions", 0), ("p_infs", [math.nan]), ("p_infs", [math.inf])]
+       ("directions", 0), ("p_infs", [math.nan]), ("p_infs", [math.inf]),
+       ("b_fraction", math.nan), ("b_fraction", 0.0), ("b_fraction", 1.5)]
 
 
 def names_field(err: str, field: str) -> bool:

@@ -6,7 +6,9 @@ import pytest
 from fracfite import (CoefficientSet, ConvergenceError, Order, big_E,
                       build_grid, from_samples, gamma_fn, residual,
                       solve_fite, solve_relax_osc, solve_system)
-from oracles import mittag_leffler, rl_derivative
+from fracfite.rlops import kernel_matrix
+from fracfite.sfde import _marching, _node_data
+from oracles import marching_reference, mittag_leffler, rl_derivative
 
 ORDER = Order(0.75)
 # Gamma(0.75) * E_{0.75,0.75}(1), 20-digit reference
@@ -144,7 +146,7 @@ class TestSolveSystem:
 
     def test_overflow_raises_floating_point_error(self):
         g = build_grid(0.0, 1e8, 64, 2.0)
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError):
             solve_fite(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)
 
     def test_invalid_inputs(self):
@@ -157,6 +159,42 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
                          scheme="picard", max_iter=0)
+
+
+class TestBlockedMarching:
+    """The blocked solve against the node-by-node loop it replaces."""
+
+    VARYING = CoefficientSet(lambda s: 1.0 + 0.3 * np.sin(s), lambda s: np.cos(s),
+                             lambda s: -4.0 * (1.0 + 0.5 * np.cos(3.0 * s)),
+                             lambda s: 0.0)
+    FORCED = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: -10.0,
+                            lambda s: 0.5 + s ** 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 65, 513])
+    @pytest.mark.parametrize("kind", ["varying", "forced"])
+    def test_matches_node_by_node_reference(self, n, kind):
+        coeffs = self.VARYING if kind == "varying" else self.FORCED
+        g = build_grid(0.0, 3.0, n, 2.0)
+        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
+        data = _node_data(coeffs, ORDER, g, scale)
+        for ref, got in zip(marching_reference(omega, *data, 0.6, -0.8),
+                            _marching(omega, *data, 0.6, -0.8)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_singular_step_names_its_node(self):
+        # R is nonzero only at node k > _BLOCK, where it makes det_k vanish
+        n, k = 100, 40
+        g = build_grid(0.0, 3.0, n, 2.0)
+        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
+        d = scale * g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
+        coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0,
+                                lambda s: np.where(s == g.nodes[k], d ** -2, 0.0),
+                                lambda s: 0.0)
+        data = _node_data(coeffs, ORDER, g, scale)
+        with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
+            marching_reference(omega, *data, 1.0, 0.0)
+        with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
+            solve_system(coeffs, ORDER, 1.0, 0.0, g)
 
 
 class TestSolveFite:

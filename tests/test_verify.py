@@ -164,8 +164,7 @@ class TestRunScenario:
         forced = fite_scenario(c=1e6, b=1e4, n=64, f_a=1.0,
                                v_coeff=CoefficientSpec.poly([0.0, 1e300]))
         for s in (fite, forced):
-            with np.errstate(all="ignore"):
-                rep = run_scenario(s)
+            rep = run_scenario(s)
             assert rep.verdict == "SOLVER_FAILED"
             assert "non-finite" in rep.detail
 

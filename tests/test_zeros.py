@@ -18,6 +18,28 @@ def sine_fn(k, n=1024, c=2.0):
 
 
 class TestFindZeros:
+    def test_exact_roots_of_piecewise_linear_samples(self):
+        # W(t) = +-(t - z_j) near each z_j, so the interpolant is linear
+        # through z_j inside its cell; one root sits exactly on a node
+        g = build_grid(0.0, 1.0, 200, 2.0)
+        t = g.nodes
+        cells = (20, 57, 90, 141, 180)
+        z = np.array([t[i] + th * (t[i + 1] - t[i])
+                      for i, th in zip(cells, (0.3, 0.71, 0.5, 0.0, 0.93))])
+        mids = (z[1:] + z[:-1]) / 2
+        j = np.searchsorted(mids, t)
+        w = from_samples((-1.0) ** j * (t - z[j]), 0.25, g)
+        zs = find_zeros(w, 0.01, 1.0)
+        assert zs.size == z.size
+        assert np.abs(zs - z).max() <= 1e-15 * g.length
+
+    def test_tiny_samples_still_change_sign(self):
+        # adjacent samples whose product underflows to 0 still bracket a zero
+        g = build_grid(0.0, 1.0, 64, 1.0)
+        w = from_samples(1e-170 * (g.nodes - 0.3), 0.25, g)
+        zs = find_zeros(w, 0.1, 1.0)
+        assert zs.size == 1 and zs[0] == pytest.approx(0.3, abs=1e-15)
+
     def test_single_sine_zero(self):
         g = build_grid(0.0, 2.0, 1024, 1.0)
         w = from_callable(lambda t: math.sin(math.pi * t), 0.0, 0.25, g)
