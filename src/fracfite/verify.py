@@ -31,6 +31,9 @@ from .weighted import Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
 _TRIVIAL_NORM = 1e-8
+# Cap on the dense (n+1)^2 float64 kernel matrix a scenario needs:
+# n = 16383 fits exactly, n >= 16384 is rejected before anything is allocated.
+_MAX_MATRIX_BYTES = 2 * 1024**3
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -149,6 +152,12 @@ class Scenario:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n: need at least 2 grid cells, got {self.n!r}")
+        if (self.n + 1) ** 2 * 8 > _MAX_MATRIX_BYTES:
+            raise ValueError(
+                f"n: the {self.n + 1}^2 kernel matrix needs "
+                f"{(self.n + 1) ** 2 * 8} bytes, above the "
+                f"{_MAX_MATRIX_BYTES}-byte cap "
+                f"(n <= {math.isqrt(_MAX_MATRIX_BYTES // 8) - 1})")
         if not (self.r >= 1.0):
             raise ValueError(f"grading: must be >= 1, got {self.r!r}")
         if not (self.tol > 0.0):

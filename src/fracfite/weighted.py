@@ -14,8 +14,6 @@ interpolation of W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 
@@ -106,21 +104,6 @@ class WeightedFn:
         return float(self.reg_samples[0])
 
 
-def from_callable(reg: Callable[[float], float], f_a: float, gamma: float,
-                  grid: GradedGrid) -> WeightedFn:
-    """Sample the regularized part t -> (t-a)^gamma f(t) at the grid nodes.
-
-    `reg` is only evaluated on (a, c]; the limit value f_a is supplied
-    explicitly since the raw f may be singular at a.
-    """
-    vals = np.empty_like(grid.nodes)
-    vals[0] = f_a
-    vals[1:] = [reg(t) for t in grid.nodes[1:]]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("regularized part evaluated to a non-finite sample")
-    return WeightedFn(gamma=float(gamma), grid=grid, reg_samples=vals)
-
-
 def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
     """Wrap precomputed regularized samples (samples[0] = limit value)."""
     return WeightedFn(gamma=float(gamma), grid=grid,
@@ -130,33 +113,6 @@ def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
 def eval_reg(w: WeightedFn, t) -> np.ndarray | float:
     """Piecewise-linear interpolant of the regularized samples at t in [a, c]."""
     return np.interp(t, w.grid.nodes, w.reg_samples)
-
-
-def eval_raw(w: WeightedFn, t: float) -> float:
-    """f(t) = W(t) / (t-a)^gamma for t in (a, c].
-
-    t = a is rejected: the raw function is generically infinite there.
-    """
-    if not (w.grid.a < t <= w.grid.c):
-        raise ValueError(f"t={t!r} outside (a, c] = ({w.grid.a}, {w.grid.c}]")
-    return float(eval_reg(w, t)) / (t - w.grid.a) ** w.gamma
-
-
-def norm_window(w: WeightedFn, b: float, c_w: float) -> float:
-    """Weighted sup-norm over the window [b, c_w]:
-    max_{t in [b, c_w]} (t-a)^gamma |f(t)| = max |W| there.
-
-    W is piecewise linear, so the max is attained at a node or at one of
-    the interpolated window endpoints.
-    """
-    if not (w.grid.a < b <= c_w <= w.grid.c):
-        raise ValueError(
-            f"window [{b!r}, {c_w!r}] not inside ({w.grid.a}, {w.grid.c}]")
-    nodes = w.grid.nodes
-    inside = w.reg_samples[(nodes >= b) & (nodes <= c_w)]
-    ends = np.interp([b, c_w], nodes, w.reg_samples)
-    vals = np.concatenate([ends, inside]) if inside.size else ends
-    return float(np.abs(vals).max())
 
 
 def norm_full(w: WeightedFn) -> float:

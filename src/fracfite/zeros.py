@@ -12,22 +12,11 @@ harness: a missed tangency reads as "no zero found".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .weighted import WeightedFn, eval_reg
 
 _MERGE_REL = 1e-12  # of the grid length
-
-
-@dataclass(frozen=True)
-class ZeroSet:
-    """Sorted zeros of a function pair inside a common window."""
-
-    zeros_f: tuple[float, ...]
-    zeros_g: tuple[float, ...]
-    window: tuple[float, float]
 
 
 def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
@@ -60,10 +49,3 @@ def first_zero_pair(f: WeightedFn, g: WeightedFn, b: float,
         return None
     return float(zf[0]), float(zg[0])
 
-
-def zero_set(f: WeightedFn, g: WeightedFn, b: float, c_w: float) -> ZeroSet:
-    return ZeroSet(
-        zeros_f=tuple(map(float, find_zeros(f, b, c_w))),
-        zeros_g=tuple(map(float, find_zeros(g, b, c_w))),
-        window=(b, c_w),
-    )

@@ -4,16 +4,22 @@ None of these is called by the package's pipeline: the Mittag-Leffler
 series (an arbitrary-precision solver oracle, the reason mpmath is a test
 dependency), the Riemann-Liouville integral and derivative built on
 q_operator, the closed-form check of the classical second-order Fite
-statement, and the node-by-node marching loop that the blocked solve in
-sfde replaces.
+statement, the node-by-node marching loop that the blocked solve in
+sfde replaces, the 16-point kernel-matrix build that the blocked build in
+rlops replaces, and helpers that sample, evaluate or search weighted
+functions point by point.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from fracfite import WeightedFn, from_samples, gamma_fn, log_gamma, q_operator
+from fracfite import (GradedGrid, WeightedFn, beta_fn, eval_reg, find_zeros,
+                      from_samples, gamma_fn, q_operator)
 from fracfite.errors import ConvergenceError
 
 # Mittag-Leffler series controls.
@@ -34,7 +40,7 @@ def _ml_extra_digits(order: float, weight: float, z: float) -> int:
     log_z = math.log(abs(z)) if z != 0.0 else -math.inf
     peak = 0.0
     for k in range(1, _ML_MAX_TERMS):
-        lt = k * log_z - log_gamma(order * k + weight)
+        lt = k * log_z - math.lgamma(order * k + weight)
         if lt > peak:
             peak = lt
         elif lt < peak - 60.0:  # far past the hump, terms only shrink
@@ -161,3 +167,114 @@ def marching_reference(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
         uh[i] = Gv[i] * wg[i] + wq[i]
         uk[i] = Rv[i] * wf[i] + wv[i]
     return wf, wg
+
+
+_GX, _GW = leggauss(16)
+_GX = 0.5 * (_GX + 1.0)  # nodes on (0, 1)
+_GW = 0.5 * _GW
+
+
+def _cell_rules_16(nodes, a, gamma):
+    """Per-cell 16-point sample points and hat weights with (s-a)^{-gamma}
+    folded in; the cell at a by the substitution s = a + h0 u^{1/(1-gamma)}."""
+    h = np.diff(nodes)
+    S = nodes[:-1, None] + h[:, None] * _GX[None, :]
+    wts = _GW[None, :] * h[:, None] * (S - a) ** (-gamma) if gamma > 0.0 \
+        else _GW[None, :] * h[:, None] * np.ones_like(S)
+    if gamma > 0.0:
+        S[0] = a + h[0] * _GX ** (1.0 / (1.0 - gamma))
+        wts[0] = _GW * (h[0] ** (1.0 - gamma) / (1.0 - gamma))
+    V0 = wts * (nodes[1:, None] - S) / h[:, None]
+    V1 = wts * (S - nodes[:-1, None]) / h[:, None]
+    return S, V0, V1
+
+
+def build_matrix_reference(nodes, a, beta, gamma):
+    """Omega row by row with the 16-point rule on every cell: exact Beta
+    moments for [a, t_1], the right-end substitution on [t_{i-1}, t_i]."""
+    n = nodes.size - 1
+    h = np.diff(nodes)
+    S, V0, V1 = _cell_rules_16(nodes, a, gamma)
+    sub = _GX ** (1.0 / (1.0 - beta))  # right-endpoint substitution nodes
+    omega = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        ti = nodes[i]
+        if i == 1:
+            pref = (ti - a) ** (1.0 - beta - gamma)
+            omega[1, 0] = pref * beta_fn(1.0 - gamma, 2.0 - beta)
+            omega[1, 1] = pref * beta_fn(2.0 - gamma, 1.0 - beta)
+            continue
+        m = i - 1
+        kern = (ti - S[:m]) ** (-beta)
+        b0 = np.einsum("jg,jg->j", V0[:m], kern)
+        b1 = np.einsum("jg,jg->j", V1[:m], kern)
+        hl = h[m]
+        s = ti - hl * sub
+        wl = _GW * (hl ** (1.0 - beta) / (1.0 - beta)) * (s - a) ** (-gamma)
+        bl0 = float(wl @ ((ti - s) / hl))
+        bl1 = float(wl @ ((s - nodes[m]) / hl))
+        row = omega[i]
+        row[0] = b0[0]
+        row[1:m] = b1[: m - 1] + b0[1:]
+        row[m] += b1[m - 1] + bl0
+        row[i] += bl1
+    return omega
+
+
+def from_callable(reg: Callable[[float], float], f_a: float, gamma: float,
+                  grid: GradedGrid) -> WeightedFn:
+    """Sample the regularized part t -> (t-a)^gamma f(t) at the grid nodes.
+
+    `reg` is only evaluated on (a, c]; the limit value f_a is supplied
+    explicitly since the raw f may be singular at a.
+    """
+    vals = np.empty_like(grid.nodes)
+    vals[0] = f_a
+    vals[1:] = [reg(t) for t in grid.nodes[1:]]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("regularized part evaluated to a non-finite sample")
+    return WeightedFn(gamma=float(gamma), grid=grid, reg_samples=vals)
+
+
+def eval_raw(w: WeightedFn, t: float) -> float:
+    """f(t) = W(t) / (t-a)^gamma for t in (a, c].
+
+    t = a is rejected: the raw function is generically infinite there.
+    """
+    if not (w.grid.a < t <= w.grid.c):
+        raise ValueError(f"t={t!r} outside (a, c] = ({w.grid.a}, {w.grid.c}]")
+    return float(eval_reg(w, t)) / (t - w.grid.a) ** w.gamma
+
+
+def norm_window(w: WeightedFn, b: float, c_w: float) -> float:
+    """Weighted sup-norm over the window [b, c_w]:
+    max_{t in [b, c_w]} (t-a)^gamma |f(t)| = max |W| there.
+
+    W is piecewise linear, so the max is attained at a node or at one of
+    the interpolated window endpoints.
+    """
+    if not (w.grid.a < b <= c_w <= w.grid.c):
+        raise ValueError(
+            f"window [{b!r}, {c_w!r}] not inside ({w.grid.a}, {w.grid.c}]")
+    nodes = w.grid.nodes
+    inside = w.reg_samples[(nodes >= b) & (nodes <= c_w)]
+    ends = np.interp([b, c_w], nodes, w.reg_samples)
+    vals = np.concatenate([ends, inside]) if inside.size else ends
+    return float(np.abs(vals).max())
+
+
+@dataclass(frozen=True)
+class ZeroSet:
+    """Sorted zeros of a function pair inside a common window."""
+
+    zeros_f: tuple[float, ...]
+    zeros_g: tuple[float, ...]
+    window: tuple[float, float]
+
+
+def zero_set(f: WeightedFn, g: WeightedFn, b: float, c_w: float) -> ZeroSet:
+    return ZeroSet(
+        zeros_f=tuple(map(float, find_zeros(f, b, c_w))),
+        zeros_g=tuple(map(float, find_zeros(g, b, c_w))),
+        window=(b, c_w),
+    )

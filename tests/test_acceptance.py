@@ -15,10 +15,10 @@ import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
                       beta_fn, big_C, big_E, build_grid, CoefficientSet,
-                      fite_rhs, from_callable, gamma_fn, min_length,
-                      q_operator, solve_fite, solve_system, sweep)
+                      fite_rhs, gamma_fn, min_length, q_operator,
+                      solve_fite, solve_system, sweep)
 from fracfite.cli import main
-from oracles import classical_fite_check
+from oracles import classical_fite_check, from_callable
 
 ORDER = Order(0.75)
 

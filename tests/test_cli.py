@@ -232,6 +232,28 @@ class TestInvalidScenarioConfig:
         assert not (out / "verify.json").exists()
 
 
+class TestMatrixCap:
+    """n >= 16384 asks for a (n+1)^2 float64 kernel matrix above 2 GiB,
+    which gave a MemoryError traceback or an OOM kill."""
+
+    @pytest.mark.parametrize("n", [16384, 1_000_000])
+    @pytest.mark.parametrize("command,sweep", [("solve", False), ("verify", False),
+                                               ("verify", True)])
+    @pytest.mark.parametrize("via_flag", [True, False])
+    def test_over_cap_is_a_config_error(self, tmp_path, capsys, command, sweep,
+                                        via_flag, n):
+        extra = [] if not via_flag else ["--n", str(n)]
+        cfg_obj = dict(SWEEP_CONFIG["sweep"] if sweep else SOLVE_CONFIG)
+        if not via_flag:
+            cfg_obj["n"] = n
+        cfg = write_config(tmp_path, {"sweep": cfg_obj} if sweep else cfg_obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+        assert "n: the" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "verify.json").exists()
+
+
 class TestAudit:
     def test_small_audit_ok(self, capsys):
         assert main(["audit", "--alpha", "0.75", "--p", "1.5",

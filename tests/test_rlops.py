@@ -7,11 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracfite import (beta_fn, build_grid, from_callable, from_samples,
-                      gamma_fn, kernel_integral, kernel_matrix, norm_full,
-                      q_operator)
+from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
+                      kernel_integral, kernel_matrix, norm_full, q_operator)
 from fracfite.rlops import _build_matrix, _matrix_cached
-from oracles import rl_derivative, rl_integral
+from oracles import (build_matrix_reference, from_callable, rl_derivative,
+                     rl_integral)
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 
@@ -130,7 +130,7 @@ class TestKernelMatrixScaling:
     def test_scaled_unit_matrix_matches_direct_build(self, alpha, length):
         g = build_grid(0.0, length, 96, 2.0)
         unit, scale = kernel_matrix(g, 1.0 - alpha, 1.0 - alpha)
-        direct = _build_matrix(g.nodes, 0.0, 1.0 - alpha, 1.0 - alpha)
+        direct = build_matrix_reference(g.nodes, 0.0, 1.0 - alpha, 1.0 - alpha)
         np.testing.assert_allclose(scale * unit, direct, rtol=1e-12, atol=0.0)
 
     def test_shifted_interval_matches_direct_build(self):
@@ -140,7 +140,7 @@ class TestKernelMatrixScaling:
         # the gap bounds the old path's error, not the identity's.
         g = build_grid(1.3, 1.6, 96, 2.0)
         unit, scale = kernel_matrix(g, 0.25, 0.25)
-        direct = _build_matrix(g.nodes, 1.3, 0.25, 0.25)
+        direct = build_matrix_reference(g.nodes, 1.3, 0.25, 0.25)
         np.testing.assert_allclose(scale * unit, direct, rtol=1e-9, atol=0.0)
 
     def test_intervals_with_same_n_and_r_share_one_build(self):
@@ -152,6 +152,37 @@ class TestKernelMatrixScaling:
         assert after.hits - before.hits == 1
         assert u1 is u2
         assert (s1, s2) == pytest.approx((2.7 ** 0.4, 5.0 ** 0.4), rel=1e-14)
+
+
+class TestBlockedBuild:
+    """The blocked build (6-point rule on far cells) against the 16-point
+    row-by-row reference. The sizes straddle the far-cell thresholds and
+    the 32-row block edges."""
+
+    @staticmethod
+    def assert_agrees(nodes, a, beta, gamma, rel=1e-13):
+        omega = _build_matrix(nodes, a, beta, gamma)
+        ref = build_matrix_reference(nodes, a, beta, gamma)
+        assert np.abs(omega - ref).max() <= rel * np.abs(ref).max()
+        np.testing.assert_array_equal(omega == 0.0, ref == 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    @pytest.mark.parametrize("beta,gamma", [(0.25, 0.25), (0.4, 0.4), (0.1, 0.1),
+                                            (0.3, 0.7), (0.2, 0.0)])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 13, 14, 33, 34, 38, 45, 100, 513])
+    def test_matches_reference(self, n, r, beta, gamma, a):
+        self.assert_agrees(build_grid(a, a + 1.0, n, r).nodes, a, beta, gamma)
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("beta,gamma", [(0.3, 0.7), (0.05, 0.9)])
+    def test_strong_grading_moves_far_cells_away_from_a(self, r, beta, gamma):
+        # with a fixed first far cell j = 8 these reach 1.2e-12 (r = 4) and
+        # 1.7e-10 (r = 6): cell 8 is then too wide for its distance to a
+        self.assert_agrees(build_grid(0.0, 1.0, 513, r).nodes, 0.0, beta, gamma)
+
+    def test_large_n(self):
+        self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0).nodes, 0.0, 0.25, 0.25)
 
 
 class TestRLIntegral:

@@ -7,6 +7,7 @@ import pytest
 
 from fracfite import (CoefficientSpec, Order, Scenario, SweepSpec,
                       best_min_length, run_scenario, sweep)
+from fracfite import verify as verify_module
 from oracles import classical_fite_check
 
 ORDER = Order(0.75)
@@ -92,6 +93,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="^V: coefficient table covers"):
             fite_scenario(v_coeff=CoefficientSpec.table([[0.0, 1.0], [0.5, 2.0]]),
                           f_a=1.0, c=4.0)
+
+    def test_matrix_cap(self):
+        # (n+1)^2 float64 entries: n = 16383 is exactly the 2 GiB cap
+        assert (16383 + 1) ** 2 * 8 == verify_module._MAX_MATRIX_BYTES
+        for n in (16384, 1_000_000):
+            with pytest.raises(ValueError, match="^n: the .* kernel matrix needs"):
+                fite_scenario(n=n)
 
     def test_forced_scenario_needs_constant_p(self):
         with pytest.raises(ValueError):

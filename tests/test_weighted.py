@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfite import (GradedGrid, Order, build_grid, eval_raw, eval_reg,
-                      from_callable, from_samples, norm_full, norm_window)
+from fracfite import (GradedGrid, Order, build_grid, eval_reg, from_samples,
+                      norm_full)
+from oracles import eval_raw, from_callable, norm_window
 
 
 class TestOrder:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfite import (Order, build_grid, eval_reg, find_zeros, first_zero_pair,
-                      from_callable, from_samples, norm_window, solve_fite,
-                      zero_set)
+                      from_samples, solve_fite)
+from oracles import from_callable, norm_window, zero_set
 
 
 def sine_fn(k, n=1024, c=2.0):
