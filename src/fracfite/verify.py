@@ -172,6 +172,10 @@ class Scenario:
         if not (self.a < self.b < self.c):
             raise ValueError(
                 f"need a < b < c, got a={self.a!r}, b={self.b!r}, c={self.c!r}")
+        try:
+            build_grid(self.a, self.c, self.n, self.r)
+        except ValueError as exc:
+            raise ValueError(f"grading: {exc}; lower the grading or n") from None
         if self.f_a == 0.0 and self.g_a == 0.0:
             raise ValueError("trivial data: (f_a, g_a) must not be (0, 0)")
         p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)

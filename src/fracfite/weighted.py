@@ -75,6 +75,12 @@ def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:
     j = np.arange(n + 1, dtype=float)
     nodes = a + (c - a) * (j / n) ** r
     nodes[0], nodes[-1] = a, c
+    up = nodes[1:] > nodes[:-1]
+    if not up.all():
+        k = int(np.argmin(up))
+        raise ValueError(
+            f"nodes not strictly increasing: t_{k + 1} = t_{k} = "
+            f"{float(nodes[k])!r} with n={n}, r={r} on [{a}, {c}]")
     return GradedGrid(a=float(a), c=float(c), n=int(n), r=float(r), nodes=nodes)
 
 

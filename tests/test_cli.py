@@ -232,6 +232,25 @@ class TestInvalidScenarioConfig:
         assert not (out / "verify.json").exists()
 
 
+class TestGridNodesRoundTogether:
+    """On [1.3, 2.3] with n = 513 and grading 6, t_1 and t_2 round to a.
+    `solve` wrote nan/inf into the trace, printed RuntimeWarnings and
+    exited 0; `verify` gave NO_ZERO_PAIR. In a sweep (a = 0), grading 200
+    underflows the first nodes to 0."""
+
+    GRID = {**SOLVE_CONFIG, "a": 1.3, "b": 1.31, "c": 2.3, "n": 513, "grading": 6}
+
+    @pytest.mark.parametrize("command,cfg_obj,report", [
+        ("solve", GRID, "summary.json"), ("verify", GRID, "verify.json"),
+        ("verify", {"sweep": {**SWEEP_CONFIG["sweep"], "grading": 200}}, "verify.json")])
+    def test_is_a_config_error(self, tmp_path, capsys, command, cfg_obj, report):
+        cfg = write_config(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "grading: nodes not strictly increasing" in capsys.readouterr().err
+        assert not (out / report).exists()
+
+
 class TestMatrixCap:
     """n >= 16384 asks for a (n+1)^2 float64 kernel matrix above 2 GiB,
     which gave a MemoryError traceback or an OOM kill."""

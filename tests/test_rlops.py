@@ -2,6 +2,7 @@
 reference quadrature."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix, norm_full, q_operator)
-from fracfite.rlops import _build_matrix, _matrix_cached
+from fracfite.rlops import _CHEB, _build_matrix, _chebyshev_interp, _matrix_cached
 from oracles import (build_matrix_reference, from_callable, rl_derivative,
                      rl_integral)
 
@@ -155,15 +156,22 @@ class TestKernelMatrixScaling:
 
 
 class TestBlockedBuild:
-    """The blocked build (6-point rule on far cells) against the 16-point
-    row-by-row reference. The sizes straddle the far-cell thresholds and
-    the 32-row block edges."""
+    """The blocked build (6-point rule on far cells, Chebyshev interpolation
+    in t on row blocks far from their cells) against the 16-point
+    row-by-row reference. The sizes straddle the far-cell thresholds, the
+    32-row block edges and the first interpolating block sizes."""
 
     @staticmethod
     def assert_agrees(nodes, a, beta, gamma, rel=1e-13):
+        # Omega depends on t - a only. The build works in the offsets
+        # nodes - a, which are exact here; the reference in absolute
+        # coordinates rounds its quadrature points to the grid of a and
+        # loses up to 7.5e-11 of a row at a = 1.3, n = 2048, r = 2.
         omega = _build_matrix(nodes, a, beta, gamma)
-        ref = build_matrix_reference(nodes, a, beta, gamma)
-        assert np.abs(omega - ref).max() <= rel * np.abs(ref).max()
+        ref = build_matrix_reference(nodes - a, 0.0, beta, gamma)
+        err = np.abs(omega - ref)
+        assert err.max() <= rel * np.abs(ref).max()
+        assert np.all(err.max(axis=1) <= rel * np.abs(ref).max(axis=1))
         np.testing.assert_array_equal(omega == 0.0, ref == 0.0)
 
     @pytest.mark.parametrize("a", [0.0, 1.3])
@@ -183,6 +191,43 @@ class TestBlockedBuild:
 
     def test_large_n(self):
         self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0).nodes, 0.0, 0.25, 0.25)
+
+    # Several levels of interpolating blocks. At r = 6 the nodes of [1.3,
+    # 2.3] near a round to a (build_grid rejects them), so that grid is
+    # placed at a = 0. These agree to 4.8e-15 of a row; eight Chebyshev
+    # points give up to 7.5e-10, admissibility at half a block width 3.3e-11.
+    @pytest.mark.parametrize("r,a", [(1.0, 1.3), (2.0, 1.3), (6.0, 0.0)])
+    @pytest.mark.parametrize("n", [1025, 2048])
+    def test_interpolated_far_field(self, n, r, a):
+        self.assert_agrees(build_grid(a, a + 1.0, n, r).nodes, a, 0.3, 0.7)
+
+
+class TestChebyshevInterp:
+    """The Chebyshev points and barycentric matrix of the far-field build."""
+
+    T0, T1 = 0.3, 0.55
+
+    def test_reproduces_polynomials_below_degree_k(self):
+        x = np.linspace(self.T0, self.T1, 77)
+        tau, lag = _chebyshev_interp(x)
+        assert (tau[0], tau[-1]) == (self.T0, self.T1)
+        for deg in range(_CHEB):
+            c = np.cos(np.arange(deg + 1.0))  # any coefficients
+            p = np.polynomial.Polynomial(c, domain=[self.T0, self.T1])
+            np.testing.assert_allclose(lag @ p(tau), p(x), rtol=0, atol=1e-13)
+
+    def test_rows_sum_to_one(self):
+        _, lag = _chebyshev_interp(np.linspace(self.T0, self.T1, 101))
+        np.testing.assert_allclose(lag.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_rows_on_chebyshev_points_are_unit_rows(self):
+        tau, _ = _chebyshev_interp(np.array([self.T0, self.T1]))
+        x = np.r_[self.T0, tau[5], 0.4, self.T1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lag = _chebyshev_interp(x)
+        np.testing.assert_array_equal(lag[[0, 1, 3]], np.eye(_CHEB)[[0, 5, _CHEB - 1]])
+        assert np.all(np.isfinite(lag[2]))
 
 
 class TestRLIntegral:

@@ -48,6 +48,13 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(0.0, 1.0, 8, 0.5)
 
+    @pytest.mark.parametrize("a,c,n,r", [(1.3, 2.3, 513, 6.0), (0.0, 1.0, 128, 200.0)])
+    def test_nodes_that_round_together_are_rejected(self, a, c, n, r):
+        # t_1 rounds to a: (1/513)^6 is below half an ulp of 1.3, and
+        # (1/128)^200 underflows to 0
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_grid(a, c, n, r)
+
     @settings(max_examples=50)
     @given(a=st.floats(-5.0, 5.0), length=st.floats(0.01, 10.0),
            n=st.integers(2, 64), r=st.floats(1.0, 4.0))
