@@ -29,11 +29,12 @@ randomized instances, including the two steps that are only used en route
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditFailure
+from .errors import AuditFailure, ConfigError
 from .specfn import beta_fn, gamma_fn
 from .rlops import kernel_integral, kernel_matrix
 from .weighted import Order, build_grid
@@ -69,10 +70,10 @@ class ConstantChain:
 def holder_params(order: Order, p: float) -> HolderParams:
     """Exponents of the specialized regime: v = p, w = q, (1-alpha) p < 1/2."""
     if not (p > 1.0):
-        raise ValueError(f"p must exceed 1, got {p!r}")
+        raise ConfigError("p", f"must exceed 1, got {p!r}")
     if order.gamma * p >= 0.5:
-        raise ValueError(
-            f"inadmissible p: need (1-alpha) p < 1/2, got {order.gamma * p!r}")
+        raise ConfigError(
+            "p", f"inadmissible: need (1-alpha) p < 1/2, got {order.gamma * p!r}")
     q = p / (p - 1.0)
     return HolderParams(p=p, q=q, v=p, w=q)
 
@@ -169,12 +170,15 @@ def min_length(order: Order, m: float, p: float) -> float:
     set, so it is strictly increasing and lhs = rhs has the single root
     (rhs/m)^{1/(alpha-d)} when rhs/m < 1 and (rhs/m)^{1/(alpha+d)} otherwise.
     """
-    if not (m > 0.0):
-        raise ValueError(f"m must be positive, got {m!r}")
+    if not (0.0 < m < math.inf):
+        raise ConfigError("m", f"must be positive and finite, got {m!r}")
     hp = holder_params(order, p)
     d = abs(1.0 / hp.q - order.gamma)
     ratio = fite_rhs(order) / m
-    return ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
+    try:
+        return ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
+    except OverflowError:
+        raise ConfigError("m", f"the minimal length for m={m!r} overflows") from None
 
 
 def best_min_length(order: Order, m: float) -> tuple[float, float]:
@@ -187,8 +191,6 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
     and p* is its upper end, clamped by _CLAMP_EPS so that p* stays strictly
     admissible; the inequality holds at the open boundary by continuity.
     """
-    if not (m > 0.0):
-        raise ValueError(f"m must be positive, got {m!r}")
     p_lo = 1.0 + _CLAMP_EPS
     p_hi = (1.0 - _CLAMP_EPS) / (2.0 * order.gamma)
     if p_hi <= p_lo:
@@ -239,6 +241,10 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     violated inequality; otherwise reports per-inequality pass counts.
     """
     hp = holder_params(order, p)
+    if trials < 0:
+        raise ConfigError("trials", f"must be >= 0, got {trials!r}")
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed!r}")
     ga = order.gamma
     beta = ga
     q = hp.q

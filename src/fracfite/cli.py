@@ -10,6 +10,11 @@ Subcommands
 Exit codes: 0 ok, 2 config/domain error, 3 solver failure,
 4 verification/audit failure.
 
+The front end only maps argv to a run. Config files are parsed, defaulted
+and validated by `verify.parse_config` (the schemas of `Scenario` and
+`SweepSpec`), flag values by the library calls that take them, all before
+any run starts; `main` turns every ConfigError into exit 2.
+
 All numeric output uses 17 significant digits (doubles round-trip), JSON
 keys are sorted, and no timestamps are emitted, so identical inputs give
 byte-identical outputs, also under parallel sweep execution.
@@ -18,7 +23,6 @@ byte-identical outputs, also under parallel sweep execution.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -30,9 +34,8 @@ from . import __version__
 from .bounds import audit_estimates, best_min_length, constant_chain, \
     fite_rhs, min_length
 from .errors import AuditFailure, ConfigError, ConvergenceError
-from .sfde import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .verify import (COUNTEREXAMPLE, VERDICTS, CoefficientSpec, Scenario,
-                     SweepSpec, run_scenario, solve_scenario, sweep)
+from .verify import (COUNTEREXAMPLE, VERDICTS, Scenario, SweepSpec,
+                     parse_config, run_scenario, solve_scenario, sweep)
 from .weighted import GradedGrid, Order, from_samples
 from .zeros import find_zeros
 
@@ -42,127 +45,56 @@ _TRACE_COLUMNS = "t,w_f,f,w_g,g"
 _NON_VALUE = "NA"  # raw f, g may be infinite at the first node
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"not valid JSON: {exc}")
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON or not UTF-8
+        raise ConfigError("config", f"cannot read {path}: {exc}") from None
 
 
-def _get(cfg: dict, field: str, kind, default=None, required: bool = False):
-    if field not in cfg:
-        if required:
-            raise ConfigError(field, "missing required field")
-        return default
-    try:
-        return kind(cfg[field])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, str(exc))
-
-
-def _floats(entries) -> tuple[float, ...]:
-    return tuple(float(x) for x in entries)
-
-
-def _scenario_from_config(cfg: dict, args) -> Scenario:
-    alpha = _get(cfg, "alpha", float, required=True)
-    if not (0.5 < alpha < 1.0):
-        raise ConfigError("alpha", f"must lie in (1/2, 1), got {alpha}")
-    a = _get(cfg, "a", float, required=True)
-    c = _get(cfg, "c", float, required=True)
-    if a >= c:
-        raise ConfigError("a", f"need a < c, got a={a}, c={c}")
-    b = _get(cfg, "b", float, default=a + 0.01 * (c - a))
-    if not (a < b < c):
-        raise ConfigError("b", f"need a < b < c, got b={b}")
-    try:
-        p_coeff = CoefficientSpec.from_obj(_get(cfg, "P", dict, required=True))
-        v_obj = cfg.get("V")
-        v_coeff = CoefficientSpec.from_obj(v_obj) if v_obj is not None else None
-    except ValueError as exc:
-        raise ConfigError("P/V", str(exc))
-    n = args.n if args.n is not None else _get(cfg, "n", int, default=512)
-    r = args.grading if args.grading is not None else _get(cfg, "grading", float, default=2.0)
-    try:
-        return Scenario(
-            order=Order(alpha), a=a, b=b, c=c, p_coeff=p_coeff,
-            f_a=_get(cfg, "f_a", float, default=1.0),
-            g_a=_get(cfg, "g_a", float, default=0.0),
-            v_coeff=v_coeff, n=n, r=r,
-            tol=_get(cfg, "tol", float, default=DEFAULT_TOL),
-            max_iter=_get(cfg, "max_iter", int, default=DEFAULT_MAX_ITER),
-            scheme=_get(cfg, "scheme", str, default="marching"),
-        )
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc))
-
-
-def _scenario_obj(s: Scenario) -> dict:
-    obj = {
-        "alpha": s.order.alpha, "a": s.a, "b": s.b, "c": s.c,
-        "P": s.p_coeff.to_obj(), "f_a": s.f_a, "g_a": s.g_a,
-        "n": s.n, "grading": s.r, "tol": s.tol, "max_iter": s.max_iter,
-        "scheme": s.scheme,
-    }
-    if s.v_coeff is not None:
-        obj["V"] = s.v_coeff.to_obj()
-    return obj
+def _print_record(record: dict, out_dir: str | None, name: str) -> None:
+    print(json.dumps(record, sort_keys=True, indent=2))
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _dump_json(record, out / name)
 
 
 def _write_trace(path: Path, report, fmt: str) -> None:
     f, g = report.f, report.g
-    t = f.grid.nodes
-    a, ga = f.grid.a, f.gamma
-    rows = []
-    for j in range(t.size):
+    t, a, ga = f.grid.nodes, f.grid.a, f.gamma
+    rows = [(t[0], f.reg_samples[0], None, g.reg_samples[0], None)]
+    for j in range(1, t.size):
         wf, wg = f.reg_samples[j], g.reg_samples[j]
-        if j == 0:
-            raw_f = raw_g = None
-        else:
-            wt = (t[j] - a) ** ga
-            raw_f, raw_g = wf / wt, wg / wt
-        rows.append((t[j], wf, raw_f, wg, raw_g))
+        wt = (t[j] - a) ** ga
+        rows.append((t[j], wf, wf / wt, wg, wg / wt))
     if fmt == "csv":
-        lines = [_TRACE_COLUMNS]
-        for row in rows:
-            lines.append(",".join(_NON_VALUE if x is None else _fmt(x) for x in row))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join([_TRACE_COLUMNS, *(
+            ",".join(_NON_VALUE if x is None else f"{x:.17g}" for x in row)
+            for row in rows)]) + "\n")
     else:
-        cols = _TRACE_COLUMNS.split(",")
-        _dump_json([{k: (None if x is None else x) for k, x in zip(cols, row)}
-                    for row in rows], path)
+        _dump_json([dict(zip(_TRACE_COLUMNS.split(","), row)) for row in rows], path)
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        scenario = _scenario_from_config(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    scenario = Scenario.from_obj(_load_config(args.config), n=args.n,
+                                 grading=args.grading)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         rep = solve_scenario(scenario)
     except (ConvergenceError, FloatingPointError) as exc:
-        _dump_json({"config": _scenario_obj(scenario), "converged": False,
+        _dump_json({"config": scenario.to_obj(), "converged": False,
                     "detail": str(exc)}, out / "summary.json")
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_FAILURE
     trace_path = out / f"trace.{args.format}"
     _write_trace(trace_path, rep, args.format)
-    _dump_json({"config": _scenario_obj(scenario), "converged": True,
+    _dump_json({"config": scenario.to_obj(), "converged": True,
                 "iterations": rep.iterations, "method": rep.method,
                 "residual": rep.residual, "trace": trace_path.name},
                out / "summary.json")
@@ -170,23 +102,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if not (0.5 < args.alpha < 1.0):
-        print(f"error: alpha must lie in (1/2, 1), got {args.alpha}", file=sys.stderr)
-        return CONFIG_ERROR
-    if not (args.m > 0.0):
-        print(f"error: m must be positive, got {args.m}", file=sys.stderr)
-        return CONFIG_ERROR
     order = Order(args.alpha)
-    try:
-        if args.p is not None:
-            p_used = args.p
-            length = min_length(order, args.m, args.p)
-        else:
-            p_used, length = best_min_length(order, args.m)
-        chain = constant_chain(order, p_used, length)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    if args.p is not None:
+        p_used = args.p
+        length = min_length(order, args.m, args.p)
+    else:
+        p_used, length = best_min_length(order, args.m)
+    chain = constant_chain(order, p_used, length)
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
         "p_given": args.p is not None,
@@ -197,11 +119,7 @@ def cmd_bound(args) -> int:
             "beta_value": chain.beta_val,
         },
     }
-    print(json.dumps(record, sort_keys=True, indent=2))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _dump_json(record, out / "bound.json")
+    _print_record(record, args.out, "bound.json")
     return OK
 
 
@@ -212,7 +130,7 @@ def _num(x: float):
 def _report_obj(rep) -> dict:
     s = rep.scenario
     obj = {
-        "scenario": _scenario_obj(s),
+        "scenario": s.to_obj(),
         "label": s.label,
         "verdict": rep.verdict,
         "residual": _num(rep.residual),
@@ -228,54 +146,23 @@ def _report_obj(rep) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    run = parse_config(_load_config(args.config), n=args.n,
+                       grading=args.grading, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rhs_scale = args.rhs_scale
-    try:
-        if "sweep" in cfg:
-            sw = cfg["sweep"]
-            spec = SweepSpec(
-                alphas=_get(sw, "alphas", _floats, required=True),
-                p_infs=_get(sw, "p_infs", _floats, required=True),
-                lengths=_get(sw, "lengths", _floats, required=True),
-                directions=_get(sw, "directions", int, default=8),
-                seed=args.seed if args.seed is not None
-                else _get(sw, "seed", int, default=0),
-                a=_get(sw, "a", float, default=0.0),
-                b_fraction=_get(sw, "b_fraction", float, default=0.01),
-                n=args.n if args.n is not None else _get(sw, "n", int, default=512),
-                r=args.grading if args.grading is not None
-                else _get(sw, "grading", float, default=2.0),
-                tol=_get(sw, "tol", float, default=DEFAULT_TOL),
-                max_iter=_get(sw, "max_iter", int, default=DEFAULT_MAX_ITER),
-                random_directions=_get(sw, "random_directions", bool, default=False),
-            )
-            result = sweep(spec, workers=args.workers, rhs_scale=rhs_scale)
-            reports = result.reports
-            counts = result.counts
-            spec_obj = dataclasses.asdict(spec)
-            spec_obj["grading"] = spec_obj.pop("r")
-        else:
-            scenario = _scenario_from_config(cfg, args)
-            rep = run_scenario(scenario, rhs_scale=rhs_scale)
-            reports = (rep,)
-            counts = {v: int(v == rep.verdict) for v in VERDICTS}
-            result = None
-            spec_obj = _scenario_obj(scenario)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    if isinstance(run, SweepSpec):
+        result = sweep(run, workers=args.workers, rhs_scale=rhs_scale)
+        reports, counts, min_ratio = result.reports, result.counts, result.min_ratio
+    else:
+        rep = run_scenario(run, rhs_scale=rhs_scale)
+        reports, min_ratio = (rep,), math.nan
+        counts = {v: int(v == rep.verdict) for v in VERDICTS}
     aggregate = {
-        "spec": spec_obj,
+        "spec": run.to_obj(),
         "rhs_scale": rhs_scale,
         "counts": counts,
-        "min_ratio": (result.min_ratio if result is not None
-                      and math.isfinite(result.min_ratio) else None),
+        "min_ratio": _num(min_ratio),
         "scenarios": [_report_obj(r) for r in reports],
         "counterexamples": [_report_obj(r) for r in reports
                             if r.verdict == COUNTEREXAMPLE],
@@ -291,21 +178,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if not (0.5 < args.alpha < 1.0):
-        print(f"error: alpha must lie in (1/2, 1), got {args.alpha}", file=sys.stderr)
-        return CONFIG_ERROR
-    if args.trials < 0:
-        print("error: trials must be nonnegative", file=sys.stderr)
-        return CONFIG_ERROR
-    order = Order(args.alpha)
     try:
-        from .bounds import holder_params
-        holder_params(order, args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    try:
-        report = audit_estimates(order, args.p, args.trials, args.seed)
+        report = audit_estimates(Order(args.alpha), args.p, args.trials, args.seed)
     except AuditFailure as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return VERIFY_FAILURE
@@ -313,30 +187,21 @@ def cmd_audit(args) -> int:
         "alpha": args.alpha, "p": args.p, "trials": args.trials,
         "seed": args.seed, "passes": report.passes,
     }
-    print(json.dumps(record, sort_keys=True, indent=2))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _dump_json(record, out / "audit.json")
+    _print_record(record, args.out, "audit.json")
     return OK
 
 
 def cmd_zeros(args) -> int:
-    path = Path(args.trace)
-    if not path.exists():
-        print(f"error: trace file not found: {path}", file=sys.stderr)
-        return CONFIG_ERROR
     try:
-        lines = path.read_text().strip().splitlines()
+        lines = Path(args.trace).read_text().strip().splitlines()
         header = lines[0].split(",")
         idx = {name: k for k, name in enumerate(header)}
         col = "w_f" if args.column == "f" else "w_g"
         t = np.asarray([float(ln.split(",")[idx["t"]]) for ln in lines[1:]])
         vals = np.asarray([float(ln.split(",")[idx[col]]) for ln in lines[1:]])
-    except (KeyError, ValueError, IndexError) as exc:
-        print(f"error: cannot parse trace: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    grid = GradedGrid.from_nodes(t)
+        grid = GradedGrid.from_nodes(t)
+    except (OSError, KeyError, ValueError, IndexError) as exc:
+        raise ConfigError("trace", f"cannot read {args.trace}: {exc}") from None
     # zero locations only depend on the regularized samples, so the weight
     # exponent of the stored function is irrelevant here
     w = from_samples(vals, 0.0, grid)
@@ -345,8 +210,7 @@ def cmd_zeros(args) -> int:
     try:
         zs = find_zeros(w, b, c)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        raise ConfigError("window", str(exc)) from None
     print(json.dumps({"column": args.column, "window": [b, c],
                       "count": len(zs), "zeros": list(map(float, zs))},
                      sort_keys=True))
@@ -408,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

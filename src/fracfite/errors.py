@@ -26,4 +26,5 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"config field '{field}': {message}")
+        self.message = message
+        super().__init__(f"{field}: {message}")

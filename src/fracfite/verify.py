@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .bounds import best_min_length, bound_report
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport,
                    solve_fite, solve_relax_osc)
 from .weighted import Order, build_grid, norm_full
@@ -40,6 +41,84 @@ NO_ZERO_PAIR = "NO_ZERO_PAIR"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 SOLVER_FAILED = "SOLVER_FAILED"
 VERDICTS = (BOUND_HOLDS, NO_ZERO_PAIR, COUNTEREXAMPLE, SOLVER_FAILED)
+
+
+# JSON value types of the config schema. Parsing is strict: a bool is not a
+# number, an integer must be integral, and JSON ints go through float() for
+# real fields, so a config echoes back with the values it was read as.
+
+def _json(types, what, convert=None):
+    def parse(v):
+        if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
+            raise TypeError(f"must be {what}, got {v!r}")
+        return convert(v) if convert else v
+    return parse
+
+
+def _integral(v) -> int:
+    if v != int(v):
+        raise TypeError(f"must be an integer, got {v!r}")
+    return int(v)
+
+
+_real = _json((int, float), "a number", float)
+_int = _json((int, float), "an integer", _integral)
+_bool = _json(bool, "true or false")
+_str = _json(str, "a string")
+_list = _json((list, tuple), "a list")
+_reals = _json((list, tuple), "a list of numbers", lambda v: tuple(map(_real, v)))
+
+
+_REQUIRED = object()  # default of a key the config must give
+
+
+class _Config:
+    """from_obj/to_obj for a dataclass whose config object (named _WHERE in
+    errors) has the schema _KEYS: rows of (JSON key, field, JSON type,
+    default). A callable default is computed from the fields parsed before
+    it; a None default leaves the field's own."""
+
+    @classmethod
+    def from_obj(cls, obj, **overrides):
+        """Parse, default and validate a config object; overrides that are
+        not None replace its values. Every failure is a ConfigError naming
+        the key."""
+        if not isinstance(obj, dict):
+            raise ConfigError(cls._WHERE, f"must be a JSON object, got {obj!r}")
+        obj = {**obj, **{k: v for k, v in overrides.items() if v is not None}}
+        known = [row[0] for row in cls._KEYS]
+        for key in obj:
+            if key not in known:
+                raise ConfigError(key, f"unknown key; expected one of {known}")
+        fields = {}
+        for key, name, kind, default in cls._KEYS:
+            if key in obj:
+                try:
+                    fields[name] = kind(obj[key])
+                except ConfigError:
+                    raise
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(key, str(exc)) from None
+            elif default is _REQUIRED:
+                raise ConfigError(key, "missing required field")
+            elif default is not None:
+                fields[name] = default(fields) if callable(default) else default
+        return cls(**fields)
+
+    def to_obj(self) -> dict:
+        """The config object of this instance; from_obj gives it back."""
+        obj = {}
+        for key, name, _, _ in self._KEYS:
+            value = getattr(self, name)
+            if isinstance(value, Order):
+                value = value.alpha
+            elif isinstance(value, CoefficientSpec):
+                value = value.to_obj()
+            elif isinstance(value, tuple):
+                value = list(value)
+            if value is not None:
+                obj[key] = value
+        return obj
 
 
 @dataclass(frozen=True)
@@ -73,18 +152,18 @@ class CoefficientSpec:
 
     @classmethod
     def from_obj(cls, obj) -> "CoefficientSpec":
-        if not isinstance(obj, dict) or len(obj) != 1:
+        make = {"const": lambda d: cls.const(_real(d)),
+                "poly": lambda d: cls.poly(_reals(d)),
+                "table": lambda d: cls.table(map(_reals, _list(d)))}
+        if not isinstance(obj, dict) or len(obj) != 1 or next(iter(obj)) not in make:
             raise ValueError(
                 "coefficient must be one of {'const': x}, {'poly': [...]}, "
-                "{'table': [[t, v], ...]}")
-        kind, data = next(iter(obj.items()))
-        if kind == "const":
-            return cls.const(data)
-        if kind == "poly":
-            return cls.poly(data)
-        if kind == "table":
-            return cls.table(data)
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+                f"{{'table': [[t, v], ...]}}, got {obj!r}")
+        (kind, data), = obj.items()
+        try:
+            return make[kind](data)
+        except TypeError as exc:
+            raise ValueError(f"{kind}: {exc}") from None
 
     def to_obj(self):
         if self.kind == "const":
@@ -126,12 +205,30 @@ def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
     try:
         return spec.range_on(a, c)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        raise ConfigError(name, str(exc)) from None
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Config):
     """One solvable instance plus the window for the zero search."""
+
+    _WHERE = "config"
+    _KEYS = (
+        ("alpha", "order", lambda v: Order(_real(v)), _REQUIRED),
+        ("a", "a", _real, _REQUIRED),
+        ("c", "c", _real, _REQUIRED),
+        ("b", "b", _real, lambda f: f["a"] + 0.01 * (f["c"] - f["a"])),
+        ("P", "p_coeff", CoefficientSpec.from_obj, _REQUIRED),
+        ("V", "v_coeff",  # null is no V
+         lambda v: None if v is None else CoefficientSpec.from_obj(v), None),
+        ("f_a", "f_a", _real, 1.0),
+        ("g_a", "g_a", _real, 0.0),
+        ("n", "n", _int, 512),
+        ("grading", "r", _real, 2.0),
+        ("tol", "tol", _real, DEFAULT_TOL),
+        ("max_iter", "max_iter", _int, DEFAULT_MAX_ITER),
+        ("scheme", "scheme", _str, "marching"),
+    )
 
     order: Order
     a: float
@@ -151,42 +248,43 @@ class Scenario:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"n: need at least 2 grid cells, got {self.n!r}")
+            raise ConfigError("n", f"need at least 2 grid cells, got {self.n!r}")
         if (self.n + 1) ** 2 * 8 > _MAX_MATRIX_BYTES:
-            raise ValueError(
-                f"n: the {self.n + 1}^2 kernel matrix needs "
+            raise ConfigError(
+                "n", f"the {self.n + 1}^2 kernel matrix needs "
                 f"{(self.n + 1) ** 2 * 8} bytes, above the "
                 f"{_MAX_MATRIX_BYTES}-byte cap "
                 f"(n <= {math.isqrt(_MAX_MATRIX_BYTES // 8) - 1})")
         if not (self.r >= 1.0):
-            raise ValueError(f"grading: must be >= 1, got {self.r!r}")
+            raise ConfigError("grading", f"must be >= 1, got {self.r!r}")
         if not (self.tol > 0.0):
-            raise ValueError(f"tol: must be positive, got {self.tol!r}")
+            raise ConfigError("tol", f"must be positive, got {self.tol!r}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter: must be >= 1, got {self.max_iter!r}")
+            raise ConfigError("max_iter", f"must be >= 1, got {self.max_iter!r}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ConfigError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
         for name in ("a", "b", "c", "f_a", "g_a"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
         if not (self.a < self.b < self.c):
-            raise ValueError(
-                f"need a < b < c, got a={self.a!r}, b={self.b!r}, c={self.c!r}")
+            raise ConfigError(
+                "c" if self.a >= self.c else "b", "need 'a' < 'b' < 'c', got "
+                f"a={self.a!r}, b={self.b!r}, c={self.c!r}")
         try:
             build_grid(self.a, self.c, self.n, self.r)
         except ValueError as exc:
-            raise ValueError(f"grading: {exc}; lower the grading or n") from None
+            raise ConfigError("grading", f"{exc}; lower the grading or n") from None
         if self.f_a == 0.0 and self.g_a == 0.0:
-            raise ValueError("trivial data: (f_a, g_a) must not be (0, 0)")
+            raise ConfigError("f_a", "trivial data: (f_a, g_a) must not be (0, 0)")
         p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)
         if p_min < 0.0:
-            raise ValueError(f"coefficient P must be nonnegative, min is {p_min!r}")
+            raise ConfigError("P", f"must be nonnegative, min is {p_min!r}")
         if self.v_coeff is not None:
             _range_of("V", self.v_coeff, self.a, self.c)
             if self.p_coeff.kind != "const":
-                raise ValueError("forced scenarios require a constant P")
+                raise ConfigError("P", "forced scenarios require a constant P")
             if p_max <= 0.0:
-                raise ValueError("forced scenarios require P > 0")
+                raise ConfigError("P", "forced scenarios require P > 0")
         object.__setattr__(self, "p_sup", p_max)
 
     @property
@@ -254,8 +352,22 @@ def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Config):
     """Cartesian scenario grid; initial data are unit-circle directions."""
+
+    _WHERE = "sweep"  # the object under a config's "sweep" key
+    _KEYS = (
+        ("alphas", "alphas", _reals, _REQUIRED),
+        ("p_infs", "p_infs", _reals, _REQUIRED),
+        ("lengths", "lengths", _reals, _REQUIRED),
+        ("directions", "directions", _int, 8),
+        ("seed", "seed", _int, 0),
+        ("a", "a", _real, 0.0),
+        ("b_fraction", "b_fraction", _real, 0.01),
+        ("n", "n", _int, 512),
+        ("grading", "r", _real, 2.0),
+        ("random_directions", "random_directions", _bool, False),
+    )
 
     alphas: tuple[float, ...]
     p_infs: tuple[float, ...]
@@ -266,21 +378,28 @@ class SweepSpec:
     b_fraction: float = 0.01
     n: int = 512
     r: float = 2.0
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     random_directions: bool = False
 
     def __post_init__(self):
         for name in ("alphas", "p_infs", "lengths"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name}: must not be empty")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name}: must be finite, got {list(values)!r}")
+            if not getattr(self, name):
+                raise ConfigError(name, "must not be empty")
         if self.directions < 1:
-            raise ValueError(f"directions: must be >= 1, got {self.directions!r}")
+            raise ConfigError("directions", f"must be >= 1, got {self.directions!r}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed!r}")
         if not 0.0 < self.b_fraction < 1.0:
-            raise ValueError(f"b_fraction: must lie in (0, 1), got {self.b_fraction!r}")
+            raise ConfigError("b_fraction",
+                              f"must lie in (0, 1), got {self.b_fraction!r}")
+        # The direction moves only (f_a, g_a) on the unit circle, so one
+        # scenario per cell validates the grid; errors name the sweep's key.
+        for cell in product(self.alphas, self.p_infs, self.lengths):
+            try:
+                self._scenario(*cell, 0.0, "")
+            except ConfigError as exc:
+                key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
+                       "c": "lengths"}.get(exc.field, exc.field)
+                raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
 
     def direction_angles(self) -> np.ndarray:
         if self.random_directions:
@@ -288,24 +407,27 @@ class SweepSpec:
             return rng.uniform(0.0, 2.0 * math.pi, self.directions)
         return 2.0 * math.pi * np.arange(self.directions) / self.directions
 
+    def _scenario(self, alpha, p_inf, length, theta, label) -> Scenario:
+        return Scenario(
+            order=Order(alpha), a=self.a, b=self.a + self.b_fraction * length,
+            c=self.a + length, p_coeff=CoefficientSpec.const(p_inf),
+            f_a=math.cos(theta), g_a=math.sin(theta), n=self.n, r=self.r,
+            label=label)
+
     def scenarios(self) -> list[Scenario]:
-        out = []
-        for alpha in self.alphas:
-            for p_inf in self.p_infs:
-                for length in self.lengths:
-                    for k, theta in enumerate(self.direction_angles()):
-                        out.append(Scenario(
-                            order=Order(alpha),
-                            a=self.a,
-                            b=self.a + self.b_fraction * length,
-                            c=self.a + length,
-                            p_coeff=CoefficientSpec.const(p_inf),
-                            f_a=math.cos(theta), g_a=math.sin(theta),
-                            n=self.n, r=self.r, tol=self.tol,
-                            max_iter=self.max_iter,
-                            label=f"alpha={alpha},P={p_inf},L={length},dir={k}",
-                        ))
-        return out
+        return [self._scenario(alpha, p_inf, length, theta,
+                               f"alpha={alpha},P={p_inf},L={length},dir={k}")
+                for alpha, p_inf, length, (k, theta) in product(
+                    self.alphas, self.p_infs, self.lengths,
+                    enumerate(self.direction_angles()))]
+
+
+def parse_config(obj, n=None, grading=None, seed=None) -> Scenario | SweepSpec:
+    """{"sweep": {...}} is a SweepSpec, any other config a Scenario; n,
+    grading and (for sweeps) seed override the config when not None."""
+    if isinstance(obj, dict) and set(obj) == {"sweep"}:
+        return SweepSpec.from_obj(obj["sweep"], n=n, grading=grading, seed=seed)
+    return Scenario.from_obj(obj, n=n, grading=grading)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Order:
@@ -25,7 +27,7 @@ class Order:
 
     def __post_init__(self):
         if not (0.5 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (1/2, 1), got {self.alpha!r}")
+            raise ConfigError("alpha", f"must lie in (1/2, 1), got {self.alpha!r}")
 
     @property
     def gamma(self) -> float:

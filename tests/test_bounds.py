@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfite import (AuditFailure, Order, audit_estimates, best_min_length,
+from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
+                      best_min_length,
                       big_C, big_D, big_E, bound_report, constant_chain,
                       fite_lhs, fite_rhs, holder_params, min_length, small_c)
 
@@ -100,6 +101,19 @@ class TestConstantChain:
 
 
 class TestFiteBound:
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 0.0, -1.0])
+    def test_m_must_be_positive_and_finite(self, m):
+        for fn in (lambda: min_length(ORDER, m, 1.5), lambda: best_min_length(ORDER, m)):
+            with pytest.raises(ConfigError, match="^m: must be positive and finite"):
+                fn()
+
+    def test_overflowing_root_rejected(self):
+        # rhs/m = 1.7e299 raised to 1/alpha > 1 leaves double range
+        with pytest.raises(ConfigError, match="^m: the minimal length .* overflows"):
+            best_min_length(ORDER, 1e-300)
+        with pytest.raises(ConfigError, match="^m: the minimal length .* overflows"):
+            min_length(ORDER, 1e-300, 1.5)
+
     def test_rhs_frozen_values(self):
         assert fite_rhs(ORDER) == pytest.approx(RHS_075, rel=1e-12)
         assert fite_rhs(Order(0.6)) == pytest.approx(RHS_06, rel=1e-12)
@@ -251,6 +265,13 @@ class TestAudit:
     def test_other_regime_point(self):
         report = audit_estimates(Order(0.8), 1.7, 25, 3)
         assert all(v == 25 for v in report.passes.values())
+
+    @pytest.mark.parametrize("trials,seed,field", [(-1, 42, "trials"),
+                                                   (5, -1, "seed")])
+    def test_negative_counts_rejected(self, trials, seed, field):
+        # a negative seed was a ValueError from numpy's SeedSequence
+        with pytest.raises(ConfigError, match=f"^{field}: must be >= 0"):
+            audit_estimates(ORDER, 1.5, trials, seed)
 
     @settings(max_examples=50)
     @given(x=st.floats(0.0, 100.0), y=st.floats(0.0, 100.0),

@@ -127,6 +127,18 @@ class TestBound:
     def test_inadmissible_p(self, capsys):
         assert main(["bound", "--alpha", "0.75", "--m", "1.0", "--p", "2.5"]) == 2
 
+    def test_infinite_m(self, capsys):
+        # exited 0 with non-strict `Infinity` in the record and min_length 0.0
+        assert main(["bound", "--alpha", "0.75", "--m", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "m: must be positive and finite" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_min_length(self, capsys):
+        # (rhs/m)^(1/alpha) overflows: an OverflowError traceback before
+        assert main(["bound", "--alpha", "0.75", "--m", "1e-300"]) == 2
+        assert "m: the minimal length for m=1e-300 overflows" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_sweep_ok(self, tmp_path, capsys):
@@ -232,6 +244,52 @@ class TestInvalidScenarioConfig:
         assert not (out / "verify.json").exists()
 
 
+# Each gave a TypeError traceback (exit 1), or exit 0 with a config other
+# than the one written: an ignored key, a bool read as a number, the string
+# "false" read as true, 2.9 truncated to 2. A sweep's tol and max_iter were
+# never used, since sweeps always march. Entries are (key named, config).
+MALFORMED_SCENARIOS = [
+    ("P", {**SOLVE_CONFIG, "P": {"const": [1]}}),
+    ("P", {**SOLVE_CONFIG, "P": {"poly": 5}}),
+    ("P", {**SOLVE_CONFIG, "P": {"table": [1, 2]}}),
+    ("grade", {**SOLVE_CONFIG, "grade": 3}),
+    ("n", {**SOLVE_CONFIG, "n": True}),
+    ("f_a", {**SOLVE_CONFIG, "f_a": True}),
+    ("n", {**SOLVE_CONFIG, "n": 2.9}),
+    ("config", 5),
+    ("sweep", {"sweep": 5})]
+MALFORMED_SWEEPS = [
+    ("direction", {"direction": 16}),
+    ("random_directions", {"random_directions": "false"}),
+    ("directions", {"directions": 2.9}),
+    ("n", {"n": True}),
+    ("f_a", {"f_a": True}),
+    ("tol", {"tol": 1e-10}),
+    ("max_iter", {"max_iter": 5})]
+
+
+class TestMalformedConfig:
+    """Every malformed config exits 2, names its key and writes no report."""
+
+    @pytest.mark.parametrize("command,report", [("solve", "summary.json"),
+                                                ("verify", "verify.json")])
+    @pytest.mark.parametrize("field,cfg_obj", MALFORMED_SCENARIOS)
+    def test_scenario(self, tmp_path, capsys, command, report, field, cfg_obj):
+        cfg = write_config(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (out / report).exists()
+
+    @pytest.mark.parametrize("field,change", MALFORMED_SWEEPS)
+    def test_sweep(self, tmp_path, capsys, field, change):
+        cfg = write_config(tmp_path, {"sweep": {**SWEEP_CONFIG["sweep"], **change}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+
 class TestGridNodesRoundTogether:
     """On [1.3, 2.3] with n = 513 and grading 6, t_1 and t_2 round to a.
     `solve` wrote nan/inf into the trace, printed RuntimeWarnings and
@@ -304,6 +362,17 @@ class TestZeros:
 
     def test_missing_trace(self):
         assert main(["zeros", "--trace", "/nonexistent/trace.csv"]) == 2
+
+    @pytest.mark.parametrize("rows", [["0.0,1.0", "0.5,-1.0"],
+                                      ["0.0,1.0", "0.5,-1.0", "0.25,0.5"]],
+                             ids=["two_rows", "decreasing_t"])
+    def test_bad_trace_is_a_config_error(self, tmp_path, capsys, rows):
+        # GradedGrid.from_nodes raised a ValueError traceback (exit 1)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(["t,w_f", *rows]) + "\n")
+        assert main(["zeros", "--trace", str(trace), "--b", "0.1",
+                     "--c", "0.5"]) == 2
+        assert "trace: cannot read" in capsys.readouterr().err
 
 
 class TestImports:

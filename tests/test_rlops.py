@@ -135,14 +135,12 @@ class TestKernelMatrixScaling:
         np.testing.assert_allclose(scale * unit, direct, rtol=1e-12, atol=0.0)
 
     def test_shifted_interval_matches_direct_build(self):
-        # The direct build evaluates the kernel at the stored nodes
-        # a + L (j/n)^r, whose rounding perturbs the small differences
-        # t_j - a near a; the scaled unit matrix has no such rounding, so
-        # the gap bounds the old path's error, not the identity's.
+        # The reference takes the offsets t_j - a: in absolute coordinates
+        # its quadrature points near a round to the grid of a = 1.3.
         g = build_grid(1.3, 1.6, 96, 2.0)
         unit, scale = kernel_matrix(g, 0.25, 0.25)
-        direct = build_matrix_reference(g.nodes, 1.3, 0.25, 0.25)
-        np.testing.assert_allclose(scale * unit, direct, rtol=1e-9, atol=0.0)
+        direct = build_matrix_reference(g.nodes - 1.3, 0.0, 0.25, 0.25)
+        np.testing.assert_allclose(scale * unit, direct, rtol=1e-11, atol=0.0)
 
     def test_intervals_with_same_n_and_r_share_one_build(self):
         before = _matrix_cached.cache_info()

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fracfite import (CoefficientSpec, Order, Scenario, SweepSpec,
+from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
                       best_min_length, run_scenario, sweep)
 from fracfite import verify as verify_module
+from fracfite.verify import parse_config
 from oracles import classical_fite_check
 
 ORDER = Order(0.75)
@@ -105,6 +106,71 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 1.0]),
                           v_coeff=CoefficientSpec.const(1.0))
+
+
+SCENARIO_OBJ = {"alpha": 0.75, "a": 0, "c": 2, "P": {"poly": [1, 2]}}
+
+
+class TestConfigSchema:
+    def test_defaults_and_echo(self):
+        s = Scenario.from_obj(SCENARIO_OBJ)
+        assert (s.b, s.f_a, s.g_a, s.n, s.r, s.scheme) == (0.02, 1.0, 0.0, 512, 2.0,
+                                                          "marching")
+        obj = s.to_obj()
+        assert obj == {"alpha": 0.75, "a": 0.0, "b": 0.02, "c": 2.0,
+                       "P": {"poly": [1.0, 2.0]}, "f_a": 1.0, "g_a": 0.0,
+                       "n": 512, "grading": 2.0, "tol": 1e-10, "max_iter": 200,
+                       "scheme": "marching"}
+        assert isinstance(obj["c"], float) and isinstance(obj["n"], int)
+        assert Scenario.from_obj(obj) == s
+
+    def test_overrides(self):
+        s = Scenario.from_obj({**SCENARIO_OBJ, "n": 64}, n=128, grading=None)
+        assert (s.n, s.r) == (128, 2.0)
+        spec = SweepSpec.from_obj({"alphas": [0.75], "p_infs": [1], "lengths": [1],
+                                   "seed": 3}, seed=5, n=None)
+        assert (spec.seed, spec.n) == (5, 512)
+        assert spec.to_obj()["p_infs"] == [1.0]
+
+    @pytest.mark.parametrize("key,value", [("n", True), ("n", 2.9), ("n", "64"),
+                                           ("c", True), ("c", "2"), ("c", 10**400),
+                                           ("scheme", 1), ("P", {"const": [1]}),
+                                           ("P", {"poly": 5}), ("P", {"table": [1, 2]}),
+                                           ("V", {"const": False}), ("grade", 2)])
+    def test_strict_types_and_keys(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            Scenario.from_obj({**SCENARIO_OBJ, key: value})
+
+    def test_integral_float_is_an_integer(self):
+        assert Scenario.from_obj({**SCENARIO_OBJ, "n": 64.0}).n == 64
+
+    def test_null_v_is_no_v(self):
+        assert Scenario.from_obj({**SCENARIO_OBJ, "V": None}).v_coeff is None
+
+    @pytest.mark.parametrize("key", ["alpha", "a", "c", "P"])
+    def test_required(self, key):
+        obj = {k: v for k, v in SCENARIO_OBJ.items() if k != key}
+        with pytest.raises(ConfigError, match=f"^{key}: missing required field"):
+            Scenario.from_obj(obj)
+
+    @pytest.mark.parametrize("obj,field", [
+        ({"sweep": {"alphas": [0.75], "p_infs": [1], "lengths": [1]}, "n": 5}, "sweep"),
+        ({"sweep": 5}, "sweep"), ([], "config"),
+        ({"sweep": {"alphas": [0.75], "p_infs": [1], "lengths": [1], "tol": 1e-9}},
+         "tol"),
+        ({"sweep": {"alphas": [1.2], "p_infs": [1], "lengths": [1]}}, "alphas"),
+        ({"sweep": {"alphas": [0.75], "p_infs": [-1], "lengths": [1]}}, "p_infs"),
+        ({"sweep": {"alphas": [0.75], "p_infs": [1], "lengths": [0]}}, "lengths"),
+        ({"sweep": {"alphas": [0.75], "p_infs": [1], "lengths": [1], "seed": -1}},
+         "seed")])
+    def test_parse_config_rejects(self, obj, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config(obj)
+
+    def test_parse_config_dispatch(self):
+        assert isinstance(parse_config(SCENARIO_OBJ, seed=7), Scenario)
+        assert isinstance(parse_config({"sweep": {"alphas": [0.75], "p_infs": [1],
+                                                  "lengths": [1]}}), SweepSpec)
 
 
 class TestRunScenario:
