@@ -14,7 +14,7 @@ from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples, norm_full)
 from .rlops import kernel_integral, kernel_matrix, q_operator
 from .sfde import (CoefficientSet, SolveReport, residual, solve_fite,
-                   solve_relax_osc, solve_system)
+                   solve_system)
 from .zeros import find_zeros, first_zero_pair
 from .bounds import (AuditReport, BoundReport, audit_estimates,
                      best_min_length, big_C, big_D, big_E, bound_report,
@@ -35,5 +35,5 @@ __all__ = [
     "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
     "kernel_integral", "kernel_matrix", "log_gamma", "min_length",
     "norm_full", "q_operator", "residual", "run_scenario", "small_c",
-    "solve_fite", "solve_relax_osc", "solve_system", "sweep",
+    "solve_fite", "solve_system", "sweep",
 ]

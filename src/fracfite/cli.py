@@ -34,8 +34,7 @@ from . import __version__
 from .bounds import audit_estimates, best_min_length, constant_chain, \
     fite_rhs, min_length
 from .errors import AuditFailure, ConfigError, ConvergenceError
-from .verify import (COUNTEREXAMPLE, VERDICTS, Scenario, SweepSpec,
-                     parse_config, run_scenario, solve_scenario, sweep)
+from .verify import Scenario, parse_config, solve_scenario, sweep
 from .weighted import GradedGrid, Order, from_samples
 from .zeros import find_zeros
 
@@ -148,31 +147,21 @@ def _report_obj(rep) -> dict:
 def cmd_verify(args) -> int:
     run = parse_config(_load_config(args.config), n=args.n,
                        grading=args.grading, seed=args.seed)
+    result = sweep(run, workers=args.workers, rhs_scale=args.rhs_scale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rhs_scale = args.rhs_scale
-    if isinstance(run, SweepSpec):
-        result = sweep(run, workers=args.workers, rhs_scale=rhs_scale)
-        reports, counts, min_ratio = result.reports, result.counts, result.min_ratio
-    else:
-        rep = run_scenario(run, rhs_scale=rhs_scale)
-        reports, min_ratio = (rep,), math.nan
-        counts = {v: int(v == rep.verdict) for v in VERDICTS}
-    aggregate = {
-        "spec": run.to_obj(),
-        "rhs_scale": rhs_scale,
-        "counts": counts,
-        "min_ratio": _num(min_ratio),
-        "scenarios": [_report_obj(r) for r in reports],
-        "counterexamples": [_report_obj(r) for r in reports
-                            if r.verdict == COUNTEREXAMPLE],
-    }
-    _dump_json(aggregate, out / "verify.json")
-    n_counter = counts[COUNTEREXAMPLE]
-    print(json.dumps({"counts": counts}, sort_keys=True))
-    if n_counter:
-        print(f"verification failure: {n_counter} counterexample(s) recorded",
-              file=sys.stderr)
+    _dump_json({
+        "spec": result.spec.to_obj(),
+        "rhs_scale": args.rhs_scale,
+        "counts": result.counts,
+        "min_ratio": _num(result.min_ratio),
+        "scenarios": [_report_obj(r) for r in result.reports],
+        "counterexamples": [_report_obj(r) for r in result.counterexamples],
+    }, out / "verify.json")
+    print(json.dumps({"counts": result.counts}, sort_keys=True))
+    if result.counterexamples:
+        print(f"verification failure: {len(result.counterexamples)} "
+              "counterexample(s) recorded", file=sys.stderr)
         return VERIFY_FAILURE
     return OK
 

@@ -202,7 +202,10 @@ def _matrix_cached(n: int, r: float, beta: float, gamma: float) -> np.ndarray:
 def kernel_matrix(grid: GradedGrid, beta: float,
                   gamma: float) -> tuple[np.ndarray, float]:
     """(Omega, scale) with (Q u)(t_i) = scale * sum_k Omega[i, k] u_k for
-    u = nodal A*W; Omega is the cached [0, 1] matrix, scale = L^{1-beta-gamma}."""
+    u = nodal A*W; Omega is the cached [0, 1] matrix, scale = L^{1-beta-gamma}.
+    Omega is keyed on (n, r): a grid of other nodes (r NaN) raises ValueError."""
+    if not grid.r >= 1.0:
+        raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
     unit = _matrix_cached(grid.n, grid.r, float(beta), float(gamma))
     return unit, grid.length ** (1.0 - beta - gamma)
 

@@ -210,23 +210,11 @@ def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
                grid: GradedGrid, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER,
-               scheme: str = "marching") -> SolveReport:
-    """Solve D^alpha(D^alpha f) + P f = 0 via the equivalent system with
-    G = 1, Q = 0, R = -P, V = 0. The returned g is D^alpha f by construction."""
-    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0,
-                            R=lambda s: -P(s), V=lambda s: 0.0)
-    return solve_system(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)
-
-
-def solve_relax_osc(P_const: float, V: Coefficient, order: Order,
-                    f_a: float, g_a: float, grid: GradedGrid,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    scheme: str = "marching") -> SolveReport:
-    """Forced relaxation-oscillation equation D^alpha(D^alpha f) + P f = V(t)
-    with a constant coefficient P > 0."""
-    if not (P_const > 0.0):
-        raise ValueError(f"P must be a positive constant, got {P_const!r}")
-    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0,
-                            R=lambda s: -P_const, V=V)
+               max_iter: int = DEFAULT_MAX_ITER, scheme: str = "marching",
+               V: Coefficient | None = None) -> SolveReport:
+    """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation;
+    a V: the forced relaxation oscillation) via the equivalent system with
+    G = 1, Q = 0, R = -P. The returned g is D^alpha f by construction."""
+    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P(s),
+                            V=(lambda s: 0.0) if V is None else V)
     return solve_system(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)

@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .bounds import best_min_length, bound_report
+from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
-from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport,
-                   solve_fite, solve_relax_osc)
-from .weighted import Order, build_grid, norm_full
+from .sfde import DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport, solve_fite
+from .weighted import GradedGrid, Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
 _TRIVIAL_NORM = 1e-8
@@ -245,6 +245,7 @@ class Scenario(_Config):
     scheme: str = "marching"
     label: str = ""
     p_sup: float = field(init=False, repr=False, compare=False)
+    grid: GradedGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -271,7 +272,7 @@ class Scenario(_Config):
                 "c" if self.a >= self.c else "b", "need 'a' < 'b' < 'c', got "
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r}")
         try:
-            build_grid(self.a, self.c, self.n, self.r)
+            object.__setattr__(self, "grid", build_grid(self.a, self.c, self.n, self.r))
         except ValueError as exc:
             raise ConfigError("grading", f"{exc}; lower the grading or n") from None
         if self.f_a == 0.0 and self.g_a == 0.0:
@@ -290,6 +291,10 @@ class Scenario(_Config):
     @property
     def length(self) -> float:
         return self.c - self.a
+
+    def scenarios(self) -> tuple[Scenario]:
+        """A single scenario runs as a sweep of one."""
+        return (self,)
 
 
 @dataclass(frozen=True)
@@ -312,14 +317,10 @@ class VerifyReport:
 
 
 def solve_scenario(s: Scenario) -> SolveReport:
-    """Solve the scenario's equation on its graded grid."""
-    grid = build_grid(s.a, s.c, s.n, s.r)
-    if s.v_coeff is None:
-        return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a,
-                          grid, tol=s.tol, max_iter=s.max_iter, scheme=s.scheme)
-    return solve_relax_osc(s.p_coeff.data[0], s.v_coeff.as_callable(s.a),
-                           s.order, s.f_a, s.g_a, grid, tol=s.tol,
-                           max_iter=s.max_iter, scheme=s.scheme)
+    """Solve the scenario's equation on the graded grid it validated."""
+    v = None if s.v_coeff is None else s.v_coeff.as_callable(s.a)
+    return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a, s.grid,
+                      tol=s.tol, max_iter=s.max_iter, scheme=s.scheme, V=v)
 
 
 def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
@@ -336,9 +337,8 @@ def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
     m = max(1.0, s.p_sup)
     p_star, min_len = best_min_length(s.order, m)
     pair = first_zero_pair(report.f, report.g, s.b, s.c)
-    bound = bound_report(s.order, p_star, m, s.length)
-    lhs = bound.lhs
-    rhs = bound.rhs * rhs_scale
+    lhs = fite_lhs(s.order, p_star, m, s.length)
+    rhs = fite_rhs(s.order) * rhs_scale
     common = dict(scenario=s, residual=report.residual,
                   solver_method=report.method, zero_pair=pair, m=m,
                   p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs)
@@ -432,7 +432,7 @@ def parse_config(obj, n=None, grading=None, seed=None) -> Scenario | SweepSpec:
 
 @dataclass(frozen=True)
 class SweepReport:
-    spec: SweepSpec
+    spec: Scenario | SweepSpec
     counts: dict[str, int]
     reports: tuple[VerifyReport, ...]
     counterexamples: tuple[VerifyReport, ...]
@@ -443,24 +443,24 @@ class SweepReport:
         return tuple(r.verdict for r in self.reports)
 
 
-def _run_one(args) -> VerifyReport:
-    scenario, rhs_scale = args
-    return run_scenario(scenario, rhs_scale=rhs_scale)
-
-
-def sweep(spec: SweepSpec, workers: int = 1, rhs_scale: float = 1.0) -> SweepReport:
-    """Run the full scenario grid; deterministic for a given spec and seed
-    regardless of worker count (scenario order is fixed up front)."""
+def sweep(spec: Scenario | SweepSpec, workers: int = 1,
+          rhs_scale: float = 1.0) -> SweepReport:
+    """Run every scenario of a parsed config (a Scenario is a sweep of one);
+    deterministic for a given spec and seed regardless of worker count
+    (scenario order is fixed up front). The pool has at most one worker
+    per scenario."""
+    if not (math.isfinite(rhs_scale) and rhs_scale > 0.0):
+        raise ConfigError("rhs_scale", f"must be finite and > 0, got {rhs_scale!r}")
+    if workers < 1:
+        raise ConfigError("workers", f"must be >= 1, got {workers!r}")
     scenarios = spec.scenarios()
-    jobs = [(s, rhs_scale) for s in scenarios]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs, chunksize=4))
+    run = partial(run_scenario, rhs_scale=rhs_scale)
+    if workers > 1 and len(scenarios) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(scenarios))) as pool:
+            reports = list(pool.map(run, scenarios, chunksize=4))
     else:
-        reports = [_run_one(j) for j in jobs]
-    counts = {v: 0 for v in VERDICTS}
-    for rep in reports:
-        counts[rep.verdict] += 1
+        reports = list(map(run, scenarios))
+    counts = {v: sum(rep.verdict == v for rep in reports) for v in VERDICTS}
     ratios = [rep.ratio for rep in reports if rep.zero_pair is not None
               and math.isfinite(rep.ratio)]
     return SweepReport(

@@ -36,7 +36,8 @@ class Order:
 
 @dataclass(frozen=True, eq=False)
 class GradedGrid:
-    """Nodes t_j = a + (c-a) (j/n)^r, j = 0..n; r = 1 is the uniform grid."""
+    """Nodes t_j = a + (c-a) (j/n)^r, j = 0..n; r = 1 is the uniform grid.
+    r is NaN for nodes of any other spacing (see from_nodes)."""
 
     a: float
     c: float
@@ -54,16 +55,20 @@ class GradedGrid:
     @classmethod
     def from_nodes(cls, nodes) -> "GradedGrid":
         """Wrap an explicit strictly increasing node sequence (e.g. read back
-        from a solution trace). The grading exponent is inferred from the
-        first node, for bookkeeping only: all operations use `nodes`."""
+        from a solution trace). The grading exponent r is inferred from the
+        middle node and kept only if every node matches a + L (j/n)^r to
+        1e-12 L; otherwise r is NaN and the grid has no kernel matrix."""
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("need at least 3 nodes")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
         a, c, n = float(nodes[0]), float(nodes[-1]), nodes.size - 1
-        r = float(np.log((nodes[1] - a) / (c - a)) / np.log(1.0 / n))
-        return cls(a=a, c=c, n=n, r=max(1.0, r), nodes=nodes)
+        x = np.arange(n + 1) / n
+        r = max(1.0, float(np.log((nodes[n // 2] - a) / (c - a)) / np.log(x[n // 2])))
+        if not np.abs(a + (c - a) * x ** r - nodes).max() <= 1e-12 * (c - a):
+            r = np.nan
+        return cls(a=a, c=c, n=n, r=r, nodes=nodes)
 
 
 def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:

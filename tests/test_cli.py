@@ -167,12 +167,37 @@ class TestVerify:
         assert agg["counts"]["COUNTEREXAMPLE"] > 0
         assert agg["counterexamples"]
 
+    # nan and inf gave COUNTEREXAMPLE (exit 4); -1 and 0 made every zero
+    # pair BOUND_HOLDS (exit 0)
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_invalid_rhs_scale_rejected(self, tmp_path, capsys, scale):
+        cfg = write_config(tmp_path, {**SOLVE_CONFIG, "c": 10.0, "n": 64})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--rhs-scale", scale]) == 2
+        assert "error: rhs_scale:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_invalid_workers_rejected(self, tmp_path, capsys, workers):
+        # ran serially without a word
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "error: workers:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
     def test_single_scenario_config(self, tmp_path):
         cfg = write_config(tmp_path, {**SOLVE_CONFIG, "c": 10.0, "n": 256})
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         agg = json.loads((out / "verify.json").read_text())
-        assert agg["scenarios"][0]["verdict"] == "BOUND_HOLDS"
+        rep = agg["scenarios"][0]
+        assert rep["verdict"] == "BOUND_HOLDS"
+        # a single scenario runs as a sweep of one and reports its ratio
+        assert agg["counts"]["BOUND_HOLDS"] == 1
+        assert agg["min_ratio"] == rep["lhs"] / rep["rhs"]
 
     def test_overflowing_scenario_is_solver_failed(self, tmp_path):
         cfg = write_config(tmp_path, OVERFLOW_CONFIG)
@@ -180,6 +205,7 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         agg = json.loads((out / "verify.json").read_text())
         assert agg["scenarios"][0]["verdict"] == "SOLVER_FAILED"
+        assert agg["min_ratio"] is None  # no zero pair, no ratio
 
     def test_determinism_including_parallel(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)

@@ -5,7 +5,7 @@ import pytest
 
 from fracfite import (CoefficientSet, ConvergenceError, Order, big_E,
                       build_grid, from_samples, gamma_fn, residual,
-                      solve_fite, solve_relax_osc, solve_system)
+                      solve_fite, solve_system)
 from fracfite.rlops import kernel_matrix
 from fracfite.sfde import _marching, _node_data
 from oracles import marching_reference, mittag_leffler, rl_derivative
@@ -224,28 +224,24 @@ class TestSolveFite:
 
 
 class TestSolveRelaxOsc:
+    # forced variant D^alpha(D^alpha f) + P f = V, P = 1
     def test_zero_forcing_zero_data(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        rep = solve_relax_osc(1.0, lambda t: 0.0, ORDER, 0.0, 0.0, g)
+        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, V=lambda t: 0.0)
         np.testing.assert_array_equal(rep.f.reg_samples, 0.0)
 
     def test_constant_forcing_oscillates(self):
         # constant forcing: the derivative changes sign on a long interval
         g = build_grid(0.0, 20.0, 512, 2.0)
-        rep = solve_relax_osc(1.0, lambda t: 1.0, ORDER, 0.0, 0.0, g)
+        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, V=lambda t: 1.0)
         signs = np.sign(rep.g.reg_samples[1:])
         assert np.any(signs > 0) and np.any(signs < 0)
 
     def test_smooth_forcing_converges(self):
         g = build_grid(0.0, 2.0, 128, 2.0)
-        rep = solve_relax_osc(1.0, lambda t: np.sin(t), ORDER, 0.0, 0.0, g,
-                              tol=1e-10)
+        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, tol=1e-10,
+                         V=lambda t: np.sin(t))
         assert rep.residual <= 1e-9
-
-    def test_requires_positive_coefficient(self):
-        g = build_grid(0.0, 1.0, 16, 2.0)
-        with pytest.raises(ValueError):
-            solve_relax_osc(0.0, lambda t: 1.0, ORDER, 0.0, 0.0, g)
 
 
 class TestResidual:

@@ -7,8 +7,9 @@ import pytest
 
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
                       best_min_length, run_scenario, sweep)
+from fracfite import bounds, rlops
 from fracfite import verify as verify_module
-from fracfite.verify import parse_config
+from fracfite.verify import VERDICTS, parse_config
 from oracles import classical_fite_check
 
 ORDER = Order(0.75)
@@ -105,6 +106,12 @@ class TestScenarioValidation:
     def test_forced_scenario_needs_constant_p(self):
         with pytest.raises(ValueError):
             fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 1.0]),
+                          v_coeff=CoefficientSpec.const(1.0))
+
+    def test_forced_scenario_needs_positive_p(self):
+        # the forced solve takes any P; the scenario schema asks for P > 0
+        with pytest.raises(ConfigError, match="^P: forced scenarios require P > 0"):
+            fite_scenario(p_coeff=CoefficientSpec.const(0.0),
                           v_coeff=CoefficientSpec.const(1.0))
 
 
@@ -251,7 +258,68 @@ class TestRunScenario:
         assert rep.residual < 1e-8
 
 
+STANDARD_GRID = dict(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
+                     lengths=(0.05, 0.5, 5.0), directions=8, seed=42)
+
+
 class TestSweep:
+    def test_scenario_is_a_sweep_of_one(self):
+        s = fite_scenario(c=10.0, n=256)
+        rep = run_scenario(s)
+        assert rep.zero_pair is not None
+        result = sweep(s)
+        assert result.spec is s
+        assert result.reports == (rep,)
+        assert result.counts == {v: int(v == rep.verdict) for v in VERDICTS}
+        assert result.min_ratio == rep.ratio
+
+    def test_one_grid_and_one_min_length_per_scenario(self, monkeypatch):
+        # 216 scenarios; the counts do not depend on n
+        grids, lengths = [], []
+        build_grid, min_length = verify_module.build_grid, bounds.min_length
+
+        def counting_grid(*args):
+            grids.append(args)
+            return build_grid(*args)
+
+        def counting_length(*args):
+            lengths.append(args)
+            return min_length(*args)
+
+        for module in (verify_module, rlops):
+            monkeypatch.setattr(module, "build_grid", counting_grid)
+        monkeypatch.setattr(bounds, "min_length", counting_length)
+        rlops._matrix_cached.cache_clear()
+        report = sweep(SweepSpec(**STANDARD_GRID, n=64))
+        assert len(report.reports) == 216
+        # one per scenario, per cell SweepSpec validates and per kernel build
+        assert len(grids) == 216 + 27 + 3
+        assert len(lengths) == 216
+
+    def test_pool_has_at_most_one_worker_per_scenario(self, monkeypatch):
+        # the fork start method launches all max_workers processes up front
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
+                         directions=2, n=64)
+        assert len(sweep(spec, workers=5000).reports) == 2
+        sweep(fite_scenario(n=64), workers=5000)  # one scenario runs in-process
+        assert sizes == [2]
+
     def test_empty_grid(self):
         # a sweep that checks nothing must not pass as a clean sweep
         with pytest.raises(ValueError, match="alphas"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfite import (GradedGrid, Order, build_grid, eval_reg, from_samples,
-                      norm_full)
+                      kernel_matrix, norm_full)
 from oracles import eval_raw, from_callable, norm_window
 
 
@@ -68,6 +68,24 @@ class TestBuildGrid:
         g2 = GradedGrid.from_nodes(g.nodes.copy())
         np.testing.assert_array_equal(g.nodes, g2.nodes)
         assert g2.r == pytest.approx(2.0)
+
+    def test_from_nodes_keeps_grading_of_trace_nodes(self):
+        # nodes as a solution trace stores them: 17 significant digits
+        g = build_grid(1.3, 2.3, 256, 2.0)
+        g2 = GradedGrid.from_nodes([float(f"{t:.17g}") for t in g.nodes])
+        assert g2.r == pytest.approx(2.0, rel=1e-12)
+        omega, _ = kernel_matrix(g2, 0.75, 0.25)
+        assert omega.shape == (257, 257)
+
+    def test_from_nodes_random_nodes_are_not_graded(self):
+        # the kernel matrix is cached on (n, r): for nodes of another spacing
+        # it was the matrix of a different grid, with no error raised
+        rng = np.random.default_rng(0)
+        nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
+        g = GradedGrid.from_nodes(nodes)
+        assert math.isnan(g.r)
+        with pytest.raises(ValueError, match="graded grid"):
+            kernel_matrix(g, 0.75, 0.25)
 
     def test_from_nodes_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
