@@ -16,7 +16,10 @@ functions. The production solve is a causal marching scheme in blocks
 of nodes: the history of the product-integration quadrature enters a
 block as one product, and the block's own coupling is solved by forward
 substitution through its Schur complement. It needs no contraction
-condition.
+condition. The system is linear in the initial data (f_a, g_a) and the
+block Schur matrix depends only on the coefficients, so one marching
+pass solves k initial data at once: the history has 2k columns and each
+block has one Schur solve with k right-hand sides.
 
 Picard iteration of the same discrete system, seeded with the free
 terms, mirrors the fixed-point argument behind the bound. It is kept as
@@ -96,18 +99,25 @@ def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
 
 
 def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
-    """Causal solve in blocks of _BLOCK nodes. The history, with the
-    block's own free terms, enters as one product with omega; the block
-    coupling wf = F + A wg, wg = H + C wf is solved through its Schur
-    complement (I - A C) wf = F + A H. I - A C is lower triangular with
-    diagonal det_i = 1 - (pf_i omega_ii)^2 G_i R_i, checked up front.
-    A block with non-finite inputs ends the solve, leaving NaN behind."""
+    """Causal solve in blocks of _BLOCK nodes for k columns of initial data
+    f_a, g_a (arrays of shape (k,)); returns wf, wg of shape (n+1, k). The
+    history, with the block's own free terms, enters as one product of
+    omega with the 2k history columns; the block coupling wf = F + A wg,
+    wg = H + C wf is solved through its Schur complement (I - A C) wf =
+    F + A H, one solve with k right-hand sides. I - A C does not depend on
+    the data; it is lower triangular with diagonal
+    det_i = 1 - (pf_i omega_ii)^2 G_i R_i, checked up front. A block with
+    non-finite inputs in any column ends the solve, leaving NaN behind."""
     n = omega.shape[0] - 1
-    wf = np.full(n + 1, np.nan)
-    wg = np.full(n + 1, np.nan)
+    k = f_a.size
+    wf = np.full((n + 1, k), np.nan)
+    wg = np.full((n + 1, k), np.nan)
     wf[0], wg[0] = f_a, g_a
-    U = np.column_stack((wq, wv))  # columns uh = G wg + wq, uk = R wf + wv
-    U[0] += (Gv[0] * g_a, Rv[0] * f_a)
+    # columns :k hold uh = G wg + wq, columns k: hold uk = R wf + wv
+    U = np.empty((n + 1, 2 * k))
+    U[:, :k], U[:, k:] = wq[:, None], wv[:, None]
+    U[0, :k] += Gv[0] * g_a
+    U[0, k:] += Rv[0] * f_a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d = pf * np.diagonal(omega)
         det = 1.0 - (d * Gv) * (d * Rv)
@@ -120,15 +130,15 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
             hist = omega[s, :s.stop] @ U[:s.stop]
             po = pf[s, None] * omega[s, s]
             A, C = po * Gv[s], po * Rv[s]
-            H = g_a + pf[s] * hist[:, 1]
+            H = g_a + pf[s, None] * hist[:, k:]
             M = np.eye(s.stop - i0) - A @ C
-            rhs = f_a + pf[s] * hist[:, 0] + A @ H
+            rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
                 break
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
-            U[s, 0] = Gv[s] * wg[s] + wq[s]
-            U[s, 1] = Rv[s] * wf[s] + wv[s]
+            U[s, :k] = Gv[s, None] * wg[s] + wq[s, None]
+            U[s, k:] = Rv[s, None] * wf[s] + wv[s, None]
     return wf, wg
 
 
@@ -153,29 +163,32 @@ def _picard(omega, Gv, Rv, wq, wv, pf, f_a, g_a, tol, max_iter):
         f"iterations (last increment {increments[-1]:.3e})")
 
 
-def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> float:
-    """Max regularized defect of the two integral equations over t_j, j >= 1;
-    omega is lower triangular, so its product runs in row blocks over it."""
-    U = np.column_stack((Gv * wg + wq, Rv * wf + wv))
+def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> np.ndarray:
+    """Max regularized defect of the two integral equations over t_j, j >= 1,
+    one per column of wf, wg (shape (n+1, k)); omega is lower triangular,
+    so its product runs in row blocks over it."""
+    k = wf.shape[1]
+    U = np.hstack((Gv[:, None] * wg + wq[:, None], Rv[:, None] * wf + wv[:, None]))
     hist = np.empty_like(U)
     for i0 in range(0, U.shape[0], _BLOCK):
         s = slice(i0, i0 + _BLOCK)
         hist[s] = omega[s, :s.stop] @ U[:s.stop]
-    df = wf - (wf[0] + pf * hist[:, 0])
-    dg = wg - (wg[0] + pf * hist[:, 1])
-    return float(max(np.abs(df[1:]).max(), np.abs(dg[1:]).max()))
+    df = wf - (wf[0] + pf[:, None] * hist[:, :k])
+    dg = wg - (wg[0] + pf[:, None] * hist[:, k:])
+    return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
 
 
-def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
-                 grid: GradedGrid, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 scheme: str = "marching") -> SolveReport:
-    """Solve the coupled integral system on the grid.
+def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a, grid: GradedGrid,
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                scheme: str = "marching") -> tuple[SolveReport, ...]:
+    """Solve the coupled integral system on the grid for k initial data
+    (f_a[j], g_a[j]) at once; one report per datum, in order.
 
-    scheme: "marching" (the default) solves block by block along the grid
-    and needs no contraction condition; tol and max_iter do not apply to
-    it. "picard" iterates the fixed-point map, records its increments and
-    raises ConvergenceError when it stalls or diverges.
+    scheme: "marching" (the default) solves block by block along the grid,
+    all k columns in one pass, and needs no contraction condition; tol and
+    max_iter do not apply to it. "picard" iterates the fixed-point map for
+    each datum, records its increments and raises ConvergenceError when
+    one stalls or diverges. A failure of any column fails the batch.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -183,20 +196,37 @@ def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    f_a = np.asarray(f_a, dtype=float).reshape(-1)
+    g_a = np.asarray(g_a, dtype=float).reshape(-1)
+    if f_a.shape != g_a.shape or not f_a.size:
+        raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     ga = order.gamma
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
     data = _node_data(coeffs, order, grid, scale)
     if scheme == "picard":
-        wf, wg, increments = _picard(omega, *data, f_a, g_a, tol, max_iter)
+        wf, wg, increments = zip(*(_picard(omega, *data, fa, gb, tol, max_iter)
+                                   for fa, gb in zip(f_a, g_a)))
+        wf, wg = np.column_stack(wf), np.column_stack(wg)
     else:
         wf, wg = _marching(omega, *data, f_a, g_a)
-        increments = []
+        increments = [[]] * f_a.size
     if not (np.all(np.isfinite(wf)) and np.all(np.isfinite(wg))):
         raise FloatingPointError(f"{scheme} solve produced non-finite samples")
-    return SolveReport(f=from_samples(wf, ga, grid), g=from_samples(wg, ga, grid),
-                       iterations=len(increments),
-                       residual=_defect(omega, *data, wf, wg), method=scheme,
-                       increment_norms=tuple(increments))
+    res = _defect(omega, *data, wf, wg)
+    return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
+                             g=from_samples(wg[:, j], ga, grid),
+                             iterations=len(inc), residual=float(res[j]),
+                             method=scheme, increment_norms=tuple(inc))
+                 for j, inc in enumerate(increments))
+
+
+def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
+                 grid: GradedGrid, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER,
+                 scheme: str = "marching") -> SolveReport:
+    """Solve the coupled integral system on the grid: solve_batch for one
+    datum (f_a, g_a)."""
+    return solve_batch(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)[0]
 
 
 def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float:
@@ -204,8 +234,16 @@ def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    return _defect(omega, *_node_data(coeffs, order, grid, scale),
-                   report.f.reg_samples, report.g.reg_samples)
+    return float(_defect(omega, *_node_data(coeffs, order, grid, scale),
+                         report.f.reg_samples[:, None], report.g.reg_samples[:, None])[0])
+
+
+def fite_coefficients(P: Coefficient, V: Coefficient | None = None) -> CoefficientSet:
+    """The system equivalent to D^alpha(D^alpha f) + P f = V: G = 1, Q = 0,
+    R = -P, and V (None: the homogeneous equation, V = 0). Its g is
+    D^alpha f by construction."""
+    return CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P(s),
+                          V=(lambda s: 0.0) if V is None else V)
 
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
@@ -213,8 +251,7 @@ def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
                max_iter: int = DEFAULT_MAX_ITER, scheme: str = "marching",
                V: Coefficient | None = None) -> SolveReport:
     """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation;
-    a V: the forced relaxation oscillation) via the equivalent system with
-    G = 1, Q = 0, R = -P. The returned g is D^alpha f by construction."""
-    coeffs = CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P(s),
-                            V=(lambda s: 0.0) if V is None else V)
-    return solve_system(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)
+    a V: the forced relaxation oscillation) via the equivalent system of
+    fite_coefficients. The returned g is D^alpha f by construction."""
+    return solve_system(fite_coefficients(P, V), order, f_a, g_a, grid, tol,
+                        max_iter, scheme)

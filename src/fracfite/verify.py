@@ -17,9 +17,10 @@ an implementation bug; the sweep exists to hunt for exactly that.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
 
@@ -27,7 +28,8 @@ import numpy as np
 
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
-from .sfde import DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport, solve_fite
+from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport,
+                   fite_coefficients, solve_batch)
 from .weighted import GradedGrid, Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
@@ -200,6 +202,15 @@ class CoefficientSpec:
         return lo, hi
 
 
+def _check_direction(f_a: float, g_a: float) -> None:
+    """The checks on a scenario's initial data: finite and nontrivial."""
+    for name, value in (("f_a", f_a), ("g_a", g_a)):
+        if not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {value!r}")
+    if f_a == 0.0 and g_a == 0.0:
+        raise ConfigError("f_a", "trivial data: (f_a, g_a) must not be (0, 0)")
+
+
 def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
     """spec.range_on(a, c), with any error reported under the field name."""
     try:
@@ -264,9 +275,10 @@ class Scenario(_Config):
             raise ConfigError("max_iter", f"must be >= 1, got {self.max_iter!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
-        for name in ("a", "b", "c", "f_a", "g_a"):
+        for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
+        _check_direction(self.f_a, self.g_a)
         if not (self.a < self.b < self.c):
             raise ConfigError(
                 "c" if self.a >= self.c else "b", "need 'a' < 'b' < 'c', got "
@@ -275,8 +287,6 @@ class Scenario(_Config):
             object.__setattr__(self, "grid", build_grid(self.a, self.c, self.n, self.r))
         except ValueError as exc:
             raise ConfigError("grading", f"{exc}; lower the grading or n") from None
-        if self.f_a == 0.0 and self.g_a == 0.0:
-            raise ConfigError("f_a", "trivial data: (f_a, g_a) must not be (0, 0)")
         p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)
         if p_min < 0.0:
             raise ConfigError("P", f"must be nonnegative, min is {p_min!r}")
@@ -292,9 +302,18 @@ class Scenario(_Config):
     def length(self) -> float:
         return self.c - self.a
 
-    def scenarios(self) -> tuple[Scenario]:
-        """A single scenario runs as a sweep of one."""
-        return (self,)
+    def with_direction(self, f_a: float, g_a: float, label: str = "") -> Scenario:
+        """This scenario with initial data (f_a, g_a) and label; it shares
+        the grid and P range validated here and checks only the new data."""
+        _check_direction(f_a, g_a)
+        other = copy.copy(self)
+        for name, value in (("f_a", f_a), ("g_a", g_a), ("label", label)):
+            object.__setattr__(other, name, value)
+        return other
+
+    def cells(self) -> tuple[tuple[Scenario]]:
+        """A single scenario runs as a sweep of one cell of one."""
+        return ((self,),)
 
 
 @dataclass(frozen=True)
@@ -316,39 +335,64 @@ class VerifyReport:
         return self.lhs / self.rhs if self.rhs else math.nan
 
 
-def solve_scenario(s: Scenario) -> SolveReport:
-    """Solve the scenario's equation on the graded grid it validated."""
+def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
+    """Solve the scenarios of a cell, which differ only in f_a, g_a and
+    label, in one batched solve on the graded grid they validated."""
+    s = cell[0]
+    if any(s.with_direction(c.f_a, c.g_a, c.label) != c for c in cell):
+        raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
     v = None if s.v_coeff is None else s.v_coeff.as_callable(s.a)
-    return solve_fite(s.p_coeff.as_callable(s.a), s.order, s.f_a, s.g_a, s.grid,
-                      tol=s.tol, max_iter=s.max_iter, scheme=s.scheme, V=v)
+    return solve_batch(fite_coefficients(s.p_coeff.as_callable(s.a), v), s.order,
+                       [c.f_a for c in cell], [c.g_a for c in cell], s.grid,
+                       tol=s.tol, max_iter=s.max_iter, scheme=s.scheme)
 
 
-def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
-    """Solve one scenario and classify it.
+def solve_scenario(s: Scenario) -> SolveReport:
+    """Solve the scenario's equation: a cell of one."""
+    return solve_cell((s,))[0]
+
+
+def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyReport]:
+    """Solve a cell (see solve_cell) once and classify each of its scenarios;
+    the bound (m, p*, minimal length, lhs, rhs) is the cell's. A failed
+    solve fails every scenario of the cell with the same detail.
 
     rhs_scale multiplies the bound's right side; it exists purely as a
     fault-injection hook for negative-path tests of the harness.
     """
     try:
-        report = solve_scenario(s)
+        solves = solve_cell(cell)
     except (ConvergenceError, FloatingPointError, OverflowError) as exc:
-        return VerifyReport(scenario=s, verdict=SOLVER_FAILED, detail=str(exc))
+        return [VerifyReport(scenario=c, verdict=SOLVER_FAILED, detail=str(exc))
+                for c in cell]
 
+    s = cell[0]
     m = max(1.0, s.p_sup)
     p_star, min_len = best_min_length(s.order, m)
-    pair = first_zero_pair(report.f, report.g, s.b, s.c)
     lhs = fite_lhs(s.order, p_star, m, s.length)
     rhs = fite_rhs(s.order) * rhs_scale
-    common = dict(scenario=s, residual=report.residual,
-                  solver_method=report.method, zero_pair=pair, m=m,
-                  p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs)
-    if pair is None:
-        return VerifyReport(verdict=NO_ZERO_PAIR, **common)
-    if lhs >= rhs:
-        return VerifyReport(verdict=BOUND_HOLDS, **common)
-    if norm_full(report.f) > _TRIVIAL_NORM:
-        return VerifyReport(verdict=COUNTEREXAMPLE, **common)
-    return VerifyReport(verdict=NO_ZERO_PAIR, detail="trivial solution", **common)
+    reports = []
+    for c, report in zip(cell, solves):
+        pair = first_zero_pair(report.f, report.g, c.b, c.c)
+        detail = ""
+        if pair is None:
+            verdict = NO_ZERO_PAIR
+        elif lhs >= rhs:
+            verdict = BOUND_HOLDS
+        elif norm_full(report.f) > _TRIVIAL_NORM:
+            verdict = COUNTEREXAMPLE
+        else:
+            verdict, detail = NO_ZERO_PAIR, "trivial solution"
+        reports.append(VerifyReport(
+            scenario=c, verdict=verdict, residual=report.residual,
+            solver_method=report.method, zero_pair=pair, m=m, p_star=p_star,
+            min_len=min_len, lhs=lhs, rhs=rhs, detail=detail))
+    return reports
+
+
+def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
+    """Solve one scenario and classify it: a cell of one."""
+    return run_cell((s,), rhs_scale)[0]
 
 
 @dataclass(frozen=True)
@@ -379,6 +423,13 @@ class SweepSpec(_Config):
     n: int = 512
     r: float = 2.0
     random_directions: bool = False
+    # ((alpha, P, L), validated scenario of that cell at direction 0), set by
+    # __post_init__; a slot, not a field, so that it stays out of __dict__
+    # and SweepSpec(**{**spec.__dict__, ...}) still derives a spec
+    __slots__ = ("_cells",)
+
+    def __reduce__(self):  # pickle and copy validate afresh
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __post_init__(self):
         for name in ("alphas", "p_infs", "lengths"):
@@ -392,14 +443,21 @@ class SweepSpec(_Config):
             raise ConfigError("b_fraction",
                               f"must lie in (0, 1), got {self.b_fraction!r}")
         # The direction moves only (f_a, g_a) on the unit circle, so one
-        # scenario per cell validates the grid; errors name the sweep's key.
+        # scenario per cell validates the grid and P, and the cell's
+        # directions share them; errors name the sweep's key.
+        cells = []
         for cell in product(self.alphas, self.p_infs, self.lengths):
+            alpha, p_inf, length = cell
             try:
-                self._scenario(*cell, 0.0, "")
+                cells.append((cell, Scenario(
+                    order=Order(alpha), a=self.a, b=self.a + self.b_fraction * length,
+                    c=self.a + length, p_coeff=CoefficientSpec.const(p_inf),
+                    f_a=1.0, g_a=0.0, n=self.n, r=self.r)))
             except ConfigError as exc:
                 key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
                        "c": "lengths"}.get(exc.field, exc.field)
                 raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
+        object.__setattr__(self, "_cells", tuple(cells))
 
     def direction_angles(self) -> np.ndarray:
         if self.random_directions:
@@ -407,19 +465,14 @@ class SweepSpec(_Config):
             return rng.uniform(0.0, 2.0 * math.pi, self.directions)
         return 2.0 * math.pi * np.arange(self.directions) / self.directions
 
-    def _scenario(self, alpha, p_inf, length, theta, label) -> Scenario:
-        return Scenario(
-            order=Order(alpha), a=self.a, b=self.a + self.b_fraction * length,
-            c=self.a + length, p_coeff=CoefficientSpec.const(p_inf),
-            f_a=math.cos(theta), g_a=math.sin(theta), n=self.n, r=self.r,
-            label=label)
-
-    def scenarios(self) -> list[Scenario]:
-        return [self._scenario(alpha, p_inf, length, theta,
-                               f"alpha={alpha},P={p_inf},L={length},dir={k}")
-                for alpha, p_inf, length, (k, theta) in product(
-                    self.alphas, self.p_infs, self.lengths,
-                    enumerate(self.direction_angles()))]
+    def cells(self) -> list[tuple[Scenario, ...]]:
+        """The scenarios, one per direction, grouped by (alpha, P, L) cell
+        in sweep order."""
+        angles = list(enumerate(self.direction_angles()))
+        return [tuple(s.with_direction(math.cos(theta), math.sin(theta),
+                                       f"alpha={alpha},P={p_inf},L={length},dir={k}")
+                      for k, theta in angles)
+                for (alpha, p_inf, length), s in self._cells]
 
 
 def parse_config(obj, n=None, grading=None, seed=None) -> Scenario | SweepSpec:
@@ -445,21 +498,22 @@ class SweepReport:
 
 def sweep(spec: Scenario | SweepSpec, workers: int = 1,
           rhs_scale: float = 1.0) -> SweepReport:
-    """Run every scenario of a parsed config (a Scenario is a sweep of one);
-    deterministic for a given spec and seed regardless of worker count
-    (scenario order is fixed up front). The pool has at most one worker
-    per scenario."""
+    """Run every scenario of a parsed config (a Scenario is a sweep of one),
+    one cell (the directions of one (alpha, P, L)) at a time; deterministic
+    for a given spec and seed regardless of worker count (cell and scenario
+    order are fixed up front). The pool has at most one worker per cell."""
     if not (math.isfinite(rhs_scale) and rhs_scale > 0.0):
         raise ConfigError("rhs_scale", f"must be finite and > 0, got {rhs_scale!r}")
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
-    scenarios = spec.scenarios()
-    run = partial(run_scenario, rhs_scale=rhs_scale)
-    if workers > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(scenarios))) as pool:
-            reports = list(pool.map(run, scenarios, chunksize=4))
+    cells = spec.cells()
+    run = partial(run_cell, rhs_scale=rhs_scale)
+    if workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            done = list(pool.map(run, cells))
     else:
-        reports = list(map(run, scenarios))
+        done = list(map(run, cells))
+    reports = [rep for cell in done for rep in cell]
     counts = {v: sum(rep.verdict == v for rep in reports) for v in VERDICTS}
     ratios = [rep.ratio for rep in reports if rep.zero_pair is not None
               and math.isfinite(rep.ratio)]

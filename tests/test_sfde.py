@@ -7,7 +7,7 @@ from fracfite import (CoefficientSet, ConvergenceError, Order, big_E,
                       build_grid, from_samples, gamma_fn, residual,
                       solve_fite, solve_system)
 from fracfite.rlops import kernel_matrix
-from fracfite.sfde import _marching, _node_data
+from fracfite.sfde import _marching, _node_data, fite_coefficients, solve_batch
 from oracles import marching_reference, mittag_leffler, rl_derivative
 
 ORDER = Order(0.75)
@@ -173,13 +173,19 @@ class TestBlockedMarching:
     @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 65, 513])
     @pytest.mark.parametrize("kind", ["varying", "forced"])
     def test_matches_node_by_node_reference(self, n, kind):
+        # k = 1 and k = 3 columns of initial data in one pass, each column
+        # against its own node-by-node loop
         coeffs = self.VARYING if kind == "varying" else self.FORCED
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
         data = _node_data(coeffs, ORDER, g, scale)
-        for ref, got in zip(marching_reference(omega, *data, 0.6, -0.8),
-                            _marching(omega, *data, 0.6, -0.8)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
+            wf, wg = _marching(omega, *data, np.array(f_a), np.array(g_a))
+            assert wf.shape == wg.shape == (n + 1, len(f_a))
+            for j, (fa, ga) in enumerate(zip(f_a, g_a)):
+                for ref, got in zip(marching_reference(omega, *data, fa, ga),
+                                    (wf[:, j], wg[:, j])):
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_singular_step_names_its_node(self):
         # R is nonzero only at node k > _BLOCK, where it makes det_k vanish
@@ -195,6 +201,55 @@ class TestBlockedMarching:
             marching_reference(omega, *data, 1.0, 0.0)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             solve_system(coeffs, ORDER, 1.0, 0.0, g)
+        # the Schur matrix does not depend on the data: one error per batch
+        with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
+            solve_batch(coeffs, ORDER, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5], g)
+
+
+class TestBatchedSolve:
+    """k initial data in one solve against k single solves."""
+
+    DIRECTIONS = 2.0 * np.pi * np.arange(8) / 8 + 0.1
+
+    @pytest.mark.parametrize("V", [None, lambda t: 0.5 + np.sin(t)],
+                             ids=["homogeneous", "forced"])
+    @pytest.mark.parametrize("n", [96, 512])
+    def test_batch_matches_single_solves(self, V, n):
+        g = build_grid(0.0, 5.0, n, 2.0)
+        P = lambda t: 2.0 + np.cos(t)
+        f_a, g_a = np.cos(self.DIRECTIONS), np.sin(self.DIRECTIONS)
+        batch = solve_batch(fite_coefficients(P, V), ORDER, f_a, g_a, g)
+        assert len(batch) == 8
+        for fa, ga, got in zip(f_a, g_a, batch):
+            ref = solve_fite(P, ORDER, fa, ga, g, V=V)
+            for w_ref, w_got in ((ref.f, got.f), (ref.g, got.g)):
+                scale = np.abs(w_ref.reg_samples).max()
+                assert np.abs(w_got.reg_samples - w_ref.reg_samples).max() \
+                    <= 1e-13 * scale
+            assert (got.method, got.iterations) == ("marching", 0)
+            assert got.residual <= 1e-13  # per column, like ref.residual
+
+    def test_picard_batch(self):
+        g = build_grid(0.0, 0.04, 128, 2.0)
+        batch = solve_batch(fite_coefficients(lambda t: 1.0), ORDER, [1.0, 0.0],
+                            [0.3, 1.0], g, scheme="picard")
+        for (fa, ga), got in zip([(1.0, 0.3), (0.0, 1.0)], batch):
+            ref = solve_fite(lambda t: 1.0, ORDER, fa, ga, g, scheme="picard")
+            np.testing.assert_array_equal(got.f.reg_samples, ref.f.reg_samples)
+            assert got.increment_norms == ref.increment_norms
+
+    def test_non_finite_block_fails_the_batch(self):
+        # overflow in any column raises once, with no report for the others
+        g = build_grid(0.0, 1e8, 64, 2.0)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            solve_batch(fite_coefficients(lambda t: 1e300), Order(0.9),
+                        [1.0, 0.0, 0.6], [0.0, 1.0, 0.8], g)
+
+    @pytest.mark.parametrize("f_a,g_a", [([], []), ([1.0, 0.0], [1.0])])
+    def test_data_shapes(self, f_a, g_a):
+        g = build_grid(0.0, 1.0, 16, 2.0)
+        with pytest.raises(ValueError, match="data pairs"):
+            solve_batch(ml_coeffs(0.0, 1.0), ORDER, f_a, g_a, g)
 
 
 class TestSolveFite:

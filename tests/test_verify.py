@@ -274,7 +274,7 @@ class TestSweep:
         assert result.min_ratio == rep.ratio
 
     def test_one_grid_and_one_min_length_per_scenario(self, monkeypatch):
-        # 216 scenarios; the counts do not depend on n
+        # 216 scenarios in 27 (alpha, P, L) cells; the counts do not depend on n
         grids, lengths = [], []
         build_grid, min_length = verify_module.build_grid, bounds.min_length
 
@@ -292,9 +292,10 @@ class TestSweep:
         rlops._matrix_cached.cache_clear()
         report = sweep(SweepSpec(**STANDARD_GRID, n=64))
         assert len(report.reports) == 216
-        # one per scenario, per cell SweepSpec validates and per kernel build
-        assert len(grids) == 216 + 27 + 3
-        assert len(lengths) == 216
+        # one per cell SweepSpec validates, which its directions share, and
+        # one per kernel build; the bound is the cell's
+        assert len(grids) == 27 + 3
+        assert len(lengths) == 27
 
     def test_pool_has_at_most_one_worker_per_scenario(self, monkeypatch):
         # the fork start method launches all max_workers processes up front
@@ -314,11 +315,46 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
-        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
-                         directions=2, n=64)
-        assert len(sweep(spec, workers=5000).reports) == 2
+        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 2.0),
+                         directions=3, n=64)
+        assert len(sweep(spec, workers=5000).reports) == 6  # two cells
+        one_cell = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
+                             directions=3, n=64)
+        assert len(sweep(one_cell, workers=5000).reports) == 3  # in-process
         sweep(fite_scenario(n=64), workers=5000)  # one scenario runs in-process
         assert sizes == [2]
+
+    def test_failed_cell_fails_each_direction(self):
+        # one solve per cell: the overflowing cell fails all 3 directions
+        # with the detail each gives alone, and the order stays the sweep's
+        spec = SweepSpec(alphas=(0.9,), p_infs=(1e300, 1.0), lengths=(1e8,),
+                         directions=3, n=64)
+        report = sweep(spec)
+        alone = [run_scenario(s) for cell in spec.cells() for s in cell]
+        assert [r.scenario.label for r in report.reports] == [
+            f"alpha=0.9,P={p},L=100000000.0,dir={k}"
+            for p in (1e300, 1.0) for k in range(3)]
+        assert report.verdicts[:3] == ("SOLVER_FAILED",) * 3
+        assert {r.detail for r in report.reports[:3]} == {
+            "marching solve produced non-finite samples"}
+        assert "SOLVER_FAILED" not in report.verdicts[3:]
+        assert [(r.verdict, r.detail) for r in report.reports] == [
+            (r.verdict, r.detail) for r in alone]
+
+    def test_with_direction_checks_the_data(self):
+        s = fite_scenario(n=64)
+        other = s.with_direction(0.6, 0.8, "x")
+        assert (other.f_a, other.g_a, other.label) == (0.6, 0.8, "x")
+        assert other.grid is s.grid
+        assert (s.f_a, s.g_a) == (0.0, 1.0)
+        with pytest.raises(ConfigError, match="^f_a: trivial data"):
+            s.with_direction(0.0, 0.0)
+        with pytest.raises(ConfigError, match="^g_a: must be finite"):
+            s.with_direction(1.0, math.nan)
+
+    def test_cell_must_differ_only_in_direction(self):
+        with pytest.raises(ValueError, match="differ only in f_a, g_a and label"):
+            verify_module.solve_cell((fite_scenario(n=64), fite_scenario(n=96)))
 
     def test_empty_grid(self):
         # a sweep that checks nothing must not pass as a clean sweep
