@@ -4,10 +4,11 @@
 Every estimate feeding the length bound is evaluated on random instances
 (random intervals, windows, coefficients, and weighted functions) and
 checked with multiplicative slack 1 + 1e-6. Any violation aborts with the
-inequality name and the trial seed that reproduces it.
+inequality name, the seed and the failing trial k; rerunning with the same
+--alpha, --p and --seed and with --trials k+1 reproduces it.
 
 Usage:
-    python scripts/run_audit.py [--alpha 0.75] [--p 1.5] [--trials 1000]
+    python scripts/run_audit.py [--alpha 0.75] [--p 1.5] [--trials 1000] [--seed 42]
 """
 
 import argparse

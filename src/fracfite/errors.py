@@ -8,14 +8,17 @@ class ConvergenceError(RuntimeError):
 class AuditFailure(RuntimeError):
     """A numerically audited inequality was violated.
 
-    Carries the inequality label and the per-trial seed so the failing
-    instance can be reproduced exactly.
+    Carries the inequality label, the audit seed and the failing trial:
+    trial k of seed S draws its instance from SeedSequence([S, k]), so
+    `fracfite audit --seed S --trials k+1` (same alpha and p) reproduces it.
     """
 
-    def __init__(self, inequality: str, trial_seed: int, detail: str = ""):
+    def __init__(self, inequality: str, seed: int, trial: int, detail: str = ""):
         self.inequality = inequality
-        self.trial_seed = trial_seed
-        msg = f"inequality {inequality} violated (trial seed {trial_seed})"
+        self.seed = seed
+        self.trial = trial
+        msg = (f"inequality {inequality} violated at trial {trial} of seed {seed}"
+               f" (reproduce with --seed {seed} --trials {trial + 1})")
         if detail:
             msg += ": " + detail
         super().__init__(msg)

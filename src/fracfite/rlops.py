@@ -42,6 +42,7 @@ which callers fold into a factor they apply anyway.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -248,10 +249,21 @@ def kernel_integral(lo: float, hi: float, a: float, t: float,
     Reference integrator for the inequality audits: the range is split
     into n_sub cells graded quadratically toward any singular endpoint
     (s = a on the left, s = t on the right), each cell handled by the same
-    substitution + Gauss machinery as the operator matrices.
+    substitution + Gauss machinery as the operator matrices. Cells are
+    classified by their end values, so a cell that rounds onto a or t takes
+    that end's rule wherever it sits, and all cells of one rule are
+    evaluated together. Requires 0 < beta < 1, 0 <= gamma < 1, n_sub >= 1
+    and finite arguments.
     """
+    if not all(math.isfinite(x) for x in (lo, hi, a, t, beta, gamma)):
+        raise ValueError("kernel_integral arguments must be finite")
     if not (a <= lo < hi <= t):
         raise ValueError("need a <= lo < hi <= t")
+    if not (0.0 < beta < 1.0 and 0.0 <= gamma < 1.0):
+        raise ValueError(f"need 0 < beta < 1 and 0 <= gamma < 1, "
+                         f"got beta={beta!r}, gamma={gamma!r}")
+    if not (isinstance(n_sub, (int, np.integer)) and n_sub >= 1):
+        raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")
     left_sing = lo == a and gamma > 0.0
     right_sing = hi == t
     u = np.linspace(0.0, 1.0, n_sub + 1)
@@ -263,20 +275,24 @@ def kernel_integral(lo: float, hi: float, a: float, t: float,
         pts = hi - (hi - lo) * (1.0 - u) ** 2
     else:
         pts = lo + (hi - lo) * u
-    total = 0.0
-    for s0, s1 in zip(pts[:-1], pts[1:]):
-        h = s1 - s0
-        if s0 == a and s1 == t:
-            total += (t - a) ** (1.0 - beta - gamma) * beta_fn(1.0 - gamma, 1.0 - beta)
-        elif s0 == a and gamma > 0.0:
-            s = a + h * _GX ** (1.0 / (1.0 - gamma))
-            total += (h ** (1.0 - gamma) / (1.0 - gamma)) * float(
-                _GW @ (t - s) ** (-beta))
-        elif s1 == t:
-            s = t - h * _GX ** (1.0 / (1.0 - beta))
-            total += (h ** (1.0 - beta) / (1.0 - beta)) * float(
-                _GW @ (s - a) ** (-gamma))
-        else:
-            s = s0 + h * _GX
-            total += h * float(_GW @ ((t - s) ** (-beta) * (s - a) ** (-gamma)))
-    return total
+    s0, s1 = pts[:-1], pts[1:]
+    # one rule per cell, in this precedence: exact Beta moment on [a, t],
+    # left substitution from a, right substitution into t, plain Gauss
+    whole = (s0 == a) & (s1 == t)
+    left = (s0 == a) & (gamma > 0.0) & ~whole
+    right = (s1 == t) & ~(whole | left)
+    plain = ~(whole | left | right)
+    total = np.count_nonzero(whole) * (
+        (t - a) ** (1.0 - beta - gamma) * beta_fn(1.0 - gamma, 1.0 - beta))
+    if left.any():
+        h = s1[left] - s0[left]
+        s = a + h[:, None] * _GX ** (1.0 / (1.0 - gamma))
+        total += (h ** (1.0 - gamma) / (1.0 - gamma)) @ ((t - s) ** (-beta) @ _GW)
+    if right.any():
+        h = s1[right] - s0[right]
+        s = t - h[:, None] * _GX ** (1.0 / (1.0 - beta))
+        total += (h ** (1.0 - beta) / (1.0 - beta)) @ ((s - a) ** (-gamma) @ _GW)
+    h = s1[plain] - s0[plain]
+    s = s0[plain, None] + h[:, None] * _GX
+    total += h @ (((t - s) ** (-beta) * (s - a) ** (-gamma)) @ _GW)
+    return float(total)

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
                       best_min_length,
                       big_C, big_D, big_E, bound_report, constant_chain,
-                      fite_lhs, fite_rhs, holder_params, min_length, small_c)
+                      fite_lhs, fite_rhs, holder_params, kernel_integral,
+                      min_length, small_c)
+from fracfite import bounds
+from oracles import kernel_integral_reference
 
 ORDER = Order(0.75)
 # frozen 20-digit references (mpmath, dps=40)
@@ -280,5 +283,49 @@ class TestAudit:
         assert (x + y) ** e <= x**e + y**e + 1e-12
 
     def test_audit_failure_type_exists(self):
-        err = AuditFailure("chain_D", 123, "detail")
-        assert "chain_D" in str(err) and "123" in str(err)
+        err = AuditFailure("chain_D", 123, 4, "detail")
+        assert (err.inequality, err.seed, err.trial) == ("chain_D", 123, 4)
+        assert "chain_D" in str(err) and "detail" in str(err)
+        assert "--seed 123 --trials 5" in str(err)
+
+    def test_failure_names_the_seed_and_trial_that_reproduce_it(self, monkeypatch):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return kernel_integral(*args)
+
+        monkeypatch.setattr(bounds, "kernel_integral", record)
+        audit_estimates(ORDER, 1.5, 10, 42)
+        assert len(calls) == 30  # three integrals per trial
+        target = calls[15]  # trial 5's kernel_window integral
+
+        def inflate(*args):
+            val = kernel_integral(*args)
+            return 1e6 * val if args == target else val
+
+        monkeypatch.setattr(bounds, "kernel_integral", inflate)
+        with pytest.raises(AuditFailure) as first:
+            audit_estimates(ORDER, 1.5, 10, 42)
+        err = first.value
+        assert (err.inequality, err.seed, err.trial) == ("kernel_window", 42, 5)
+        assert "--seed 42 --trials 6" in str(err)
+        with pytest.raises(AuditFailure) as rerun:
+            audit_estimates(ORDER, 1.5, 6, 42)
+        assert (rerun.value.seed, rerun.value.trial) == (42, 5)
+        assert str(rerun.value) == str(err)
+
+    def test_audited_integrals_match_cell_loop(self, monkeypatch):
+        calls = []
+
+        def record(*args):
+            val = kernel_integral(*args)
+            calls.append((args, val))
+            return val
+
+        monkeypatch.setattr(bounds, "kernel_integral", record)
+        audit_estimates(ORDER, 1.5, 200, 42)
+        assert len(calls) == 600
+        for args, val in calls:
+            ref = kernel_integral_reference(*args)
+            assert abs(val - ref) <= 1e-14 * abs(ref), args

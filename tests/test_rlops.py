@@ -11,8 +11,8 @@ import pytest
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix, norm_full, q_operator)
 from fracfite.rlops import _CHEB, _build_matrix, _chebyshev_interp, _matrix_cached
-from oracles import (build_matrix_reference, from_callable, rl_derivative,
-                     rl_integral)
+from oracles import (build_matrix_reference, from_callable,
+                     kernel_integral_reference, rl_derivative, rl_integral)
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 
@@ -334,3 +334,54 @@ class TestKernelIntegral:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             kernel_integral(0.5, 0.4, 0.0, 1.0, 0.3, 0.3)
+
+    @pytest.mark.parametrize("bad", [
+        {"n_sub": 0}, {"n_sub": -2}, {"n_sub": 2.5},
+        {"beta": 1.0}, {"beta": 0.0}, {"beta": math.nan},
+        {"gamma": 1.0}, {"gamma": -0.1}, {"gamma": math.inf},
+        {"t": math.inf}, {"hi": math.inf, "t": math.inf}, {"lo": math.nan},
+        {"a": -math.inf},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_arguments(self, bad):
+        args = {"lo": 0.2, "hi": 0.8, "a": 0.0, "t": 1.0, "beta": 0.3,
+                "gamma": 0.3, "n_sub": 64, **bad}
+        with pytest.raises(ValueError):
+            kernel_integral(**args)
+
+    @staticmethod
+    def _assert_matches_loop(lo, hi, a, t, beta, gamma, n_sub=64):
+        val = kernel_integral(lo, hi, a, t, beta, gamma, n_sub)
+        ref = kernel_integral_reference(lo, hi, a, t, beta, gamma, n_sub)
+        assert abs(val - ref) <= 1e-14 * abs(ref), (lo, hi, a, t, beta, gamma, n_sub)
+
+    @pytest.mark.parametrize("n_sub", [1, 2, 64])
+    @pytest.mark.parametrize("zero_gamma", [False, True])
+    def test_matches_cell_loop(self, n_sub, zero_gamma):
+        # (a, t) at n_sub = 1 is the exact Beta cell; ranges from a take the
+        # left substitution (plain cells at gamma = 0), ranges into t the
+        # right one, interior ranges the plain rule
+        rng = np.random.default_rng(n_sub + 100 * zero_gamma)
+        for _ in range(40):
+            a = rng.uniform(-2.0, 2.0)
+            t = a + rng.uniform(0.05, 3.0)
+            beta = rng.uniform(0.05, 0.95)
+            gamma = 0.0 if zero_gamma else rng.uniform(0.01, 0.95)
+            x, y = np.sort(rng.uniform(a, t, 2))
+            for lo, hi in ((a, t), (a, y), (x, t), (x, y)):
+                self._assert_matches_loop(lo, hi, a, t, beta, gamma, n_sub)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_matches_cell_loop_when_cells_round_onto_an_end(self, gamma):
+        # ranges a few ulps wide: several leading cell points round to a (or
+        # trailing ones to t), giving empty cells at the singular ends
+        a = 1.3
+        ulp = math.ulp(a)
+        u = np.linspace(0.0, 1.0, 65)
+        hi = a + 64 * ulp
+        assert np.count_nonzero(a + (hi - a) * u**2 == a) >= 3
+        self._assert_matches_loop(a, hi, a, 2.0, 0.35, gamma)
+        lo = a - 64 * ulp
+        assert np.count_nonzero(a - (a - lo) * (1.0 - u) ** 2 == a) >= 3
+        self._assert_matches_loop(lo, a, 0.5, a, 0.35, gamma)
+        for width in (ulp, 4 * ulp):  # one ulp: a single cell is all of [a, t]
+            self._assert_matches_loop(a, a + width, a, a + width, 0.35, gamma)
