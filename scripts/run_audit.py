@@ -4,8 +4,9 @@
 Every estimate feeding the length bound is evaluated on random instances
 (random intervals, windows, coefficients, and weighted functions) and
 checked with multiplicative slack 1 + 1e-6. Any violation aborts with the
-inequality name, the seed and the failing trial k; rerunning with the same
---alpha, --p and --seed and with --trials k+1 reproduces it.
+inequality name, the seed and the failing trial k (exit 1); rerunning with
+the same --alpha, --p and --seed and with --trials k+1 reproduces it. An
+invalid argument exits 2 with an `error:` line.
 
 Usage:
     python scripts/run_audit.py [--alpha 0.75] [--p 1.5] [--trials 1000] [--seed 42]
@@ -16,7 +17,7 @@ import sys
 import time
 
 from fracfite import Order, audit_estimates
-from fracfite.errors import AuditFailure
+from fracfite.errors import AuditFailure, ConfigError
 
 
 def main() -> int:
@@ -31,6 +32,9 @@ def main() -> int:
     try:
         report = audit_estimates(Order(args.alpha), args.p, args.trials,
                                  args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except AuditFailure as exc:
         print(f"AUDIT FAILURE: {exc}")
         return 1

@@ -4,7 +4,8 @@
 Runs the standard 3 x 3 x 3 x 8 grid (orders x coefficient bounds x
 interval lengths x initial-data directions), prints verdict counts and
 the smallest observed lhs/rhs margin, then re-runs at doubled resolution
-and reports whether any verdict changed.
+and reports whether any verdict changed. Exits 1 on a counterexample or a
+changed verdict, and 2 with an `error:` line on an invalid argument.
 
 Usage:
     python scripts/run_sweep.py [--n 512] [--seed 42] [--workers 1]
@@ -15,6 +16,7 @@ import sys
 import time
 
 from fracfite import SweepSpec, sweep
+from fracfite.errors import ConfigError
 
 
 def main() -> int:
@@ -24,10 +26,20 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-refinement", action="store_true")
     args = ap.parse_args()
+    try:
+        return run(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
     spec = SweepSpec(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
                      lengths=(0.05, 0.5, 5.0), directions=8,
                      seed=args.seed, n=args.n)
+    # built here so that a refined n over the matrix cap fails before any solve
+    refined = None if args.skip_refinement else \
+        SweepSpec(**{**spec.__dict__, "n": 2 * args.n})
     t0 = time.time()
     coarse = sweep(spec, workers=args.workers)
     print(f"sweep at n={args.n}: {time.time() - t0:.1f}s")
@@ -39,10 +51,9 @@ def main() -> int:
             print(f"  !! {rep.scenario.label}: lhs={rep.lhs} rhs={rep.rhs}")
         return 1
 
-    if not args.skip_refinement:
+    if refined is not None:
         t0 = time.time()
-        fine = sweep(SweepSpec(**{**spec.__dict__, "n": 2 * args.n}),
-                     workers=args.workers)
+        fine = sweep(refined, workers=args.workers)
         print(f"refined sweep at n={2 * args.n}: {time.time() - t0:.1f}s")
         changed = sum(a != b for a, b in zip(coarse.verdicts, fine.verdicts))
         print(f"  verdicts changed under refinement: {changed}")

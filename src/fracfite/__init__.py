@@ -12,7 +12,7 @@ from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn, gamma_fn, log_gamma
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples, norm_full)
-from .rlops import kernel_integral, kernel_matrix, q_operator
+from .rlops import kernel_integral, kernel_matrix
 from .sfde import (CoefficientSet, SolveReport, residual, solve_fite,
                    solve_system)
 from .zeros import find_zeros, first_zero_pair
@@ -34,6 +34,6 @@ __all__ = [
     "constant_chain", "eval_reg", "find_zeros", "first_zero_pair",
     "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
     "kernel_integral", "kernel_matrix", "log_gamma", "min_length",
-    "norm_full", "q_operator", "residual", "run_scenario", "small_c",
-    "solve_fite", "solve_system", "sweep",
+    "norm_full", "residual", "run_scenario", "small_c", "solve_fite",
+    "solve_system", "sweep",
 ]

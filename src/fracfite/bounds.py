@@ -105,7 +105,7 @@ def big_D(order: Order, p: float, length: float) -> float:
 
 def big_E(order: Order, p: float, length: float) -> float:
     """E = (D / Gamma(alpha)) max(L^{1/q}, L^{1-alpha}); E m < 1 is the
-    contraction regime of the solver's Picard iteration."""
+    contraction regime of the Picard map of the fixed-point argument."""
     hp = holder_params(order, p)
     mx = max(length ** (1.0 / hp.q), length ** order.gamma)
     return big_D(order, p, length) / gamma_fn(order.alpha) * mx

@@ -2,7 +2,8 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative computation failed to reach its stopping criterion."""
+    """A solve failed: a singular marching step, or an iteration that did
+    not reach its stopping criterion."""
 
 
 class AuditFailure(RuntimeError):

@@ -31,8 +31,8 @@ that its parent block does not. At _ETA = 2 the interpolant converges
 like 9.9^-k, below the 6-point rule's own error at k = 16. The build thus
 makes O(n log n) far-field power evaluations, plus the 16-point near band
 and one dense product per block. Applying Omega is a
-triangular matrix-vector product, so repeated applications (Picard
-iterations, residuals) are cheap. The substitution s = a + L sigma maps
+triangular matrix-vector product, so repeated applications (marching
+history products, residuals) are cheap. The substitution s = a + L sigma maps
 the graded grid on [a, a+L] onto the one on [0, 1] and leaves the hat
 functions unchanged, so Omega on [a, a+L] is L^{1-beta-gamma} times the
 unit-interval matrix. Only that unit matrix is built and cached, per
@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .specfn import beta_fn
-from .weighted import GradedGrid, WeightedFn, build_grid, from_samples
+from .weighted import GradedGrid, build_grid
 
 
 def _gauss01(points: int):
@@ -209,37 +208,6 @@ def kernel_matrix(grid: GradedGrid, beta: float,
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
     unit = _matrix_cached(grid.n, grid.r, float(beta), float(gamma))
     return unit, grid.length ** (1.0 - beta - gamma)
-
-
-def _check_regime(beta: float, gamma: float) -> None:
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"kernel exponent beta must lie in (0, 1), got {beta!r}")
-    if beta + gamma > 1.0 + 1e-14:
-        raise ValueError(
-            f"outside the estimate regime: beta + gamma = {beta + gamma!r} > 1")
-
-
-def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
-               beta: float) -> WeightedFn:
-    """(Q_{beta,A} f)(t) = int_a^t A(s) f(s) (t-s)^{-beta} ds on the grid.
-
-    A is called once on the node array, as the sfde coefficients are (a
-    scalar result stands for a constant). Requires beta + gamma <= 1.
-    The result is continuous on [a, c] and is returned with weight
-    exponent 0; its limit at a is 0 for beta + gamma < 1 and
-    A(a) w_0 B(1-gamma, 1-beta) at equality.
-    """
-    _check_regime(beta, w.gamma)
-    u = np.asarray(A(w.grid.nodes), dtype=float) * w.reg_samples
-    omega, scale = kernel_matrix(w.grid, beta, w.gamma)
-    vals = scale * (omega @ u)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("singular-kernel quadrature produced non-finite values")
-    if beta + w.gamma >= 1.0 - 1e-14:
-        vals[0] = u[0] * beta_fn(1.0 - w.gamma, 1.0 - beta)
-    else:
-        vals[0] = 0.0
-    return from_samples(vals, 0.0, w.grid)
 
 
 def kernel_integral(lo: float, hi: float, a: float, t: float,

@@ -12,7 +12,7 @@ and symmetrically for g, with (f, g) sought in the weighted space of
 exponent 1 - alpha. The coefficients G, Q, R, V are functions of the
 node array: each solve calls each of them once on the grid nodes (a
 scalar result stands for a constant), so they are written with numpy
-functions. The production solve is a causal marching scheme in blocks
+functions. The solve is a causal marching scheme in blocks
 of nodes: the history of the product-integration quadrature enters a
 block as one product, and the block's own coupling is solved by forward
 substitution through its Schur complement. It needs no contraction
@@ -20,17 +20,10 @@ condition. The system is linear in the initial data (f_a, g_a) and the
 block Schur matrix depends only on the coefficients, so one marching
 pass solves k initial data at once: the history has 2k columns and each
 block has one Schur solve with k right-hand sides.
-
-Picard iteration of the same discrete system, seeded with the free
-terms, mirrors the fixed-point argument behind the bound. It is kept as
-the contraction probe (its increment ratios measure the contraction
-factor) and as an oracle for marching; when it stalls or diverges it
-raises ConvergenceError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,11 +34,7 @@ from .specfn import gamma_fn
 from .rlops import kernel_matrix
 from .weighted import GradedGrid, Order, WeightedFn, from_samples
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
-_DIVERGE_FACTOR = 1e12
 _BLOCK = 32  # rows per block of the marching solve and the residual product
-SCHEMES = ("picard", "marching")
 Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
 
 
@@ -64,19 +53,15 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Converged solution pair and solve diagnostics.
-
-    increment_norms holds the full weighted norms of successive Picard
-    increments (empty for marching, which also reports 0 iterations);
-    their ratios measure the observed contraction factor.
-    """
+    """Solution pair and its residual. Every solve marches, so method is
+    always "marching" and iterations always 0; both stay in the solve
+    and verify records."""
 
     f: WeightedFn
     g: WeightedFn
-    iterations: int
     residual: float
-    method: str
-    increment_norms: tuple[float, ...] = ()
+    iterations: int = 0
+    method: str = "marching"
 
 
 def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
@@ -142,27 +127,6 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
     return wf, wg
 
 
-def _picard(omega, Gv, Rv, wq, wv, pf, f_a, g_a, tol, max_iter):
-    """Fixed-point iteration seeded with the free terms; returns the
-    samples and the sup-norms of the successive increments."""
-    wf = np.full(omega.shape[0], float(f_a))
-    wg = np.full(omega.shape[0], float(g_a))
-    increments: list[float] = []
-    for _ in range(max_iter):
-        nf = f_a + pf * (omega @ (Gv * wg + wq))
-        ng = g_a + pf * (omega @ (Rv * wf + wv))
-        inc = float(max(np.abs(nf - wf).max(), np.abs(ng - wg).max()))
-        wf, wg = nf, ng
-        increments.append(inc)
-        if not math.isfinite(inc) or inc > _DIVERGE_FACTOR * (increments[0] + 1.0):
-            break
-        if inc <= tol:
-            return wf, wg, increments
-    raise ConvergenceError(
-        f"Picard iteration did not reach tol={tol} within {max_iter} "
-        f"iterations (last increment {increments[-1]:.3e})")
-
-
 def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> np.ndarray:
     """Max regularized defect of the two integral equations over t_j, j >= 1,
     one per column of wf, wg (shape (n+1, k)); omega is lower triangular,
@@ -178,24 +142,12 @@ def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> np.ndarray:
     return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
 
 
-def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a, grid: GradedGrid,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                scheme: str = "marching") -> tuple[SolveReport, ...]:
+def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a,
+                grid: GradedGrid) -> tuple[SolveReport, ...]:
     """Solve the coupled integral system on the grid for k initial data
-    (f_a[j], g_a[j]) at once; one report per datum, in order.
-
-    scheme: "marching" (the default) solves block by block along the grid,
-    all k columns in one pass, and needs no contraction condition; tol and
-    max_iter do not apply to it. "picard" iterates the fixed-point map for
-    each datum, records its increments and raises ConvergenceError when
-    one stalls or diverges. A failure of any column fails the batch.
+    (f_a[j], g_a[j]) at once, all k columns in one marching pass; one
+    report per datum, in order. A failure of any column fails the batch.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     f_a = np.asarray(f_a, dtype=float).reshape(-1)
     g_a = np.asarray(g_a, dtype=float).reshape(-1)
     if f_a.shape != g_a.shape or not f_a.size:
@@ -203,30 +155,21 @@ def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a, grid: GradedGrid
     ga = order.gamma
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
     data = _node_data(coeffs, order, grid, scale)
-    if scheme == "picard":
-        wf, wg, increments = zip(*(_picard(omega, *data, fa, gb, tol, max_iter)
-                                   for fa, gb in zip(f_a, g_a)))
-        wf, wg = np.column_stack(wf), np.column_stack(wg)
-    else:
-        wf, wg = _marching(omega, *data, f_a, g_a)
-        increments = [[]] * f_a.size
+    wf, wg = _marching(omega, *data, f_a, g_a)
     if not (np.all(np.isfinite(wf)) and np.all(np.isfinite(wg))):
-        raise FloatingPointError(f"{scheme} solve produced non-finite samples")
+        raise FloatingPointError("marching solve produced non-finite samples")
     res = _defect(omega, *data, wf, wg)
     return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
                              g=from_samples(wg[:, j], ga, grid),
-                             iterations=len(inc), residual=float(res[j]),
-                             method=scheme, increment_norms=tuple(inc))
-                 for j, inc in enumerate(increments))
+                             residual=float(res[j]))
+                 for j in range(f_a.size))
 
 
 def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
-                 grid: GradedGrid, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 scheme: str = "marching") -> SolveReport:
+                 grid: GradedGrid) -> SolveReport:
     """Solve the coupled integral system on the grid: solve_batch for one
     datum (f_a, g_a)."""
-    return solve_batch(coeffs, order, f_a, g_a, grid, tol, max_iter, scheme)[0]
+    return solve_batch(coeffs, order, f_a, g_a, grid)[0]
 
 
 def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float:
@@ -247,11 +190,8 @@ def fite_coefficients(P: Coefficient, V: Coefficient | None = None) -> Coefficie
 
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
-               grid: GradedGrid, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, scheme: str = "marching",
-               V: Coefficient | None = None) -> SolveReport:
+               grid: GradedGrid, V: Coefficient | None = None) -> SolveReport:
     """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation;
     a V: the forced relaxation oscillation) via the equivalent system of
     fite_coefficients. The returned g is D^alpha f by construction."""
-    return solve_system(fite_coefficients(P, V), order, f_a, g_a, grid, tol,
-                        max_iter, scheme)
+    return solve_system(fite_coefficients(P, V), order, f_a, g_a, grid)

@@ -28,8 +28,7 @@ import numpy as np
 
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
-from .sfde import (DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMES, SolveReport,
-                   fite_coefficients, solve_batch)
+from .sfde import SolveReport, fite_coefficients, solve_batch
 from .weighted import GradedGrid, Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
@@ -66,7 +65,6 @@ def _integral(v) -> int:
 _real = _json((int, float), "a number", float)
 _int = _json((int, float), "an integer", _integral)
 _bool = _json(bool, "true or false")
-_str = _json(str, "a string")
 _list = _json((list, tuple), "a list")
 _reals = _json((list, tuple), "a list of numbers", lambda v: tuple(map(_real, v)))
 
@@ -221,7 +219,9 @@ def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
 
 @dataclass(frozen=True)
 class Scenario(_Config):
-    """One solvable instance plus the window for the zero search."""
+    """One solvable instance plus the window for the zero search. Its tol
+    is read by no solve (the marching solve has no tolerance); it is
+    checked to be > 0 and echoed, for the configs that carry it."""
 
     _WHERE = "config"
     _KEYS = (
@@ -236,9 +236,7 @@ class Scenario(_Config):
         ("g_a", "g_a", _real, 0.0),
         ("n", "n", _int, 512),
         ("grading", "r", _real, 2.0),
-        ("tol", "tol", _real, DEFAULT_TOL),
-        ("max_iter", "max_iter", _int, DEFAULT_MAX_ITER),
-        ("scheme", "scheme", _str, "marching"),
+        ("tol", "tol", _real, 1e-10),
     )
 
     order: Order
@@ -251,9 +249,7 @@ class Scenario(_Config):
     v_coeff: CoefficientSpec | None = None  # present => relaxation-oscillation
     n: int = 512
     r: float = 2.0
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    scheme: str = "marching"
+    tol: float = 1e-10
     label: str = ""
     p_sup: float = field(init=False, repr=False, compare=False)
     grid: GradedGrid = field(init=False, repr=False, compare=False)
@@ -271,10 +267,6 @@ class Scenario(_Config):
             raise ConfigError("grading", f"must be >= 1, got {self.r!r}")
         if not (self.tol > 0.0):
             raise ConfigError("tol", f"must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter", f"must be >= 1, got {self.max_iter!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
         for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
@@ -343,8 +335,7 @@ def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
         raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
     v = None if s.v_coeff is None else s.v_coeff.as_callable(s.a)
     return solve_batch(fite_coefficients(s.p_coeff.as_callable(s.a), v), s.order,
-                       [c.f_a for c in cell], [c.g_a for c in cell], s.grid,
-                       tol=s.tol, max_iter=s.max_iter, scheme=s.scheme)
+                       [c.f_a for c in cell], [c.g_a for c in cell], s.grid)
 
 
 def solve_scenario(s: Scenario) -> SolveReport:

@@ -2,13 +2,16 @@
 
 None of these is called by the package's pipeline: the Mittag-Leffler
 series (an arbitrary-precision solver oracle, the reason mpmath is a test
-dependency), the Riemann-Liouville integral and derivative built on
-q_operator, the closed-form check of the classical second-order Fite
-statement, the node-by-node marching loop that the blocked solve in
-sfde replaces, the 16-point kernel-matrix build that the blocked build in
-rlops replaces, the cell-by-cell loop of rlops.kernel_integral, and
-helpers that sample, evaluate or search weighted functions point by
-point.
+dependency), the weakly singular operator q_operator on rlops'
+kernel matrix and the Riemann-Liouville integral and derivative built on
+it, the closed-form check of the classical second-order Fite statement,
+the node-by-node marching loop that the blocked solve in sfde replaces,
+Picard iteration of the discrete system sfde solves (the fixed-point map
+of the bound's proof, and the oracle for marching) with the exact
+contraction factor of that map, the 16-point kernel-matrix build that
+the blocked build in rlops replaces, the cell-by-cell loop of
+rlops.kernel_integral, and helpers that sample, evaluate or search
+weighted functions point by point.
 """
 
 import math
@@ -19,9 +22,11 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from fracfite import (GradedGrid, WeightedFn, beta_fn, eval_reg, find_zeros,
-                      from_samples, gamma_fn, q_operator)
+from fracfite import (CoefficientSet, GradedGrid, Order, WeightedFn, beta_fn,
+                      eval_reg, find_zeros, from_samples, gamma_fn,
+                      kernel_matrix)
 from fracfite.errors import ConvergenceError
+from fracfite.sfde import _node_data
 
 # Mittag-Leffler series controls.
 _ML_MAX_TERMS = 10_000
@@ -78,6 +83,37 @@ def mittag_leffler(order: float, weight: float, z: float) -> float:
         f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
         f"(order={order}, weight={weight}, z={z})"
     )
+
+
+def _check_regime(beta: float, gamma: float) -> None:
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"kernel exponent beta must lie in (0, 1), got {beta!r}")
+    if beta + gamma > 1.0 + 1e-14:
+        raise ValueError(
+            f"outside the estimate regime: beta + gamma = {beta + gamma!r} > 1")
+
+
+def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
+               beta: float) -> WeightedFn:
+    """(Q_{beta,A} f)(t) = int_a^t A(s) f(s) (t-s)^{-beta} ds on the grid.
+
+    A is called once on the node array, as the sfde coefficients are (a
+    scalar result stands for a constant). Requires beta + gamma <= 1.
+    The result is continuous on [a, c] and is returned with weight
+    exponent 0; its limit at a is 0 for beta + gamma < 1 and
+    A(a) w_0 B(1-gamma, 1-beta) at equality.
+    """
+    _check_regime(beta, w.gamma)
+    u = np.asarray(A(w.grid.nodes), dtype=float) * w.reg_samples
+    omega, scale = kernel_matrix(w.grid, beta, w.gamma)
+    vals = scale * (omega @ u)
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("singular-kernel quadrature produced non-finite values")
+    if beta + w.gamma >= 1.0 - 1e-14:
+        vals[0] = u[0] * beta_fn(1.0 - w.gamma, 1.0 - beta)
+    else:
+        vals[0] = 0.0
+    return from_samples(vals, 0.0, w.grid)
 
 
 def rl_integral(w: WeightedFn, mu: float) -> WeightedFn:
@@ -168,6 +204,61 @@ def marching_reference(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
         uh[i] = Gv[i] * wg[i] + wq[i]
         uk[i] = Rv[i] * wf[i] + wv[i]
     return wf, wg
+
+
+@dataclass(frozen=True)
+class PicardReport:
+    """Picard iterate and the sup-norms of its successive increments."""
+
+    f: WeightedFn
+    g: WeightedFn
+    increment_norms: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increment_norms)
+
+
+def picard_reference(coeffs: CoefficientSet, order: Order, f_a: float,
+                     g_a: float, grid: GradedGrid, tol: float = 1e-10,
+                     max_iter: int = 200) -> PicardReport:
+    """Fixed-point iteration of the discrete system sfde.solve_system
+    marches through, seeded with the free terms. It stops once an
+    increment is <= tol, and raises ConvergenceError after max_iter
+    iterations or when an increment is not finite or exceeds 1e12 times
+    (first increment + 1)."""
+    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
+    wf = np.full(omega.shape[0], float(f_a))
+    wg = np.full(omega.shape[0], float(g_a))
+    increments: list[float] = []
+    for _ in range(max_iter):
+        nf = f_a + pf * (omega @ (Gv * wg + wq))
+        ng = g_a + pf * (omega @ (Rv * wf + wv))
+        inc = float(max(np.abs(nf - wf).max(), np.abs(ng - wg).max()))
+        wf, wg = nf, ng
+        increments.append(inc)
+        if not math.isfinite(inc) or inc > 1e12 * (increments[0] + 1.0):
+            break
+        if inc <= tol:
+            return PicardReport(from_samples(wf, order.gamma, grid),
+                                from_samples(wg, order.gamma, grid),
+                                tuple(increments))
+    raise ConvergenceError(
+        f"Picard iteration did not reach tol={tol} within {max_iter} "
+        f"iterations (last increment {increments[-1]:.3e})")
+
+
+def contraction_factor(coeffs: CoefficientSet, order: Order,
+                       grid: GradedGrid) -> float:
+    """Sup-norm Lipschitz constant of picard_reference's map on the pair
+    (wf, wg): the increments map as (df, dg) -> (pf Omega (G dg),
+    pf Omega (R df)), and Omega, pf >= 0, so the constant is one mat-vec
+    per equation, max(max_i pf_i sum_j Omega_ij |G_j|, same with R)."""
+    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    Gv, Rv, _, _, pf = _node_data(coeffs, order, grid, scale)
+    return float(max((pf * (omega @ np.abs(Gv))).max(),
+                     (pf * (omega @ np.abs(Rv))).max()))
 
 
 _GX, _GW = leggauss(16)

@@ -15,10 +15,11 @@ import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
                       beta_fn, big_C, big_E, build_grid, CoefficientSet,
-                      fite_rhs, gamma_fn, min_length, q_operator,
-                      solve_fite, solve_system, sweep)
+                      fite_rhs, gamma_fn, min_length, solve_system, sweep)
 from fracfite.cli import main
-from oracles import classical_fite_check, from_callable
+from fracfite.sfde import fite_coefficients
+from oracles import (classical_fite_check, from_callable, picard_reference,
+                     q_operator)
 
 ORDER = Order(0.75)
 
@@ -63,8 +64,8 @@ def test_criterion_3_solver_oracle():
     g = build_grid(0.0, 1.0, 2048, 2.0)
     coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
                             lambda s: 0.0)
-    pic = solve_system(coeffs, ORDER, 1.0, 1.0, g, scheme="picard")
-    mar = solve_system(coeffs, ORDER, 1.0, 1.0, g, scheme="marching")
+    pic = picard_reference(coeffs, ORDER, 1.0, 1.0, g)
+    mar = solve_system(coeffs, ORDER, 1.0, 1.0, g)
     with mp.workdps(30):
         exact = float(mp.gamma("0.75")
                       * mp.nsum(lambda k: 1.0 / mp.gamma(0.75 * k + 0.75),
@@ -126,7 +127,7 @@ def test_criterion_7_contraction():
     E = big_E(ORDER, p, length)
     assert E * m < 0.5
     g = build_grid(0.0, length, 512, 2.0)
-    rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g, scheme="picard")
+    rep = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 1.0, 0.3, g)
     incs = rep.increment_norms
     ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
               if incs[k] > 0.0]

@@ -62,15 +62,6 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "alpha" in capsys.readouterr().err
 
-    def test_unreachable_tolerance_flagged(self, tmp_path):
-        cfg = write_config(tmp_path, {**SOLVE_CONFIG, "c": 10.0, "max_iter": 3,
-                                      "scheme": "picard", "P": {"const": 4.0}})
-        out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["converged"] is False
-        assert not (out / "trace.csv").exists()  # no trace of an unsolved run
-
     def test_overflowing_solve_is_a_solver_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OVERFLOW_CONFIG)
         out = tmp_path / "out"
@@ -79,7 +70,7 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"config", "converged", "detail"}
         assert summary["converged"] is False
-        assert not (out / "trace.csv").exists()
+        assert not (out / "trace.csv").exists()  # no trace of an unsolved run
 
     def test_overflowing_solve_prints_no_warnings(self, tmp_path):
         cfg = write_config(tmp_path, {**OVERFLOW_CONFIG, "f_a": 0.0, "g_a": 1.0})
@@ -219,8 +210,9 @@ class TestVerify:
 
 # Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
 # with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
-# "auto" is the retired Picard-then-marching scheme. The V table covers
-# [0, 0.5] of [0, 1] and was clamped silently.
+# scheme and max_iter are retired keys, rejected as unknown ("auto" was the
+# Picard-then-marching scheme). The V table covers [0, 0.5] of [0, 1] and
+# was clamped silently.
 BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
                        ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0),
                        ("c", math.inf), ("f_a", math.nan), ("g_a", math.inf),

@@ -1,14 +1,16 @@
-"""Volterra solver against closed-form oracles and its own marching twin."""
+"""Volterra solver against closed-form oracles, its node-by-node marching
+twin and Picard iteration of the same discrete system."""
 
 import numpy as np
 import pytest
 
-from fracfite import (CoefficientSet, ConvergenceError, Order, big_E,
-                      build_grid, from_samples, gamma_fn, residual,
+from fracfite import (CoefficientSet, ConvergenceError, GradedGrid, Order,
+                      big_E, build_grid, from_samples, gamma_fn, residual,
                       solve_fite, solve_system)
 from fracfite.rlops import kernel_matrix
 from fracfite.sfde import _marching, _node_data, fite_coefficients, solve_batch
-from oracles import marching_reference, mittag_leffler, rl_derivative
+from oracles import (contraction_factor, marching_reference, mittag_leffler,
+                     picard_reference, rl_derivative)
 
 ORDER = Order(0.75)
 # Gamma(0.75) * E_{0.75,0.75}(1), 20-digit reference
@@ -27,9 +29,9 @@ class TestSolveSystem:
         g = build_grid(0.0, 1.0, 64, 2.0)
         coeffs = CoefficientSet(lambda s: np.cos(s), lambda s: 0.0,
                                 lambda s: -2.0, lambda s: 0.0)
-        rep = solve_system(coeffs, ORDER, 0.0, 0.0, g, scheme="picard")
+        rep = picard_reference(coeffs, ORDER, 0.0, 0.0, g)
         assert rep.iterations == 1
-        assert rep.residual == 0.0
+        assert residual(coeffs, ORDER, rep) == 0.0
         np.testing.assert_array_equal(rep.f.reg_samples, 0.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
@@ -39,16 +41,14 @@ class TestSolveSystem:
         g = build_grid(0.0, 1.0, 64, 2.0)
         coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
                                 lambda s: 0.0)
-        rep = solve_system(coeffs, ORDER, 1.0, 0.0, g, scheme="picard")
+        rep = picard_reference(coeffs, ORDER, 1.0, 0.0, g)
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.f.reg_samples, 1.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
     def test_mittag_leffler_oracle(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
-                           scheme="picard")
-        assert rep.method == "picard"
+        rep = picard_reference(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
         # W_f(1) = f(1) at unit distance from a
         assert rep.f.reg_samples[-1] == pytest.approx(ML_SOLUTION_AT_1, rel=2e-5)
         # frozen value consistent with the special-function oracle
@@ -74,10 +74,8 @@ class TestSolveSystem:
 
     def test_picard_and_marching_agree(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
-        pic = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
-                           scheme="picard")
-        mar = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
-                           scheme="marching")
+        pic = picard_reference(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+        mar = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
         assert mar.method == "marching"
         agree = np.abs(pic.f.reg_samples - mar.f.reg_samples).max()
         assert agree <= 1e-6
@@ -90,9 +88,9 @@ class TestSolveSystem:
                             lambda s: np.sin(s))
         csum = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
                               lambda s: np.sin(s))
-        r1 = solve_system(c1, ORDER, 1.0, 0.0, g, tol=1e-12)
-        r2 = solve_system(c2, ORDER, 0.5, 2.0, g, tol=1e-12)
-        rs = solve_system(csum, ORDER, 1.5, 2.0, g, tol=1e-12)
+        r1 = solve_system(c1, ORDER, 1.0, 0.0, g)
+        r2 = solve_system(c2, ORDER, 0.5, 2.0, g)
+        rs = solve_system(csum, ORDER, 1.5, 2.0, g)
         np.testing.assert_allclose(
             rs.f.reg_samples, r1.f.reg_samples + r2.f.reg_samples, atol=1e-8)
         np.testing.assert_allclose(
@@ -105,16 +103,29 @@ class TestSolveSystem:
         E = big_E(ORDER, 4.0 / 3.0, length)
         assert E < 0.5
         g = build_grid(0.0, length, 256, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 1.0, 0.3, g, scheme="picard")
+        rep = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 1.0,
+                               0.3, g)
         incs = rep.increment_norms
         ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
                   if incs[k] > 0.0]
         assert ratios and max(ratios) <= E * 1.0 + 0.1
 
+    @pytest.mark.parametrize("length", [0.04, 0.2, 1.0])
+    def test_exact_contraction_factor(self, length):
+        # kappa is the sup-norm constant of the discrete Picard map: it
+        # bounds every increment ratio, and big_E m bounds it (m = P = 1)
+        coeffs = fite_coefficients(lambda t: 1.0)
+        g = build_grid(0.0, length, 512, 2.0)
+        kappa = contraction_factor(coeffs, ORDER, g)
+        incs = picard_reference(coeffs, ORDER, 1.0, 0.3, g).increment_norms
+        ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0.0]
+        assert ratios and max(ratios) <= kappa * (1.0 + 1e-12)
+        assert kappa <= big_E(ORDER, 4.0 / 3.0, length) * 1.0
+
     def test_default_solve_succeeds_where_picard_diverges(self):
         # same instance as test_picard_scheme_raises_without_fallback
         g = build_grid(0.0, 10.0, 128, 2.0)
-        rep = solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g, max_iter=3)
+        rep = solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g)
         assert rep.method == "marching"
         assert rep.iterations == 0
         assert rep.residual < 1e-8
@@ -122,11 +133,12 @@ class TestSolveSystem:
     def test_picard_scheme_raises_without_fallback(self):
         g = build_grid(0.0, 10.0, 128, 2.0)
         with pytest.raises(ConvergenceError):
-            solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g, max_iter=3,
-                       scheme="picard")
+            picard_reference(fite_coefficients(lambda t: 4.0), ORDER, 1.0, 0.0,
+                             g, max_iter=3)
 
-    @pytest.mark.parametrize("scheme", ["marching", "picard"])
-    def test_each_coefficient_called_once_on_the_nodes(self, scheme):
+    @pytest.mark.parametrize("solve", [solve_system, picard_reference],
+                             ids=["marching", "picard"])
+    def test_each_coefficient_called_once_on_the_nodes(self, solve):
         g = build_grid(0.0, 1.0, 64, 2.0)
         calls = {name: [] for name in "GQRV"}
 
@@ -138,7 +150,7 @@ class TestSolveSystem:
 
         coeffs = CoefficientSet(recorded("G", 1.0), recorded("Q", 0.5),
                                 recorded("R", -1.0), recorded("V", 0.25))
-        solve_system(coeffs, ORDER, 1.0, 0.0, g, scheme=scheme)
+        solve(coeffs, ORDER, 1.0, 0.0, g)
         for name, args in calls.items():
             assert len(args) == 1, name
             assert isinstance(args[0], np.ndarray), name
@@ -150,15 +162,10 @@ class TestSolveSystem:
             solve_fite(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)
 
     def test_invalid_inputs(self):
-        g = build_grid(0.0, 1.0, 16, 2.0)
-        with pytest.raises(ValueError):
-            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
-                         scheme="nonsense")
-        with pytest.raises(ValueError):
-            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g,
-                         scheme="picard", max_iter=0)
+        # the kernel matrix is cached per graded grid: other nodes are refused
+        g = GradedGrid.from_nodes(np.array([0.0, 0.1, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="graded grid"):
+            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
 
 
 class TestBlockedMarching:
@@ -229,15 +236,6 @@ class TestBatchedSolve:
             assert (got.method, got.iterations) == ("marching", 0)
             assert got.residual <= 1e-13  # per column, like ref.residual
 
-    def test_picard_batch(self):
-        g = build_grid(0.0, 0.04, 128, 2.0)
-        batch = solve_batch(fite_coefficients(lambda t: 1.0), ORDER, [1.0, 0.0],
-                            [0.3, 1.0], g, scheme="picard")
-        for (fa, ga), got in zip([(1.0, 0.3), (0.0, 1.0)], batch):
-            ref = solve_fite(lambda t: 1.0, ORDER, fa, ga, g, scheme="picard")
-            np.testing.assert_array_equal(got.f.reg_samples, ref.f.reg_samples)
-            assert got.increment_norms == ref.increment_norms
-
     def test_non_finite_block_fails_the_batch(self):
         # overflow in any column raises once, with no report for the others
         g = build_grid(0.0, 1e8, 64, 2.0)
@@ -261,8 +259,9 @@ class TestSolveFite:
 
     def test_two_scheme_cross_check(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
-        pic = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g, scheme="picard")
-        mar = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g, scheme="marching")
+        pic = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 0.0,
+                               1.0, g)
+        mar = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g)
         diff = max(np.abs(pic.f.reg_samples - mar.f.reg_samples).max(),
                    np.abs(pic.g.reg_samples - mar.g.reg_samples).max())
         assert diff <= 1e-6
@@ -294,7 +293,7 @@ class TestSolveRelaxOsc:
 
     def test_smooth_forcing_converges(self):
         g = build_grid(0.0, 2.0, 128, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, tol=1e-10,
+        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g,
                          V=lambda t: np.sin(t))
         assert rep.residual <= 1e-9
 
@@ -309,7 +308,7 @@ class TestResidual:
     def test_converged_solve_small_residual(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
         coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_system(coeffs, ORDER, 1.0, 1.0, g, tol=1e-8)
+        rep = solve_system(coeffs, ORDER, 1.0, 1.0, g)
         assert rep.residual <= 1e-6
 
     def test_perturbation_raises_residual(self):

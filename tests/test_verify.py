@@ -121,13 +121,11 @@ SCENARIO_OBJ = {"alpha": 0.75, "a": 0, "c": 2, "P": {"poly": [1, 2]}}
 class TestConfigSchema:
     def test_defaults_and_echo(self):
         s = Scenario.from_obj(SCENARIO_OBJ)
-        assert (s.b, s.f_a, s.g_a, s.n, s.r, s.scheme) == (0.02, 1.0, 0.0, 512, 2.0,
-                                                          "marching")
+        assert (s.b, s.f_a, s.g_a, s.n, s.r) == (0.02, 1.0, 0.0, 512, 2.0)
         obj = s.to_obj()
         assert obj == {"alpha": 0.75, "a": 0.0, "b": 0.02, "c": 2.0,
                        "P": {"poly": [1.0, 2.0]}, "f_a": 1.0, "g_a": 0.0,
-                       "n": 512, "grading": 2.0, "tol": 1e-10, "max_iter": 200,
-                       "scheme": "marching"}
+                       "n": 512, "grading": 2.0, "tol": 1e-10}
         assert isinstance(obj["c"], float) and isinstance(obj["n"], int)
         assert Scenario.from_obj(obj) == s
 
