@@ -8,7 +8,7 @@ and reports whether any verdict changed. Exits 1 on a counterexample or a
 changed verdict, and 2 with an `error:` line on an invalid argument.
 
 Usage:
-    python scripts/run_sweep.py [--n 512] [--seed 42] [--workers 1]
+    python scripts/run_sweep.py [--n 512] [--workers 1]
 """
 
 import argparse
@@ -22,7 +22,6 @@ from fracfite.errors import ConfigError
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=512)
-    ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-refinement", action="store_true")
     args = ap.parse_args()
@@ -35,8 +34,7 @@ def main() -> int:
 
 def run(args) -> int:
     spec = SweepSpec(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
-                     lengths=(0.05, 0.5, 5.0), directions=8,
-                     seed=args.seed, n=args.n)
+                     lengths=(0.05, 0.5, 5.0), directions=8, n=args.n)
     # built here so that a refined n over the matrix cap fails before any solve
     refined = None if args.skip_refinement else \
         SweepSpec(**{**spec.__dict__, "n": 2 * args.n})

@@ -18,8 +18,7 @@ from .sfde import (CoefficientSet, SolveReport, residual, solve_fite,
 from .zeros import find_zeros, first_zero_pair
 from .bounds import (AuditReport, BoundReport, audit_estimates,
                      best_min_length, big_C, big_D, big_E, bound_report,
-                     constant_chain, fite_lhs, fite_rhs, holder_params,
-                     min_length, small_c)
+                     fite_lhs, fite_rhs, holder_params, min_length, small_c)
 from .verify import (CoefficientSpec, Scenario, SweepReport, SweepSpec,
                      VerifyReport, run_scenario, sweep)
 
@@ -31,7 +30,7 @@ __all__ = [
     "Order", "Scenario", "SolveReport", "SweepReport", "SweepSpec",
     "VerifyReport", "WeightedFn", "audit_estimates", "best_min_length",
     "beta_fn", "big_C", "big_D", "big_E", "bound_report", "build_grid",
-    "constant_chain", "eval_reg", "find_zeros", "first_zero_pair",
+    "eval_reg", "find_zeros", "first_zero_pair",
     "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
     "kernel_integral", "kernel_matrix", "log_gamma", "min_length",
     "norm_full", "residual", "run_scenario", "small_c", "solve_fite",

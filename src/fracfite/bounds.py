@@ -1,17 +1,19 @@
 """Explicit constant chain and the Fite-type lower bound.
 
-For Hoelder exponents p > 1 with conjugate q = p/(p-1) and kernel
-exponents beta, gamma in (0, 1), the chain reads
+For Hoelder exponents p, v > 1 with conjugates q = p/(p-1), w = v/(v-1)
+and kernel exponents beta, gamma in (0, 1), the chain reads
 
     c(p, beta, gamma) = 2^{beta+gamma-1/p} / (1 - gamma p)^{1/p}
     C = 2 [c(p, beta, gamma) + c(v, gamma, beta)]
     D = C L^{1-gamma-1/max(q,w)} + L^{1-beta-gamma} B(1-gamma, 1-beta)
     E = (D / Gamma(alpha)) max(L^{1/q}, L^{1-alpha})
 
-with L the interval length. The bound path specializes to
-beta = gamma = 1 - alpha, v = p, w = q with (1-alpha) p < 1/2; only there
-is D independent of the window start, which is what makes the final
-inequality a statement about L = c - a alone:
+with L the interval length. small_c and big_C keep these general
+arguments; everything else uses only the specialization
+beta = gamma = 1 - alpha, v = p, w = q with (1-alpha) p < 1/2, where
+holder_params checks p and returns q. Only there is D independent of the
+window start, which is what makes the final inequality a statement about
+L = c - a alone:
 
     m L^alpha max(L^{1/q}, L^{1-alpha}) / min(L^{1/q}, L^{1-alpha})
         >= Gamma(alpha) / (2^{2(2-alpha)} + B(alpha, alpha))
@@ -47,35 +49,15 @@ _AUDIT_SLACK = 1.0 + 1e-6
 # constant chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HolderParams:
-    """Conjugate exponent pairs 1/p + 1/q = 1/v + 1/w = 1."""
-
-    p: float
-    q: float
-    v: float
-    w: float
-
-
-@dataclass(frozen=True)
-class ConstantChain:
-    small_c_bg: float
-    small_c_gb: float
-    big_C: float
-    big_D: float
-    big_E: float
-    beta_val: float
-
-
-def holder_params(order: Order, p: float) -> HolderParams:
-    """Exponents of the specialized regime: v = p, w = q, (1-alpha) p < 1/2."""
+def holder_params(order: Order, p: float) -> float:
+    """Conjugate q = p/(p-1) of an exponent of the specialized regime,
+    which needs p > 1 and (1-alpha) p < 1/2."""
     if not (p > 1.0):
         raise ConfigError("p", f"must exceed 1, got {p!r}")
     if order.gamma * p >= 0.5:
         raise ConfigError(
             "p", f"inadmissible: need (1-alpha) p < 1/2, got {order.gamma * p!r}")
-    q = p / (p - 1.0)
-    return HolderParams(p=p, q=q, v=p, w=q)
+    return p / (p - 1.0)
 
 
 def small_c(p: float, beta: float, gamma: float) -> float:
@@ -97,33 +79,17 @@ def big_C(p: float, v: float, beta: float, gamma: float) -> float:
 def big_D(order: Order, p: float, length: float) -> float:
     """Window-independent D at beta = gamma = 1 - alpha:
     D = C L^{alpha-1/q} + B(alpha, alpha) L^{2 alpha - 1}."""
-    hp = holder_params(order, p)
+    q = holder_params(order, p)
     ga = order.gamma
-    return (big_C(hp.p, hp.v, ga, ga) * length ** (order.alpha - 1.0 / hp.q)
+    return (big_C(p, p, ga, ga) * length ** (order.alpha - 1.0 / q)
             + beta_fn(order.alpha, order.alpha) * length ** (2.0 * order.alpha - 1.0))
 
 
 def big_E(order: Order, p: float, length: float) -> float:
     """E = (D / Gamma(alpha)) max(L^{1/q}, L^{1-alpha}); E m < 1 is the
     contraction regime of the Picard map of the fixed-point argument."""
-    hp = holder_params(order, p)
-    mx = max(length ** (1.0 / hp.q), length ** order.gamma)
+    mx = max(length ** (1.0 / holder_params(order, p)), length ** order.gamma)
     return big_D(order, p, length) / gamma_fn(order.alpha) * mx
-
-
-def constant_chain(order: Order, p: float, length: float) -> ConstantChain:
-    hp = holder_params(order, p)
-    ga = order.gamma
-    cbg = small_c(hp.p, ga, ga)
-    cgb = small_c(hp.v, ga, ga)
-    return ConstantChain(
-        small_c_bg=cbg,
-        small_c_gb=cgb,
-        big_C=2.0 * (cbg + cgb),
-        big_D=big_D(order, p, length),
-        big_E=big_E(order, p, length),
-        beta_val=beta_fn(order.alpha, order.alpha),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +122,7 @@ def fite_lhs(order: Order, p: float, m: float, length: float) -> float:
         raise ValueError(f"m must be nonnegative, got {m!r}")
     if not (length > 0.0):
         raise ValueError(f"length must be positive, got {length!r}")
-    hp = holder_params(order, p)
-    u = length ** (1.0 / hp.q)
+    u = length ** (1.0 / holder_params(order, p))
     v = length ** order.gamma
     return m * length ** order.alpha * max(u, v) / min(u, v)
 
@@ -172,8 +137,7 @@ def min_length(order: Order, m: float, p: float) -> float:
     """
     if not (0.0 < m < math.inf):
         raise ConfigError("m", f"must be positive and finite, got {m!r}")
-    hp = holder_params(order, p)
-    d = abs(1.0 / hp.q - order.gamma)
+    d = abs(1.0 / holder_params(order, p) - order.gamma)
     ratio = fite_rhs(order) / m
     try:
         return ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
@@ -190,12 +154,15 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
     Otherwise 1/alpha lies beyond the admissible range p < 1/(2(1-alpha)),
     and p* is its upper end, clamped by _CLAMP_EPS so that p* stays strictly
     admissible; the inequality holds at the open boundary by continuity.
+    Within about 1e-6 of alpha = 1/2 the clamped range is empty, and p* is
+    the midpoint of the admissible range (1, 1/(2(1-alpha))).
     """
     p_lo = 1.0 + _CLAMP_EPS
     p_hi = (1.0 - _CLAMP_EPS) / (2.0 * order.gamma)
-    if p_hi <= p_lo:
-        raise ValueError(f"empty admissible p-range for alpha={order.alpha!r}")
-    p_star = min(max(1.0 / order.alpha, p_lo), p_hi)
+    if p_hi > p_lo:
+        p_star = min(max(1.0 / order.alpha, p_lo), p_hi)
+    else:
+        p_star = 0.5 * (1.0 + 0.5 / order.gamma)
     return p_star, min_length(order, m, p_star)
 
 
@@ -243,18 +210,17 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     the trial, on the first violated inequality; otherwise reports
     per-inequality pass counts.
     """
-    hp = holder_params(order, p)
+    q = holder_params(order, p)
     if trials < 0:
         raise ConfigError("trials", f"must be >= 0, got {trials!r}")
     if seed < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed!r}")
     ga = order.gamma
     beta = ga
-    q = hp.q
     al = order.alpha
     # trial-independent factors of the right-hand sides
     b_kernel = beta_fn(1.0 - ga, 1.0 - beta)
-    csum = small_c(hp.p, beta, ga) + small_c(hp.v, ga, beta)
+    csum = small_c(p, beta, ga) + small_c(p, ga, beta)
     Cconst = 2.0 * csum
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))
@@ -287,7 +253,7 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         passes["kernel_product"] += 1
 
         ratio = (t2 - t1) / (t2 - a)
-        rhs_kernel = (t2 - a) ** (1.0 - beta - ga) * csum * ratio ** (1.0 / max(q, hp.w))
+        rhs_kernel = (t2 - a) ** (1.0 - beta - ga) * csum * ratio ** (1.0 / q)
 
         # (kernel_window) int_{t1}^{t2} kernel <= split-and-Hoelder bound
         if t1 > a and t2 > t1:

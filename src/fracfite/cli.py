@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import audit_estimates, best_min_length, constant_chain, \
-    fite_rhs, min_length
+from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
+    fite_rhs, min_length, small_c
 from .errors import AuditFailure, ConfigError, ConvergenceError
+from .specfn import beta_fn
 from .verify import Scenario, parse_config, solve_scenario, sweep
 from .weighted import GradedGrid, Order, from_samples
 from .zeros import find_zeros
@@ -107,15 +108,16 @@ def cmd_bound(args) -> int:
         length = min_length(order, args.m, args.p)
     else:
         p_used, length = best_min_length(order, args.m)
-    chain = constant_chain(order, p_used, length)
+    ga = order.gamma
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
         "p_given": args.p is not None,
         "rhs": fite_rhs(order), "min_length": length,
         "constants": {
-            "small_c": chain.small_c_bg, "big_C": chain.big_C,
-            "big_D_at_min_length": chain.big_D, "big_E_at_min_length": chain.big_E,
-            "beta_value": chain.beta_val,
+            "small_c": small_c(p_used, ga, ga), "big_C": big_C(p_used, p_used, ga, ga),
+            "big_D_at_min_length": big_D(order, p_used, length),
+            "big_E_at_min_length": big_E(order, p_used, length),
+            "beta_value": beta_fn(order.alpha, order.alpha),
         },
     }
     _print_record(record, args.out, "bound.json")

@@ -35,9 +35,11 @@ triangular matrix-vector product, so repeated applications (marching
 history products, residuals) are cheap. The substitution s = a + L sigma maps
 the graded grid on [a, a+L] onto the one on [0, 1] and leaves the hat
 functions unchanged, so Omega on [a, a+L] is L^{1-beta-gamma} times the
-unit-interval matrix. Only that unit matrix is built and cached, per
-(n, r, beta, gamma); kernel_matrix returns it with the scalar factor,
-which callers fold into a factor they apply anyway.
+unit-interval matrix. Only that unit matrix is built, and the last one
+built is cached, keyed on (n, r, beta, gamma): callers ask for the same
+key in runs (a sweep's cells at one n, a solve at n then 2n), so one
+entry hits as often as more would. kernel_matrix returns it with the
+scalar factor, which callers fold into a factor they apply anyway.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def _build_matrix(nodes: np.ndarray, a: float, beta: float, gamma: float) -> np.
     return omega
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def _matrix_cached(n: int, r: float, beta: float, gamma: float) -> np.ndarray:
     mat = _build_matrix(build_grid(0.0, 1.0, n, r).nodes, 0.0, beta, gamma)
     mat.setflags(write=False)

@@ -185,15 +185,20 @@ class CoefficientSpec:
         return lambda t: np.interp(t, ts, vs)
 
     def range_on(self, a: float, c: float, samples: int = 2049) -> tuple[float, float]:
-        """(min, max) over [a, c]; exact for const, sampled otherwise.
-        Raises ValueError if a table does not cover [a, c] or a value is
-        not finite."""
+        """(min, max) over [a, c]; exact for const and table (a piecewise
+        linear table takes its extremes at its knots inside (a, c) or at a
+        and c), from `samples` equispaced points for poly. Raises
+        ValueError if a table does not cover [a, c] or a value is not
+        finite."""
         if self.kind == "table":
             lo, hi = self.data[0][0], self.data[-1][0]
             if lo > a or hi < c:
                 raise ValueError(
                     f"coefficient table covers [{lo}, {hi}], needs [{a}, {c}]")
-        vals = self.as_callable(a)(np.linspace(a, c, samples))
+            t = np.array([a, *(s for s, _ in self.data if a < s < c), c])
+        else:
+            t = np.linspace(a, c, samples)
+        vals = self.as_callable(a)(t)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"must be finite on [{a}, {c}], range is [{lo}, {hi}]")

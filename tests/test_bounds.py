@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
                       best_min_length,
-                      big_C, big_D, big_E, bound_report, constant_chain,
+                      big_C, big_D, big_E, bound_report,
                       fite_lhs, fite_rhs, holder_params, kernel_integral,
                       min_length, small_c)
 from fracfite import bounds
@@ -30,18 +30,17 @@ ALPHAS = (0.55, 0.6, 2.0 / 3.0, 0.75, 0.9, 0.99)
 
 class TestHolderParams:
     def test_conjugates(self):
-        hp = holder_params(ORDER, 1.5)
-        assert hp.q == pytest.approx(3.0)
-        assert hp.v == 1.5 and hp.w == pytest.approx(3.0)
-        assert 1.0 / hp.p + 1.0 / hp.q == pytest.approx(1.0)
+        q = holder_params(ORDER, 1.5)
+        assert q == pytest.approx(3.0)
+        assert 1.0 / 1.5 + 1.0 / q == pytest.approx(1.0)
 
     def test_boundary_excluded(self):
         with pytest.raises(ValueError):
             holder_params(ORDER, 2.0)  # gamma p = 1/2 not admissible
 
     def test_smaller_alpha_smaller_range(self):
-        hp = holder_params(Order(0.6), 1.2)  # gamma p = 0.48 < 1/2
-        assert hp.q == pytest.approx(6.0)
+        q = holder_params(Order(0.6), 1.2)  # gamma p = 0.48 < 1/2
+        assert q == pytest.approx(6.0)
         with pytest.raises(ValueError):
             holder_params(Order(0.6), 1.3)
 
@@ -95,12 +94,6 @@ class TestConstantChain:
 
     def test_big_E_vanishes_with_length(self):
         assert big_E(ORDER, 1.5, 1e-12) < 1e-4
-
-    def test_chain_record(self):
-        chain = constant_chain(ORDER, 1.5, 1.0)
-        assert chain.big_C == pytest.approx(
-            2.0 * (chain.small_c_bg + chain.small_c_gb), rel=1e-14)
-        assert chain.big_D == pytest.approx(BIG_D_REF, rel=1e-12)
 
 
 class TestFiteBound:
@@ -183,6 +176,15 @@ class TestFiteBound:
         p_max = (1.0 - 1e-6) / (2.0 * order.gamma)
         assert p_star == pytest.approx(p_max, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.5000001, 0.5000005, 0.50000049])
+    def test_best_admissible_next_to_one_half(self, alpha):
+        # the clamped range [1 + 1e-6, (1 - 1e-6)/(2(1-alpha))] is empty
+        # there; a ValueError before
+        order = Order(alpha)
+        p_star, length = best_min_length(order, 1.0)
+        assert 1.0 < p_star and order.gamma * p_star < 0.5
+        assert length == min_length(order, 1.0, p_star)
+
     def test_min_length_matches_bisection_root_on_both_branches(self):
         def bisect_root(order, p, m):
             rhs = fite_rhs(order)
@@ -245,8 +247,8 @@ class TestFiteBound:
             p_max = 0.5 / order.gamma
             for frac in (0.05, 0.5, 0.95):
                 p = 1.0 + frac * (p_max - 1.0)
-                hp = holder_params(order, p)
-                expo = order.alpha - abs(1.0 / hp.q - order.gamma)
+                q = holder_params(order, p)
+                expo = order.alpha - abs(1.0 / q - order.gamma)
                 assert expo > 0.0
 
 

@@ -112,6 +112,35 @@ class TestBound:
         rec = json.loads(capsys.readouterr().out)
         assert rec["min_length"] == pytest.approx(0.06805831757494999, abs=1e-6)
 
+    # every constant as the chain record printed it before the record type
+    # went, to 17 significant digits
+    @pytest.mark.parametrize("argv, constants", [
+        (["--alpha", "0.75", "--m", "1"],
+         {"small_c": 1.1397535284773885, "big_C": 4.5590141139095541,
+          "big_D_at_min_length": 1.8940853468987799,
+          "big_E_at_min_length": 0.85066001118208379,
+          "beta_value": 1.6944261695879572}),
+        (["--alpha", "0.75", "--m", "1", "--p", "1.5"],
+         {"small_c": 1.2187323031560660, "big_C": 4.8749292126242638,
+          "big_D_at_min_length": 2.0330367247196106,
+          "big_E_at_min_length": 0.84738687019228243,
+          "beta_value": 1.6944261695879572}),
+        (["--alpha", "0.6", "--m", "10"],
+         {"small_c": 1.7410997337112073, "big_C": 6.9643989348448292,
+          "big_D_at_min_length": 0.41490825030467188,
+          "big_E_at_min_length": 0.035106124168822771,
+          "beta_value": 2.4153442080024723}),
+    ])
+    def test_constants_record_frozen(self, capsys, argv, constants):
+        assert main(["bound", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["constants"] == constants
+
+    def test_alpha_next_to_one_half(self, capsys):
+        # the clamped p-range is empty there: a ValueError traceback before
+        assert main(["bound", "--alpha", "0.5000001", "--m", "1"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert 1.0 < rec["p"] and (1.0 - 0.5000001) * rec["p"] < 0.5
+
     def test_alpha_out_of_range(self, capsys):
         assert main(["bound", "--alpha", "0.4", "--m", "1.0"]) == 2
 
@@ -189,6 +218,40 @@ class TestVerify:
         # a single scenario runs as a sweep of one and reports its ratio
         assert agg["counts"]["BOUND_HOLDS"] == 1
         assert agg["min_ratio"] == rep["lhs"] / rep["rhs"]
+
+    # a P spike narrower than the 2049-point sampling of the range: the
+    # dip passed validation and gave BOUND_HOLDS, the peak reported m = 1
+    @staticmethod
+    def _spike_config(value):
+        return {"alpha": 0.75, "a": 0, "c": 10, "f_a": 0, "g_a": 1, "n": 256,
+                "P": {"table": [[0, 1], [5.001, 1], [5.0015, value],
+                                [5.002, 1], [10, 1]]}}
+
+    def test_table_dip_below_zero_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self._spike_config(-1))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: P:" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+    def test_table_peak_sets_m(self, tmp_path):
+        cfg = write_config(tmp_path, self._spike_config(50))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        agg = json.loads((out / "verify.json").read_text())
+        assert agg["scenarios"][0]["m"] == 50.0
+
+    # best_min_length raised ValueError there (exit 1), in a sweep mid-run
+    @pytest.mark.parametrize("config", [
+        {**SOLVE_CONFIG, "alpha": 0.5000001, "c": 10.0, "n": 64},
+        {"sweep": {**SWEEP_CONFIG["sweep"], "alphas": [0.5000001, 0.75]}},
+    ], ids=["scenario", "sweep"])
+    def test_alpha_next_to_one_half(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        agg = json.loads((out / "verify.json").read_text())
+        assert agg["counts"]["SOLVER_FAILED"] == 0
 
     def test_overflowing_scenario_is_solver_failed(self, tmp_path):
         cfg = write_config(tmp_path, OVERFLOW_CONFIG)

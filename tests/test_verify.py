@@ -44,6 +44,16 @@ class TestCoefficientSpec:
         with pytest.raises(ValueError):
             spec.range_on(0.0, 1.0)
 
+    def test_table_range_exact(self):
+        # knots inside (a, c) and the interpolated ends; knots outside and
+        # between samples alike
+        spec = CoefficientSpec.table([[-1.0, 9.0], [0.3, 2.0], [0.30001, -4.0],
+                                      [0.30002, 2.0], [2.0, 5.0], [3.0, -9.0]])
+        assert spec.range_on(0.0, 2.5) == (-4.0, 5.0)
+        slope = 3.0 / (2.0 - 0.30002)
+        assert spec.range_on(0.5, 1.5) == pytest.approx(
+            (2.0 + slope * (0.5 - 0.30002), 2.0 + slope * (1.5 - 0.30002)), rel=1e-14)
+
     @pytest.mark.parametrize("obj", [{"const": 2.5}, {"poly": [1.0, -0.5, 2.0]},
                                      {"table": [[0.0, 1.0], [1.0, 3.0], [3.0, 0.0]]}])
     def test_callable_takes_node_array(self, obj):
