@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -37,7 +38,7 @@ def run(args) -> int:
                      lengths=(0.05, 0.5, 5.0), directions=8, n=args.n)
     # built here so that a refined n over the matrix cap fails before any solve
     refined = None if args.skip_refinement else \
-        SweepSpec(**{**spec.__dict__, "n": 2 * args.n})
+        dataclasses.replace(spec, n=2 * args.n)
     t0 = time.time()
     coarse = sweep(spec, workers=args.workers)
     print(f"sweep at n={args.n}: {time.time() - t0:.1f}s")

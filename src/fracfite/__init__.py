@@ -9,7 +9,7 @@ grids to confirm that no numerical counterexample to the bound exists.
 """
 
 from .errors import AuditFailure, ConfigError, ConvergenceError
-from .specfn import beta_fn, gamma_fn, log_gamma
+from .specfn import beta_fn, gamma_fn
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples, norm_full)
 from .rlops import kernel_integral, kernel_matrix
@@ -32,7 +32,7 @@ __all__ = [
     "beta_fn", "big_C", "big_D", "big_E", "bound_report", "build_grid",
     "eval_reg", "find_zeros", "first_zero_pair",
     "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
-    "kernel_integral", "kernel_matrix", "log_gamma", "min_length",
+    "kernel_integral", "kernel_matrix", "min_length",
     "norm_full", "residual", "run_scenario", "small_c", "solve_fite",
     "solve_system", "sweep",
 ]

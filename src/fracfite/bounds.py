@@ -203,12 +203,13 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     Each trial draws an interval [a, c], a window start b, two points
     t1 <= t2 in [b, c] on the trial grid, a bounded coefficient A and a
     weighted function f (both random piecewise linear), all with
-    beta = gamma = 1 - alpha and the given p. Integrals are evaluated by
-    the product-integration machinery. Trial k draws its instance from
-    SeedSequence([seed, k]) alone, so the first `trials` trials of a seed
-    are the same in every run. Raises AuditFailure, naming the seed and
-    the trial, on the first violated inequality; otherwise reports
-    per-inequality pass counts.
+    beta = gamma = 1 - alpha and the given p. The operator checks apply
+    rows of the product-integration matrix Omega; kernel_window and
+    kernel_difference take the closed-form kernel_integral. Trial k
+    draws its instance from SeedSequence([seed, k]) alone, so the first
+    `trials` trials of a seed are the same in every run. Raises
+    AuditFailure, naming the seed and the trial, on the first violated
+    inequality; otherwise reports per-inequality pass counts.
     """
     q = holder_params(order, p)
     if trials < 0:

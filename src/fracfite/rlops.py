@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfn import beta_fn
+from .specfn import beta_fn, inc_beta
 from .weighted import GradedGrid, build_grid
 
 
@@ -213,17 +213,15 @@ def kernel_matrix(grid: GradedGrid, beta: float,
 
 
 def kernel_integral(lo: float, hi: float, a: float, t: float,
-                    beta: float, gamma: float, n_sub: int = 64) -> float:
+                    beta: float, gamma: float) -> float:
     """int_lo^hi (t-s)^{-beta} (s-a)^{-gamma} ds for a <= lo < hi <= t.
 
-    Reference integrator for the inequality audits: the range is split
-    into n_sub cells graded quadratically toward any singular endpoint
-    (s = a on the left, s = t on the right), each cell handled by the same
-    substitution + Gauss machinery as the operator matrices. Cells are
-    classified by their end values, so a cell that rounds onto a or t takes
-    that end's rule wherever it sits, and all cells of one rule are
-    evaluated together. Requires 0 < beta < 1, 0 <= gamma < 1, n_sub >= 1
-    and finite arguments.
+    Reference integral for the inequality audits, in closed form: with
+    x = (s-a)/(t-a) it is (t-a)^{1-beta-gamma} [B_x(1-gamma, 1-beta)] from
+    x_lo to x_hi (DLMF 8.17). When lo lies in the upper half of [a, t] it
+    is taken from the other end, B_{1-x}(1-beta, 1-gamma) from 1-x_hi to
+    1-x_lo, with 1-x = (t-s)/(t-a) so that the digits near t survive.
+    Requires 0 < beta < 1, 0 <= gamma < 1 and finite arguments.
     """
     if not all(math.isfinite(x) for x in (lo, hi, a, t, beta, gamma)):
         raise ValueError("kernel_integral arguments must be finite")
@@ -232,37 +230,11 @@ def kernel_integral(lo: float, hi: float, a: float, t: float,
     if not (0.0 < beta < 1.0 and 0.0 <= gamma < 1.0):
         raise ValueError(f"need 0 < beta < 1 and 0 <= gamma < 1, "
                          f"got beta={beta!r}, gamma={gamma!r}")
-    if not (isinstance(n_sub, (int, np.integer)) and n_sub >= 1):
-        raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")
-    left_sing = lo == a and gamma > 0.0
-    right_sing = hi == t
-    u = np.linspace(0.0, 1.0, n_sub + 1)
-    if left_sing and right_sing:
-        pts = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * u))  # cluster both ends
-    elif left_sing:
-        pts = lo + (hi - lo) * u**2
-    elif right_sing:
-        pts = hi - (hi - lo) * (1.0 - u) ** 2
+    w = t - a
+    if lo - a > t - lo:
+        part = (inc_beta((t - lo) / w, 1.0 - beta, 1.0 - gamma)
+                - inc_beta((t - hi) / w, 1.0 - beta, 1.0 - gamma))
     else:
-        pts = lo + (hi - lo) * u
-    s0, s1 = pts[:-1], pts[1:]
-    # one rule per cell, in this precedence: exact Beta moment on [a, t],
-    # left substitution from a, right substitution into t, plain Gauss
-    whole = (s0 == a) & (s1 == t)
-    left = (s0 == a) & (gamma > 0.0) & ~whole
-    right = (s1 == t) & ~(whole | left)
-    plain = ~(whole | left | right)
-    total = np.count_nonzero(whole) * (
-        (t - a) ** (1.0 - beta - gamma) * beta_fn(1.0 - gamma, 1.0 - beta))
-    if left.any():
-        h = s1[left] - s0[left]
-        s = a + h[:, None] * _GX ** (1.0 / (1.0 - gamma))
-        total += (h ** (1.0 - gamma) / (1.0 - gamma)) @ ((t - s) ** (-beta) @ _GW)
-    if right.any():
-        h = s1[right] - s0[right]
-        s = t - h[:, None] * _GX ** (1.0 / (1.0 - beta))
-        total += (h ** (1.0 - beta) / (1.0 - beta)) @ ((s - a) ** (-gamma) @ _GW)
-    h = s1[plain] - s0[plain]
-    s = s0[plain, None] + h[:, None] * _GX
-    total += h @ (((t - s) ** (-beta) * (s - a) ** (-gamma)) @ _GW)
-    return float(total)
+        part = (inc_beta((hi - a) / w, 1.0 - gamma, 1.0 - beta)
+                - inc_beta((lo - a) / w, 1.0 - gamma, 1.0 - beta))
+    return w ** (1.0 - beta - gamma) * part

@@ -20,11 +20,12 @@ from __future__ import annotations
 import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
@@ -184,20 +185,29 @@ class CoefficientSpec:
         vs = np.asarray([p[1] for p in self.data])
         return lambda t: np.interp(t, ts, vs)
 
-    def range_on(self, a: float, c: float, samples: int = 2049) -> tuple[float, float]:
-        """(min, max) over [a, c]; exact for const and table (a piecewise
-        linear table takes its extremes at its knots inside (a, c) or at a
-        and c), from `samples` equispaced points for poly. Raises
-        ValueError if a table does not cover [a, c] or a value is not
-        finite."""
+    def range_on(self, a: float, c: float) -> tuple[float, float]:
+        """(min, max) over [a, c], exact: a piecewise linear table takes its
+        extremes at its knots inside (a, c) or at a and c, a poly at a, at
+        c or at a stationary point inside (candidates at the real parts of
+        its derivative's roots; extra points in [a, c] cannot hurt).
+        Raises ValueError if a table does not cover [a, c] or a value is
+        not finite."""
         if self.kind == "table":
             lo, hi = self.data[0][0], self.data[-1][0]
             if lo > a or hi < c:
                 raise ValueError(
                     f"coefficient table covers [{lo}, {hi}], needs [{a}, {c}]")
             t = np.array([a, *(s for s, _ in self.data if a < s < c), c])
+        elif self.kind == "poly":
+            u = np.empty(0)  # offsets t - a of the stationary points
+            if len(self.data) > 2:
+                slope = npoly.polyder(self.data)
+                if not np.isfinite(slope).all():
+                    raise ValueError(f"must be finite, derivative is {slope.tolist()}")
+                u = npoly.polyroots(slope).real
+            t = np.array([a, *(a + u[(u > 0.0) & (u < c - a)]), c])
         else:
-            t = np.linspace(a, c, samples)
+            t = np.array([a, c])
         vals = self.as_callable(a)(t)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -419,13 +429,8 @@ class SweepSpec(_Config):
     n: int = 512
     r: float = 2.0
     random_directions: bool = False
-    # ((alpha, P, L), validated scenario of that cell at direction 0), set by
-    # __post_init__; a slot, not a field, so that it stays out of __dict__
-    # and SweepSpec(**{**spec.__dict__, ...}) still derives a spec
-    __slots__ = ("_cells",)
-
-    def __reduce__(self):  # pickle and copy validate afresh
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    # ((alpha, P, L), validated scenario of that cell at direction 0)
+    _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alphas", "p_infs", "lengths"):

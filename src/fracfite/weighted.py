@@ -112,10 +112,6 @@ class WeightedFn:
             raise ValueError("regularized samples must be finite")
         self.reg_samples.setflags(write=False)
 
-    @property
-    def limit_value(self) -> float:
-        return float(self.reg_samples[0])
-
 
 def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
     """Wrap precomputed regularized samples (samples[0] = limit value)."""

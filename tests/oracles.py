@@ -9,9 +9,10 @@ the node-by-node marching loop that the blocked solve in sfde replaces,
 Picard iteration of the discrete system sfde solves (the fixed-point map
 of the bound's proof, and the oracle for marching) with the exact
 contraction factor of that map, the 16-point kernel-matrix build that
-the blocked build in rlops replaces, the cell-by-cell loop of
-rlops.kernel_integral, and helpers that sample, evaluate or search
-weighted functions point by point.
+the blocked build in rlops replaces, the kernel integral that
+rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
+and helpers that sample, evaluate or search weighted functions point by
+point.
 """
 
 import math
@@ -313,40 +314,16 @@ def build_matrix_reference(nodes, a, beta, gamma):
     return omega
 
 
-def kernel_integral_reference(lo, hi, a, t, beta, gamma, n_sub=64):
-    """int_lo^hi (t-s)^{-beta} (s-a)^{-gamma} ds cell by cell: the loop that
-    rlops.kernel_integral evaluates over all its cells at once (same cell
-    points, rules and precedence)."""
+def kernel_integral_reference(lo, hi, a, t, beta, gamma):
+    """int_lo^hi (t-s)^{-beta} (s-a)^{-gamma} ds from mpmath.betainc at 40
+    digits, on the exact values of the float arguments."""
     if not (a <= lo < hi <= t):
         raise ValueError("need a <= lo < hi <= t")
-    left_sing = lo == a and gamma > 0.0
-    right_sing = hi == t
-    u = np.linspace(0.0, 1.0, n_sub + 1)
-    if left_sing and right_sing:
-        pts = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * u))
-    elif left_sing:
-        pts = lo + (hi - lo) * u**2
-    elif right_sing:
-        pts = hi - (hi - lo) * (1.0 - u) ** 2
-    else:
-        pts = lo + (hi - lo) * u
-    total = 0.0
-    for s0, s1 in zip(pts[:-1], pts[1:]):
-        h = s1 - s0
-        if s0 == a and s1 == t:
-            total += (t - a) ** (1.0 - beta - gamma) * beta_fn(1.0 - gamma, 1.0 - beta)
-        elif s0 == a and gamma > 0.0:
-            s = a + h * _GX ** (1.0 / (1.0 - gamma))
-            total += (h ** (1.0 - gamma) / (1.0 - gamma)) * float(
-                _GW @ (t - s) ** (-beta))
-        elif s1 == t:
-            s = t - h * _GX ** (1.0 / (1.0 - beta))
-            total += (h ** (1.0 - beta) / (1.0 - beta)) * float(
-                _GW @ (s - a) ** (-gamma))
-        else:
-            s = s0 + h * _GX
-            total += h * float(_GW @ ((t - s) ** (-beta) * (s - a) ** (-gamma)))
-    return total
+    with mp.workdps(40):
+        lo, hi, a, t, beta, gamma = map(mp.mpf, (lo, hi, a, t, beta, gamma))
+        w = t - a
+        return float(w ** (1 - beta - gamma) * mp.betainc(
+            1 - gamma, 1 - beta, (lo - a) / w, (hi - a) / w))
 
 
 def from_callable(reg: Callable[[float], float], f_a: float, gamma: float,

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion (a failed assertion surfaces as the usual pytest FAILED line).
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -112,7 +113,7 @@ def test_criterion_6_counterexample_sweep():
                      lengths=(0.05, 0.5, 5.0), directions=8, seed=42, n=512)
     coarse = sweep(spec)
     assert coarse.counts["COUNTEREXAMPLE"] == 0, coarse.counterexamples
-    fine = sweep(SweepSpec(**{**spec.__dict__, "n": 1024}))
+    fine = sweep(dataclasses.replace(spec, n=1024))
     assert fine.counts["COUNTEREXAMPLE"] == 0
     assert coarse.verdicts == fine.verdicts, "verdicts changed under refinement"
     elapsed = time.time() - start

@@ -317,7 +317,7 @@ class TestAudit:
         assert (rerun.value.seed, rerun.value.trial) == (42, 5)
         assert str(rerun.value) == str(err)
 
-    def test_audited_integrals_match_cell_loop(self, monkeypatch):
+    def test_audited_integrals_match_betainc(self, monkeypatch):
         calls = []
 
         def record(*args):

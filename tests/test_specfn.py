@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfite import beta_fn, gamma_fn, log_gamma
+from fracfite import beta_fn, gamma_fn
 from fracfite.errors import ConvergenceError
+from fracfite.specfn import inc_beta
 from oracles import mittag_leffler
 
 # frozen 20-digit references (mpmath, dps=40)
@@ -43,10 +44,6 @@ class TestGamma:
         with mp.workdps(30):
             for x in np.geomspace(0.01, 20.0, 400):
                 assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=2e-15)
-
-    def test_log_gamma_against_stdlib(self):
-        for x in (0.05, 0.2, 1.0, 7.3, 42.0, 170.0):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), abs=1e-11, rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_domain_errors(self, x):
@@ -89,6 +86,38 @@ class TestBeta:
            st.floats(min_value=0.05, max_value=20.0))
     def test_symmetry(self, x, y):
         assert beta_fn(x, y) == beta_fn(y, x)
+
+
+class TestIncBeta:
+    def test_against_mpmath(self):
+        # both branches: the series below x = 1/2, the reflection above
+        rng = np.random.default_rng(3)
+        with mp.workdps(30):
+            for _ in range(300):
+                x = rng.uniform(0.0, 1.0)
+                p, q = rng.uniform(0.01, 1.0, 2)
+                ref = float(mp.betainc(p, q, 0, x))
+                assert inc_beta(x, p, q) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("p,q", [(0.25, 0.75), (1.0, 0.01), (0.01, 1.0)])
+    def test_ends_and_half(self, p, q):
+        assert inc_beta(0.0, p, q) == 0.0
+        assert inc_beta(1.0, p, q) == beta_fn(p, q)
+        # at x = 1/2 the two branches meet
+        assert inc_beta(0.5, p, q) + inc_beta(0.5, q, p) == pytest.approx(
+            beta_fn(p, q), rel=1e-14)
+
+    def test_uniform_density(self):
+        for x in (0.0, 0.3, 0.5, 0.8, 1.0):
+            assert inc_beta(x, 1.0, 1.0) == pytest.approx(x, abs=1e-16)
+
+    @pytest.mark.parametrize("x,p,q", [
+        (-0.1, 0.5, 0.5), (1.1, 0.5, 0.5), (math.nan, 0.5, 0.5),
+        (0.5, 0.0, 0.5), (0.5, 1.5, 0.5), (0.5, 0.5, math.nan),
+    ])
+    def test_domain_errors(self, x, p, q):
+        with pytest.raises(ValueError):
+            inc_beta(x, p, q)
 
 
 class TestMittagLeffler:

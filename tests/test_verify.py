@@ -1,5 +1,6 @@
 """Scenario harness: verdict logic, sweeps, and the classical oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,21 @@ class TestCoefficientSpec:
         assert spec.range_on(0.5, 1.5) == pytest.approx(
             (2.0 + slope * (0.5 - 0.30002), 2.0 + slope * (1.5 - 0.30002)), rel=1e-14)
 
+    def test_poly_range_exact(self):
+        # (t - 5.0012)^2 - 1e-6 dips below 0 between 2049 equispaced
+        # samples of [0, 10]; its stationary point is a candidate
+        spec = CoefficientSpec.poly([25.01200044, -10.0024, 1.0])
+        lo, hi = spec.range_on(0.0, 10.0)
+        assert lo == pytest.approx(-1e-6, rel=1e-6) and hi == 25.01200044
+        # 1 + (t-a) - (t-a)^3 on [2, 3]: interior max at t - a = 1/sqrt(3),
+        # min 1 at both ends; the stationary point at -1/sqrt(3) is outside
+        spec = CoefficientSpec.poly([1.0, 1.0, 0.0, -1.0])
+        u = 1.0 / math.sqrt(3.0)
+        assert spec.range_on(2.0, 3.0) == pytest.approx((1.0, 1.0 + u - u**3),
+                                                        rel=1e-15)
+        assert CoefficientSpec.poly([]).range_on(0.0, 1.0) == (0.0, 0.0)
+        assert CoefficientSpec.poly([2.0, -1.0]).range_on(0.0, 1.0) == (1.0, 2.0)
+
     @pytest.mark.parametrize("obj", [{"const": 2.5}, {"poly": [1.0, -0.5, 2.0]},
                                      {"table": [[0.0, 1.0], [1.0, 3.0], [3.0, 0.0]]}])
     def test_callable_takes_node_array(self, obj):
@@ -100,6 +116,11 @@ class TestScenarioValidation:
             fite_scenario(p_coeff=CoefficientSpec.const(math.inf))
         with pytest.raises(ValueError, match="^V: must be finite"):
             fite_scenario(v_coeff=CoefficientSpec.const(math.nan), f_a=1.0)
+
+    def test_poly_dip_below_zero_rejected(self):
+        with pytest.raises(ConfigError, match="^P: must be nonnegative"):
+            fite_scenario(p_coeff=CoefficientSpec.poly([25.01200044, -10.0024, 1.0]),
+                          c=10.0)
 
     def test_forced_table_must_cover_interval(self):
         with pytest.raises(ValueError, match="^V: coefficient table covers"):
@@ -236,9 +257,9 @@ class TestRunScenario:
         calls = []
         range_on = CoefficientSpec.range_on
 
-        def counting(self, a, c, samples=2049):
+        def counting(self, a, c):
             calls.append((a, c))
-            return range_on(self, a, c, samples)
+            return range_on(self, a, c)
 
         monkeypatch.setattr(CoefficientSpec, "range_on", counting)
         s = fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 0.5]), c=2.0)
@@ -400,7 +421,7 @@ class TestSweep:
     def test_verdicts_stable_under_refinement(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0, 2.0), lengths=(0.05, 2.0),
                          directions=4, n=128, seed=5)
-        fine = SweepSpec(**{**spec.__dict__, "n": 256})
+        fine = dataclasses.replace(spec, n=256)
         assert sweep(spec).verdicts == sweep(fine).verdicts
 
     def test_random_directions_mode_is_seeded(self):

@@ -160,7 +160,7 @@ class TestNorms:
         rng = np.random.default_rng(7)
         for _ in range(25):
             w = from_samples(rng.uniform(-2, 2, 17), 0.3, g)
-            assert abs(w.limit_value) <= norm_full(w) + 1e-15
+            assert abs(w.reg_samples[0]) <= norm_full(w) + 1e-15
 
     @settings(max_examples=40)
     @given(lo=st.floats(0.01, 0.98), width=st.floats(0.01, 0.98))
