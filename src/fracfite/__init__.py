@@ -13,8 +13,7 @@ from .specfn import beta_fn, gamma_fn
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples, norm_full)
 from .rlops import kernel_integral, kernel_matrix
-from .sfde import (CoefficientSet, SolveReport, residual, solve_fite,
-                   solve_system)
+from .sfde import CoefficientSet, SolveReport, residual, solve_fite
 from .zeros import find_zeros, first_zero_pair
 from .bounds import (AuditReport, BoundReport, audit_estimates,
                      best_min_length, big_C, big_D, big_E, bound_report,
@@ -33,6 +32,5 @@ __all__ = [
     "eval_reg", "find_zeros", "first_zero_pair",
     "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
     "kernel_integral", "kernel_matrix", "min_length",
-    "norm_full", "residual", "run_scenario", "small_c", "solve_fite",
-    "solve_system", "sweep",
+    "norm_full", "residual", "run_scenario", "small_c", "solve_fite", "sweep",
 ]

@@ -209,7 +209,7 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     draws its instance from SeedSequence([seed, k]) alone, so the first
     `trials` trials of a seed are the same in every run. Raises
     AuditFailure, naming the seed and the trial, on the first violated
-    inequality; otherwise reports per-inequality pass counts.
+    inequality; otherwise every trial checked and passed every inequality.
     """
     q = holder_params(order, p)
     if trials < 0:
@@ -226,7 +226,6 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))
     e_const = (two_pow + b_alpha) / gamma_fn(al)
-    passes = {name: 0 for name in AUDITED}
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         a = rng.uniform(-2.0, 2.0)
@@ -251,36 +250,29 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         lhs = float(rows[1] @ np.abs(A_nodes * W_nodes))
         rhs = (t2 - a) ** (1.0 - beta - ga) * b_kernel * sup_A * norm_f
         _assert_le("kernel_product", lhs, rhs, seed, trial)
-        passes["kernel_product"] += 1
 
         ratio = (t2 - t1) / (t2 - a)
         rhs_kernel = (t2 - a) ** (1.0 - beta - ga) * csum * ratio ** (1.0 / q)
 
         # (kernel_window) int_{t1}^{t2} kernel <= split-and-Hoelder bound
-        if t1 > a and t2 > t1:
-            lhs = kernel_integral(t1, t2, a, t2, beta, ga)
-            _assert_le("kernel_window", lhs, rhs_kernel, seed, trial)
-        passes["kernel_window"] += 1
+        lhs = kernel_integral(t1, t2, a, t2, beta, ga)
+        _assert_le("kernel_window", lhs, rhs_kernel, seed, trial)
 
         # (kernel_difference) int_a^{t1} kernel-difference <= same bound
-        if t2 > t1 > a:
-            lhs = (kernel_integral(a, t1, a, t1, beta, ga)
-                   - kernel_integral(a, t1, a, t2, beta, ga))
-            _assert_le("kernel_difference", lhs, rhs_kernel, seed, trial)
-        passes["kernel_difference"] += 1
+        lhs = (kernel_integral(a, t1, a, t1, beta, ga)
+               - kernel_integral(a, t1, a, t2, beta, ga))
+        _assert_le("kernel_difference", lhs, rhs_kernel, seed, trial)
 
         # (uniform_continuity) |Qf(t1) - Qf(t2)| <= C (t2-a)^{...} (t2-t1)^{1/q} |A| |f|
         lhs = abs(q1 - q2)
         rhs = (Cconst * (t2 - a) ** (1.0 - beta - ga - 1.0 / q)
                * (t2 - t1) ** (1.0 / q) * sup_A * norm_f)
         _assert_le("uniform_continuity", lhs, rhs, seed, trial)
-        passes["uniform_continuity"] += 1
 
         # (subadditive_power) (x + y)^e <= x^e + y^e for e in (0, 1)
         x, y = rng.uniform(0.0, 5.0, 2)
         e = rng.uniform(0.05, 0.95)
         _assert_le("subadditive_power", (x + y) ** e, x**e + y**e, seed, trial)
-        passes["subadditive_power"] += 1
 
         # (weighted_continuity) raw window-dependent form of D
         expo = 1.0 - beta - ga - 1.0 / q
@@ -290,7 +282,6 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         rhs = (d_raw * sup_A * norm_f
                * max((t2 - t1) ** (1.0 / q), (t2 - t1) ** beta))
         _assert_le("weighted_continuity", lhs, rhs, seed, trial)
-        passes["weighted_continuity"] += 1
 
         # (chain_D) D <= [2^{2(2-alpha)} + B(alpha,alpha)] L^alpha / min(...)
         dd = big_D(order, p, length)
@@ -300,7 +291,6 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         mn = min(length ** (1.0 / q), length ** (1.0 - al))
         step2 = (two_pow + b_alpha) * length ** al / mn
         _assert_le("chain_D", step1, step2, seed, trial)
-        passes["chain_D"] += 1
 
         # (chain_E) E <= [2^{2(2-alpha)} + B(alpha,alpha)]/Gamma(alpha)
         #               * L^alpha max(...)/min(...)
@@ -308,5 +298,4 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         mx = max(length ** (1.0 / q), length ** (1.0 - al))
         rhs = e_const * length ** al * mx / mn
         _assert_le("chain_E", ee, rhs, seed, trial)
-        passes["chain_E"] += 1
-    return AuditReport(trials=trials, passes=passes)
+    return AuditReport(trials, dict.fromkeys(AUDITED, trials))

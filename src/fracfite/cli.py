@@ -35,7 +35,7 @@ from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
     fite_rhs, min_length, small_c
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn
-from .verify import Scenario, parse_config, solve_scenario, sweep
+from .verify import Scenario, parse_config, solve_cell, sweep
 from .weighted import GradedGrid, Order, from_samples
 from .zeros import find_zeros
 
@@ -86,8 +86,8 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        rep = solve_scenario(scenario)
-    except (ConvergenceError, FloatingPointError) as exc:
+        (rep,) = solve_cell((scenario,))
+    except ConvergenceError as exc:
         _dump_json({"config": scenario.to_obj(), "converged": False,
                     "detail": str(exc)}, out / "summary.json")
         print(f"solver failure: {exc}", file=sys.stderr)

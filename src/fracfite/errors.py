@@ -2,8 +2,9 @@
 
 
 class ConvergenceError(RuntimeError):
-    """A solve failed: a singular marching step, or an iteration that did
-    not reach its stopping criterion."""
+    """A solve failed: a singular marching step, non-finite samples, a
+    non-finite residual, or (in the test oracle's Picard iteration) an
+    iteration that did not reach its stopping criterion."""
 
 
 class AuditFailure(RuntimeError):

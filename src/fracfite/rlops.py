@@ -78,13 +78,11 @@ def _cell_rules(nodes: np.ndarray, gamma: float, gx: np.ndarray, gw: np.ndarray)
     on the cell at nodes[0] = 0)."""
     h = np.diff(nodes)
     S = nodes[:-1, None] + h[:, None] * gx[None, :]
-    wts = gw[None, :] * h[:, None] * S ** (-gamma) if gamma > 0.0 \
-        else gw[None, :] * h[:, None] * np.ones_like(S)
-    if gamma > 0.0:
-        # first cell: substitution s = h0 u^{1/(1-gamma)} removes the left
-        # singularity; jacobian absorbs s^{-gamma} exactly
-        S[0] = h[0] * gx ** (1.0 / (1.0 - gamma))
-        wts[0] = gw * (h[0] ** (1.0 - gamma) / (1.0 - gamma))
+    wts = gw[None, :] * h[:, None] * S ** (-gamma)
+    # first cell: substitution s = h0 u^{1/(1-gamma)} removes the left
+    # singularity; jacobian absorbs s^{-gamma} exactly (identity at gamma = 0)
+    S[0] = h[0] * gx ** (1.0 / (1.0 - gamma))
+    wts[0] = gw * (h[0] ** (1.0 - gamma) / (1.0 - gamma))
     V0 = wts * (nodes[1:, None] - S) / h[:, None]
     V1 = wts * (S - nodes[:-1, None]) / h[:, None]
     return S, V0, V1

@@ -92,11 +92,11 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
     F + A H, one solve with k right-hand sides. I - A C does not depend on
     the data; it is lower triangular with diagonal
     det_i = 1 - (pf_i omega_ii)^2 G_i R_i, checked up front. A block with
-    non-finite inputs in any column ends the solve, leaving NaN behind."""
+    non-finite inputs in any column fails the solve."""
     n = omega.shape[0] - 1
     k = f_a.size
-    wf = np.full((n + 1, k), np.nan)
-    wg = np.full((n + 1, k), np.nan)
+    wf = np.empty((n + 1, k))
+    wg = np.empty((n + 1, k))
     wf[0], wg[0] = f_a, g_a
     # columns :k hold uh = G wg + wq, columns k: hold uk = R wf + wv
     U = np.empty((n + 1, 2 * k))
@@ -119,7 +119,7 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
             M = np.eye(s.stop - i0) - A @ C
             rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
-                break
+                raise ConvergenceError("marching solve produced non-finite samples")
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
             U[s, :k] = Gv[s, None] * wg[s] + wq[s, None]
@@ -146,7 +146,9 @@ def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a,
                 grid: GradedGrid) -> tuple[SolveReport, ...]:
     """Solve the coupled integral system on the grid for k initial data
     (f_a[j], g_a[j]) at once, all k columns in one marching pass; one
-    report per datum, in order. A failure of any column fails the batch.
+    report per datum, in order. The solve succeeds only when every
+    column's residual is finite; any failure of any column fails the batch
+    with ConvergenceError.
     """
     f_a = np.asarray(f_a, dtype=float).reshape(-1)
     g_a = np.asarray(g_a, dtype=float).reshape(-1)
@@ -156,20 +158,15 @@ def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a,
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
     data = _node_data(coeffs, order, grid, scale)
     wf, wg = _marching(omega, *data, f_a, g_a)
-    if not (np.all(np.isfinite(wf)) and np.all(np.isfinite(wg))):
-        raise FloatingPointError("marching solve produced non-finite samples")
-    res = _defect(omega, *data, wf, wg)
+    # a non-finite sample at a node >= 1 makes its column's defect non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _defect(omega, *data, wf, wg)
+    if not np.isfinite(res).all():
+        raise ConvergenceError("marching solve has a non-finite residual")
     return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
                              g=from_samples(wg[:, j], ga, grid),
                              residual=float(res[j]))
                  for j in range(f_a.size))
-
-
-def solve_system(coeffs: CoefficientSet, order: Order, f_a: float, g_a: float,
-                 grid: GradedGrid) -> SolveReport:
-    """Solve the coupled integral system on the grid: solve_batch for one
-    datum (f_a, g_a)."""
-    return solve_batch(coeffs, order, f_a, g_a, grid)[0]
 
 
 def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float:
@@ -194,4 +191,4 @@ def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
     """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation;
     a V: the forced relaxation oscillation) via the equivalent system of
     fite_coefficients. The returned g is D^alpha f by construction."""
-    return solve_system(fite_coefficients(P, V), order, f_a, g_a, grid)
+    return solve_batch(fite_coefficients(P, V), order, f_a, g_a, grid)[0]

@@ -353,11 +353,6 @@ def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
                        [c.f_a for c in cell], [c.g_a for c in cell], s.grid)
 
 
-def solve_scenario(s: Scenario) -> SolveReport:
-    """Solve the scenario's equation: a cell of one."""
-    return solve_cell((s,))[0]
-
-
 def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyReport]:
     """Solve a cell (see solve_cell) once and classify each of its scenarios;
     the bound (m, p*, minimal length, lhs, rhs) is the cell's. A failed
@@ -368,7 +363,7 @@ def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyR
     """
     try:
         solves = solve_cell(cell)
-    except (ConvergenceError, FloatingPointError, OverflowError) as exc:
+    except ConvergenceError as exc:
         return [VerifyReport(scenario=c, verdict=SOLVER_FAILED, detail=str(exc))
                 for c in cell]
 

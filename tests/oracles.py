@@ -223,7 +223,7 @@ class PicardReport:
 def picard_reference(coeffs: CoefficientSet, order: Order, f_a: float,
                      g_a: float, grid: GradedGrid, tol: float = 1e-10,
                      max_iter: int = 200) -> PicardReport:
-    """Fixed-point iteration of the discrete system sfde.solve_system
+    """Fixed-point iteration of the discrete system sfde.solve_batch
     marches through, seeded with the free terms. It stops once an
     increment is <= tol, and raises ConvergenceError after max_iter
     iterations or when an increment is not finite or exceeds 1e12 times

@@ -16,9 +16,9 @@ import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
                       beta_fn, big_C, big_E, build_grid, CoefficientSet,
-                      fite_rhs, gamma_fn, min_length, solve_system, sweep)
+                      fite_rhs, gamma_fn, min_length, sweep)
 from fracfite.cli import main
-from fracfite.sfde import fite_coefficients
+from fracfite.sfde import fite_coefficients, solve_batch
 from oracles import (classical_fite_check, from_callable, picard_reference,
                      q_operator)
 
@@ -66,7 +66,7 @@ def test_criterion_3_solver_oracle():
     coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
                             lambda s: 0.0)
     pic = picard_reference(coeffs, ORDER, 1.0, 1.0, g)
-    mar = solve_system(coeffs, ORDER, 1.0, 1.0, g)
+    mar = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
     with mp.workdps(30):
         exact = float(mp.gamma("0.75")
                       * mp.nsum(lambda k: 1.0 / mp.gamma(0.75 * k + 0.75),

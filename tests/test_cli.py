@@ -22,6 +22,10 @@ SOLVE_CONFIG = {
 OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
                    "n": 64}
 
+# A valid config whose march stays finite but whose residual overflows.
+HUGE_DATA_CONFIG = {"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
+                    "f_a": 1e308, "g_a": 1e308, "n": 64}
+
 SWEEP_CONFIG = {
     "sweep": {
         "alphas": [0.75], "p_infs": [1.0], "lengths": [0.5, 3.0],
@@ -83,6 +87,26 @@ class TestSolve:
         assert ("solver failure: marching solve produced non-finite samples"
                 in proc.stderr)
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_non_finite_residual_is_a_solver_failure(self, tmp_path):
+        cfg = write_config(tmp_path, HUGE_DATA_CONFIG)
+        src = str(Path(fracfite.__file__).resolve().parents[1])
+        procs = {cmd: subprocess.run(
+            [sys.executable, "-m", "fracfite.cli", cmd, "--config", cfg,
+             "--out", str(tmp_path / cmd)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            for cmd in ("solve", "verify")}
+        assert procs["solve"].returncode == 3
+        assert "non-finite residual" in procs["solve"].stderr
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert not (tmp_path / "solve" / "trace.csv").exists()
+        verdicts = json.loads((tmp_path / "verify" / "verify.json").read_text())
+        assert verdicts["scenarios"][0]["verdict"] == "SOLVER_FAILED"
+        for proc in procs.values():
+            assert "RuntimeWarning" not in proc.stderr
+        for path in tmp_path.rglob("*.json"):
+            assert "Infinity" not in path.read_text(), path
 
     def test_json_trace_format(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)

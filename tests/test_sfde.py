@@ -6,7 +6,7 @@ import pytest
 
 from fracfite import (CoefficientSet, ConvergenceError, GradedGrid, Order,
                       big_E, build_grid, from_samples, gamma_fn, residual,
-                      solve_fite, solve_system)
+                      solve_fite)
 from fracfite.rlops import kernel_matrix
 from fracfite.sfde import _marching, _node_data, fite_coefficients, solve_batch
 from oracles import (contraction_factor, marching_reference, mittag_leffler,
@@ -57,7 +57,7 @@ class TestSolveSystem:
 
     def test_mittag_leffler_whole_profile(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+        rep = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
         t = g.nodes[1:]
         exact = np.array([gamma_fn(0.75) * mittag_leffler(0.75, 0.75, x**0.75)
                           for x in t])
@@ -67,7 +67,7 @@ class TestSolveSystem:
         errs = []
         for n in (128, 256, 512):
             g = build_grid(0.0, 1.0, n, 2.0)
-            rep = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+            rep = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
             errs.append(abs(rep.f.reg_samples[-1] - ML_SOLUTION_AT_1))
         assert errs[0] / errs[1] >= 2.5
         assert errs[1] / errs[2] >= 2.5
@@ -75,7 +75,7 @@ class TestSolveSystem:
     def test_picard_and_marching_agree(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
         pic = picard_reference(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
-        mar = solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+        mar = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
         assert mar.method == "marching"
         agree = np.abs(pic.f.reg_samples - mar.f.reg_samples).max()
         assert agree <= 1e-6
@@ -88,9 +88,9 @@ class TestSolveSystem:
                             lambda s: np.sin(s))
         csum = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
                               lambda s: np.sin(s))
-        r1 = solve_system(c1, ORDER, 1.0, 0.0, g)
-        r2 = solve_system(c2, ORDER, 0.5, 2.0, g)
-        rs = solve_system(csum, ORDER, 1.5, 2.0, g)
+        r1 = solve_batch(c1, ORDER, 1.0, 0.0, g)[0]
+        r2 = solve_batch(c2, ORDER, 0.5, 2.0, g)[0]
+        rs = solve_batch(csum, ORDER, 1.5, 2.0, g)[0]
         np.testing.assert_allclose(
             rs.f.reg_samples, r1.f.reg_samples + r2.f.reg_samples, atol=1e-8)
         np.testing.assert_allclose(
@@ -136,7 +136,7 @@ class TestSolveSystem:
             picard_reference(fite_coefficients(lambda t: 4.0), ORDER, 1.0, 0.0,
                              g, max_iter=3)
 
-    @pytest.mark.parametrize("solve", [solve_system, picard_reference],
+    @pytest.mark.parametrize("solve", [solve_batch, picard_reference],
                              ids=["marching", "picard"])
     def test_each_coefficient_called_once_on_the_nodes(self, solve):
         g = build_grid(0.0, 1.0, 64, 2.0)
@@ -156,16 +156,16 @@ class TestSolveSystem:
             assert isinstance(args[0], np.ndarray), name
             np.testing.assert_array_equal(args[0], g.nodes)
 
-    def test_overflow_raises_floating_point_error(self):
+    def test_overflow_raises_convergence_error(self):
         g = build_grid(0.0, 1e8, 64, 2.0)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(ConvergenceError):
             solve_fite(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)
 
     def test_invalid_inputs(self):
         # the kernel matrix is cached per graded grid: other nodes are refused
         g = GradedGrid.from_nodes(np.array([0.0, 0.1, 0.5, 1.0]))
         with pytest.raises(ValueError, match="graded grid"):
-            solve_system(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+            solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
 
 
 class TestBlockedMarching:
@@ -207,7 +207,7 @@ class TestBlockedMarching:
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             marching_reference(omega, *data, 1.0, 0.0)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
-            solve_system(coeffs, ORDER, 1.0, 0.0, g)
+            solve_batch(coeffs, ORDER, 1.0, 0.0, g)[0]
         # the Schur matrix does not depend on the data: one error per batch
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             solve_batch(coeffs, ORDER, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5], g)
@@ -239,9 +239,17 @@ class TestBatchedSolve:
     def test_non_finite_block_fails_the_batch(self):
         # overflow in any column raises once, with no report for the others
         g = build_grid(0.0, 1e8, 64, 2.0)
-        with pytest.raises(FloatingPointError, match="non-finite"):
+        with pytest.raises(ConvergenceError, match="non-finite"):
             solve_batch(fite_coefficients(lambda t: 1e300), Order(0.9),
                         [1.0, 0.0, 0.6], [0.0, 1.0, 0.8], g)
+
+    def test_non_finite_residual_fails_the_batch(self):
+        # the march stays finite at data near the float maximum, but the
+        # defect overflows: alone or next to a finite column, no report
+        g = build_grid(0.0, 1.0, 64, 2.0)
+        for f_a, g_a in ((1e308, 1e308), ([1.0, 1e308], [0.0, 1e308])):
+            with pytest.raises(ConvergenceError, match="non-finite residual"):
+                solve_batch(fite_coefficients(lambda t: 1.0), ORDER, f_a, g_a, g)
 
     @pytest.mark.parametrize("f_a,g_a", [([], []), ([1.0, 0.0], [1.0])])
     def test_data_shapes(self, f_a, g_a):
@@ -302,19 +310,19 @@ class TestResidual:
     def test_zero_solution_zero_residual(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
         coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_system(coeffs, ORDER, 0.0, 0.0, g)
+        rep = solve_batch(coeffs, ORDER, 0.0, 0.0, g)[0]
         assert residual(coeffs, ORDER, rep) == 0.0
 
     def test_converged_solve_small_residual(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
         coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_system(coeffs, ORDER, 1.0, 1.0, g)
+        rep = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
         assert rep.residual <= 1e-6
 
     def test_perturbation_raises_residual(self):
         g = build_grid(0.0, 1.0, 128, 2.0)
         coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_system(coeffs, ORDER, 1.0, 1.0, g)
+        rep = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
         bumped = rep.f.reg_samples.copy()
         bumped[64] += 1.0
         from fracfite.sfde import SolveReport

@@ -278,6 +278,14 @@ class TestRunScenario:
             assert rep.verdict == "SOLVER_FAILED"
             assert "non-finite" in rep.detail
 
+    def test_non_finite_residual_is_solver_failed(self):
+        # finite march, overflowing defect: no verdict without a residual
+        s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
+                               "f_a": 1e308, "g_a": 1e308, "n": 64})
+        rep = run_scenario(s)
+        assert rep.verdict == "SOLVER_FAILED"
+        assert "non-finite residual" in rep.detail
+
     def test_relax_osc_scenario_runs(self):
         s = fite_scenario(p_coeff=CoefficientSpec.const(1.0),
                           v_coeff=CoefficientSpec.const(1.0),
