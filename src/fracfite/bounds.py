@@ -1,19 +1,18 @@
 """Explicit constant chain and the Fite-type lower bound.
 
-For Hoelder exponents p, v > 1 with conjugates q = p/(p-1), w = v/(v-1)
-and kernel exponents beta, gamma in (0, 1), the chain reads
+The chain is used in one regime: kernel exponents beta = gamma = 1 - alpha
+and one Hoelder exponent p > 1 with (1-alpha) p < 1/2 (the paper's second
+exponent v equals p), where holder_params checks p and returns its
+conjugate q = p/(p-1). With gamma = 1 - alpha and L the interval length,
+the chain reads
 
-    c(p, beta, gamma) = 2^{beta+gamma-1/p} / (1 - gamma p)^{1/p}
-    C = 2 [c(p, beta, gamma) + c(v, gamma, beta)]
-    D = C L^{1-gamma-1/max(q,w)} + L^{1-beta-gamma} B(1-gamma, 1-beta)
+    c = 2^{2 gamma - 1/p} / (1 - gamma p)^{1/p}
+    C = 4 c
+    D = C L^{alpha-1/q} + B(alpha, alpha) L^{2 alpha - 1}
     E = (D / Gamma(alpha)) max(L^{1/q}, L^{1-alpha})
 
-with L the interval length. small_c and big_C keep these general
-arguments; everything else uses only the specialization
-beta = gamma = 1 - alpha, v = p, w = q with (1-alpha) p < 1/2, where
-holder_params checks p and returns q. Only there is D independent of the
-window start, which is what makes the final inequality a statement about
-L = c - a alone:
+Only in this regime is D independent of the window start, which is what
+makes the final inequality a statement about L = c - a alone:
 
     m L^alpha max(L^{1/q}, L^{1-alpha}) / min(L^{1/q}, L^{1-alpha})
         >= Gamma(alpha) / (2^{2(2-alpha)} + B(alpha, alpha))
@@ -60,28 +59,23 @@ def holder_params(order: Order, p: float) -> float:
     return p / (p - 1.0)
 
 
-def small_c(p: float, beta: float, gamma: float) -> float:
-    """c(p, beta, gamma) = 2^{beta+gamma-1/p} / (1 - gamma p)^{1/p}."""
-    if not (p > 1.0):
-        raise ValueError(f"p must exceed 1, got {p!r}")
-    if not (0.0 < beta < 1.0 and 0.0 < gamma < 1.0):
-        raise ValueError("beta and gamma must lie in (0, 1)")
-    if gamma * p >= 1.0:
-        raise ValueError(f"need gamma p < 1, got {gamma * p!r}")
-    return 2.0 ** (beta + gamma - 1.0 / p) / (1.0 - gamma * p) ** (1.0 / p)
+def small_c(order: Order, p: float) -> float:
+    """c = 2^{2 gamma - 1/p} / (1 - gamma p)^{1/p} with gamma = 1 - alpha."""
+    holder_params(order, p)
+    ga = order.gamma
+    return 2.0 ** (2.0 * ga - 1.0 / p) / (1.0 - ga * p) ** (1.0 / p)
 
 
-def big_C(p: float, v: float, beta: float, gamma: float) -> float:
-    """C = 2 [c(p, beta, gamma) + c(v, gamma, beta)]."""
-    return 2.0 * (small_c(p, beta, gamma) + small_c(v, gamma, beta))
+def big_C(order: Order, p: float) -> float:
+    """C = 2 [c(p, beta, gamma) + c(v, gamma, beta)] = 4 c at beta = gamma, v = p."""
+    return 4.0 * small_c(order, p)
 
 
 def big_D(order: Order, p: float, length: float) -> float:
     """Window-independent D at beta = gamma = 1 - alpha:
     D = C L^{alpha-1/q} + B(alpha, alpha) L^{2 alpha - 1}."""
     q = holder_params(order, p)
-    ga = order.gamma
-    return (big_C(p, p, ga, ga) * length ** (order.alpha - 1.0 / q)
+    return (big_C(order, p) * length ** (order.alpha - 1.0 / q)
             + beta_fn(order.alpha, order.alpha) * length ** (2.0 * order.alpha - 1.0))
 
 
@@ -138,11 +132,14 @@ def min_length(order: Order, m: float, p: float) -> float:
     if not (0.0 < m < math.inf):
         raise ConfigError("m", f"must be positive and finite, got {m!r}")
     d = abs(1.0 / holder_params(order, p) - order.gamma)
-    ratio = fite_rhs(order) / m
+    ratio = fite_rhs(order) / m  # inf for a tiny m: the division does not raise
     try:
-        return ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
+        root = ratio ** (1.0 / (order.alpha - d if ratio < 1.0 else order.alpha + d))
     except OverflowError:
-        raise ConfigError("m", f"the minimal length for m={m!r} overflows") from None
+        root = math.inf
+    if root == math.inf:
+        raise ConfigError("m", f"the minimal length for m={m!r} overflows")
+    return root
 
 
 def best_min_length(order: Order, m: float) -> tuple[float, float]:
@@ -221,7 +218,7 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     al = order.alpha
     # trial-independent factors of the right-hand sides
     b_kernel = beta_fn(1.0 - ga, 1.0 - beta)
-    csum = small_c(p, beta, ga) + small_c(p, ga, beta)
+    csum = 2.0 * small_c(order, p)
     Cconst = 2.0 * csum
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))

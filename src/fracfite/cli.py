@@ -95,7 +95,6 @@ def cmd_solve(args) -> int:
     trace_path = out / f"trace.{args.format}"
     _write_trace(trace_path, rep, args.format)
     _dump_json({"config": scenario.to_obj(), "converged": True,
-                "iterations": rep.iterations, "method": rep.method,
                 "residual": rep.residual, "trace": trace_path.name},
                out / "summary.json")
     return OK
@@ -108,13 +107,12 @@ def cmd_bound(args) -> int:
         length = min_length(order, args.m, args.p)
     else:
         p_used, length = best_min_length(order, args.m)
-    ga = order.gamma
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
         "p_given": args.p is not None,
         "rhs": fite_rhs(order), "min_length": length,
         "constants": {
-            "small_c": small_c(p_used, ga, ga), "big_C": big_C(p_used, p_used, ga, ga),
+            "small_c": small_c(order, p_used), "big_C": big_C(order, p_used),
             "big_D_at_min_length": big_D(order, p_used, length),
             "big_E_at_min_length": big_E(order, p_used, length),
             "beta_value": beta_fn(order.alpha, order.alpha),
@@ -135,7 +133,6 @@ def _report_obj(rep) -> dict:
         "label": s.label,
         "verdict": rep.verdict,
         "residual": _num(rep.residual),
-        "method": rep.solver_method,
         "zero_pair": list(rep.zero_pair) if rep.zero_pair else None,
         "m": _num(rep.m), "p_star": _num(rep.p_star),
         "min_length": _num(rep.min_len),
@@ -190,12 +187,11 @@ def cmd_zeros(args) -> int:
         col = "w_f" if args.column == "f" else "w_g"
         t = np.asarray([float(ln.split(",")[idx["t"]]) for ln in lines[1:]])
         vals = np.asarray([float(ln.split(",")[idx[col]]) for ln in lines[1:]])
-        grid = GradedGrid.from_nodes(t)
+        # zero locations only depend on the regularized samples, so the
+        # weight exponent of the stored function is irrelevant here
+        w = from_samples(vals, 0.0, GradedGrid.from_nodes(t))
     except (OSError, KeyError, ValueError, IndexError) as exc:
         raise ConfigError("trace", f"cannot read {args.trace}: {exc}") from None
-    # zero locations only depend on the regularized samples, so the weight
-    # exponent of the stored function is irrelevant here
-    w = from_samples(vals, 0.0, grid)
     b = args.b if args.b is not None else float(t[1])
     c = args.c if args.c is not None else float(t[-1])
     try:

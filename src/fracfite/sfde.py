@@ -53,15 +53,12 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution pair and its residual. Every solve marches, so method is
-    always "marching" and iterations always 0; both stay in the solve
-    and verify records."""
+    """Solution pair of one marching solve and its residual: the max
+    regularized defect of the two integral equations over the nodes."""
 
     f: WeightedFn
     g: WeightedFn
     residual: float
-    iterations: int = 0
-    method: str = "marching"
 
 
 def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,

@@ -328,7 +328,6 @@ class VerifyReport:
     scenario: Scenario
     verdict: str
     residual: float = math.nan
-    solver_method: str = ""
     zero_pair: tuple[float, float] | None = None
     m: float = math.nan
     p_star: float = math.nan
@@ -385,9 +384,8 @@ def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyR
         else:
             verdict, detail = NO_ZERO_PAIR, "trivial solution"
         reports.append(VerifyReport(
-            scenario=c, verdict=verdict, residual=report.residual,
-            solver_method=report.method, zero_pair=pair, m=m, p_star=p_star,
-            min_len=min_len, lhs=lhs, rhs=rhs, detail=detail))
+            scenario=c, verdict=verdict, residual=report.residual, zero_pair=pair,
+            m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs, detail=detail))
     return reports
 
 

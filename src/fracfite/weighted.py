@@ -54,15 +54,16 @@ class GradedGrid:
 
     @classmethod
     def from_nodes(cls, nodes) -> "GradedGrid":
-        """Wrap an explicit strictly increasing node sequence (e.g. read back
-        from a solution trace). The grading exponent r is inferred from the
-        middle node and kept only if every node matches a + L (j/n)^r to
-        1e-12 L; otherwise r is NaN and the grid has no kernel matrix."""
+        """Wrap an explicit finite, strictly increasing node sequence (e.g.
+        read back from a solution trace). The grading exponent r is inferred
+        from the middle node and kept only if every node matches
+        a + L (j/n)^r to 1e-12 L; otherwise r is NaN and the grid has no
+        kernel matrix."""
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("need at least 3 nodes")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing")
+        if not (np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0.0)):
+            raise ValueError("nodes must be finite and strictly increasing")
         a, c, n = float(nodes[0]), float(nodes[-1]), nodes.size - 1
         x = np.arange(n + 1) / n
         r = max(1.0, float(np.log((nodes[n // 2] - a) / (c - a)) / np.log(x[n // 2])))

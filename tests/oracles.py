@@ -2,7 +2,8 @@
 
 None of these is called by the package's pipeline: the Mittag-Leffler
 series (an arbitrary-precision solver oracle, the reason mpmath is a test
-dependency), the weakly singular operator q_operator on rlops'
+dependency) and the closed-form solution of the constant-P sequential
+equation built on it, the weakly singular operator q_operator on rlops'
 kernel matrix and the Riemann-Liouville integral and derivative built on
 it, the closed-form check of the classical second-order Fite statement,
 the node-by-node marching loop that the blocked solve in sfde replaces,
@@ -62,10 +63,11 @@ def mittag_leffler(order: float, weight: float, z: float) -> float:
     the running sum. The summation runs at elevated working precision so
     that the alternating-series cancellation for z < 0 does not eat into
     the result (at z = -10, order = 1 the partial sums overshoot by ~10
-    orders of magnitude). Restricted to the desk-scale domain |z| <= 50.
+    orders of magnitude). Restricted to orders in (0, 2] and to the
+    desk-scale domain |z| <= 50.
     """
-    if not (0.0 < order <= 1.0):
-        raise ValueError(f"order must lie in (0, 1], got {order!r}")
+    if not (0.0 < order <= 2.0):
+        raise ValueError(f"order must lie in (0, 2], got {order!r}")
     if not (math.isfinite(weight) and weight > 0.0):
         raise ValueError(f"weight must be a finite positive real, got {weight!r}")
     if not math.isfinite(z) or abs(z) > _ML_Z_MAX:
@@ -84,6 +86,23 @@ def mittag_leffler(order: float, weight: float, z: float) -> float:
         f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
         f"(order={order}, weight={weight}, z={z})"
     )
+
+
+def fite_closed_form(alpha: float, P: float, f_a: float, g_a: float,
+                     t: float) -> tuple[float, float]:
+    """Exact regularized parts (W_f, W_g) at distance t >= 0 from a of the
+    solution of D^alpha(D^alpha f) + P f = 0 with constant P > 0 and initial
+    data (f_a, g_a). With x = t P^{1/(2 alpha)}, A = E_{2a,a}(-x^{2a}) and
+    B = x^a E_{2a,2a}(-x^{2a}) (a = alpha):
+    W_f = Gamma(a) [f_a A + g_a P^{-1/2} B], W_g = Gamma(a) [g_a A - f_a P^{1/2} B].
+    """
+    x = t * P ** (1.0 / (2.0 * alpha))
+    z = -x ** (2.0 * alpha)
+    A = mittag_leffler(2.0 * alpha, alpha, z)
+    B = x ** alpha * mittag_leffler(2.0 * alpha, 2.0 * alpha, z)
+    ga = gamma_fn(alpha)
+    return (ga * (f_a * A + g_a * P ** -0.5 * B),
+            ga * (g_a * A - f_a * P ** 0.5 * B))
 
 
 def _check_regime(beta: float, gamma: float) -> None:

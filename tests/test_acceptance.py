@@ -87,7 +87,7 @@ def test_criterion_4_constant_chain():
         p_max = 0.5 / ga
         for frac in (0.05, 0.25, 0.5, 0.75, 0.95):
             p = 1.0 + frac * (p_max - 1.0)
-            assert big_C(p, p, ga, ga) < 2.0 ** (2.0 * (2.0 - float(alpha)))
+            assert big_C(order, p) < 2.0 ** (2.0 * (2.0 - float(alpha)))
     with mp.workdps(40):
         a = mp.mpf("0.75")
         rhs_ref = float(mp.gamma(a) / (mp.mpf(2) ** (2 * (2 - a)) + mp.beta(a, a)))

@@ -49,29 +49,42 @@ class TestHolderParams:
             holder_params(ORDER, 1.0)
 
 
+def general_c(p, beta, gamma):
+    """The paper's c(p, beta, gamma) = 2^{beta+gamma-1/p} / (1 - gamma p)^{1/p}."""
+    return 2.0 ** (beta + gamma - 1.0 / p) / (1.0 - gamma * p) ** (1.0 / p)
+
+
 class TestConstantChain:
     def test_small_c_frozen_value(self):
-        assert small_c(1.5, 0.25, 0.25) == pytest.approx(SMALL_C_REF, rel=1e-12)
+        assert small_c(ORDER, 1.5) == pytest.approx(SMALL_C_REF, rel=1e-12)
 
     def test_small_c_domain(self):
-        with pytest.raises(ValueError):
-            small_c(4.0, 0.25, 0.25)   # gamma p = 1 not allowed
-        with pytest.raises(ValueError):
-            small_c(1.5, 0.0, 0.25)
+        with pytest.raises(ConfigError):
+            small_c(ORDER, 2.0)   # gamma p = 1/2 not admissible
+        with pytest.raises(ConfigError):
+            small_c(ORDER, 1.0)
 
     @settings(max_examples=60)
     @given(gamma=st.floats(0.05, 0.45), frac=st.floats(0.05, 0.95))
     def test_small_c_below_power_bound(self, gamma, frac):
         # c(p, gamma, gamma) < 2^{2 gamma} whenever gamma p < 1/2
-        p = 1.0 + frac * (0.5 / gamma - 1.0)
-        assert small_c(p, gamma, gamma) < 2.0 ** (2.0 * gamma)
+        order = Order(1.0 - gamma)
+        ga = order.gamma
+        p = 1.0 + frac * (0.5 / ga - 1.0)
+        assert small_c(order, p) < 2.0 ** (2.0 * ga)
 
     def test_big_C_frozen_value(self):
-        assert big_C(1.5, 1.5, 0.25, 0.25) == pytest.approx(BIG_C_REF, rel=1e-12)
+        assert big_C(ORDER, 1.5) == pytest.approx(BIG_C_REF, rel=1e-12)
 
     def test_big_C_degenerate_symmetry(self):
-        assert big_C(1.5, 1.5, 0.25, 0.25) == pytest.approx(
-            4.0 * small_c(1.5, 0.25, 0.25), rel=1e-14)
+        # the general C = 2 [c(p, beta, gamma) + c(v, gamma, beta)] at
+        # beta = gamma, v = p, to the last bit
+        for alpha, p in ((0.75, 1.5), (0.6, 1.2), (0.9, 1.0 / 0.9)):
+            order = Order(alpha)
+            ga = order.gamma
+            assert small_c(order, p) == general_c(p, ga, ga)
+            assert big_C(order, p) == 2.0 * (general_c(p, ga, ga)
+                                             + general_c(p, ga, ga))
 
     def test_big_C_below_power_bound_across_alphas(self):
         for alpha in np.arange(0.55, 0.951, 0.05):
@@ -79,8 +92,7 @@ class TestConstantChain:
             p_max = 0.5 / order.gamma
             for frac in (0.1, 0.35, 0.6, 0.85):
                 p = 1.0 + frac * (p_max - 1.0)
-                ga = order.gamma
-                assert big_C(p, p, ga, ga) < 2.0 ** (2.0 * (2.0 - alpha))
+                assert big_C(order, p) < 2.0 ** (2.0 * (2.0 - alpha))
 
     def test_big_D_unit_length(self):
         assert big_D(ORDER, 1.5, 1.0) == pytest.approx(BIG_D_REF, rel=1e-12)

@@ -18,6 +18,10 @@ SOLVE_CONFIG = {
     "n": 128, "grading": 2.0,
 }
 
+# The keys of a verify.json scenario record, without the optional "detail".
+SCENARIO_KEYS = {"scenario", "label", "verdict", "residual", "zero_pair", "m",
+                 "p_star", "min_length", "lhs", "rhs"}
+
 # A valid config whose solve overflows double precision.
 OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
                    "n": 64}
@@ -51,6 +55,7 @@ class TestSolve:
         first = lines[1].split(",")
         assert first[2] == "NA" and first[4] == "NA"  # raw f, g singular at a
         summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"config", "converged", "residual", "trace"}
         assert summary["converged"] is True
         assert summary["config"]["alpha"] == 0.75
         assert summary["residual"] < 1e-8
@@ -103,6 +108,7 @@ class TestSolve:
         assert not (tmp_path / "solve" / "trace.csv").exists()
         verdicts = json.loads((tmp_path / "verify" / "verify.json").read_text())
         assert verdicts["scenarios"][0]["verdict"] == "SOLVER_FAILED"
+        assert set(verdicts["scenarios"][0]) == SCENARIO_KEYS | {"detail"}
         for proc in procs.values():
             assert "RuntimeWarning" not in proc.stderr
         for path in tmp_path.rglob("*.json"):
@@ -183,6 +189,14 @@ class TestBound:
         assert main(["bound", "--alpha", "0.75", "--m", "1e-300"]) == 2
         assert "m: the minimal length for m=1e-300 overflows" in capsys.readouterr().err
 
+    def test_min_length_overflowing_by_division(self, capsys):
+        # rhs/m overflowed to inf without an OverflowError: exit 0 with
+        # non-strict `Infinity` for min_length and big_D
+        assert main(["bound", "--alpha", "0.75", "--m", "1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert "m: the minimal length for m=1e-320 overflows" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_sweep_ok(self, tmp_path, capsys):
@@ -239,6 +253,7 @@ class TestVerify:
         agg = json.loads((out / "verify.json").read_text())
         rep = agg["scenarios"][0]
         assert rep["verdict"] == "BOUND_HOLDS"
+        assert set(rep) == SCENARIO_KEYS
         # a single scenario runs as a sweep of one and reports its ratio
         assert agg["counts"]["BOUND_HOLDS"] == 1
         assert agg["min_ratio"] == rep["lhs"] / rep["rhs"]
@@ -469,10 +484,14 @@ class TestZeros:
         assert main(["zeros", "--trace", "/nonexistent/trace.csv"]) == 2
 
     @pytest.mark.parametrize("rows", [["0.0,1.0", "0.5,-1.0"],
-                                      ["0.0,1.0", "0.5,-1.0", "0.25,0.5"]],
-                             ids=["two_rows", "decreasing_t"])
+                                      ["0.0,1.0", "0.5,-1.0", "0.25,0.5"],
+                                      ["0.0,1.0", "0.25,nan", "0.5,-1.0"],
+                                      ["0.0,1.0", "0.5,-1.0", "inf,0.5"]],
+                             ids=["two_rows", "decreasing_t", "nan_w_f",
+                                  "infinite_t"])
     def test_bad_trace_is_a_config_error(self, tmp_path, capsys, rows):
-        # GradedGrid.from_nodes raised a ValueError traceback (exit 1)
+        # GradedGrid.from_nodes and from_samples raised ValueError tracebacks
+        # (exit 1); an infinite t warned from the grading inference and exited 0
         trace = tmp_path / "trace.csv"
         trace.write_text("\n".join(["t,w_f", *rows]) + "\n")
         assert main(["zeros", "--trace", str(trace), "--b", "0.1",

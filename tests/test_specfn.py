@@ -139,13 +139,19 @@ class TestMittagLeffler:
         assert mittag_leffler(1.0, 1.0, z) == pytest.approx(
             math.exp(z), rel=1e-10)
 
+    @pytest.mark.parametrize("x", [0.0, 0.5, math.pi / 2, 3.0, 7.0])
+    def test_order_two_is_cosine(self, x):
+        # E_{2,1}(-x^2) = cos x
+        assert mittag_leffler(2.0, 1.0, -x * x) == pytest.approx(
+            math.cos(x), rel=1e-10, abs=1e-14)
+
     def test_exponential_worst_case_cancellation(self):
         # partial sums overshoot exp(-10) by ~10 orders of magnitude
         assert mittag_leffler(1.0, 1.0, -10.0) == pytest.approx(
             math.exp(-10.0), rel=1e-10)
 
     @pytest.mark.parametrize("order,weight,z", [
-        (0.0, 1.0, 1.0), (1.2, 1.0, 1.0), (0.5, 0.0, 1.0),
+        (0.0, 1.0, 1.0), (2.5, 1.0, 1.0), (0.5, 0.0, 1.0),
         (0.5, -1.0, 1.0), (0.5, 1.0, 51.0), (0.5, 1.0, math.nan),
     ])
     def test_domain_errors(self, order, weight, z):
