@@ -107,6 +107,9 @@ def cmd_bound(args) -> int:
         length = min_length(order, args.m, args.p)
     else:
         p_used, length = best_min_length(order, args.m)
+    if length == 0.0 and min_length(order, 1.0, p_used) > 0.0:
+        # m alone takes the root below the float range: no length to report
+        raise ConfigError("m", f"the minimal length for m={args.m!r} underflows")
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
         "p_given": args.p is not None,

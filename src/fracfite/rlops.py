@@ -32,14 +32,15 @@ like 9.9^-k, below the 6-point rule's own error at k = 16. The build thus
 makes O(n log n) far-field power evaluations, plus the 16-point near band
 and one dense product per block. Applying Omega is a
 triangular matrix-vector product, so repeated applications (marching
-history products, residuals) are cheap. The substitution s = a + L sigma maps
-the graded grid on [a, a+L] onto the one on [0, 1] and leaves the hat
-functions unchanged, so Omega on [a, a+L] is L^{1-beta-gamma} times the
-unit-interval matrix. Only that unit matrix is built, and the last one
-built is cached, keyed on (n, r, beta, gamma): callers ask for the same
-key in runs (a sweep's cells at one n, a solve at n then 2n), so one
-entry hits as often as more would. kernel_matrix returns it with the
-scalar factor, which callers fold into a factor they apply anyway.
+history products, residuals) are cheap. The substitution s = a + L sigma / n^r
+maps the grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on
+n, and leaves the hat functions unchanged: Omega on [a, a+L] is
+(L / n^r)^{1-beta-gamma} times the leading (n+1) x (n+1) block of the matrix
+on j^r for any larger n. Only that matrix is built, one per (r, beta, gamma),
+grown by its new rows when a larger n is asked for, and the last one is
+cached: callers ask for one key in runs (a sweep's cells at one alpha, a
+solve at n then 2n). kernel_matrix returns the block with the scalar factor,
+which callers fold into a factor they apply anyway.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .specfn import beta_fn, inc_beta
-from .weighted import GradedGrid, build_grid
+from .weighted import GradedGrid
 
 
 def _gauss01(points: int):
@@ -103,43 +104,37 @@ def _chebyshev_interp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tau, lag / lag.sum(axis=1, keepdims=True)
 
 
-def _build_matrix(nodes: np.ndarray, a: float, beta: float, gamma: float) -> np.ndarray:
-    """Omega on the given graded nodes, in blocks of _ROW_BLOCK rows.
+def _fill(omega: np.ndarray, nodes: np.ndarray, beta: float, gamma: float,
+          lo: int) -> None:
+    """Rows lo..n of Omega on the nodes t_j = j^r into omega, (n+1)^2.
 
     Cell j <= i-2 adds its two hat integrals to columns j and j+1 of row i;
-    the cell ending at t_i and the first row use their end-point rules.
+    the cell ending at t_i and the first row use their end-point rules. The
+    blocks of 32 * 2^l rows from row 2 keep their nominal size: rows past n
+    are evaluated and dropped, so no row's arithmetic depends on n.
     """
-    nodes = nodes - a  # Omega depends on t - a only; offsets keep their digits
-    n = nodes.size - 1
-    h = np.diff(nodes)
-    omega = np.zeros((n + 1, n + 1))
-    # doubly singular cell [a, t_1]: exact Beta moments
-    pref = nodes[1] ** (1.0 - beta - gamma)
-    omega[1, 0] = pref * beta_fn(1.0 - gamma, 2.0 - beta)
-    omega[1, 1] = pref * beta_fn(2.0 - gamma, 1.0 - beta)
-    # cell [t_{i-1}, t_i] of every row i >= 2: kernel singular at its right end
-    i = np.arange(2, n + 1)
-    t = nodes[2:, None]
-    hl = h[1:, None]
-    s = t - hl * _GX ** (1.0 / (1.0 - beta))
-    wl = _GW * (hl ** (1.0 - beta) / (1.0 - beta)) * s ** (-gamma)
-    omega[i, i - 1] = np.einsum("ig,ig->i", wl, (t - s) / hl)
-    omega[i, i] = np.einsum("ig,ig->i", wl, (s - nodes[1:-1, None]) / hl)
-
-    S, V0, V1 = _cell_rules(nodes, gamma, _GX, _GW)
-    SF, F0, F1 = (x.T.copy() for x in _cell_rules(nodes, gamma, _FX, _FW))
+    hi = omega.shape[0]
+    if lo <= 1:  # doubly singular cell [0, t_1 = 1]: exact Beta moments
+        omega[1, 0] = beta_fn(1.0 - gamma, 2.0 - beta)
+        omega[1, 1] = beta_fn(2.0 - gamma, 1.0 - beta)
+    reach = nodes[:hi + _ROW_BLOCK]  # the cells the row blocks touch
+    S, V0, V1 = _cell_rules(reach, gamma, _GX, _GW)
+    SF, F0, F1 = (x.T.copy() for x in _cell_rules(reach, gamma, _FX, _FW))
     # t_j / h_j grows with j on a graded grid: cells far from a are a tail
-    away = np.flatnonzero(nodes[:-1] >= _FAR_RATIO * h)
-    first = int(away[0]) if away.size else n
+    away = np.flatnonzero(reach[:-1] >= _FAR_RATIO * np.diff(reach))
+    first = int(away[0]) if away.size else reach.size
 
     def cuts(size: int) -> np.ndarray:
-        """Per block of `size` rows [i0, i1): the end of the far cells
-        first..J-1 that end at or before t_{i0} - _ETA (t_{i1-1} - t_{i0})."""
-        i0 = np.arange(2, n + 1, size)
-        i1 = np.minimum(i0 + size, n + 1)
-        lim = nodes[i0] - _ETA * (nodes[i1 - 1] - nodes[i0])
+        """Per block of `size` rows [i0, i0 + size): the end of the far cells
+        first..J-1 that end at or before t_{i0} - _ETA (t_{i0+size-1} - t_{i0})."""
+        i0 = np.arange(2, hi, size)
+        lim = nodes[i0] - _ETA * (nodes[i0 + size - 1] - nodes[i0])
         J = np.searchsorted(nodes[1:], lim, side="right")
         return np.clip(J, first, np.maximum(first, i0 - 1 - _FAR_GAP))
+
+    def kept(i0: int, i1: int) -> slice:
+        """The rows of block [i0, i1) that this fill writes, from i0."""
+        return slice(max(lo, i0) - i0, min(hi, i1) - i0)
 
     def far(i0: int, i1: int, c0: int, c1: int, interpolate: bool) -> None:
         """Add the 6-point integrals of cells c0..c1-1 to rows i0..i1-1,
@@ -151,63 +146,103 @@ def _build_matrix(nodes: np.ndarray, a: float, beta: float, gamma: float) -> np.
         P = np.zeros((tau.size, c1 - c0 + 1))  # columns c0..c1
         P[:, :-1] = np.einsum("mgc,gc->mc", K, F0[:, c0:c1])
         P[:, 1:] += np.einsum("mgc,gc->mc", K, F1[:, c0:c1])
+        k = kept(i0, i1)
+        rows = slice(i0 + k.start, i0 + k.stop)
         if lag is None:
-            omega[i0:i1, c0:c1 + 1] += P
+            omega[rows, c0:c1 + 1] += P[k]
             return
         # no other cells reach columns c0+1..c1-1: write them in place
-        np.matmul(lag, P[:, 1:-1], out=omega[i0:i1, c0 + 1:c1])
-        omega[i0:i1, [c0, c1]] += lag @ P[:, [0, -1]]
+        if k.stop - k.start == i1 - i0:
+            np.matmul(lag, P[:, 1:-1], out=omega[rows, c0 + 1:c1])
+        else:
+            omega[rows, c0 + 1:c1] = (lag @ P[:, 1:-1])[k]
+        omega[rows, [c0, c1]] += (lag @ P[:, [0, -1]])[k]
 
-    # A block of 32 * 2^l rows [i0, i1) takes the far cells that end
-    # _ETA of its widths t_{i1-1} - t_{i0} or more left of t_{i0}, less
-    # those its parent (the block of twice the rows holding it) takes; the
-    # top block holds every row. Admissibility is a prefix in j, so each
-    # block takes one range of cells. The 32-row blocks evaluate the far
-    # cells left over, those too close to interpolate, at their rows.
+    # A block of 32 * 2^l rows [i0, i1) takes the far cells that end _ETA of
+    # its widths t_{i1-1} - t_{i0} or more left of t_{i0}, less those its
+    # parent (the block of twice the rows holding it) takes; a first block
+    # takes none. Admissibility is a prefix in j, so each block takes one
+    # range of cells. The 32-row blocks evaluate the far cells left over,
+    # those too close to interpolate, at their rows.
     leaf = cuts(_ROW_BLOCK)
     size, cut = _ROW_BLOCK, leaf
-    while True:
-        top = size >= n - 1
-        parent = np.array([first]) if top else cuts(2 * size)
-        for b, i0 in enumerate(range(2, n + 1, size)):
+    while size < hi - 2:
+        parent = cuts(2 * size)
+        for b in range(max(0, (lo - 2) // size), cut.size):
             if cut[b] > parent[b // 2]:  # interpolating pays with 2 _CHEB rows
-                i1 = min(i0 + size, n + 1)
-                far(i0, i1, int(parent[b // 2]), int(cut[b]), i1 - i0 >= 2 * _CHEB)
-        if top:
-            break
+                i0 = 2 + b * size
+                far(i0, i0 + size, int(parent[b // 2]), int(cut[b]), True)
         size, cut = 2 * size, parent
 
-    for b, i0 in enumerate(range(2, n + 1, _ROW_BLOCK)):
-        i1 = min(i0 + _ROW_BLOCK, n + 1)
-        t = nodes[i0:i1, None, None]
+    for b in range(max(0, (lo - 2) // _ROW_BLOCK), leaf.size):
+        i0, i1 = 2 + b * _ROW_BLOCK, 2 + (b + 1) * _ROW_BLOCK
+        k = kept(i0, i1)
+        i = np.arange(i0, i1)
+        # cell [t_{i-1}, t_i] of each row: kernel singular at its right end
+        t, tl = nodes[i0:i1, None], nodes[i0 - 1:i1 - 1, None]
+        hl = t - tl
+        s = t - hl * _GX ** (1.0 / (1.0 - beta))
+        wl = _GW * (hl ** (1.0 - beta) / (1.0 - beta)) * s ** (-gamma)
+        omega[i[k], i[k] - 1] = np.einsum("ig,ig->i", wl, (t - s) / hl)[k]
+        omega[i[k], i[k]] = np.einsum("ig,ig->i", wl, (s - tl) / hl)[k]
         edge = i0 - 1 - _FAR_GAP  # cells from here on are near some row
         if edge > leaf[b]:
             far(i0, i1, int(leaf[b]), edge, False)
         near = np.r_[0:first, edge:i1 - 2] if edge > first else np.arange(i1 - 2)
-        rows = np.arange(i0, i1)[:, None]
-        inside = near <= rows - 2  # cell j ends at or before t_{i-1}
-        K = np.where(inside[..., None], t - S[near], 1.0) ** (-beta)
-        omega[rows, near] += inside * np.einsum("icg,cg->ic", K, V0[near])
-        omega[rows, near + 1] += inside * np.einsum("icg,cg->ic", K, V1[near])
-    return omega
+        inside = near <= i[:, None] - 2  # cell j ends at or before t_{i-1}
+        K = np.where(inside[..., None], t[..., None] - S[near], 1.0) ** (-beta)
+        m = np.searchsorted(near, hi - 2)  # the cells of rows below hi
+        for j, V in ((near[:m], V0), (near[:m] + 1, V1)):
+            omega[i[k, None], j] += (inside * np.einsum("icg,cg->ic", K, V[near]))[k, :m]
 
 
-@lru_cache(maxsize=1)
-def _matrix_cached(n: int, r: float, beta: float, gamma: float) -> np.ndarray:
-    mat = _build_matrix(build_grid(0.0, 1.0, n, r).nodes, 0.0, beta, gamma)
-    mat.setflags(write=False)
-    return mat
+class _Omega:
+    """Omega on the nodes t_j = j^r for one (r, beta, gamma)."""
+
+    def __init__(self, r: float, beta: float, gamma: float):
+        self.r, self.beta, self.gamma = r, beta, gamma
+        self.mat = np.zeros((0, 0))
+
+    def upto(self, n: int) -> np.ndarray:
+        """Omega for n cells, a read-only view; grows it by the new rows."""
+        m = self.mat.shape[0]
+        if m <= n:
+            new = np.zeros((n + 1, n + 1))
+            for i0 in range(0, m, _ROW_BLOCK):  # the lower triangle, by row blocks
+                i1 = min(i0 + _ROW_BLOCK, m)
+                new[i0:i1, :i1] = self.mat[i0:i1, :i1]
+            self.mat = np.zeros((0, 0))  # the old rows go before the new are built
+            nodes = np.arange(2 * n + 2 * _ROW_BLOCK, dtype=float) ** self.r
+            _fill(new, nodes, self.beta, self.gamma, m)
+            new.setflags(write=False)
+            self.mat = new
+        return self.mat[:n + 1, :n + 1]
+
+
+_matrix_cached = lru_cache(maxsize=1)(_Omega)  # keyed on (r, beta, gamma)
+
+
+def node_scale(n: int, r: float) -> float:
+    """n^r, the last of the nodes t_j = j^r that Omega for n cells is built
+    on. ValueError when a node the build reads, up to j = 2n + 63, overflows."""
+    try:
+        float(2 * n + 2 * _ROW_BLOCK - 1) ** r
+    except OverflowError:
+        raise ValueError(f"the kernel nodes j^r overflow at n={n}, r={r!r}") from None
+    return float(n) ** r
 
 
 def kernel_matrix(grid: GradedGrid, beta: float,
                   gamma: float) -> tuple[np.ndarray, float]:
     """(Omega, scale) with (Q u)(t_i) = scale * sum_k Omega[i, k] u_k for
-    u = nodal A*W; Omega is the cached [0, 1] matrix, scale = L^{1-beta-gamma}.
-    Omega is keyed on (n, r): a grid of other nodes (r NaN) raises ValueError."""
+    u = nodal A*W; Omega is a view of the cached matrix on the nodes j^r,
+    scale = (L / n^r)^{1-beta-gamma}. A grid of other nodes (r NaN), or of
+    nodes j^r that overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
-    unit = _matrix_cached(grid.n, grid.r, float(beta), float(gamma))
-    return unit, grid.length ** (1.0 - beta - gamma)
+    e = 1.0 - beta - gamma
+    scale = grid.length ** e / node_scale(grid.n, grid.r) ** e
+    return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n), scale
 
 
 def kernel_integral(lo: float, hi: float, a: float, t: float,

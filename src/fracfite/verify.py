@@ -29,6 +29,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
+from .rlops import node_scale
 from .sfde import SolveReport, fite_coefficients, solve_batch
 from .weighted import GradedGrid, Order, build_grid, norm_full
 from .zeros import first_zero_pair
@@ -292,6 +293,7 @@ class Scenario(_Config):
                 f"a={self.a!r}, b={self.b!r}, c={self.c!r}")
         try:
             object.__setattr__(self, "grid", build_grid(self.a, self.c, self.n, self.r))
+            node_scale(self.n, self.r)  # the kernel matrix's nodes j^r must not overflow
         except ValueError as exc:
             raise ConfigError("grading", f"{exc}; lower the grading or n") from None
         p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fracfite
+from fracfite import rlops
 from fracfite.cli import main
 
 SOLVE_CONFIG = {
@@ -28,7 +29,7 @@ OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
 
 # A valid config whose march stays finite but whose residual overflows.
 HUGE_DATA_CONFIG = {"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
-                    "f_a": 1e308, "g_a": 1e308, "n": 64}
+                    "f_a": 2e306, "g_a": 2e306, "n": 64}
 
 SWEEP_CONFIG = {
     "sweep": {
@@ -188,6 +189,16 @@ class TestBound:
         # (rhs/m)^(1/alpha) overflows: an OverflowError traceback before
         assert main(["bound", "--alpha", "0.75", "--m", "1e-300"]) == 2
         assert "m: the minimal length for m=1e-300 overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--alpha", "0.55", "--m", "1e300"],
+                                      ["--alpha", "0.75", "--m", "1e300", "--p", "1.5"]])
+    def test_underflowing_min_length(self, capsys, argv):
+        # the roots, about 1e-1504 and 1e-451, rounded to 0.0: exit 0 with
+        # min_length and the constants at it 0.0
+        assert main(["bound", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "m: the minimal length for m=1e+300 underflows" in captured.err
+        assert captured.out == ""
 
     def test_min_length_overflowing_by_division(self, capsys):
         # rhs/m overflowed to inf without an OverflowError: exit 0 with
@@ -429,6 +440,23 @@ class TestGridNodesRoundTogether:
         assert not (out / report).exists()
 
 
+class TestKernelNodesOverflow:
+    """The kernel matrix is built on the nodes j^r, and 512^116 overflows;
+    n = 512 at grading 116 is otherwise a valid grid."""
+
+    @pytest.mark.parametrize("command,cfg_obj,report", [
+        ("solve", {**SOLVE_CONFIG, "n": 512, "grading": 116}, "summary.json"),
+        ("verify", {**SOLVE_CONFIG, "n": 512, "grading": 116}, "verify.json"),
+        ("verify", {"sweep": {**SWEEP_CONFIG["sweep"], "n": 512, "grading": 116}},
+         "verify.json")])
+    def test_is_a_config_error(self, tmp_path, capsys, command, cfg_obj, report):
+        cfg = write_config(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "grading: the kernel nodes j^r overflow" in capsys.readouterr().err
+        assert not (out / report).exists()
+
+
 class TestMatrixCap:
     """n >= 16384 asks for a (n+1)^2 float64 kernel matrix above 2 GiB,
     which gave a MemoryError traceback or an OOM kill."""
@@ -509,6 +537,17 @@ class TestImports:
 
 
 class TestDeterminism:
+    def test_verify_bytes_do_not_depend_on_a_larger_n_run_first(self, tmp_path):
+        # the second n = 128 run reads the leading block of the n = 300 matrix
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        rlops._matrix_cached.cache_clear()
+        for name, n in (("fresh", 128), ("larger", 300), ("after", 128)):
+            out = tmp_path / name
+            assert main(["verify", "--config", cfg, "--n", str(n), "--out", str(out)]) == 0
+        assert rlops._matrix_cached.cache_info().misses == 1
+        fresh, after = ((tmp_path / k / "verify.json").read_bytes() for k in ("fresh", "after"))
+        assert fresh == after
+
     def test_solve_outputs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,8 +1,10 @@
 """Product-integration operators against closed forms and brute-force
 reference quadrature."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix, norm_full)
-from fracfite.rlops import _CHEB, _build_matrix, _chebyshev_interp, _matrix_cached
+from fracfite.rlops import _CHEB, _Omega, _chebyshev_interp, _matrix_cached
 from oracles import (build_matrix_reference, from_callable,
                      kernel_integral_reference, q_operator, rl_derivative,
                      rl_integral)
@@ -144,14 +146,54 @@ class TestKernelMatrixScaling:
         np.testing.assert_allclose(scale * unit, direct, rtol=1e-11, atol=0.0)
 
     def test_intervals_with_same_n_and_r_share_one_build(self):
-        before = _matrix_cached.cache_info()
+        # one matrix per (r, beta, gamma): another interval, or a larger n,
+        # reads (and grows) the same one and counts as a hit
+        _matrix_cached.cache_clear()
         u1, s1 = kernel_matrix(build_grid(-2.0, 0.7, 37, 1.7), 0.3, 0.3)
         u2, s2 = kernel_matrix(build_grid(4.0, 9.0, 37, 1.7), 0.3, 0.3)
-        after = _matrix_cached.cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 1
-        assert u1 is u2
-        assert (s1, s2) == pytest.approx((2.7 ** 0.4, 5.0 ** 0.4), rel=1e-14)
+        u3, s3 = kernel_matrix(build_grid(4.0, 9.0, 75, 1.7), 0.3, 0.3)
+        info = _matrix_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert u1.base is u2.base
+        np.testing.assert_array_equal(u3[:38, :38], u1)
+        assert (s1, s2, s3) == pytest.approx(
+            ((2.7 / 37 ** 1.7) ** 0.4, (5.0 / 37 ** 1.7) ** 0.4, (5.0 / 75 ** 1.7) ** 0.4),
+            rel=1e-14)
+
+    def test_nodes_that_overflow_raise(self):
+        # the build reads the nodes j^r up to j = 2n + 63
+        with pytest.raises(ValueError, match="overflow"):
+            kernel_matrix(build_grid(0.0, 1.0, 512, 116.0), 0.25, 0.25)
+        with pytest.raises(ValueError, match="overflow"):
+            kernel_matrix(build_grid(0.0, 1.0, 512, 102.0), 0.25, 0.25)
+
+
+class TestGrowth:
+    """Every row's arithmetic is independent of n, so the matrix for n is
+    the leading block of any larger one, bit for bit, and growing from n to
+    N gives the fresh N build. The sizes are off the 32-row block grid."""
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n,N", [(100, 613), (512, 1024)])
+    @pytest.mark.parametrize("beta,gamma", [(0.25, 0.25), (0.3, 0.7)])
+    def test_leading_block_and_growth_match_fresh_builds(self, n, N, r, beta, gamma):
+        fresh = _Omega(r, beta, gamma).upto(N)
+        assert np.array_equal(fresh[:n + 1, :n + 1], _Omega(r, beta, gamma).upto(n))
+        grown = _Omega(r, beta, gamma)
+        grown.upto(n)
+        assert np.array_equal(grown.upto(N), fresh)
+
+    def test_views_are_read_only(self):
+        om = _Omega(2.0, 0.25, 0.25).upto(40)
+        with pytest.raises(ValueError):
+            om[3, 1] = 0.0
+
+    def test_growth_releases_the_old_matrix(self):
+        holder = _Omega(2.0, 0.25, 0.25)
+        old = weakref.ref(holder.upto(64).base)
+        holder.upto(128)
+        gc.collect()
+        assert old() is None
 
 
 class TestBlockedBuild:
@@ -161,13 +203,14 @@ class TestBlockedBuild:
     32-row block edges and the first interpolating block sizes."""
 
     @staticmethod
-    def assert_agrees(nodes, a, beta, gamma, rel=1e-13):
-        # Omega depends on t - a only. The build works in the offsets
-        # nodes - a, which are exact here; the reference in absolute
-        # coordinates rounds its quadrature points to the grid of a and
-        # loses up to 7.5e-11 of a row at a = 1.3, n = 2048, r = 2.
-        omega = _build_matrix(nodes, a, beta, gamma)
-        ref = build_matrix_reference(nodes - a, 0.0, beta, gamma)
+    def assert_agrees(grid, beta, gamma, rel=1e-13):
+        # Omega depends on n and r only: a fresh build of the grid's matrix,
+        # on the nodes j^r, against the reference on the same nodes. (On
+        # the offsets of a grid at a = 1.3 the reference would round its
+        # quadrature points near a and lose up to 7.5e-11 of a row.)
+        _matrix_cached.cache_clear()
+        omega, _ = kernel_matrix(grid, beta, gamma)
+        ref = build_matrix_reference(np.arange(grid.n + 1.0) ** grid.r, 0.0, beta, gamma)
         err = np.abs(omega - ref)
         assert err.max() <= rel * np.abs(ref).max()
         assert np.all(err.max(axis=1) <= rel * np.abs(ref).max(axis=1))
@@ -179,17 +222,17 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n", [2, 3, 5, 13, 14, 33, 34, 38, 45, 100, 513])
     def test_matches_reference(self, n, r, beta, gamma, a):
-        self.assert_agrees(build_grid(a, a + 1.0, n, r).nodes, a, beta, gamma)
+        self.assert_agrees(build_grid(a, a + 1.0, n, r), beta, gamma)
 
     @pytest.mark.parametrize("r", [3.0, 4.0, 6.0])
     @pytest.mark.parametrize("beta,gamma", [(0.3, 0.7), (0.05, 0.9)])
     def test_strong_grading_moves_far_cells_away_from_a(self, r, beta, gamma):
         # with a fixed first far cell j = 8 these reach 1.2e-12 (r = 4) and
         # 1.7e-10 (r = 6): cell 8 is then too wide for its distance to a
-        self.assert_agrees(build_grid(0.0, 1.0, 513, r).nodes, 0.0, beta, gamma)
+        self.assert_agrees(build_grid(0.0, 1.0, 513, r), beta, gamma)
 
     def test_large_n(self):
-        self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0).nodes, 0.0, 0.25, 0.25)
+        self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0), 0.25, 0.25)
 
     # Several levels of interpolating blocks. At r = 6 the nodes of [1.3,
     # 2.3] near a round to a (build_grid rejects them), so that grid is
@@ -198,7 +241,7 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("r,a", [(1.0, 1.3), (2.0, 1.3), (6.0, 0.0)])
     @pytest.mark.parametrize("n", [1025, 2048])
     def test_interpolated_far_field(self, n, r, a):
-        self.assert_agrees(build_grid(a, a + 1.0, n, r).nodes, a, 0.3, 0.7)
+        self.assert_agrees(build_grid(a, a + 1.0, n, r), 0.3, 0.7)
 
 
 class TestChebyshevInterp:

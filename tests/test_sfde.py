@@ -266,10 +266,11 @@ class TestBatchedSolve:
                         [1.0, 0.0, 0.6], [0.0, 1.0, 0.8], g)
 
     def test_non_finite_residual_fails_the_batch(self):
-        # the march stays finite at data near the float maximum, but the
-        # defect overflows: alone or next to a finite column, no report
+        # the march stays finite at data near the float maximum over the
+        # kernel matrix's scale, but the defect overflows: alone or next to
+        # a finite column, no report
         g = build_grid(0.0, 1.0, 64, 2.0)
-        for f_a, g_a in ((1e308, 1e308), ([1.0, 1e308], [0.0, 1e308])):
+        for f_a, g_a in ((2e306, 2e306), ([1.0, 2e306], [0.0, 2e306])):
             with pytest.raises(ConvergenceError, match="non-finite residual"):
                 solve_batch(fite_coefficients(lambda t: 1.0), ORDER, f_a, g_a, g)
 

@@ -279,12 +279,14 @@ class TestRunScenario:
             assert "non-finite" in rep.detail
 
     def test_non_finite_residual_is_solver_failed(self):
-        # finite march, overflowing defect: no verdict without a residual
-        s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
-                               "f_a": 1e308, "g_a": 1e308, "n": 64})
-        rep = run_scenario(s)
-        assert rep.verdict == "SOLVER_FAILED"
-        assert "non-finite residual" in rep.detail
+        # finite march, overflowing defect: no verdict without a residual.
+        # Data 50x larger already overflow in the march.
+        for data, detail in ((2e306, "non-finite residual"), (1e308, "non-finite samples")):
+            s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
+                                   "f_a": data, "g_a": data, "n": 64})
+            rep = run_scenario(s)
+            assert rep.verdict == "SOLVER_FAILED"
+            assert detail in rep.detail
 
     def test_relax_osc_scenario_runs(self):
         s = fite_scenario(p_coeff=CoefficientSpec.const(1.0),
@@ -323,15 +325,15 @@ class TestSweep:
             lengths.append(args)
             return min_length(*args)
 
-        for module in (verify_module, rlops):
-            monkeypatch.setattr(module, "build_grid", counting_grid)
+        monkeypatch.setattr(verify_module, "build_grid", counting_grid)
         monkeypatch.setattr(bounds, "min_length", counting_length)
         rlops._matrix_cached.cache_clear()
         report = sweep(SweepSpec(**STANDARD_GRID, n=64))
         assert len(report.reports) == 216
-        # one per cell SweepSpec validates, which its directions share, and
-        # one per kernel build; the bound is the cell's
-        assert len(grids) == 27 + 3
+        # one grid per cell SweepSpec validates, which its directions share,
+        # and one kernel build per alpha; the bound is the cell's
+        assert len(grids) == 27
+        assert rlops._matrix_cached.cache_info().misses == 3
         assert len(lengths) == 27
 
     def test_pool_has_at_most_one_worker_per_scenario(self, monkeypatch):
