@@ -13,7 +13,7 @@ from .specfn import beta_fn, gamma_fn
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples, norm_full)
 from .rlops import kernel_integral, kernel_matrix
-from .sfde import CoefficientSet, SolveReport, residual, solve_fite
+from .sfde import SolveReport, residual, solve_fite
 from .zeros import find_zeros, first_zero_pair
 from .bounds import (AuditReport, BoundReport, audit_estimates,
                      best_min_length, big_C, big_D, big_E, bound_report,
@@ -24,13 +24,13 @@ from .verify import (CoefficientSpec, Scenario, SweepReport, SweepSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditFailure", "AuditReport", "BoundReport", "CoefficientSet",
-    "CoefficientSpec", "ConfigError", "ConvergenceError", "GradedGrid",
-    "Order", "Scenario", "SolveReport", "SweepReport", "SweepSpec",
-    "VerifyReport", "WeightedFn", "audit_estimates", "best_min_length",
-    "beta_fn", "big_C", "big_D", "big_E", "bound_report", "build_grid",
-    "eval_reg", "find_zeros", "first_zero_pair",
-    "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
-    "kernel_integral", "kernel_matrix", "min_length",
-    "norm_full", "residual", "run_scenario", "small_c", "solve_fite", "sweep",
+    "AuditFailure", "AuditReport", "BoundReport", "CoefficientSpec",
+    "ConfigError", "ConvergenceError", "GradedGrid", "Order", "Scenario",
+    "SolveReport", "SweepReport", "SweepSpec", "VerifyReport",
+    "WeightedFn", "audit_estimates", "best_min_length", "beta_fn",
+    "big_C", "big_D", "big_E", "bound_report", "build_grid", "eval_reg",
+    "find_zeros", "first_zero_pair", "fite_lhs", "fite_rhs",
+    "from_samples", "gamma_fn", "holder_params", "kernel_integral",
+    "kernel_matrix", "min_length", "norm_full", "residual",
+    "run_scenario", "small_c", "solve_fite", "sweep",
 ]

@@ -107,8 +107,8 @@ def cmd_bound(args) -> int:
         length = min_length(order, args.m, args.p)
     else:
         p_used, length = best_min_length(order, args.m)
-    if length == 0.0 and min_length(order, 1.0, p_used) > 0.0:
-        # m alone takes the root below the float range: no length to report
+    if length == 0.0:
+        # the root lies below the float range: no length to report
         raise ConfigError("m", f"the minimal length for m={args.m!r} underflows")
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bound", help="bound constants and minimal length")
     bp.add_argument("--alpha", type=float, required=True)
     bp.add_argument("--m", type=float, required=True,
-                    help="coupling bound max(|G|, |R|)")
+                    help="coefficient bound max(1, sup P)")
     bp.add_argument("--p", type=float, default=None,
                     help="fixed Hoelder exponent (default: optimized)")
     bp.add_argument("--out", default=None)

@@ -1,23 +1,23 @@
-"""Solver for the linear sequential fractional system.
+"""Solver for the sequential fractional equation D^alpha(D^alpha f) + P f = V.
 
-The system
+With g = D^alpha f the equation is the system
 
-    D^alpha f = G g + Q,   D^alpha g = R f + V     (order alpha in (1/2,1))
+    D^alpha f = g,   D^alpha g = V - P f     (order alpha in (1/2,1))
 
-is solved through its weakly singular Volterra representation
+solved through its weakly singular Volterra representation
 
-    f(x) = f_a (x-a)^{alpha-1} + (1/Gamma(alpha)) int_a^x (G g + Q)(s) (x-s)^{alpha-1} ds
+    f(x) = f_a (x-a)^{alpha-1} + (1/Gamma(alpha)) int_a^x g(s) (x-s)^{alpha-1} ds
 
 and symmetrically for g, with (f, g) sought in the weighted space of
-exponent 1 - alpha. The coefficients G, Q, R, V are functions of the
-node array: each solve calls each of them once on the grid nodes (a
+exponent 1 - alpha. The coefficient P and the forcing V are functions of
+the node array: each solve calls each of them once on the grid nodes (a
 scalar result stands for a constant), so they are written with numpy
 functions. The solve is a causal marching scheme in blocks
 of nodes: the history of the product-integration quadrature enters a
 block as one product, and the block's own coupling is solved by forward
 substitution through its Schur complement. It needs no contraction
 condition. The system is linear in the initial data (f_a, g_a) and the
-block Schur matrix depends only on the coefficients, so one marching
+block Schur matrix depends only on P, so one marching
 pass solves k initial data at once: the history has 2k columns and each
 block has one Schur solve with k right-hand sides.
 """
@@ -39,19 +39,6 @@ Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Coefficients of the general system. Each is called once per solve
-    with the array of grid nodes and returns the values there, or a
-    scalar for a constant; write them with numpy functions (np.cos, not
-    math.cos)."""
-
-    G: Coefficient
-    Q: Coefficient
-    R: Coefficient
-    V: Coefficient
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Solution pair of one marching solve and its residual: the max
     regularized defect of the two integral equations over the nodes."""
@@ -61,48 +48,47 @@ class SolveReport:
     residual: float
 
 
-def _node_data(coeffs: CoefficientSet, order: Order, grid: GradedGrid,
-               scale: float):
-    """Nodal coefficients and free terms; the prefactor pf carries the
-    kernel_matrix scale, so pf * (omega @ u) is the scaled operator."""
+def _node_data(P: Coefficient, V: Coefficient | None, order: Order,
+               grid: GradedGrid, scale: float):
+    """R = -P and the regularized forcing on the nodes; the prefactor pf
+    carries the kernel_matrix scale, so pf * (omega @ u) is the scaled
+    operator."""
     t = grid.nodes
     a = grid.a
     ga = order.gamma
-    Gv, Rv, Qv, Vv = (np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
-                      for fn in (coeffs.G, coeffs.R, coeffs.Q, coeffs.V))
+    R = np.broadcast_to(-np.asarray(P(t), dtype=float), t.shape)
     pw = np.zeros_like(t)
     pw[1:] = (t[1:] - a) ** ga
-    # free-term weights of the inhomogeneities, regularized: (t-a)^{1-alpha} Q(t)
-    wq = Qv * pw
-    wv = Vv * pw
+    # free-term weights of the forcing, regularized: (t-a)^{1-alpha} V(t)
+    wv = np.zeros_like(t) if V is None else np.asarray(V(t), dtype=float) * pw
     pf = np.zeros_like(t)
     pf[1:] = scale * (t[1:] - a) ** ga / gamma_fn(order.alpha)
-    return Gv, Rv, wq, wv, pf
+    return R, wv, pf
 
 
-def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
+def _marching(omega, R, wv, pf, f_a, g_a):
     """Causal solve in blocks of _BLOCK nodes for k columns of initial data
     f_a, g_a (arrays of shape (k,)); returns wf, wg of shape (n+1, k). The
-    history, with the block's own free terms, enters as one product of
+    history, with the block's own forcing, enters as one product of
     omega with the 2k history columns; the block coupling wf = F + A wg,
     wg = H + C wf is solved through its Schur complement (I - A C) wf =
     F + A H, one solve with k right-hand sides. I - A C does not depend on
     the data; it is lower triangular with diagonal
-    det_i = 1 - (pf_i omega_ii)^2 G_i R_i, checked up front. A block with
+    det_i = 1 - (pf_i omega_ii)^2 R_i, checked up front. A block with
     non-finite inputs in any column fails the solve."""
     n = omega.shape[0] - 1
     k = f_a.size
     wf = np.empty((n + 1, k))
     wg = np.empty((n + 1, k))
     wf[0], wg[0] = f_a, g_a
-    # columns :k hold uh = G wg + wq, columns k: hold uk = R wf + wv
-    U = np.empty((n + 1, 2 * k))
-    U[:, :k], U[:, k:] = wq[:, None], wv[:, None]
-    U[0, :k] += Gv[0] * g_a
-    U[0, k:] += Rv[0] * f_a
+    # columns :k hold wg, columns k: hold uk = R wf + wv
+    U = np.zeros((n + 1, 2 * k))
+    U[:, k:] = wv[:, None]
+    U[0, :k] = g_a
+    U[0, k:] += R[0] * f_a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d = pf * np.diagonal(omega)
-        det = 1.0 - (d * Gv) * (d * Rv)
+        det = 1.0 - d * (d * R)
         bad = np.flatnonzero(np.abs(det[1:]) < 1e-12)
         if bad.size:
             i = int(bad[0]) + 1
@@ -110,8 +96,8 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
         for i0 in range(1, n + 1, _BLOCK):
             s = slice(i0, min(i0 + _BLOCK, n + 1))
             hist = omega[s, :s.stop] @ U[:s.stop]
-            po = pf[s, None] * omega[s, s]
-            A, C = po * Gv[s], po * Rv[s]
+            A = pf[s, None] * omega[s, s]
+            C = A * R[s]
             H = g_a + pf[s, None] * hist[:, k:]
             M = np.eye(s.stop - i0) - A @ C
             rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
@@ -119,17 +105,17 @@ def _marching(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
                 raise ConvergenceError("marching solve produced non-finite samples")
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
-            U[s, :k] = Gv[s, None] * wg[s] + wq[s, None]
-            U[s, k:] = Rv[s, None] * wf[s] + wv[s, None]
+            U[s, :k] = wg[s]
+            U[s, k:] = R[s, None] * wf[s] + wv[s, None]
     return wf, wg
 
 
-def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> np.ndarray:
+def _defect(omega, R, wv, pf, wf, wg) -> np.ndarray:
     """Max regularized defect of the two integral equations over t_j, j >= 1,
     one per column of wf, wg (shape (n+1, k)); omega is lower triangular,
     so its product runs in row blocks over it."""
     k = wf.shape[1]
-    U = np.hstack((Gv[:, None] * wg + wq[:, None], Rv[:, None] * wf + wv[:, None]))
+    U = np.hstack((wg, R[:, None] * wf + wv[:, None]))
     hist = np.empty_like(U)
     for i0 in range(0, U.shape[0], _BLOCK):
         s = slice(i0, i0 + _BLOCK)
@@ -139,21 +125,19 @@ def _defect(omega, Gv, Rv, wq, wv, pf, wf, wg) -> np.ndarray:
     return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
 
 
-def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a,
-                grid: GradedGrid) -> tuple[SolveReport, ...]:
-    """Solve the coupled integral system on the grid for k initial data
-    (f_a[j], g_a[j]) at once, all k columns in one marching pass; one
-    report per datum, in order. The solve succeeds only when every
-    column's residual is finite; any failure of any column fails the batch
-    with ConvergenceError.
-    """
+def solve_batch(P: Coefficient, order: Order, f_a, g_a, grid: GradedGrid,
+                V: Coefficient | None = None) -> tuple[SolveReport, ...]:
+    """Solve D^alpha f = g, D^alpha g = V - P f (V = None: V = 0) on the grid
+    for k initial data (f_a[j], g_a[j]) in one marching pass; one report per
+    datum, in order. The solve succeeds only when every column's residual is
+    finite; any failure of any column fails the batch with ConvergenceError."""
     f_a = np.asarray(f_a, dtype=float).reshape(-1)
     g_a = np.asarray(g_a, dtype=float).reshape(-1)
     if f_a.shape != g_a.shape or not f_a.size:
         raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     ga = order.gamma
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
-    data = _node_data(coeffs, order, grid, scale)
+    data = _node_data(P, V, order, grid, scale)
     wf, wg = _marching(omega, *data, f_a, g_a)
     # a non-finite sample at a node >= 1 makes its column's defect non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,26 +150,18 @@ def solve_batch(coeffs: CoefficientSet, order: Order, f_a, g_a,
                  for j in range(f_a.size))
 
 
-def residual(coeffs: CoefficientSet, order: Order, report: SolveReport) -> float:
+def residual(P: Coefficient, order: Order, report: SolveReport, *,
+             V: Coefficient | None = None) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    return float(_defect(omega, *_node_data(coeffs, order, grid, scale),
+    return float(_defect(omega, *_node_data(P, V, order, grid, scale),
                          report.f.reg_samples[:, None], report.g.reg_samples[:, None])[0])
-
-
-def fite_coefficients(P: Coefficient, V: Coefficient | None = None) -> CoefficientSet:
-    """The system equivalent to D^alpha(D^alpha f) + P f = V: G = 1, Q = 0,
-    R = -P, and V (None: the homogeneous equation, V = 0). Its g is
-    D^alpha f by construction."""
-    return CoefficientSet(G=lambda s: 1.0, Q=lambda s: 0.0, R=lambda s: -P(s),
-                          V=(lambda s: 0.0) if V is None else V)
 
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
                grid: GradedGrid, V: Coefficient | None = None) -> SolveReport:
-    """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation;
-    a V: the forced relaxation oscillation) via the equivalent system of
-    fite_coefficients. The returned g is D^alpha f by construction."""
-    return solve_batch(fite_coefficients(P, V), order, f_a, g_a, grid)[0]
+    """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation)
+    for one initial datum; the returned g is D^alpha f by construction."""
+    return solve_batch(P, order, f_a, g_a, grid, V)[0]

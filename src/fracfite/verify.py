@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
 from .rlops import node_scale
-from .sfde import SolveReport, fite_coefficients, solve_batch
+from .sfde import SolveReport, solve_batch
 from .weighted import GradedGrid, Order, build_grid, norm_full
 from .zeros import first_zero_pair
 
@@ -350,8 +350,8 @@ def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
     if any(s.with_direction(c.f_a, c.g_a, c.label) != c for c in cell):
         raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
     v = None if s.v_coeff is None else s.v_coeff.as_callable(s.a)
-    return solve_batch(fite_coefficients(s.p_coeff.as_callable(s.a), v), s.order,
-                       [c.f_a for c in cell], [c.g_a for c in cell], s.grid)
+    return solve_batch(s.p_coeff.as_callable(s.a), s.order, [c.f_a for c in cell],
+                       [c.g_a for c in cell], s.grid, v)
 
 
 def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyReport]:

@@ -37,7 +37,7 @@ class Order:
 @dataclass(frozen=True, eq=False)
 class GradedGrid:
     """Nodes t_j = a + (c-a) (j/n)^r, j = 0..n; r = 1 is the uniform grid.
-    r is NaN for nodes of any other spacing (see from_nodes)."""
+    r is NaN for a grid of explicit nodes (see from_nodes)."""
 
     a: float
     c: float
@@ -55,21 +55,15 @@ class GradedGrid:
     @classmethod
     def from_nodes(cls, nodes) -> "GradedGrid":
         """Wrap an explicit finite, strictly increasing node sequence (e.g.
-        read back from a solution trace). The grading exponent r is inferred
-        from the middle node and kept only if every node matches
-        a + L (j/n)^r to 1e-12 L; otherwise r is NaN and the grid has no
+        read back from a solution trace). Its r is NaN, so the grid has no
         kernel matrix."""
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float)  # a copy: the grid freezes its nodes
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("need at least 3 nodes")
         if not (np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0.0)):
             raise ValueError("nodes must be finite and strictly increasing")
-        a, c, n = float(nodes[0]), float(nodes[-1]), nodes.size - 1
-        x = np.arange(n + 1) / n
-        r = max(1.0, float(np.log((nodes[n // 2] - a) / (c - a)) / np.log(x[n // 2])))
-        if not np.abs(a + (c - a) * x ** r - nodes).max() <= 1e-12 * (c - a):
-            r = np.nan
-        return cls(a=a, c=c, n=n, r=r, nodes=nodes)
+        return cls(a=float(nodes[0]), c=float(nodes[-1]), n=nodes.size - 1,
+                   r=np.nan, nodes=nodes)
 
 
 def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:

@@ -24,9 +24,8 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from fracfite import (CoefficientSet, GradedGrid, Order, WeightedFn, beta_fn,
-                      eval_reg, find_zeros, from_samples, gamma_fn,
-                      kernel_matrix)
+from fracfite import (GradedGrid, Order, WeightedFn, beta_fn, eval_reg,
+                      find_zeros, from_samples, gamma_fn, kernel_matrix)
 from fracfite.errors import ConvergenceError
 from fracfite.sfde import _node_data
 
@@ -199,30 +198,27 @@ def classical_fite_check(P_const: float, b: float, c: float,
     return True
 
 
-def marching_reference(omega, Gv, Rv, wq, wv, pf, f_a, g_a):
+def marching_reference(omega, R, wv, pf, f_a, g_a):
     """Node-by-node marching: at each node, one 2x2 solve for the two
     regularized unknowns. Takes sfde._node_data's arrays, like sfde._marching."""
     n = omega.shape[0] - 1
     wf = np.empty(n + 1)
     wg = np.empty(n + 1)
     wf[0], wg[0] = f_a, g_a
-    uh = np.empty(n + 1)
     uk = np.empty(n + 1)
-    uh[0] = Gv[0] * g_a + wq[0]
-    uk[0] = Rv[0] * f_a + wv[0]
+    uk[0] = R[0] * f_a + wv[0]
     for i in range(1, n + 1):
         d = omega[i, i]
-        rf = f_a + pf[i] * (omega[i, :i] @ uh[:i] + d * wq[i])
+        rf = f_a + pf[i] * (omega[i, :i] @ wg[:i])
         rg = g_a + pf[i] * (omega[i, :i] @ uk[:i] + d * wv[i])
-        cf = pf[i] * d * Gv[i]
-        cg = pf[i] * d * Rv[i]
+        cf = pf[i] * d
+        cg = pf[i] * d * R[i]
         det = 1.0 - cf * cg
         if abs(det) < 1e-12:
             raise ConvergenceError(f"marching step singular at node {i} (det={det})")
         wf[i] = (rf + cf * rg) / det
         wg[i] = (rg + cg * rf) / det
-        uh[i] = Gv[i] * wg[i] + wq[i]
-        uk[i] = Rv[i] * wf[i] + wv[i]
+        uk[i] = R[i] * wf[i] + wv[i]
     return wf, wg
 
 
@@ -239,8 +235,8 @@ class PicardReport:
         return len(self.increment_norms)
 
 
-def picard_reference(coeffs: CoefficientSet, order: Order, f_a: float,
-                     g_a: float, grid: GradedGrid, tol: float = 1e-10,
+def picard_reference(P, order: Order, f_a: float, g_a: float,
+                     grid: GradedGrid, V=None, tol: float = 1e-10,
                      max_iter: int = 200) -> PicardReport:
     """Fixed-point iteration of the discrete system sfde.solve_batch
     marches through, seeded with the free terms. It stops once an
@@ -248,13 +244,13 @@ def picard_reference(coeffs: CoefficientSet, order: Order, f_a: float,
     iterations or when an increment is not finite or exceeds 1e12 times
     (first increment + 1)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    Gv, Rv, wq, wv, pf = _node_data(coeffs, order, grid, scale)
+    R, wv, pf = _node_data(P, V, order, grid, scale)
     wf = np.full(omega.shape[0], float(f_a))
     wg = np.full(omega.shape[0], float(g_a))
     increments: list[float] = []
     for _ in range(max_iter):
-        nf = f_a + pf * (omega @ (Gv * wg + wq))
-        ng = g_a + pf * (omega @ (Rv * wf + wv))
+        nf = f_a + pf * (omega @ wg)
+        ng = g_a + pf * (omega @ (R * wf + wv))
         inc = float(max(np.abs(nf - wf).max(), np.abs(ng - wg).max()))
         wf, wg = nf, ng
         increments.append(inc)
@@ -269,16 +265,15 @@ def picard_reference(coeffs: CoefficientSet, order: Order, f_a: float,
         f"iterations (last increment {increments[-1]:.3e})")
 
 
-def contraction_factor(coeffs: CoefficientSet, order: Order,
-                       grid: GradedGrid) -> float:
+def contraction_factor(P, order: Order, grid: GradedGrid) -> float:
     """Sup-norm Lipschitz constant of picard_reference's map on the pair
-    (wf, wg): the increments map as (df, dg) -> (pf Omega (G dg),
-    pf Omega (R df)), and Omega, pf >= 0, so the constant is one mat-vec
-    per equation, max(max_i pf_i sum_j Omega_ij |G_j|, same with R)."""
+    (wf, wg): the increments map as (df, dg) -> (pf Omega dg,
+    -pf Omega (P df)), and Omega, pf >= 0, so the constant is one mat-vec
+    per equation, max(max_i pf_i sum_j Omega_ij, same with |P_j|)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    Gv, Rv, _, _, pf = _node_data(coeffs, order, grid, scale)
-    return float(max((pf * (omega @ np.abs(Gv))).max(),
-                     (pf * (omega @ np.abs(Rv))).max()))
+    R, _, pf = _node_data(P, None, order, grid, scale)
+    return float(max((pf * (omega @ np.ones_like(pf))).max(),
+                     (pf * (omega @ np.abs(R))).max()))
 
 
 _GX, _GW = leggauss(16)

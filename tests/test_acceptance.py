@@ -15,10 +15,10 @@ import pytest
 import mpmath as mp
 
 from fracfite import (Order, SweepSpec, audit_estimates, best_min_length,
-                      beta_fn, big_C, big_E, build_grid, CoefficientSet,
-                      fite_rhs, gamma_fn, min_length, sweep)
+                      beta_fn, big_C, big_E, build_grid, fite_rhs, gamma_fn,
+                      min_length, sweep)
 from fracfite.cli import main
-from fracfite.sfde import fite_coefficients, solve_batch
+from fracfite.sfde import solve_batch
 from oracles import (classical_fite_check, from_callable, picard_reference,
                      q_operator)
 
@@ -63,10 +63,9 @@ def test_criterion_2_quadrature_sharp_case():
 def test_criterion_3_solver_oracle():
     start = time.time()
     g = build_grid(0.0, 1.0, 2048, 2.0)
-    coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
-                            lambda s: 0.0)
-    pic = picard_reference(coeffs, ORDER, 1.0, 1.0, g)
-    mar = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
+    P = lambda s: -1.0  # with f_a = g_a, f = f_a (t-a)^{alpha-1} + I^alpha f
+    pic = picard_reference(P, ORDER, 1.0, 1.0, g)
+    mar = solve_batch(P, ORDER, 1.0, 1.0, g)[0]
     with mp.workdps(30):
         exact = float(mp.gamma("0.75")
                       * mp.nsum(lambda k: 1.0 / mp.gamma(0.75 * k + 0.75),
@@ -128,7 +127,7 @@ def test_criterion_7_contraction():
     E = big_E(ORDER, p, length)
     assert E * m < 0.5
     g = build_grid(0.0, length, 512, 2.0)
-    rep = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 1.0, 0.3, g)
+    rep = picard_reference(lambda t: 1.0, ORDER, 1.0, 0.3, g)
     incs = rep.increment_norms
     ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
               if incs[k] > 0.0]

@@ -167,10 +167,13 @@ class TestBound:
         assert json.loads(capsys.readouterr().out)["constants"] == constants
 
     def test_alpha_next_to_one_half(self, capsys):
-        # the clamped p-range is empty there: a ValueError traceback before
-        assert main(["bound", "--alpha", "0.5000001", "--m", "1"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert 1.0 < rec["p"] and (1.0 - 0.5000001) * rec["p"] < 0.5
+        # the clamped p-range is empty there: a ValueError traceback before;
+        # then exit 0 with min_length 0.0, the root being far below the
+        # float range
+        assert main(["bound", "--alpha", "0.5000001", "--m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "m: the minimal length for m=1.0 underflows" in captured.err
+        assert captured.out == ""
 
     def test_alpha_out_of_range(self, capsys):
         assert main(["bound", "--alpha", "0.4", "--m", "1.0"]) == 2

@@ -6,12 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracfite import (CoefficientSet, ConvergenceError, GradedGrid, Order,
-                      big_E, build_grid, from_samples, gamma_fn, residual,
-                      solve_fite)
+from fracfite import (ConvergenceError, GradedGrid, Order, big_E, build_grid,
+                      from_samples, gamma_fn, residual, solve_fite)
 from fracfite.rlops import kernel_matrix
-from fracfite.sfde import (SolveReport, _marching, _node_data, fite_coefficients,
-                           solve_batch)
+from fracfite.sfde import SolveReport, _marching, _node_data, solve_batch
 from oracles import (contraction_factor, fite_closed_form, marching_reference,
                      mittag_leffler, picard_reference, rl_derivative)
 
@@ -20,38 +18,34 @@ ORDER = Order(0.75)
 ML_SOLUTION_AT_1 = 4.5079728162274022969
 
 
-def ml_coeffs(a, c):
-    """G = R = 1, Q = V = 0: with f_a = g_a the pair collapses to the
-    scalar equation f = f_a (t-a)^{alpha-1} + I^alpha f."""
-    return CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 1.0,
-                          lambda s: 0.0)
+def ml_p(s):
+    """P = -1: with f_a = g_a the pair collapses to the scalar equation
+    f = f_a (t-a)^{alpha-1} + I^alpha f."""
+    return -1.0
 
 
 class TestSolveSystem:
     def test_zero_fixed_point(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        coeffs = CoefficientSet(lambda s: np.cos(s), lambda s: 0.0,
-                                lambda s: -2.0, lambda s: 0.0)
-        rep = picard_reference(coeffs, ORDER, 0.0, 0.0, g)
+        P = lambda s: 2.0 + np.cos(s)
+        rep = picard_reference(P, ORDER, 0.0, 0.0, g)
         assert rep.iterations == 1
-        assert residual(coeffs, ORDER, rep) == 0.0
+        assert residual(P, ORDER, rep) == 0.0
         np.testing.assert_array_equal(rep.f.reg_samples, 0.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
     def test_decoupled_free_term_only(self):
-        # G == 1, R == 0, g_a = 0: one Picard step closes; f is the free
+        # P == 0, g_a = 0: one Picard step closes; f is the free
         # term f_a (t-a)^{alpha-1}, i.e. regularized part constant f_a
         g = build_grid(0.0, 1.0, 64, 2.0)
-        coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
-                                lambda s: 0.0)
-        rep = picard_reference(coeffs, ORDER, 1.0, 0.0, g)
+        rep = picard_reference(lambda s: 0.0, ORDER, 1.0, 0.0, g)
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.f.reg_samples, 1.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
     def test_mittag_leffler_oracle(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = picard_reference(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
+        rep = picard_reference(ml_p, ORDER, 1.0, 1.0, g)
         # W_f(1) = f(1) at unit distance from a
         assert rep.f.reg_samples[-1] == pytest.approx(ML_SOLUTION_AT_1, rel=2e-5)
         # frozen value consistent with the special-function oracle
@@ -60,7 +54,7 @@ class TestSolveSystem:
 
     def test_mittag_leffler_whole_profile(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
+        rep = solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
         t = g.nodes[1:]
         exact = np.array([gamma_fn(0.75) * mittag_leffler(0.75, 0.75, x**0.75)
                           for x in t])
@@ -70,29 +64,25 @@ class TestSolveSystem:
         errs = []
         for n in (128, 256, 512):
             g = build_grid(0.0, 1.0, n, 2.0)
-            rep = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
+            rep = solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
             errs.append(abs(rep.f.reg_samples[-1] - ML_SOLUTION_AT_1))
         assert errs[0] / errs[1] >= 2.5
         assert errs[1] / errs[2] >= 2.5
 
     def test_picard_and_marching_agree(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
-        pic = picard_reference(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)
-        mar = solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
+        pic = picard_reference(ml_p, ORDER, 1.0, 1.0, g)
+        mar = solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
         agree = np.abs(pic.f.reg_samples - mar.f.reg_samples).max()
         assert agree <= 1e-6
 
     def test_linearity_of_solution_map(self):
+        # linear in (f_a, g_a, V) jointly
         g = build_grid(0.0, 1.0, 128, 2.0)
-        c1 = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
-                            lambda s: 0.0)
-        c2 = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: -1.0,
-                            lambda s: np.sin(s))
-        csum = CoefficientSet(lambda s: 1.0, lambda s: 1.0, lambda s: -1.0,
-                              lambda s: np.sin(s))
-        r1 = solve_batch(c1, ORDER, 1.0, 0.0, g)[0]
-        r2 = solve_batch(c2, ORDER, 0.5, 2.0, g)[0]
-        rs = solve_batch(csum, ORDER, 1.5, 2.0, g)[0]
+        P = lambda s: 1.0
+        r1 = solve_batch(P, ORDER, 1.0, 0.0, g, lambda s: 1.0)[0]
+        r2 = solve_batch(P, ORDER, 0.5, 2.0, g, lambda s: np.sin(s))[0]
+        rs = solve_batch(P, ORDER, 1.5, 2.0, g, lambda s: 1.0 + np.sin(s))[0]
         np.testing.assert_allclose(
             rs.f.reg_samples, r1.f.reg_samples + r2.f.reg_samples, atol=1e-8)
         np.testing.assert_allclose(
@@ -105,8 +95,7 @@ class TestSolveSystem:
         E = big_E(ORDER, 4.0 / 3.0, length)
         assert E < 0.5
         g = build_grid(0.0, length, 256, 2.0)
-        rep = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 1.0,
-                               0.3, g)
+        rep = picard_reference(lambda t: 1.0, ORDER, 1.0, 0.3, g)
         incs = rep.increment_norms
         ratios = [incs[k + 1] / incs[k] for k in range(1, len(incs) - 1)
                   if incs[k] > 0.0]
@@ -116,10 +105,10 @@ class TestSolveSystem:
     def test_exact_contraction_factor(self, length):
         # kappa is the sup-norm constant of the discrete Picard map: it
         # bounds every increment ratio, and big_E m bounds it (m = P = 1)
-        coeffs = fite_coefficients(lambda t: 1.0)
+        P = lambda t: 1.0
         g = build_grid(0.0, length, 512, 2.0)
-        kappa = contraction_factor(coeffs, ORDER, g)
-        incs = picard_reference(coeffs, ORDER, 1.0, 0.3, g).increment_norms
+        kappa = contraction_factor(P, ORDER, g)
+        incs = picard_reference(P, ORDER, 1.0, 0.3, g).increment_norms
         ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0.0]
         assert ratios and max(ratios) <= kappa * (1.0 + 1e-12)
         assert kappa <= big_E(ORDER, 4.0 / 3.0, length) * 1.0
@@ -156,14 +145,13 @@ class TestSolveSystem:
     def test_picard_scheme_raises_without_fallback(self):
         g = build_grid(0.0, 10.0, 128, 2.0)
         with pytest.raises(ConvergenceError):
-            picard_reference(fite_coefficients(lambda t: 4.0), ORDER, 1.0, 0.0,
-                             g, max_iter=3)
+            picard_reference(lambda t: 4.0, ORDER, 1.0, 0.0, g, max_iter=3)
 
     @pytest.mark.parametrize("solve", [solve_batch, picard_reference],
                              ids=["marching", "picard"])
     def test_each_coefficient_called_once_on_the_nodes(self, solve):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        calls = {name: [] for name in "GQRV"}
+        calls = {name: [] for name in "PV"}
 
         def recorded(name, value):
             def fn(t):
@@ -171,13 +159,14 @@ class TestSolveSystem:
                 return np.full(np.shape(t), value)
             return fn
 
-        coeffs = CoefficientSet(recorded("G", 1.0), recorded("Q", 0.5),
-                                recorded("R", -1.0), recorded("V", 0.25))
-        solve(coeffs, ORDER, 1.0, 0.0, g)
+        solve(recorded("P", 1.0), ORDER, 1.0, 0.0, g, V=recorded("V", 0.25))
         for name, args in calls.items():
             assert len(args) == 1, name
             assert isinstance(args[0], np.ndarray), name
             np.testing.assert_array_equal(args[0], g.nodes)
+        # the homogeneous equation calls only P
+        solve(recorded("P", 1.0), ORDER, 1.0, 0.0, g)
+        assert len(calls["P"]) == 2 and len(calls["V"]) == 1
 
     def test_overflow_raises_convergence_error(self):
         g = build_grid(0.0, 1e8, 64, 2.0)
@@ -188,27 +177,25 @@ class TestSolveSystem:
         # the kernel matrix is cached per graded grid: other nodes are refused
         g = GradedGrid.from_nodes(np.array([0.0, 0.1, 0.5, 1.0]))
         with pytest.raises(ValueError, match="graded grid"):
-            solve_batch(ml_coeffs(0.0, 1.0), ORDER, 1.0, 1.0, g)[0]
+            solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
 
 
 class TestBlockedMarching:
     """The blocked solve against the node-by-node loop it replaces."""
 
-    VARYING = CoefficientSet(lambda s: 1.0 + 0.3 * np.sin(s), lambda s: np.cos(s),
-                             lambda s: -4.0 * (1.0 + 0.5 * np.cos(3.0 * s)),
-                             lambda s: 0.0)
-    FORCED = CoefficientSet(lambda s: 1.0, lambda s: 0.0, lambda s: -10.0,
-                            lambda s: 0.5 + s ** 2)
+    # (P, V)
+    VARYING = (lambda s: 4.0 * (1.0 + 0.5 * np.cos(3.0 * s)), None)
+    FORCED = (lambda s: 10.0, lambda s: 0.5 + s ** 2)
 
     @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 65, 513])
     @pytest.mark.parametrize("kind", ["varying", "forced"])
     def test_matches_node_by_node_reference(self, n, kind):
         # k = 1 and k = 3 columns of initial data in one pass, each column
         # against its own node-by-node loop
-        coeffs = self.VARYING if kind == "varying" else self.FORCED
+        P, V = self.VARYING if kind == "varying" else self.FORCED
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        data = _node_data(coeffs, ORDER, g, scale)
+        data = _node_data(P, V, ORDER, g, scale)
         for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
             wf, wg = _marching(omega, *data, np.array(f_a), np.array(g_a))
             assert wf.shape == wg.shape == (n + 1, len(f_a))
@@ -218,22 +205,20 @@ class TestBlockedMarching:
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_singular_step_names_its_node(self):
-        # R is nonzero only at node k > _BLOCK, where it makes det_k vanish
+        # P is nonzero only at node k > _BLOCK, where it makes det_k vanish
         n, k = 100, 40
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
         d = scale * g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
-        coeffs = CoefficientSet(lambda s: 1.0, lambda s: 0.0,
-                                lambda s: np.where(s == g.nodes[k], d ** -2, 0.0),
-                                lambda s: 0.0)
-        data = _node_data(coeffs, ORDER, g, scale)
+        P = lambda s: np.where(s == g.nodes[k], -d ** -2, 0.0)
+        data = _node_data(P, None, ORDER, g, scale)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             marching_reference(omega, *data, 1.0, 0.0)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
-            solve_batch(coeffs, ORDER, 1.0, 0.0, g)[0]
+            solve_batch(P, ORDER, 1.0, 0.0, g)[0]
         # the Schur matrix does not depend on the data: one error per batch
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
-            solve_batch(coeffs, ORDER, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5], g)
+            solve_batch(P, ORDER, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5], g)
 
 
 class TestBatchedSolve:
@@ -248,7 +233,7 @@ class TestBatchedSolve:
         g = build_grid(0.0, 5.0, n, 2.0)
         P = lambda t: 2.0 + np.cos(t)
         f_a, g_a = np.cos(self.DIRECTIONS), np.sin(self.DIRECTIONS)
-        batch = solve_batch(fite_coefficients(P, V), ORDER, f_a, g_a, g)
+        batch = solve_batch(P, ORDER, f_a, g_a, g, V)
         assert len(batch) == 8
         for fa, ga, got in zip(f_a, g_a, batch):
             ref = solve_fite(P, ORDER, fa, ga, g, V=V)
@@ -262,8 +247,8 @@ class TestBatchedSolve:
         # overflow in any column raises once, with no report for the others
         g = build_grid(0.0, 1e8, 64, 2.0)
         with pytest.raises(ConvergenceError, match="non-finite"):
-            solve_batch(fite_coefficients(lambda t: 1e300), Order(0.9),
-                        [1.0, 0.0, 0.6], [0.0, 1.0, 0.8], g)
+            solve_batch(lambda t: 1e300, Order(0.9), [1.0, 0.0, 0.6],
+                        [0.0, 1.0, 0.8], g)
 
     def test_non_finite_residual_fails_the_batch(self):
         # the march stays finite at data near the float maximum over the
@@ -272,13 +257,13 @@ class TestBatchedSolve:
         g = build_grid(0.0, 1.0, 64, 2.0)
         for f_a, g_a in ((2e306, 2e306), ([1.0, 2e306], [0.0, 2e306])):
             with pytest.raises(ConvergenceError, match="non-finite residual"):
-                solve_batch(fite_coefficients(lambda t: 1.0), ORDER, f_a, g_a, g)
+                solve_batch(lambda t: 1.0, ORDER, f_a, g_a, g)
 
     @pytest.mark.parametrize("f_a,g_a", [([], []), ([1.0, 0.0], [1.0])])
     def test_data_shapes(self, f_a, g_a):
         g = build_grid(0.0, 1.0, 16, 2.0)
         with pytest.raises(ValueError, match="data pairs"):
-            solve_batch(ml_coeffs(0.0, 1.0), ORDER, f_a, g_a, g)
+            solve_batch(ml_p, ORDER, f_a, g_a, g)
 
 
 class TestSolveFite:
@@ -290,8 +275,7 @@ class TestSolveFite:
 
     def test_two_scheme_cross_check(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
-        pic = picard_reference(fite_coefficients(lambda t: 1.0), ORDER, 0.0,
-                               1.0, g)
+        pic = picard_reference(lambda t: 1.0, ORDER, 0.0, 1.0, g)
         mar = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g)
         diff = max(np.abs(pic.f.reg_samples - mar.f.reg_samples).max(),
                    np.abs(pic.g.reg_samples - mar.g.reg_samples).max())
@@ -332,22 +316,19 @@ class TestSolveRelaxOsc:
 class TestResidual:
     def test_zero_solution_zero_residual(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_batch(coeffs, ORDER, 0.0, 0.0, g)[0]
-        assert residual(coeffs, ORDER, rep) == 0.0
+        rep = solve_batch(ml_p, ORDER, 0.0, 0.0, g)[0]
+        assert residual(ml_p, ORDER, rep) == 0.0
 
     def test_converged_solve_small_residual(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
-        coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
+        rep = solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
         assert rep.residual <= 1e-6
 
     def test_perturbation_raises_residual(self):
         g = build_grid(0.0, 1.0, 128, 2.0)
-        coeffs = ml_coeffs(0.0, 1.0)
-        rep = solve_batch(coeffs, ORDER, 1.0, 1.0, g)[0]
+        rep = solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
         bumped = rep.f.reg_samples.copy()
         bumped[64] += 1.0
         perturbed = SolveReport(f=from_samples(bumped, rep.f.gamma, g),
                                 g=rep.g, residual=0.0)
-        assert residual(coeffs, ORDER, perturbed) >= 0.5
+        assert residual(ml_p, ORDER, perturbed) >= 0.5
