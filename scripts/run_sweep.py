@@ -24,7 +24,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=512)
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--skip-refinement", action="store_true")
     args = ap.parse_args()
     try:
         return run(args)
@@ -37,8 +36,7 @@ def run(args) -> int:
     spec = SweepSpec(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
                      lengths=(0.05, 0.5, 5.0), directions=8, n=args.n)
     # built here so that a refined n over the matrix cap fails before any solve
-    refined = None if args.skip_refinement else \
-        dataclasses.replace(spec, n=2 * args.n)
+    refined = dataclasses.replace(spec, n=2 * args.n)
     t0 = time.time()
     coarse = sweep(spec, workers=args.workers)
     print(f"sweep at n={args.n}: {time.time() - t0:.1f}s")
@@ -50,14 +48,13 @@ def run(args) -> int:
             print(f"  !! {rep.scenario.label}: lhs={rep.lhs} rhs={rep.rhs}")
         return 1
 
-    if refined is not None:
-        t0 = time.time()
-        fine = sweep(refined, workers=args.workers)
-        print(f"refined sweep at n={2 * args.n}: {time.time() - t0:.1f}s")
-        changed = sum(a != b for a, b in zip(coarse.verdicts, fine.verdicts))
-        print(f"  verdicts changed under refinement: {changed}")
-        if changed or fine.counts["COUNTEREXAMPLE"]:
-            return 1
+    t0 = time.time()
+    fine = sweep(refined, workers=args.workers)
+    print(f"refined sweep at n={2 * args.n}: {time.time() - t0:.1f}s")
+    changed = sum(a != b for a, b in zip(coarse.verdicts, fine.verdicts))
+    print(f"  verdicts changed under refinement: {changed}")
+    if changed or fine.counts["COUNTEREXAMPLE"]:
+        return 1
     print("no counterexamples.")
     return 0
 

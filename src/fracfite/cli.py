@@ -64,7 +64,7 @@ def _print_record(record: dict, out_dir: str | None, name: str) -> None:
         _dump_json(record, out / name)
 
 
-def _write_trace(path: Path, report, fmt: str) -> None:
+def _write_trace(path: Path, report) -> None:
     f, g = report.f, report.g
     t, a, ga = f.grid.nodes, f.grid.a, f.gamma
     rows = [(t[0], f.reg_samples[0], None, g.reg_samples[0], None)]
@@ -72,12 +72,9 @@ def _write_trace(path: Path, report, fmt: str) -> None:
         wf, wg = f.reg_samples[j], g.reg_samples[j]
         wt = (t[j] - a) ** ga
         rows.append((t[j], wf, wf / wt, wg, wg / wt))
-    if fmt == "csv":
-        path.write_text("\n".join([_TRACE_COLUMNS, *(
-            ",".join(_NON_VALUE if x is None else f"{x:.17g}" for x in row)
-            for row in rows)]) + "\n")
-    else:
-        _dump_json([dict(zip(_TRACE_COLUMNS.split(","), row)) for row in rows], path)
+    path.write_text("\n".join([_TRACE_COLUMNS, *(
+        ",".join(_NON_VALUE if x is None else f"{x:.17g}" for x in row)
+        for row in rows)]) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -92,8 +89,8 @@ def cmd_solve(args) -> int:
                     "detail": str(exc)}, out / "summary.json")
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_FAILURE
-    trace_path = out / f"trace.{args.format}"
-    _write_trace(trace_path, rep, args.format)
+    trace_path = out / "trace.csv"
+    _write_trace(trace_path, rep)
     _dump_json({"config": scenario.to_obj(), "converged": True,
                 "residual": rep.residual, "trace": trace_path.name},
                out / "summary.json")
@@ -220,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--n", type=int, default=None, help="override grid cells")
     sp.add_argument("--grading", type=float, default=None, help="override grading")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bound", help="bound constants and minimal length")

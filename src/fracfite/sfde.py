@@ -1,23 +1,22 @@
-"""Solver for the sequential fractional equation D^alpha(D^alpha f) + P f = V.
+"""Solver for the sequential fractional equation D^alpha(D^alpha f) + P f = 0.
 
 With g = D^alpha f the equation is the system
 
-    D^alpha f = g,   D^alpha g = V - P f     (order alpha in (1/2,1))
+    D^alpha f = g,   D^alpha g = -P f     (order alpha in (1/2,1))
 
 solved through its weakly singular Volterra representation
 
     f(x) = f_a (x-a)^{alpha-1} + (1/Gamma(alpha)) int_a^x g(s) (x-s)^{alpha-1} ds
 
 and symmetrically for g, with (f, g) sought in the weighted space of
-exponent 1 - alpha. The coefficient P and the forcing V are functions of
-the node array: each solve calls each of them once on the grid nodes (a
-scalar result stands for a constant), so they are written with numpy
-functions. The solve is a causal marching scheme in blocks
-of nodes: the history of the product-integration quadrature enters a
-block as one product, and the block's own coupling is solved by forward
-substitution through its Schur complement. It needs no contraction
-condition. The system is linear in the initial data (f_a, g_a) and the
-block Schur matrix depends only on P, so one marching
+exponent 1 - alpha. The coefficient P is a function of the node array:
+each solve calls it once on the grid nodes (a scalar result stands for a
+constant), so it is written with numpy functions. The solve is a causal
+marching scheme in blocks of nodes: the history of the product-integration
+quadrature enters a block as one product, and the block's own coupling is
+solved by forward substitution through its Schur complement. It needs no
+contraction condition. The system is linear in the initial data
+(f_a, g_a) and the block Schur matrix depends only on P, so one marching
 pass solves k initial data at once: the history has 2k columns and each
 block has one Schur solve with k right-hand sides.
 """
@@ -48,44 +47,36 @@ class SolveReport:
     residual: float
 
 
-def _node_data(P: Coefficient, V: Coefficient | None, order: Order,
-               grid: GradedGrid, scale: float):
-    """R = -P and the regularized forcing on the nodes; the prefactor pf
-    carries the kernel_matrix scale, so pf * (omega @ u) is the scaled
-    operator."""
+def _node_data(P: Coefficient, order: Order, grid: GradedGrid, scale: float):
+    """R = -P on the nodes and the prefactor pf, which carries the
+    kernel_matrix scale, so pf * (omega @ u) is the scaled operator."""
     t = grid.nodes
     a = grid.a
     ga = order.gamma
     R = np.broadcast_to(-np.asarray(P(t), dtype=float), t.shape)
-    pw = np.zeros_like(t)
-    pw[1:] = (t[1:] - a) ** ga
-    # free-term weights of the forcing, regularized: (t-a)^{1-alpha} V(t)
-    wv = np.zeros_like(t) if V is None else np.asarray(V(t), dtype=float) * pw
     pf = np.zeros_like(t)
     pf[1:] = scale * (t[1:] - a) ** ga / gamma_fn(order.alpha)
-    return R, wv, pf
+    return R, pf
 
 
-def _marching(omega, R, wv, pf, f_a, g_a):
+def _marching(omega, R, pf, f_a, g_a):
     """Causal solve in blocks of _BLOCK nodes for k columns of initial data
     f_a, g_a (arrays of shape (k,)); returns wf, wg of shape (n+1, k). The
-    history, with the block's own forcing, enters as one product of
-    omega with the 2k history columns; the block coupling wf = F + A wg,
-    wg = H + C wf is solved through its Schur complement (I - A C) wf =
-    F + A H, one solve with k right-hand sides. I - A C does not depend on
-    the data; it is lower triangular with diagonal
-    det_i = 1 - (pf_i omega_ii)^2 R_i, checked up front. A block with
-    non-finite inputs in any column fails the solve."""
+    history enters as one product of omega with the 2k history columns;
+    the block coupling wf = F + A wg, wg = H + C wf is solved through its
+    Schur complement (I - A C) wf = F + A H, one solve with k right-hand
+    sides. I - A C does not depend on the data; it is lower triangular
+    with diagonal det_i = 1 - (pf_i omega_ii)^2 R_i, checked up front. A
+    block with non-finite inputs in any column fails the solve."""
     n = omega.shape[0] - 1
     k = f_a.size
     wf = np.empty((n + 1, k))
     wg = np.empty((n + 1, k))
     wf[0], wg[0] = f_a, g_a
-    # columns :k hold wg, columns k: hold uk = R wf + wv
+    # columns :k hold wg, columns k: hold uk = R wf
     U = np.zeros((n + 1, 2 * k))
-    U[:, k:] = wv[:, None]
     U[0, :k] = g_a
-    U[0, k:] += R[0] * f_a
+    U[0, k:] = R[0] * f_a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d = pf * np.diagonal(omega)
         det = 1.0 - d * (d * R)
@@ -106,16 +97,16 @@ def _marching(omega, R, wv, pf, f_a, g_a):
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
             U[s, :k] = wg[s]
-            U[s, k:] = R[s, None] * wf[s] + wv[s, None]
+            U[s, k:] = R[s, None] * wf[s]
     return wf, wg
 
 
-def _defect(omega, R, wv, pf, wf, wg) -> np.ndarray:
+def _defect(omega, R, pf, wf, wg) -> np.ndarray:
     """Max regularized defect of the two integral equations over t_j, j >= 1,
     one per column of wf, wg (shape (n+1, k)); omega is lower triangular,
     so its product runs in row blocks over it."""
     k = wf.shape[1]
-    U = np.hstack((wg, R[:, None] * wf + wv[:, None]))
+    U = np.hstack((wg, R[:, None] * wf))
     hist = np.empty_like(U)
     for i0 in range(0, U.shape[0], _BLOCK):
         s = slice(i0, i0 + _BLOCK)
@@ -125,19 +116,19 @@ def _defect(omega, R, wv, pf, wf, wg) -> np.ndarray:
     return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
 
 
-def solve_batch(P: Coefficient, order: Order, f_a, g_a, grid: GradedGrid,
-                V: Coefficient | None = None) -> tuple[SolveReport, ...]:
-    """Solve D^alpha f = g, D^alpha g = V - P f (V = None: V = 0) on the grid
-    for k initial data (f_a[j], g_a[j]) in one marching pass; one report per
-    datum, in order. The solve succeeds only when every column's residual is
-    finite; any failure of any column fails the batch with ConvergenceError."""
+def solve_batch(P: Coefficient, order: Order, f_a, g_a,
+                grid: GradedGrid) -> tuple[SolveReport, ...]:
+    """Solve D^alpha f = g, D^alpha g = -P f on the grid for k initial data
+    (f_a[j], g_a[j]) in one marching pass; one report per datum, in order.
+    The solve succeeds only when every column's residual is finite; any
+    failure of any column fails the batch with ConvergenceError."""
     f_a = np.asarray(f_a, dtype=float).reshape(-1)
     g_a = np.asarray(g_a, dtype=float).reshape(-1)
     if f_a.shape != g_a.shape or not f_a.size:
         raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     ga = order.gamma
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
-    data = _node_data(P, V, order, grid, scale)
+    data = _node_data(P, order, grid, scale)
     wf, wg = _marching(omega, *data, f_a, g_a)
     # a non-finite sample at a node >= 1 makes its column's defect non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,18 +141,17 @@ def solve_batch(P: Coefficient, order: Order, f_a, g_a, grid: GradedGrid,
                  for j in range(f_a.size))
 
 
-def residual(P: Coefficient, order: Order, report: SolveReport, *,
-             V: Coefficient | None = None) -> float:
+def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    return float(_defect(omega, *_node_data(P, V, order, grid, scale),
+    return float(_defect(omega, *_node_data(P, order, grid, scale),
                          report.f.reg_samples[:, None], report.g.reg_samples[:, None])[0])
 
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
-               grid: GradedGrid, V: Coefficient | None = None) -> SolveReport:
-    """Solve D^alpha(D^alpha f) + P f = V (V = None: the homogeneous equation)
-    for one initial datum; the returned g is D^alpha f by construction."""
-    return solve_batch(P, order, f_a, g_a, grid, V)[0]
+               grid: GradedGrid) -> SolveReport:
+    """Solve D^alpha(D^alpha f) + P f = 0 for one initial datum; the
+    returned g is D^alpha f by construction."""
+    return solve_batch(P, order, f_a, g_a, grid)[0]

@@ -1,18 +1,20 @@
 """Scenario harness: solve, locate zeros, check the bound, sweep.
 
-A scenario solves the homogeneous equation D^alpha(D^alpha f) + P f = 0
-(or its forced constant-coefficient variant) on [a, c], looks for a zero
-of f and a zero of D^alpha f inside the window [b, c], and, when such a
-pair exists, evaluates the Fite-type inequality with m = max(1, sup P)
-and length c - a at the optimized exponent. The possible verdicts:
+A scenario solves the equation D^alpha(D^alpha f) + P f = 0 on [a, c],
+looks for a zero of f and a zero of D^alpha f inside the window [b, c],
+and, when such a pair exists, evaluates the Fite-type inequality with
+m = max(1, sup P) and length c - a at the optimized exponent. The
+possible verdicts:
 
     BOUND_HOLDS     zero pair found and the inequality is satisfied
     NO_ZERO_PAIR    hypothesis not met (nothing to check)
-    COUNTEREXAMPLE  zero pair from a nontrivial solution, inequality fails
+    COUNTEREXAMPLE  zero pair found, inequality fails
     SOLVER_FAILED   the solve failed (sweeps keep going)
 
-The bound being a proved statement, any COUNTEREXAMPLE is evidence of
-an implementation bug; the sweep exists to hunt for exactly that.
+The initial data are never (0, 0) and the equation is linear and
+homogeneous, so every solved scenario is a nontrivial solution. The
+bound being a proved statement, any COUNTEREXAMPLE is evidence of an
+implementation bug; the sweep exists to hunt for exactly that.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
 from .rlops import node_scale
 from .sfde import SolveReport, solve_batch
-from .weighted import GradedGrid, Order, build_grid, norm_full
+from .weighted import GradedGrid, Order, build_grid
 from .zeros import first_zero_pair
 
-_TRIVIAL_NORM = 1e-8
 # Cap on the dense (n+1)^2 float64 kernel matrix a scenario needs:
 # n = 16383 fits exactly, n >= 16384 is rejected before anything is allocated.
 _MAX_MATRIX_BYTES = 2 * 1024**3
@@ -78,7 +79,7 @@ class _Config:
     """from_obj/to_obj for a dataclass whose config object (named _WHERE in
     errors) has the schema _KEYS: rows of (JSON key, field, JSON type,
     default). A callable default is computed from the fields parsed before
-    it; a None default leaves the field's own."""
+    it."""
 
     @classmethod
     def from_obj(cls, obj, **overrides):
@@ -103,7 +104,7 @@ class _Config:
                     raise ConfigError(key, str(exc)) from None
             elif default is _REQUIRED:
                 raise ConfigError(key, "missing required field")
-            elif default is not None:
+            else:
                 fields[name] = default(fields) if callable(default) else default
         return cls(**fields)
 
@@ -118,8 +119,7 @@ class _Config:
                 value = value.to_obj()
             elif isinstance(value, tuple):
                 value = list(value)
-            if value is not None:
-                obj[key] = value
+            obj[key] = value
         return obj
 
 
@@ -246,8 +246,6 @@ class Scenario(_Config):
         ("c", "c", _real, _REQUIRED),
         ("b", "b", _real, lambda f: f["a"] + 0.01 * (f["c"] - f["a"])),
         ("P", "p_coeff", CoefficientSpec.from_obj, _REQUIRED),
-        ("V", "v_coeff",  # null is no V
-         lambda v: None if v is None else CoefficientSpec.from_obj(v), None),
         ("f_a", "f_a", _real, 1.0),
         ("g_a", "g_a", _real, 0.0),
         ("n", "n", _int, 512),
@@ -262,7 +260,6 @@ class Scenario(_Config):
     p_coeff: CoefficientSpec
     f_a: float
     g_a: float
-    v_coeff: CoefficientSpec | None = None  # present => relaxation-oscillation
     n: int = 512
     r: float = 2.0
     tol: float = 1e-10
@@ -299,12 +296,6 @@ class Scenario(_Config):
         p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)
         if p_min < 0.0:
             raise ConfigError("P", f"must be nonnegative, min is {p_min!r}")
-        if self.v_coeff is not None:
-            _range_of("V", self.v_coeff, self.a, self.c)
-            if self.p_coeff.kind != "const":
-                raise ConfigError("P", "forced scenarios require a constant P")
-            if p_max <= 0.0:
-                raise ConfigError("P", "forced scenarios require P > 0")
         object.__setattr__(self, "p_sup", p_max)
 
     @property
@@ -349,9 +340,8 @@ def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
     s = cell[0]
     if any(s.with_direction(c.f_a, c.g_a, c.label) != c for c in cell):
         raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
-    v = None if s.v_coeff is None else s.v_coeff.as_callable(s.a)
     return solve_batch(s.p_coeff.as_callable(s.a), s.order, [c.f_a for c in cell],
-                       [c.g_a for c in cell], s.grid, v)
+                       [c.g_a for c in cell], s.grid)
 
 
 def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyReport]:
@@ -376,18 +366,15 @@ def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyR
     reports = []
     for c, report in zip(cell, solves):
         pair = first_zero_pair(report.f, report.g, c.b, c.c)
-        detail = ""
         if pair is None:
             verdict = NO_ZERO_PAIR
         elif lhs >= rhs:
             verdict = BOUND_HOLDS
-        elif norm_full(report.f) > _TRIVIAL_NORM:
-            verdict = COUNTEREXAMPLE
         else:
-            verdict, detail = NO_ZERO_PAIR, "trivial solution"
+            verdict = COUNTEREXAMPLE
         reports.append(VerifyReport(
             scenario=c, verdict=verdict, residual=report.residual, zero_pair=pair,
-            m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs, detail=detail))
+            m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs))
     return reports
 
 

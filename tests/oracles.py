@@ -198,7 +198,7 @@ def classical_fite_check(P_const: float, b: float, c: float,
     return True
 
 
-def marching_reference(omega, R, wv, pf, f_a, g_a):
+def marching_reference(omega, R, pf, f_a, g_a):
     """Node-by-node marching: at each node, one 2x2 solve for the two
     regularized unknowns. Takes sfde._node_data's arrays, like sfde._marching."""
     n = omega.shape[0] - 1
@@ -206,11 +206,11 @@ def marching_reference(omega, R, wv, pf, f_a, g_a):
     wg = np.empty(n + 1)
     wf[0], wg[0] = f_a, g_a
     uk = np.empty(n + 1)
-    uk[0] = R[0] * f_a + wv[0]
+    uk[0] = R[0] * f_a
     for i in range(1, n + 1):
         d = omega[i, i]
         rf = f_a + pf[i] * (omega[i, :i] @ wg[:i])
-        rg = g_a + pf[i] * (omega[i, :i] @ uk[:i] + d * wv[i])
+        rg = g_a + pf[i] * (omega[i, :i] @ uk[:i])
         cf = pf[i] * d
         cg = pf[i] * d * R[i]
         det = 1.0 - cf * cg
@@ -218,7 +218,7 @@ def marching_reference(omega, R, wv, pf, f_a, g_a):
             raise ConvergenceError(f"marching step singular at node {i} (det={det})")
         wf[i] = (rf + cf * rg) / det
         wg[i] = (rg + cg * rf) / det
-        uk[i] = R[i] * wf[i] + wv[i]
+        uk[i] = R[i] * wf[i]
     return wf, wg
 
 
@@ -236,7 +236,7 @@ class PicardReport:
 
 
 def picard_reference(P, order: Order, f_a: float, g_a: float,
-                     grid: GradedGrid, V=None, tol: float = 1e-10,
+                     grid: GradedGrid, tol: float = 1e-10,
                      max_iter: int = 200) -> PicardReport:
     """Fixed-point iteration of the discrete system sfde.solve_batch
     marches through, seeded with the free terms. It stops once an
@@ -244,13 +244,13 @@ def picard_reference(P, order: Order, f_a: float, g_a: float,
     iterations or when an increment is not finite or exceeds 1e12 times
     (first increment + 1)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    R, wv, pf = _node_data(P, V, order, grid, scale)
+    R, pf = _node_data(P, order, grid, scale)
     wf = np.full(omega.shape[0], float(f_a))
     wg = np.full(omega.shape[0], float(g_a))
     increments: list[float] = []
     for _ in range(max_iter):
         nf = f_a + pf * (omega @ wg)
-        ng = g_a + pf * (omega @ (R * wf + wv))
+        ng = g_a + pf * (omega @ (R * wf))
         inc = float(max(np.abs(nf - wf).max(), np.abs(ng - wg).max()))
         wf, wg = nf, ng
         increments.append(inc)
@@ -271,7 +271,7 @@ def contraction_factor(P, order: Order, grid: GradedGrid) -> float:
     -pf Omega (P df)), and Omega, pf >= 0, so the constant is one mat-vec
     per equation, max(max_i pf_i sum_j Omega_ij, same with |P_j|)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    R, _, pf = _node_data(P, None, order, grid, scale)
+    R, pf = _node_data(P, order, grid, scale)
     return float(max((pf * (omega @ np.ones_like(pf))).max(),
                      (pf * (omega @ np.abs(R))).max()))
 

@@ -115,20 +115,6 @@ class TestSolve:
         for path in tmp_path.rglob("*.json"):
             assert "Infinity" not in path.read_text(), path
 
-    def test_json_trace_format(self, tmp_path):
-        cfg = write_config(tmp_path, SOLVE_CONFIG)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out),
-                     "--format", "json"]) == 0
-        rows = json.loads((out / "trace.json").read_text())
-        assert len(rows) == SOLVE_CONFIG["n"] + 1
-        assert rows[0]["f"] is None
-
-    def test_relax_osc_config(self, tmp_path):
-        cfg = write_config(tmp_path, {**SOLVE_CONFIG, "V": {"const": 1.0},
-                                      "f_a": 1.0, "g_a": 0.0})
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
 
 class TestBound:
     def test_optimized_record(self, capsys):
@@ -327,19 +313,17 @@ class TestVerify:
 # Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
 # with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
 # scheme and max_iter are retired keys, rejected as unknown ("auto" was the
-# Picard-then-marching scheme). The V table covers [0, 0.5] of [0, 1] and
-# was clamped silently.
+# Picard-then-marching scheme).
 BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
                        ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0),
                        ("c", math.inf), ("f_a", math.nan), ("g_a", math.inf),
-                       ("P", {"const": math.nan}), ("P", {"const": math.inf}),
-                       ("V", {"table": [[0.0, 1.0], [0.5, 2.0]]})]
-# Sweep configs carry no scheme, c, f_a, g_a, P or V field. A non-numeric
+                       ("P", {"const": math.nan}), ("P", {"const": math.inf})]
+# Sweep configs carry no scheme, c, f_a, g_a or P field. A non-numeric
 # list entry gave a traceback (exit 1); an empty list or no directions wrote
 # a verify.json with zero scenarios and exited 0; a non-finite P gave
 # SOLVER_FAILED verdicts and exit 0.
 BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS
-                    if fv[0] not in ("scheme", "c", "f_a", "g_a", "P", "V")] \
+                    if fv[0] not in ("scheme", "c", "f_a", "g_a", "P")] \
     + [("alphas", ["x"]), ("alphas", []), ("p_infs", []), ("lengths", []),
        ("directions", 0), ("p_infs", [math.nan]), ("p_infs", [math.inf]),
        ("b_fraction", math.nan), ("b_fraction", 0.0), ("b_fraction", 1.5)]
@@ -400,6 +384,25 @@ MALFORMED_SWEEPS = [
     ("f_a", {"f_a": True}),
     ("tol", {"tol": 1e-10}),
     ("max_iter", {"max_iter": 5})]
+
+
+# The bound is proved for D^a(D^a f) + P f = V with V = 0 only, so V is not
+# a key: with V = -1000 this window holds a zero pair below the bound's
+# length, a COUNTEREXAMPLE that would be no bug.
+FORCED_CONFIG = {"alpha": 0.75, "a": 0, "c": 0.01, "P": {"const": 1},
+                 "V": {"const": -1000}, "f_a": 0, "g_a": 1, "n": 512}
+
+
+class TestForcingRejected:
+    @pytest.mark.parametrize("command,report", [("solve", "summary.json"),
+                                                ("verify", "verify.json")])
+    @pytest.mark.parametrize("v", [{"const": -1000}, None], ids=["const", "null"])
+    def test_v_is_an_unknown_key(self, tmp_path, capsys, command, report, v):
+        cfg = write_config(tmp_path, {**FORCED_CONFIG, "V": v})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "error: V: unknown key" in capsys.readouterr().err
+        assert not (out / report).exists()
 
 
 class TestMalformedConfig:

@@ -77,12 +77,12 @@ class TestSolveSystem:
         assert agree <= 1e-6
 
     def test_linearity_of_solution_map(self):
-        # linear in (f_a, g_a, V) jointly
+        # linear in (f_a, g_a) jointly
         g = build_grid(0.0, 1.0, 128, 2.0)
         P = lambda s: 1.0
-        r1 = solve_batch(P, ORDER, 1.0, 0.0, g, lambda s: 1.0)[0]
-        r2 = solve_batch(P, ORDER, 0.5, 2.0, g, lambda s: np.sin(s))[0]
-        rs = solve_batch(P, ORDER, 1.5, 2.0, g, lambda s: 1.0 + np.sin(s))[0]
+        r1 = solve_batch(P, ORDER, 1.0, 0.0, g)[0]
+        r2 = solve_batch(P, ORDER, 0.5, 2.0, g)[0]
+        rs = solve_batch(P, ORDER, 1.5, 2.0, g)[0]
         np.testing.assert_allclose(
             rs.f.reg_samples, r1.f.reg_samples + r2.f.reg_samples, atol=1e-8)
         np.testing.assert_allclose(
@@ -151,22 +151,16 @@ class TestSolveSystem:
                              ids=["marching", "picard"])
     def test_each_coefficient_called_once_on_the_nodes(self, solve):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        calls = {name: [] for name in "PV"}
+        calls = []
 
-        def recorded(name, value):
-            def fn(t):
-                calls[name].append(t)
-                return np.full(np.shape(t), value)
-            return fn
+        def P(t):
+            calls.append(t)
+            return np.full(np.shape(t), 1.0)
 
-        solve(recorded("P", 1.0), ORDER, 1.0, 0.0, g, V=recorded("V", 0.25))
-        for name, args in calls.items():
-            assert len(args) == 1, name
-            assert isinstance(args[0], np.ndarray), name
-            np.testing.assert_array_equal(args[0], g.nodes)
-        # the homogeneous equation calls only P
-        solve(recorded("P", 1.0), ORDER, 1.0, 0.0, g)
-        assert len(calls["P"]) == 2 and len(calls["V"]) == 1
+        solve(P, ORDER, 1.0, 0.0, g)
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray)
+        np.testing.assert_array_equal(calls[0], g.nodes)
 
     def test_overflow_raises_convergence_error(self):
         g = build_grid(0.0, 1e8, 64, 2.0)
@@ -183,19 +177,19 @@ class TestSolveSystem:
 class TestBlockedMarching:
     """The blocked solve against the node-by-node loop it replaces."""
 
-    # (P, V)
-    VARYING = (lambda s: 4.0 * (1.0 + 0.5 * np.cos(3.0 * s)), None)
-    FORCED = (lambda s: 10.0, lambda s: 0.5 + s ** 2)
+    # P: varying, and a large constant
+    VARYING = staticmethod(lambda s: 4.0 * (1.0 + 0.5 * np.cos(3.0 * s)))
+    FORCED = staticmethod(lambda s: 10.0)
 
     @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 65, 513])
     @pytest.mark.parametrize("kind", ["varying", "forced"])
     def test_matches_node_by_node_reference(self, n, kind):
         # k = 1 and k = 3 columns of initial data in one pass, each column
         # against its own node-by-node loop
-        P, V = self.VARYING if kind == "varying" else self.FORCED
+        P = self.VARYING if kind == "varying" else self.FORCED
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        data = _node_data(P, V, ORDER, g, scale)
+        data = _node_data(P, ORDER, g, scale)
         for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
             wf, wg = _marching(omega, *data, np.array(f_a), np.array(g_a))
             assert wf.shape == wg.shape == (n + 1, len(f_a))
@@ -211,7 +205,7 @@ class TestBlockedMarching:
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
         d = scale * g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
         P = lambda s: np.where(s == g.nodes[k], -d ** -2, 0.0)
-        data = _node_data(P, None, ORDER, g, scale)
+        data = _node_data(P, ORDER, g, scale)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             marching_reference(omega, *data, 1.0, 0.0)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
@@ -226,17 +220,15 @@ class TestBatchedSolve:
 
     DIRECTIONS = 2.0 * np.pi * np.arange(8) / 8 + 0.1
 
-    @pytest.mark.parametrize("V", [None, lambda t: 0.5 + np.sin(t)],
-                             ids=["homogeneous", "forced"])
     @pytest.mark.parametrize("n", [96, 512])
-    def test_batch_matches_single_solves(self, V, n):
+    def test_batch_matches_single_solves(self, n):
         g = build_grid(0.0, 5.0, n, 2.0)
         P = lambda t: 2.0 + np.cos(t)
         f_a, g_a = np.cos(self.DIRECTIONS), np.sin(self.DIRECTIONS)
-        batch = solve_batch(P, ORDER, f_a, g_a, g, V)
+        batch = solve_batch(P, ORDER, f_a, g_a, g)
         assert len(batch) == 8
         for fa, ga, got in zip(f_a, g_a, batch):
-            ref = solve_fite(P, ORDER, fa, ga, g, V=V)
+            ref = solve_fite(P, ORDER, fa, ga, g)
             for w_ref, w_got in ((ref.f, got.f), (ref.g, got.g)):
                 scale = np.abs(w_ref.reg_samples).max()
                 assert np.abs(w_got.reg_samples - w_ref.reg_samples).max() \
@@ -290,27 +282,6 @@ class TestSolveFite:
         raw_g = rep.g.reg_samples[3:-2] / t**ORDER.gamma
         err = np.abs((raw_d - raw_g) * t**ORDER.gamma)
         assert err.max() <= 5e-3
-
-
-class TestSolveRelaxOsc:
-    # forced variant D^alpha(D^alpha f) + P f = V, P = 1
-    def test_zero_forcing_zero_data(self):
-        g = build_grid(0.0, 1.0, 64, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, V=lambda t: 0.0)
-        np.testing.assert_array_equal(rep.f.reg_samples, 0.0)
-
-    def test_constant_forcing_oscillates(self):
-        # constant forcing: the derivative changes sign on a long interval
-        g = build_grid(0.0, 20.0, 512, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g, V=lambda t: 1.0)
-        signs = np.sign(rep.g.reg_samples[1:])
-        assert np.any(signs > 0) and np.any(signs < 0)
-
-    def test_smooth_forcing_converges(self):
-        g = build_grid(0.0, 2.0, 128, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 0.0, g,
-                         V=lambda t: np.sin(t))
-        assert rep.residual <= 1e-9
 
 
 class TestResidual:
