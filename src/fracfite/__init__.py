@@ -11,7 +11,7 @@ grids to confirm that no numerical counterexample to the bound exists.
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn, gamma_fn
 from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
-                       from_samples, norm_full)
+                       from_samples)
 from .rlops import kernel_integral, kernel_matrix
 from .sfde import SolveReport, residual, solve_fite
 from .zeros import find_zeros, first_zero_pair
@@ -31,6 +31,6 @@ __all__ = [
     "big_C", "big_D", "big_E", "bound_report", "build_grid", "eval_reg",
     "find_zeros", "first_zero_pair", "fite_lhs", "fite_rhs",
     "from_samples", "gamma_fn", "holder_params", "kernel_integral",
-    "kernel_matrix", "min_length", "norm_full", "residual",
+    "kernel_matrix", "min_length", "residual",
     "run_scenario", "small_c", "solve_fite", "sweep",
 ]

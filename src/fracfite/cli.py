@@ -5,7 +5,6 @@ Subcommands
     bound    print the bound constants and minimal interval length
     verify   run one scenario or a sweep, write an aggregate report
     audit    run the randomized inequality audit
-    zeros    locate zeros of a column of a stored solution trace
 
 Exit codes: 0 ok, 2 config/domain error, 3 solver failure,
 4 verification/audit failure.
@@ -28,16 +27,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
     fite_rhs, min_length, small_c
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn
 from .verify import Scenario, parse_config, solve_cell, sweep
-from .weighted import GradedGrid, Order, from_samples
-from .zeros import find_zeros
+from .weighted import Order
 
 OK, CONFIG_ERROR, SOLVER_FAILURE, VERIFY_FAILURE = 0, 2, 3, 4
 
@@ -179,31 +175,6 @@ def cmd_audit(args) -> int:
     return OK
 
 
-def cmd_zeros(args) -> int:
-    try:
-        lines = Path(args.trace).read_text().strip().splitlines()
-        header = lines[0].split(",")
-        idx = {name: k for k, name in enumerate(header)}
-        col = "w_f" if args.column == "f" else "w_g"
-        t = np.asarray([float(ln.split(",")[idx["t"]]) for ln in lines[1:]])
-        vals = np.asarray([float(ln.split(",")[idx[col]]) for ln in lines[1:]])
-        # zero locations only depend on the regularized samples, so the
-        # weight exponent of the stored function is irrelevant here
-        w = from_samples(vals, 0.0, GradedGrid.from_nodes(t))
-    except (OSError, KeyError, ValueError, IndexError) as exc:
-        raise ConfigError("trace", f"cannot read {args.trace}: {exc}") from None
-    b = args.b if args.b is not None else float(t[1])
-    c = args.c if args.c is not None else float(t[-1])
-    try:
-        zs = find_zeros(w, b, c)
-    except ValueError as exc:
-        raise ConfigError("window", str(exc)) from None
-    print(json.dumps({"column": args.column, "window": [b, c],
-                      "count": len(zs), "zeros": list(map(float, zs))},
-                     sort_keys=True))
-    return OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracfite",
@@ -247,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--out", default=None)
     au.set_defaults(func=cmd_audit)
 
-    zp = sub.add_parser("zeros", help="find zeros in a stored solution trace")
-    zp.add_argument("--trace", required=True, help="trace CSV from `solve`")
-    zp.add_argument("--column", choices=("f", "g"), default="f")
-    zp.add_argument("--b", type=float, default=None, help="window start")
-    zp.add_argument("--c", type=float, default=None, help="window end")
-    zp.set_defaults(func=cmd_zeros)
     return ap
 
 

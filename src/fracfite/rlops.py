@@ -236,8 +236,8 @@ def kernel_matrix(grid: GradedGrid, beta: float,
                   gamma: float) -> tuple[np.ndarray, float]:
     """(Omega, scale) with (Q u)(t_i) = scale * sum_k Omega[i, k] u_k for
     u = nodal A*W; Omega is a view of the cached matrix on the nodes j^r,
-    scale = (L / n^r)^{1-beta-gamma}. A grid of other nodes (r NaN), or of
-    nodes j^r that overflow (see node_scale), raises ValueError."""
+    scale = (L / n^r)^{1-beta-gamma}. A grid whose r is not >= 1, or whose
+    nodes j^r overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
     e = 1.0 - beta - gamma

@@ -38,7 +38,12 @@ from .zeros import first_zero_pair
 
 # Cap on the dense (n+1)^2 float64 kernel matrix a scenario needs:
 # n = 16383 fits exactly, n >= 16384 is rejected before anything is allocated.
+# A sweep cell's batched solve is held to the same cap.
 _MAX_MATRIX_BYTES = 2 * 1024**3
+# Columns of n+1 doubles a batched solve holds per direction: wf, wg and the
+# 2-column history of _marching, the 2-column stack, its 2-column product and
+# the two defects of _defect, and the copies of f and g in the reports.
+_COLUMNS_PER_DIRECTION = 12
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -440,6 +445,13 @@ class SweepSpec(_Config):
                 key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
                        "c": "lengths"}.get(exc.field, exc.field)
                 raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
+        column = (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION
+        if self.directions * column > _MAX_MATRIX_BYTES:
+            raise ConfigError(
+                "directions", f"a cell's batched solve of {self.directions} "
+                f"directions needs {self.directions * column} bytes at n={self.n}, "
+                f"above the {_MAX_MATRIX_BYTES}-byte cap "
+                f"(directions <= {_MAX_MATRIX_BYTES // column})")
         object.__setattr__(self, "_cells", tuple(cells))
 
     def direction_angles(self) -> np.ndarray:

@@ -36,8 +36,7 @@ class Order:
 
 @dataclass(frozen=True, eq=False)
 class GradedGrid:
-    """Nodes t_j = a + (c-a) (j/n)^r, j = 0..n; r = 1 is the uniform grid.
-    r is NaN for a grid of explicit nodes (see from_nodes)."""
+    """Nodes t_j = a + (c-a) (j/n)^r, j = 0..n; r = 1 is the uniform grid."""
 
     a: float
     c: float
@@ -51,19 +50,6 @@ class GradedGrid:
     @property
     def length(self) -> float:
         return self.c - self.a
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "GradedGrid":
-        """Wrap an explicit finite, strictly increasing node sequence (e.g.
-        read back from a solution trace). Its r is NaN, so the grid has no
-        kernel matrix."""
-        nodes = np.array(nodes, dtype=float)  # a copy: the grid freezes its nodes
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("need at least 3 nodes")
-        if not (np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0.0)):
-            raise ValueError("nodes must be finite and strictly increasing")
-        return cls(a=float(nodes[0]), c=float(nodes[-1]), n=nodes.size - 1,
-                   r=np.nan, nodes=nodes)
 
 
 def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:
@@ -117,8 +103,3 @@ def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
 def eval_reg(w: WeightedFn, t) -> np.ndarray | float:
     """Piecewise-linear interpolant of the regularized samples at t in [a, c]."""
     return np.interp(t, w.grid.nodes, w.reg_samples)
-
-
-def norm_full(w: WeightedFn) -> float:
-    """Weighted sup-norm over (a, c], including the limit value |w_0|."""
-    return float(np.abs(w.reg_samples).max())

@@ -12,8 +12,8 @@ of the bound's proof, and the oracle for marching) with the exact
 contraction factor of that map, the 16-point kernel-matrix build that
 the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
-and helpers that sample, evaluate or search weighted functions point by
-point.
+the weighted sup-norms, and helpers that sample, evaluate or search
+weighted functions point by point.
 """
 
 import math
@@ -363,6 +363,11 @@ def eval_raw(w: WeightedFn, t: float) -> float:
     if not (w.grid.a < t <= w.grid.c):
         raise ValueError(f"t={t!r} outside (a, c] = ({w.grid.a}, {w.grid.c}]")
     return float(eval_reg(w, t)) / (t - w.grid.a) ** w.gamma
+
+
+def norm_full(w: WeightedFn) -> float:
+    """Weighted sup-norm over (a, c], including the limit value |w_0|."""
+    return float(np.abs(w.reg_samples).max())
 
 
 def norm_window(w: WeightedFn, b: float, c_w: float) -> float:

@@ -321,12 +321,14 @@ BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
 # Sweep configs carry no scheme, c, f_a, g_a or P field. A non-numeric
 # list entry gave a traceback (exit 1); an empty list or no directions wrote
 # a verify.json with zero scenarios and exited 0; a non-finite P gave
-# SOLVER_FAILED verdicts and exit 0.
+# SOLVER_FAILED verdicts and exit 0; 1e13 directions died with a numpy
+# MemoryError traceback (exit 1).
 BAD_SWEEP_FIELDS = [fv for fv in BAD_SCENARIO_FIELDS
                     if fv[0] not in ("scheme", "c", "f_a", "g_a", "P")] \
     + [("alphas", ["x"]), ("alphas", []), ("p_infs", []), ("lengths", []),
        ("directions", 0), ("p_infs", [math.nan]), ("p_infs", [math.inf]),
-       ("b_fraction", math.nan), ("b_fraction", 0.0), ("b_fraction", 1.5)]
+       ("b_fraction", math.nan), ("b_fraction", 0.0), ("b_fraction", 1.5),
+       ("directions", 1e13)]
 
 
 def names_field(err: str, field: str) -> bool:
@@ -500,37 +502,6 @@ class TestAudit:
     def test_inadmissible_p(self):
         assert main(["audit", "--alpha", "0.75", "--p", "2.5",
                      "--trials", "5"]) == 2
-
-
-class TestZeros:
-    def test_zeros_of_solution_trace(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**SOLVE_CONFIG, "c": 10.0, "n": 512})
-        out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["zeros", "--trace", str(out / "trace.csv"),
-                     "--column", "f", "--b", "0.01", "--c", "10.0"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["count"] >= 1
-        assert rec["zeros"] == sorted(rec["zeros"])
-
-    def test_missing_trace(self):
-        assert main(["zeros", "--trace", "/nonexistent/trace.csv"]) == 2
-
-    @pytest.mark.parametrize("rows", [["0.0,1.0", "0.5,-1.0"],
-                                      ["0.0,1.0", "0.5,-1.0", "0.25,0.5"],
-                                      ["0.0,1.0", "0.25,nan", "0.5,-1.0"],
-                                      ["0.0,1.0", "0.5,-1.0", "inf,0.5"]],
-                             ids=["two_rows", "decreasing_t", "nan_w_f",
-                                  "infinite_t"])
-    def test_bad_trace_is_a_config_error(self, tmp_path, capsys, rows):
-        # GradedGrid.from_nodes and from_samples raised ValueError tracebacks
-        # (exit 1); an infinite t warned from the grading inference and exited 0
-        trace = tmp_path / "trace.csv"
-        trace.write_text("\n".join(["t,w_f", *rows]) + "\n")
-        assert main(["zeros", "--trace", str(trace), "--b", "0.1",
-                     "--c", "0.5"]) == 2
-        assert "trace: cannot read" in capsys.readouterr().err
 
 
 class TestImports:

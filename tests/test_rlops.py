@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
-                      kernel_integral, kernel_matrix, norm_full)
+                      kernel_integral, kernel_matrix)
 from fracfite.rlops import _CHEB, _Omega, _chebyshev_interp, _matrix_cached
 from oracles import (build_matrix_reference, from_callable,
-                     kernel_integral_reference, q_operator, rl_derivative,
-                     rl_integral)
+                     kernel_integral_reference, norm_full, q_operator,
+                     rl_derivative, rl_integral)
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 

@@ -2,6 +2,7 @@
 twin and Picard iteration of the same discrete system."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ class TestSolveSystem:
 
     def test_invalid_inputs(self):
         # the kernel matrix is cached per graded grid: other nodes are refused
-        g = GradedGrid.from_nodes(np.array([0.0, 0.1, 0.5, 1.0]))
+        g = GradedGrid(0.0, 1.0, 3, math.nan, np.array([0.0, 0.1, 0.5, 1.0]))
         with pytest.raises(ValueError, match="graded grid"):
             solve_batch(ml_p, ORDER, 1.0, 1.0, g)[0]
 

@@ -1,6 +1,7 @@
 """Scenario harness: verdict logic, sweeps, and the classical oracle."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -276,14 +277,18 @@ STANDARD_GRID = dict(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
                      lengths=(0.05, 0.5, 5.0), directions=8, seed=42)
 
 
+@functools.lru_cache(maxsize=None)
+def standard_sweep(n):
+    return sweep(SweepSpec(**STANDARD_GRID, n=n))
+
+
 class TestClosedFormZeros:
-    def test_standard_sweep_zero_pairs_are_exact_zeros(self):
-        # Every zero of f and of D^alpha f in a BOUND_HOLDS zero pair of the
-        # standard sweep (n = 512, the 8 fixed directions) lies within
-        # 5e-5 L of a sign change of the Mittag-Leffler closed form's W_f
-        # or W_g. The worst measured |solver - exact| is 8.6e-6 L, so the
-        # tolerance is about 6x the measured error.
-        report = sweep(SweepSpec(**STANDARD_GRID, n=512))
+    # 16 Chebyshev extreme points of [0, 1]
+    CHEB = 0.5 * (1.0 - np.cos(np.pi * np.arange(16) / 15))
+
+    @staticmethod
+    def check_zero_pairs(n):
+        report = standard_sweep(n)
         held = [r for r in report.reports if r.verdict == "BOUND_HOLDS"]
         assert len(held) == 68
         for rep in held:
@@ -294,6 +299,44 @@ class TestClosedFormZeros:
                                            z - s.a + dz)[column]
                           for dz in (-tol, tol))
                 assert lo * hi < 0.0, (s.label, "fg"[column], z)
+
+    def test_standard_sweep_zero_pairs_are_exact_zeros(self):
+        # Every zero of f and of D^alpha f in a BOUND_HOLDS zero pair of the
+        # standard sweep (n = 512, the 8 fixed directions) lies within
+        # 5e-5 L of a sign change of the Mittag-Leffler closed form's W_f
+        # or W_g. The worst measured |solver - exact| is 8.6e-6 L, so the
+        # tolerance is about 6x the measured error.
+        self.check_zero_pairs(512)
+
+    def test_refined_sweep_zero_pairs_are_exact_zeros(self):
+        # The same at n = 1024: the worst measured |solver - exact| is
+        # 2.1e-6 L, about 4x below n = 512 and 23x below the 5e-5 L tolerance.
+        self.check_zero_pairs(1024)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_no_zero_pair_has_a_one_signed_exact_column(self, n):
+        # In each NO_ZERO_PAIR scenario one of the exact W_f, W_g keeps one
+        # sign at 16 Chebyshev points of [b + 5e-5 L, c - 5e-5 L]; in each
+        # BOUND_HOLDS scenario both change sign there. The system is linear
+        # in (f_a, g_a), so the closed form is evaluated once per cell, for
+        # (1, 0), and the data (0, 1) give W_f = -W_g(1, 0) / P, W_g = W_f(1, 0).
+        report = standard_sweep(n)
+        assert report.counts["NO_ZERO_PAIR"] == 148
+        basis = {}
+        for rep in report.reports:
+            s = rep.scenario
+            cell = (s.order.alpha, s.p_sup, s.length)
+            if cell not in basis:
+                tol = 5e-5 * s.length
+                t = s.b - s.a + tol + (s.c - s.b - 2.0 * tol) * self.CHEB
+                basis[cell] = np.array([fite_closed_form(*cell[:2], 1.0, 0.0, x)
+                                        for x in t]).T
+            wf10, wg10 = basis[cell]
+            wf = s.f_a * wf10 - s.g_a * wg10 / s.p_sup
+            wg = s.g_a * wf10 + s.f_a * wg10
+            one_signed = any(np.all(w > 0.0) or np.all(w < 0.0) for w in (wf, wg))
+            assert one_signed == (rep.verdict == "NO_ZERO_PAIR"), s.label
+        assert len(basis) == 27
 
 
 class TestSweep:
@@ -397,6 +440,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="directions"):
             SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
                       directions=0)
+
+    def test_directions_bounded_by_the_batched_solve(self):
+        # 12 columns of n + 1 = 17 doubles per direction: 2^31 // 1632 of
+        # them fit the cap. Parsing alone decides; nothing is solved.
+        obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16}
+        assert SweepSpec.from_obj({**obj, "directions": 1315860}).directions == 1315860
+        with pytest.raises(ConfigError, match="^directions: .*directions <= 1315860"):
+            SweepSpec.from_obj({**obj, "directions": 1315861})
 
     def test_small_sweep_no_counterexamples(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.05, 2.0),

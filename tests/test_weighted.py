@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfite import (GradedGrid, Order, build_grid, eval_reg, from_samples,
-                      kernel_matrix, norm_full)
-from oracles import eval_raw, from_callable, norm_window
+                      kernel_matrix)
+from oracles import eval_raw, from_callable, norm_full, norm_window
 
 
 class TestOrder:
@@ -63,31 +63,14 @@ class TestBuildGrid:
         assert g.nodes[0] == a and g.nodes[-1] == a + length
         assert np.all(np.diff(g.nodes) > 0.0)
 
-    def test_from_nodes_roundtrip(self):
-        g = build_grid(0.5, 2.0, 32, 2.0)
-        g2 = GradedGrid.from_nodes(g.nodes.copy())
-        np.testing.assert_array_equal(g.nodes, g2.nodes)
-        assert math.isnan(g2.r)
-
     def test_from_nodes_random_nodes_are_not_graded(self):
         # the kernel matrix is cached on (n, r): for nodes of another spacing
         # it was the matrix of a different grid, with no error raised
         rng = np.random.default_rng(0)
         nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 29)), [1.0]))
-        g = GradedGrid.from_nodes(nodes)
-        assert math.isnan(g.r)
+        g = GradedGrid(0.0, 1.0, 30, math.nan, nodes)
         with pytest.raises(ValueError, match="graded grid"):
             kernel_matrix(g, 0.75, 0.25)
-
-    def test_from_nodes_leaves_the_callers_array_writable(self):
-        nodes = np.array([0.0, 0.5, 1.0])
-        g = GradedGrid.from_nodes(nodes)
-        nodes[1] = 0.25
-        assert g.nodes[1] == 0.5 and not g.nodes.flags.writeable
-
-    def test_from_nodes_rejects_nonmonotone(self):
-        with pytest.raises(ValueError):
-            GradedGrid.from_nodes([0.0, 0.5, 0.5, 1.0])
 
 
 class TestWeightedFn:
