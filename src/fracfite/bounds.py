@@ -223,6 +223,8 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))
     e_const = (two_pow + b_alpha) / gamma_fn(al)
+    # Omega depends on n and r only: every trial grid shares this one
+    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, 2.0), beta, ga)[0].dense()
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         a = rng.uniform(-2.0, 2.0)
@@ -239,7 +241,7 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
         sup_A = float(np.abs(A_nodes).max())
         norm_f = float(np.abs(W_nodes).max())
 
-        unit, scale = kernel_matrix(grid, beta, ga)
+        scale = kernel_matrix(grid, beta, ga)[1]
         rows = scale * unit[[i1, i2]]
         q1, q2 = rows @ (A_nodes * W_nodes)
 

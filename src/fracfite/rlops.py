@@ -21,26 +21,31 @@ the kernel (s-a)^{-gamma} (t_i-s)^{-beta}:
     in a Bernstein ellipse with parameter above ~15, and the two rules
     agree to a few 1e-14 of max|Omega| (3.1e-14 at n = 4096).
 
-Omega is built in blocks of _ROW_BLOCK rows with no per-row Python work.
-Far from its rows, a row block's 6-point far sums are analytic in t, so
-nested blocks of 32 * 2^l rows evaluate them at _CHEB Chebyshev points
-only and interpolate to their rows with one matrix product (the
-kernel-independent interpolation of black-box fast multipole methods and
-H-matrices); a block takes the cells at least _ETA of its widths away
-that its parent block does not. At _ETA = 2 the interpolant converges
-like 9.9^-k, below the 6-point rule's own error at k = 16. The build thus
-makes O(n log n) far-field power evaluations, plus the 16-point near band
-and one dense product per block. Applying Omega is a
-triangular matrix-vector product, so repeated applications (marching
-history products, residuals) are cheap. The substitution s = a + L sigma / n^r
-maps the grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on
-n, and leaves the hat functions unchanged: Omega on [a, a+L] is
-(L / n^r)^{1-beta-gamma} times the leading (n+1) x (n+1) block of the matrix
-on j^r for any larger n. Only that matrix is built, one per (r, beta, gamma),
-grown by its new rows when a larger n is asked for, and the last one is
-cached: callers ask for one key in runs (a sweep's cells at one alpha, a
-solve at n then 2n). kernel_matrix returns the block with the scalar factor,
-which callers fold into a factor they apply anyway.
+Omega is built in blocks of _ROW_BLOCK rows with no per-row Python work,
+and kept in blocks: it is never formed as an (n+1) x (n+1) array. Far from
+its rows, a row block's 6-point far sums are analytic in t, so nested
+blocks of 32 * 2^l rows evaluate them at _CHEB Chebyshev points only and
+interpolate to their rows (the kernel-independent interpolation of
+black-box fast multipole methods and H-matrices); a block takes the cells
+at least _ETA of its widths away that its parent block does not. At
+_ETA = 2 the interpolant converges like 9.9^-k, below the 6-point rule's
+own error at k = 16. A block of 64 rows or more is kept as its two
+factors, the (rows x _CHEB) interpolation matrix and the (_CHEB x cells)
+sums; each 32-row leaf keeps one dense block with its diagonal, its
+16-point band, the cells left over and its own interpolated cells. The
+build makes O(n log n) far-field power evaluations, storage and one
+application are O(n log n) too (about 12 MiB at n = 4096, against 128 MiB
+dense), and a causal solve applies the blocks in row order (see
+KernelOperator.blocks). The substitution s = a + L sigma / n^r maps the
+grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on n,
+and leaves the hat functions unchanged: Omega on [a, a+L] is
+(L / n^r)^{1-beta-gamma} times the leading (n+1) x (n+1) block of the
+matrix on j^r for any larger n. Only that matrix is built, one per
+(r, beta, gamma), grown by its new blocks when a larger n is asked for,
+and the last one is cached: callers ask for one key in runs (a sweep's
+cells at one alpha, a solve at n then 2n). kernel_matrix returns the
+operator for n with the scalar factor, which callers fold into the data
+they apply it to.
 """
 
 from __future__ import annotations
@@ -104,119 +109,195 @@ def _chebyshev_interp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tau, lag / lag.sum(axis=1, keepdims=True)
 
 
-def _fill(omega: np.ndarray, nodes: np.ndarray, beta: float, gamma: float,
-          lo: int) -> None:
-    """Rows lo..n of Omega on the nodes t_j = j^r into omega, (n+1)^2.
-
-    Cell j <= i-2 adds its two hat integrals to columns j and j+1 of row i;
-    the cell ending at t_i and the first row use their end-point rules. The
-    blocks of 32 * 2^l rows from row 2 keep their nominal size: rows past n
-    are evaluated and dropped, so no row's arithmetic depends on n.
-    """
-    hi = omega.shape[0]
-    if lo <= 1:  # doubly singular cell [0, t_1 = 1]: exact Beta moments
-        omega[1, 0] = beta_fn(1.0 - gamma, 2.0 - beta)
-        omega[1, 1] = beta_fn(2.0 - gamma, 1.0 - beta)
-    reach = nodes[:hi + _ROW_BLOCK]  # the cells the row blocks touch
-    S, V0, V1 = _cell_rules(reach, gamma, _GX, _GW)
-    SF, F0, F1 = (x.T.copy() for x in _cell_rules(reach, gamma, _FX, _FW))
-    # t_j / h_j grows with j on a graded grid: cells far from a are a tail
-    away = np.flatnonzero(reach[:-1] >= _FAR_RATIO * np.diff(reach))
-    first = int(away[0]) if away.size else reach.size
-
-    def cuts(size: int) -> np.ndarray:
-        """Per block of `size` rows [i0, i0 + size): the end of the far cells
-        first..J-1 that end at or before t_{i0} - _ETA (t_{i0+size-1} - t_{i0})."""
-        i0 = np.arange(2, hi, size)
-        lim = nodes[i0] - _ETA * (nodes[i0 + size - 1] - nodes[i0])
-        J = np.searchsorted(nodes[1:], lim, side="right")
-        return np.clip(J, first, np.maximum(first, i0 - 1 - _FAR_GAP))
-
-    def kept(i0: int, i1: int) -> slice:
-        """The rows of block [i0, i1) that this fill writes, from i0."""
-        return slice(max(lo, i0) - i0, min(hi, i1) - i0)
-
-    def far(i0: int, i1: int, c0: int, c1: int, interpolate: bool) -> None:
-        """Add the 6-point integrals of cells c0..c1-1 to rows i0..i1-1,
-        evaluated at the rows themselves or, to interpolate, at _CHEB
-        Chebyshev points of [t_{i0}, t_{i1-1}]."""
-        x = nodes[i0:i1]
-        tau, lag = _chebyshev_interp(x) if interpolate else (x, None)
-        K = np.power(np.subtract(tau[:, None, None], SF[:, c0:c1]), -beta)
-        P = np.zeros((tau.size, c1 - c0 + 1))  # columns c0..c1
-        P[:, :-1] = np.einsum("mgc,gc->mc", K, F0[:, c0:c1])
-        P[:, 1:] += np.einsum("mgc,gc->mc", K, F1[:, c0:c1])
-        k = kept(i0, i1)
-        rows = slice(i0 + k.start, i0 + k.stop)
-        if lag is None:
-            omega[rows, c0:c1 + 1] += P[k]
-            return
-        # no other cells reach columns c0+1..c1-1: write them in place
-        if k.stop - k.start == i1 - i0:
-            np.matmul(lag, P[:, 1:-1], out=omega[rows, c0 + 1:c1])
-        else:
-            omega[rows, c0 + 1:c1] = (lag @ P[:, 1:-1])[k]
-        omega[rows, [c0, c1]] += (lag @ P[:, [0, -1]])[k]
-
-    # A block of 32 * 2^l rows [i0, i1) takes the far cells that end _ETA of
-    # its widths t_{i1-1} - t_{i0} or more left of t_{i0}, less those its
-    # parent (the block of twice the rows holding it) takes; a first block
-    # takes none. Admissibility is a prefix in j, so each block takes one
-    # range of cells. The 32-row blocks evaluate the far cells left over,
-    # those too close to interpolate, at their rows.
-    leaf = cuts(_ROW_BLOCK)
-    size, cut = _ROW_BLOCK, leaf
-    while size < hi - 2:
-        parent = cuts(2 * size)
-        for b in range(max(0, (lo - 2) // size), cut.size):
-            if cut[b] > parent[b // 2]:  # interpolating pays with 2 _CHEB rows
-                i0 = 2 + b * size
-                far(i0, i0 + size, int(parent[b // 2]), int(cut[b]), True)
-        size, cut = 2 * size, parent
-
-    for b in range(max(0, (lo - 2) // _ROW_BLOCK), leaf.size):
-        i0, i1 = 2 + b * _ROW_BLOCK, 2 + (b + 1) * _ROW_BLOCK
-        k = kept(i0, i1)
-        i = np.arange(i0, i1)
-        # cell [t_{i-1}, t_i] of each row: kernel singular at its right end
-        t, tl = nodes[i0:i1, None], nodes[i0 - 1:i1 - 1, None]
-        hl = t - tl
-        s = t - hl * _GX ** (1.0 / (1.0 - beta))
-        wl = _GW * (hl ** (1.0 - beta) / (1.0 - beta)) * s ** (-gamma)
-        omega[i[k], i[k] - 1] = np.einsum("ig,ig->i", wl, (t - s) / hl)[k]
-        omega[i[k], i[k]] = np.einsum("ig,ig->i", wl, (s - tl) / hl)[k]
-        edge = i0 - 1 - _FAR_GAP  # cells from here on are near some row
-        if edge > leaf[b]:
-            far(i0, i1, int(leaf[b]), edge, False)
-        near = np.r_[0:first, edge:i1 - 2] if edge > first else np.arange(i1 - 2)
-        inside = near <= i[:, None] - 2  # cell j ends at or before t_{i-1}
-        K = np.where(inside[..., None], t[..., None] - S[near], 1.0) ** (-beta)
-        m = np.searchsorted(near, hi - 2)  # the cells of rows below hi
-        for j, V in ((near[:m], V0), (near[:m] + 1, V1)):
-            omega[i[k, None], j] += (inside * np.einsum("icg,cg->ic", K, V[near]))[k, :m]
-
-
 class _Omega:
-    """Omega on the nodes t_j = j^r for one (r, beta, gamma)."""
+    """Omega on the nodes t_j = j^r for one (r, beta, gamma), in blocks.
+
+    Row 0 is zero. The rows from 1 come in leaves: leaf q >= 1 holds the
+    _ROW_BLOCK rows from i0 = 2 + 32 q, leaf 0 the rows [1, 34), row 1 being
+    its two Beta moments. A leaf is (i0, h, c, near, far):
+      * near, dense, over the columns [0, h) and [c, end of the leaf): the
+        diagonal, the 16-point band, the far cells left over and the leaf's
+        own interpolated cells; h = c = 0 when the two ranges meet,
+      * far, the interpolating blocks of 32 * 2^l rows, l >= 1, whose first
+        row is this leaf's, in order of l, each as (c0, lag, P): rows
+        lag @ P over the columns c0 .. c0 + P.shape[1] - 1, never
+        multiplied out.
+    Every block keeps its nominal rows at any n, so no entry depends on n,
+    and growth appends blocks: the operator for n does not depend on the
+    n asked for before, bit for bit. diag is Omega's diagonal.
+    """
 
     def __init__(self, r: float, beta: float, gamma: float):
         self.r, self.beta, self.gamma = r, beta, gamma
-        self.mat = np.zeros((0, 0))
+        self.leaves: list[tuple] = []
+        self.diag = np.zeros(1)  # of the rows the leaves hold
+        self.n = 0  # every block whose first row is <= n is built
 
-    def upto(self, n: int) -> np.ndarray:
-        """Omega for n cells, a read-only view; grows it by the new rows."""
-        m = self.mat.shape[0]
-        if m <= n:
-            new = np.zeros((n + 1, n + 1))
-            for i0 in range(0, m, _ROW_BLOCK):  # the lower triangle, by row blocks
-                i1 = min(i0 + _ROW_BLOCK, m)
-                new[i0:i1, :i1] = self.mat[i0:i1, :i1]
-            self.mat = np.zeros((0, 0))  # the old rows go before the new are built
+    def upto(self, n: int) -> "KernelOperator":
+        """Omega for n cells; grows it by the blocks whose first row is new."""
+        if n > self.n:
             nodes = np.arange(2 * n + 2 * _ROW_BLOCK, dtype=float) ** self.r
-            _fill(new, nodes, self.beta, self.gamma, m)
-            new.setflags(write=False)
-            self.mat = new
-        return self.mat[:n + 1, :n + 1]
+            self._grow(nodes, n)
+            self.n = n
+        return KernelOperator(self, n)
+
+    def _grow(self, nodes: np.ndarray, n: int) -> None:
+        """Append the leaves whose first row lies in self.n+1 .. n, on the
+        nodes t_j = j^r.
+
+        Cell j <= i-2 adds its two hat integrals to columns j and j+1 of row
+        i; the cell ending at t_i uses its end-point rule.
+        """
+        beta, gamma = self.beta, self.gamma
+        hi = n + 1
+        reach = nodes[:hi + _ROW_BLOCK]  # the cells the row blocks touch
+        S, V0, V1 = _cell_rules(reach, gamma, _GX, _GW)
+        SF, F0, F1 = (x.T.copy() for x in _cell_rules(reach, gamma, _FX, _FW))
+        # t_j / h_j grows with j on a graded grid: cells far from a are a tail
+        away = np.flatnonzero(reach[:-1] >= _FAR_RATIO * np.diff(reach))
+        first = int(away[0]) if away.size else reach.size
+
+        def cuts(size: int) -> np.ndarray:
+            """Per block of `size` rows [i0, i0 + size): the end of the far cells
+            first..J-1 that end at or before t_{i0} - _ETA (t_{i0+size-1} - t_{i0})."""
+            i0 = np.arange(2, hi, size)
+            lim = nodes[i0] - _ETA * (nodes[i0 + size - 1] - nodes[i0])
+            J = np.searchsorted(nodes[1:], lim, side="right")
+            return np.clip(J, first, np.maximum(first, i0 - 1 - _FAR_GAP))
+
+        def far(x: np.ndarray, c0: int, c1: int) -> np.ndarray:
+            """The 6-point integrals of cells c0..c1-1 at the points x, over
+            the columns c0..c1."""
+            K = np.power(np.subtract(x[:, None, None], SF[:, c0:c1]), -beta)
+            P = np.zeros((x.size, c1 - c0 + 1))
+            P[:, :-1] = np.einsum("mgc,gc->mc", K, F0[:, c0:c1])
+            P[:, 1:] += np.einsum("mgc,gc->mc", K, F1[:, c0:c1])
+            return P
+
+        # A block of 32 * 2^l rows [i0, i1) takes the far cells that end _ETA
+        # of its widths t_{i1-1} - t_{i0} or more left of t_{i0}, less those
+        # its parent (the block of twice the rows holding it) takes; a first
+        # block takes none. Admissibility is a prefix in j, so each block
+        # takes one range of cells, and its far sums, analytic in t, are
+        # evaluated at _CHEB Chebyshev points of its t-range and kept with
+        # the matrix that interpolates them to its rows. The leaves evaluate
+        # the far cells left over, those too close to interpolate, at their
+        # rows. cut[l] holds the cell ranges' ends for the blocks of level l.
+        cut = [cuts(_ROW_BLOCK)]
+        while _ROW_BLOCK << len(cut) <= 2 * hi:
+            cut.append(cuts(_ROW_BLOCK << len(cut)))
+        leaf = cut[0]
+        diag = [self.diag]
+        for q in range(len(self.leaves), leaf.size):
+            i0, i1 = 2 + q * _ROW_BLOCK, 2 + (q + 1) * _ROW_BLOCK
+            # The leaf's own interpolated cells c0..lc-1 are multiplied out
+            # into near: at 32 rows their factors save no work and would
+            # cost two more products per leaf.
+            lc = int(leaf[q])
+            c0 = min(lc, int(cut[1][q // 2])) if q else lc
+            h, c = (0, 0) if c0 <= first + 1 else (first + 1, c0)
+            near = np.zeros((_ROW_BLOCK, h + i1 - c))  # rows i0..i1-1
+            if lc > c0:
+                tau, lag = _chebyshev_interp(nodes[i0:i1])
+                near[:, c0 + h - c:lc + 1 + h - c] = lag @ far(tau, c0, lc)
+            r = np.arange(_ROW_BLOCK)
+            i = i0 + r
+            # cell [t_{i-1}, t_i] of each row: kernel singular at its right end
+            t, tl = nodes[i0:i1, None], nodes[i0 - 1:i1 - 1, None]
+            hl = t - tl
+            s = t - hl * _GX ** (1.0 / (1.0 - beta))
+            wl = _GW * (hl ** (1.0 - beta) / (1.0 - beta)) * s ** (-gamma)
+            near[r, i - 1 + h - c] = np.einsum("ig,ig->i", wl, (t - s) / hl)
+            near[r, i + h - c] = np.einsum("ig,ig->i", wl, (s - tl) / hl)
+            edge = i0 - 1 - _FAR_GAP  # cells from here on are near some row
+            if edge > lc:
+                near[:, lc + h - c:edge + 1 + h - c] += far(nodes[i0:i1], lc, edge)
+            cells = np.r_[0:first, edge:i1 - 2] if edge > first else np.arange(i1 - 2)
+            inside = cells <= i[:, None] - 2  # cell j ends at or before t_{i-1}
+            K = np.where(inside[..., None], t[..., None] - S[cells], 1.0) ** (-beta)
+            col = np.where(cells < h, cells, cells + h - c)
+            for j, V in ((col, V0), (col + 1, V1)):
+                near[:, j] += inside * np.einsum("icg,cg->ic", K, V[cells])
+            if q == 0:  # doubly singular cell [0, t_1 = 1]: exact Beta moments
+                row1 = [beta_fn(1.0 - gamma, 2.0 - beta), beta_fn(2.0 - gamma, 1.0 - beta)]
+                near = np.vstack((np.r_[row1, np.zeros(i1 - 2)], near))
+                i0 = 1
+            blocks = []
+            for lv in range(1, len(cut) - 1):  # the blocks of 2^lv leaves from q
+                b = q >> lv
+                if q % (1 << lv) or b == 0:
+                    break
+                c0, c1 = int(cut[lv + 1][b // 2]), int(cut[lv][b])
+                if c1 > c0:  # interpolating pays with 2 _CHEB rows
+                    tau, lag = _chebyshev_interp(nodes[i0:i0 + (_ROW_BLOCK << lv)])
+                    blocks.append((c0, _frozen(lag), _frozen(far(tau, c0, c1))))
+            self.leaves.append((i0, h, c, _frozen(near), tuple(blocks)))
+            diag.append(np.diagonal(near, h + i0 - c))
+        self.diag = _frozen(np.concatenate(diag))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the blocks are shared by every operator."""
+    a.setflags(write=False)
+    return a
+
+
+class KernelOperator:
+    """Omega for n cells, lower triangular: the rows 0..n of a cached
+    _Omega's blocks, and diag, its diagonal. Applying it costs one small
+    product per block, O(n log n) in all; dense() forms the array."""
+
+    def __init__(self, kernel: _Omega, n: int):
+        self.n = n
+        self.leaves = kernel.leaves[:(n + _ROW_BLOCK - 2) // _ROW_BLOCK]
+        self.diag = kernel.diag[:n + 1]
+
+    def blocks(self, U: np.ndarray):
+        """For a causal solve: per leaf s of rows, clipped to n, yield
+        (s, hist, D) with hist = Omega[s, :s.start] @ U[:s.start] and
+        D = Omega[s, s]. Leaf s reads U[:s.start] only when it is asked
+        for, so U[s] may be filled in between."""
+        n = self.n
+        acc = np.zeros((n + 1, U.shape[1]))  # far field of the rows ahead
+        for i0, h, c, near, far in self.leaves:
+            m = min(near.shape[0], n + 1 - i0)
+            for c0, lag, P in far:
+                acc[i0:i0 + lag.shape[0]] += lag[:n + 1 - i0] @ (P @ U[c0:c0 + P.shape[1]])
+            d = h + i0 - c  # the column of row i0 in near
+            hist = near[:m, h:d] @ U[c:i0]
+            hist += acc[i0:i0 + m]
+            if h:
+                hist += near[:m, :h] @ U[:h]
+            yield slice(i0, i0 + m), hist, near[:m, d:d + m]
+
+    def __matmul__(self, U: np.ndarray) -> np.ndarray:
+        """Omega @ U for U of n+1 rows."""
+        n = self.n
+        V = U.reshape(n + 1, -1)
+        out = np.zeros((n + 1, V.shape[1]))
+        for i0, h, c, near, far in self.leaves:
+            e = min(i0 + near.shape[0], n + 1)
+            for c0, lag, P in far:
+                out[i0:i0 + lag.shape[0]] += lag[:n + 1 - i0] @ (P @ V[c0:c0 + P.shape[1]])
+            out[i0:e] += near[:e - i0, h:h + e - c] @ V[c:e]
+            if h:
+                out[i0:e] += near[:e - i0, :h] @ V[:h]
+        return out.reshape(U.shape)
+
+    def dense(self) -> np.ndarray:
+        """Omega as an (n+1) x (n+1) array, summed block by block in a fixed
+        order (the leaves in turn, each one's far blocks, then its near)."""
+        n = self.n
+        out = np.zeros((n + 1, n + 1))
+        for i0, h, c, near, far in self.leaves:
+            for c0, lag, P in far:
+                # the whole product: BLAS may round a product of fewer rows
+                # otherwise, and the matrix for n is that for N, cut
+                out[i0:i0 + lag.shape[0], c0:c0 + P.shape[1]] += (lag @ P)[:n + 1 - i0]
+            e = min(i0 + near.shape[0], n + 1)
+            out[i0:e, :h] += near[:e - i0, :h]
+            out[i0:e, c:e] += near[:e - i0, h:h + e - c]
+        return out
 
 
 _matrix_cached = lru_cache(maxsize=1)(_Omega)  # keyed on (r, beta, gamma)
@@ -233,11 +314,11 @@ def node_scale(n: int, r: float) -> float:
 
 
 def kernel_matrix(grid: GradedGrid, beta: float,
-                  gamma: float) -> tuple[np.ndarray, float]:
-    """(Omega, scale) with (Q u)(t_i) = scale * sum_k Omega[i, k] u_k for
-    u = nodal A*W; Omega is a view of the cached matrix on the nodes j^r,
-    scale = (L / n^r)^{1-beta-gamma}. A grid whose r is not >= 1, or whose
-    nodes j^r overflow (see node_scale), raises ValueError."""
+                  gamma: float) -> tuple[KernelOperator, float]:
+    """(Omega, scale) with (Q u)(t_i) = scale * (Omega @ u)_i for u = nodal
+    A*W; Omega is the operator for n cells of the cached one on the nodes
+    j^r, scale = (L / n^r)^{1-beta-gamma}. A grid whose r is not >= 1, or
+    whose nodes j^r overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
     e = 1.0 - beta - gamma

@@ -12,13 +12,16 @@ and symmetrically for g, with (f, g) sought in the weighted space of
 exponent 1 - alpha. The coefficient P is a function of the node array:
 each solve calls it once on the grid nodes (a scalar result stands for a
 constant), so it is written with numpy functions. The solve is a causal
-marching scheme in blocks of nodes: the history of the product-integration
-quadrature enters a block as one product, and the block's own coupling is
-solved by forward substitution through its Schur complement. It needs no
-contraction condition. The system is linear in the initial data
-(f_a, g_a) and the block Schur matrix depends only on P, so one marching
-pass solves k initial data at once: the history has 2k columns and each
-block has one Schur solve with k right-hand sides.
+marching scheme on the kernel operator's row blocks (rows [1, 34), then
+32 rows at a time): the history of the product-integration quadrature
+enters a block through the operator's blocks (rlops.KernelOperator.blocks),
+and the block's own coupling is solved by forward substitution through
+its Schur complement. It needs no contraction condition. The history
+carries the kernel's scale, so no product on the raw nodes j^r, larger by
+(n^r)^{1-beta-gamma}, is formed. The system is linear in the
+initial data (f_a, g_a) and the block Schur matrix depends only on P, so
+one marching pass solves k initial data at once: the history has 2k
+columns and each block has one Schur solve with k right-hand sides.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .specfn import gamma_fn
 from .rlops import kernel_matrix
 from .weighted import GradedGrid, Order, WeightedFn, from_samples
 
-_BLOCK = 32  # rows per block of the marching solve and the residual product
 Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
 
 
@@ -47,70 +49,64 @@ class SolveReport:
     residual: float
 
 
-def _node_data(P: Coefficient, order: Order, grid: GradedGrid, scale: float):
-    """R = -P on the nodes and the prefactor pf, which carries the
-    kernel_matrix scale, so pf * (omega @ u) is the scaled operator."""
+def _node_data(P: Coefficient, order: Order, grid: GradedGrid):
+    """R = -P on the nodes and the prefactor pf = (t-a)^gamma / Gamma(alpha),
+    so pf * (Q u) is the term of the integral equations."""
     t = grid.nodes
-    a = grid.a
-    ga = order.gamma
     R = np.broadcast_to(-np.asarray(P(t), dtype=float), t.shape)
     pf = np.zeros_like(t)
-    pf[1:] = scale * (t[1:] - a) ** ga / gamma_fn(order.alpha)
+    pf[1:] = (t[1:] - grid.a) ** order.gamma / gamma_fn(order.alpha)
     return R, pf
 
 
-def _marching(omega, R, pf, f_a, g_a):
-    """Causal solve in blocks of _BLOCK nodes for k columns of initial data
-    f_a, g_a (arrays of shape (k,)); returns wf, wg of shape (n+1, k). The
-    history enters as one product of omega with the 2k history columns;
-    the block coupling wf = F + A wg, wg = H + C wf is solved through its
-    Schur complement (I - A C) wf = F + A H, one solve with k right-hand
-    sides. I - A C does not depend on the data; it is lower triangular
-    with diagonal det_i = 1 - (pf_i omega_ii)^2 R_i, checked up front. A
-    block with non-finite inputs in any column fails the solve."""
-    n = omega.shape[0] - 1
+def _marching(omega, scale, R, pf, f_a, g_a):
+    """Causal solve on the blocks of the kernel operator omega for k columns
+    of initial data f_a, g_a (arrays of shape (k,)); returns wf, wg of shape
+    (n+1, k). The history U = scale * (wg, R wf) carries the kernel_matrix
+    scale, so no product on the raw nodes j^r is formed, and enters a block
+    through omega.blocks. The block coupling wf = F + A wg,
+    wg = H + C wf is solved through its Schur complement (I - A C) wf =
+    F + A H, one solve with k right-hand sides. I - A C does not depend on
+    the data; it is lower triangular with diagonal det_i = 1 - (pf_i scale
+    omega_ii)^2 R_i, checked up front. A block with non-finite inputs in any
+    column fails the solve."""
+    n = omega.n
     k = f_a.size
     wf = np.empty((n + 1, k))
     wg = np.empty((n + 1, k))
     wf[0], wg[0] = f_a, g_a
-    # columns :k hold wg, columns k: hold uk = R wf
-    U = np.zeros((n + 1, 2 * k))
-    U[0, :k] = g_a
-    U[0, k:] = R[0] * f_a
+    U = np.empty((n + 1, 2 * k))  # columns :k hold scale wg, k: scale R wf
+    U[0, :k] = scale * g_a
+    U[0, k:] = scale * (R[0] * f_a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = pf * np.diagonal(omega)
+        d = pf * (scale * omega.diag)
         det = 1.0 - d * (d * R)
         bad = np.flatnonzero(np.abs(det[1:]) < 1e-12)
         if bad.size:
             i = int(bad[0]) + 1
             raise ConvergenceError(f"marching step singular at node {i} (det={det[i]})")
-        for i0 in range(1, n + 1, _BLOCK):
-            s = slice(i0, min(i0 + _BLOCK, n + 1))
-            hist = omega[s, :s.stop] @ U[:s.stop]
-            A = pf[s, None] * omega[s, s]
+        for s, hist, D in omega.blocks(U):
+            A = pf[s, None] * (scale * D)
             C = A * R[s]
             H = g_a + pf[s, None] * hist[:, k:]
-            M = np.eye(s.stop - i0) - A @ C
+            M = np.eye(s.stop - s.start) - A @ C
             rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
                 raise ConvergenceError("marching solve produced non-finite samples")
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
-            U[s, :k] = wg[s]
-            U[s, k:] = R[s, None] * wf[s]
+            U[s, :k] = scale * wg[s]
+            U[s, k:] = scale * (R[s, None] * wf[s])
     return wf, wg
 
 
-def _defect(omega, R, pf, wf, wg) -> np.ndarray:
+def _defect(omega, scale, R, pf, wf, wg) -> np.ndarray:
     """Max regularized defect of the two integral equations over t_j, j >= 1,
-    one per column of wf, wg (shape (n+1, k)); omega is lower triangular,
-    so its product runs in row blocks over it."""
+    one per column of wf, wg (shape (n+1, k))."""
     k = wf.shape[1]
     U = np.hstack((wg, R[:, None] * wf))
-    hist = np.empty_like(U)
-    for i0 in range(0, U.shape[0], _BLOCK):
-        s = slice(i0, i0 + _BLOCK)
-        hist[s] = omega[s, :s.stop] @ U[:s.stop]
+    U *= scale
+    hist = omega @ U
     df = wf - (wf[0] + pf[:, None] * hist[:, :k])
     dg = wg - (wg[0] + pf[:, None] * hist[:, k:])
     return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
@@ -127,12 +123,12 @@ def solve_batch(P: Coefficient, order: Order, f_a, g_a,
     if f_a.shape != g_a.shape or not f_a.size:
         raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     ga = order.gamma
-    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, ga)
-    data = _node_data(P, order, grid, scale)
-    wf, wg = _marching(omega, *data, f_a, g_a)
+    kernel = kernel_matrix(grid, 1.0 - order.alpha, ga)
+    data = _node_data(P, order, grid)
+    wf, wg = _marching(*kernel, *data, f_a, g_a)
     # a non-finite sample at a node >= 1 makes its column's defect non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _defect(omega, *data, wf, wg)
+        res = _defect(*kernel, *data, wf, wg)
     if not np.isfinite(res).all():
         raise ConvergenceError("marching solve has a non-finite residual")
     return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
@@ -145,8 +141,8 @@ def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
-    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    return float(_defect(omega, *_node_data(P, order, grid, scale),
+    kernel = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    return float(_defect(*kernel, *_node_data(P, order, grid),
                          report.f.reg_samples[:, None], report.g.reg_samples[:, None])[0])
 
 

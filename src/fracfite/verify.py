@@ -36,14 +36,22 @@ from .sfde import SolveReport, solve_batch
 from .weighted import GradedGrid, Order, build_grid
 from .zeros import first_zero_pair
 
-# Cap on the dense (n+1)^2 float64 kernel matrix a scenario needs:
-# n = 16383 fits exactly, n >= 16384 is rejected before anything is allocated.
-# A sweep cell's batched solve is held to the same cap.
+# Cap on n: n = 16383 is the largest n whose dense (n+1)^2 float64 kernel
+# matrix fits 2 GiB, and n >= 16384 is rejected before anything is allocated.
+# The solver keeps the kernel in blocks (12 MiB at n = 4096), but configs and
+# tests pin this cap and its message. A sweep cell's batched solve is held to
+# the same 2 GiB.
 _MAX_MATRIX_BYTES = 2 * 1024**3
-# Columns of n+1 doubles a batched solve holds per direction: wf, wg and the
-# 2-column history of _marching, the 2-column stack, its 2-column product and
-# the two defects of _defect, and the copies of f and g in the reports.
-_COLUMNS_PER_DIRECTION = 12
+# Columns of n+1 doubles a batched solve holds per direction: in _marching
+# wf, wg, the 2-column history and the 2-column far-field accumulator of its
+# blocks; in _defect the 2-column stack, its 2-column product and the two
+# defects; the copies of f and g in the reports.
+_COLUMNS_PER_DIRECTION = 14
+# Bytes of Python objects a sweep holds per direction besides those columns:
+# the Scenario copy with its label (about 440), the SolveReport with its two
+# WeightedFns and their array headers (about 550), the VerifyReport with its
+# zero pair (about 200); measured with tracemalloc on Python 3.11.
+_OBJECT_BYTES_PER_DIRECTION = 1536
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -445,13 +453,13 @@ class SweepSpec(_Config):
                 key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
                        "c": "lengths"}.get(exc.field, exc.field)
                 raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
-        column = (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION
-        if self.directions * column > _MAX_MATRIX_BYTES:
+        per = (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION + _OBJECT_BYTES_PER_DIRECTION
+        if self.directions * per > _MAX_MATRIX_BYTES:
             raise ConfigError(
                 "directions", f"a cell's batched solve of {self.directions} "
-                f"directions needs {self.directions * column} bytes at n={self.n}, "
+                f"directions needs {self.directions * per} bytes at n={self.n}, "
                 f"above the {_MAX_MATRIX_BYTES}-byte cap "
-                f"(directions <= {_MAX_MATRIX_BYTES // column})")
+                f"(directions <= {_MAX_MATRIX_BYTES // per})")
         object.__setattr__(self, "_cells", tuple(cells))
 
     def direction_angles(self) -> np.ndarray:

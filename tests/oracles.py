@@ -125,7 +125,7 @@ def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
     _check_regime(beta, w.gamma)
     u = np.asarray(A(w.grid.nodes), dtype=float) * w.reg_samples
     omega, scale = kernel_matrix(w.grid, beta, w.gamma)
-    vals = scale * (omega @ u)
+    vals = scale * (omega.dense() @ u)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("singular-kernel quadrature produced non-finite values")
     if beta + w.gamma >= 1.0 - 1e-14:
@@ -200,7 +200,8 @@ def classical_fite_check(P_const: float, b: float, c: float,
 
 def marching_reference(omega, R, pf, f_a, g_a):
     """Node-by-node marching: at each node, one 2x2 solve for the two
-    regularized unknowns. Takes sfde._node_data's arrays, like sfde._marching."""
+    regularized unknowns. Takes the scaled matrix scale * omega.dense() and
+    sfde._node_data's arrays."""
     n = omega.shape[0] - 1
     wf = np.empty(n + 1)
     wg = np.empty(n + 1)
@@ -244,7 +245,8 @@ def picard_reference(P, order: Order, f_a: float, g_a: float,
     iterations or when an increment is not finite or exceeds 1e12 times
     (first increment + 1)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    R, pf = _node_data(P, order, grid, scale)
+    omega = scale * omega.dense()
+    R, pf = _node_data(P, order, grid)
     wf = np.full(omega.shape[0], float(f_a))
     wg = np.full(omega.shape[0], float(g_a))
     increments: list[float] = []
@@ -271,7 +273,8 @@ def contraction_factor(P, order: Order, grid: GradedGrid) -> float:
     -pf Omega (P df)), and Omega, pf >= 0, so the constant is one mat-vec
     per equation, max(max_i pf_i sum_j Omega_ij, same with |P_j|)."""
     omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    R, pf = _node_data(P, order, grid, scale)
+    omega = scale * omega.dense()
+    R, pf = _node_data(P, order, grid)
     return float(max((pf * (omega @ np.ones_like(pf))).max(),
                      (pf * (omega @ np.abs(R))).max()))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fracfite
-from fracfite import rlops
+from fracfite import AuditFailure, cli, rlops
 from fracfite.cli import main
 
 SOLVE_CONFIG = {
@@ -29,7 +29,7 @@ OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
 
 # A valid config whose march stays finite but whose residual overflows.
 HUGE_DATA_CONFIG = {"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
-                    "f_a": 2e306, "g_a": 2e306, "n": 64}
+                    "f_a": 1e308, "g_a": 1e308, "n": 64}
 
 SWEEP_CONFIG = {
     "sweep": {
@@ -502,6 +502,17 @@ class TestAudit:
     def test_inadmissible_p(self):
         assert main(["audit", "--alpha", "0.75", "--p", "2.5",
                      "--trials", "5"]) == 2
+
+    def test_audit_failure_exits_4(self, monkeypatch, capsys, tmp_path):
+        # a violated inequality is a verification failure: exit 4, the
+        # failure on stderr, no record written
+        def failing(order, p, trials, seed):
+            raise AuditFailure("chain_D", seed, 3, "lhs 2 > rhs 1")
+        monkeypatch.setattr(cli, "audit_estimates", failing)
+        out = tmp_path / "audit"
+        assert main(["audit", "--trials", "5", "--out", str(out)]) == 4
+        assert "chain_D" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
 
 
 class TestImports:

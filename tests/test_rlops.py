@@ -1,10 +1,9 @@
 """Product-integration operators against closed forms and brute-force
 reference quadrature."""
 
-import gc
 import math
+import tracemalloc
 import warnings
-import weakref
 
 import mpmath as mp
 import numpy as np
@@ -135,7 +134,7 @@ class TestKernelMatrixScaling:
         g = build_grid(0.0, length, 96, 2.0)
         unit, scale = kernel_matrix(g, 1.0 - alpha, 1.0 - alpha)
         direct = build_matrix_reference(g.nodes, 0.0, 1.0 - alpha, 1.0 - alpha)
-        np.testing.assert_allclose(scale * unit, direct, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scale * unit.dense(), direct, rtol=1e-12, atol=0.0)
 
     def test_shifted_interval_matches_direct_build(self):
         # The reference takes the offsets t_j - a: in absolute coordinates
@@ -143,7 +142,7 @@ class TestKernelMatrixScaling:
         g = build_grid(1.3, 1.6, 96, 2.0)
         unit, scale = kernel_matrix(g, 0.25, 0.25)
         direct = build_matrix_reference(g.nodes - 1.3, 0.0, 0.25, 0.25)
-        np.testing.assert_allclose(scale * unit, direct, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(scale * unit.dense(), direct, rtol=1e-11, atol=0.0)
 
     def test_intervals_with_same_n_and_r_share_one_build(self):
         # one matrix per (r, beta, gamma): another interval, or a larger n,
@@ -154,8 +153,9 @@ class TestKernelMatrixScaling:
         u3, s3 = kernel_matrix(build_grid(4.0, 9.0, 75, 1.7), 0.3, 0.3)
         info = _matrix_cached.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert u1.base is u2.base
-        np.testing.assert_array_equal(u3[:38, :38], u1)
+        assert all(x is y for x, y in zip(u1.leaves, u2.leaves))
+        assert all(x is y for x, y in zip(u1.leaves, u3.leaves))
+        np.testing.assert_array_equal(u3.dense()[:38, :38], u1.dense())
         assert (s1, s2, s3) == pytest.approx(
             ((2.7 / 37 ** 1.7) ** 0.4, (5.0 / 37 ** 1.7) ** 0.4, (5.0 / 75 ** 1.7) ** 0.4),
             rel=1e-14)
@@ -169,7 +169,7 @@ class TestKernelMatrixScaling:
 
 
 class TestGrowth:
-    """Every row's arithmetic is independent of n, so the matrix for n is
+    """Every block's arithmetic is independent of n, so the matrix for n is
     the leading block of any larger one, bit for bit, and growing from n to
     N gives the fresh N build. The sizes are off the 32-row block grid."""
 
@@ -177,23 +177,68 @@ class TestGrowth:
     @pytest.mark.parametrize("n,N", [(100, 613), (512, 1024)])
     @pytest.mark.parametrize("beta,gamma", [(0.25, 0.25), (0.3, 0.7)])
     def test_leading_block_and_growth_match_fresh_builds(self, n, N, r, beta, gamma):
-        fresh = _Omega(r, beta, gamma).upto(N)
-        assert np.array_equal(fresh[:n + 1, :n + 1], _Omega(r, beta, gamma).upto(n))
+        fresh = _Omega(r, beta, gamma).upto(N).dense()
+        assert np.array_equal(fresh[:n + 1, :n + 1], _Omega(r, beta, gamma).upto(n).dense())
         grown = _Omega(r, beta, gamma)
         grown.upto(n)
-        assert np.array_equal(grown.upto(N), fresh)
+        assert np.array_equal(grown.upto(N).dense(), fresh)
 
     def test_views_are_read_only(self):
-        om = _Omega(2.0, 0.25, 0.25).upto(40)
-        with pytest.raises(ValueError):
-            om[3, 1] = 0.0
+        # the blocks are shared by every operator of the cached _Omega
+        om = _Omega(2.0, 0.25, 0.25).upto(600)
+        far = [x for *_, blocks in om.leaves for _, lag, P in blocks for x in (lag, P)]
+        arrays = [om.diag] + [near for *_, near, _ in om.leaves] + far
+        assert far
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = 0.0
 
-    def test_growth_releases_the_old_matrix(self):
+    def test_growth_keeps_the_old_blocks(self):
+        # growth computes only the blocks whose first row is new
         holder = _Omega(2.0, 0.25, 0.25)
-        old = weakref.ref(holder.upto(64).base)
-        holder.upto(128)
-        gc.collect()
-        assert old() is None
+        old = holder.upto(64).leaves
+        new = holder.upto(128).leaves
+        assert len(new) > len(old)
+        assert all(x is y for x, y in zip(old, new))
+
+
+class TestOperator:
+    """The block operator against its dense form."""
+
+    @pytest.mark.parametrize("n", [33, 613, 4096])
+    def test_product_matches_dense(self, n):
+        op = _Omega(2.0, 0.25, 0.25).upto(n)
+        U = np.random.default_rng(n).standard_normal((n + 1, 5))
+        ref = op.dense() @ U
+        assert np.abs(op @ U - ref).max() <= 1e-14 * np.abs(ref).max()
+        np.testing.assert_array_equal(op.diag, np.diagonal(op.dense()))
+
+    def test_blocks_are_the_rows_of_the_product(self):
+        # what a causal solve reads: Omega[s, :s.start] @ U[:s.start] and
+        # Omega[s, s], block by block over rows 1..n, far field included
+        n = 613
+        op = _Omega(1.5, 0.3, 0.3).upto(n)
+        assert any(far for *_, far in op.leaves)
+        dense = op.dense()
+        U = np.random.default_rng(0).standard_normal((n + 1, 2))
+        rows = []
+        for s, hist, D in op.blocks(U):
+            ref = dense[s, :s.start] @ U[:s.start]
+            assert np.abs(hist - ref).max() <= 1e-14 * np.abs(ref).max()
+            np.testing.assert_array_equal(D, dense[s, s])
+            rows += range(s.start, s.stop)
+        assert rows == list(range(1, n + 1))
+
+    def test_storage_is_far_below_dense(self):
+        # the dense (n+1)^2 matrix at n = 4096 takes 128 MiB
+        tracemalloc.start()
+        try:
+            op = _Omega(2.0, 0.25, 0.25).upto(4096)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert op.n == 4096
+        assert held <= 20 * 2**20
 
 
 class TestBlockedBuild:
@@ -209,7 +254,7 @@ class TestBlockedBuild:
         # the offsets of a grid at a = 1.3 the reference would round its
         # quadrature points near a and lose up to 7.5e-11 of a row.)
         _matrix_cached.cache_clear()
-        omega, _ = kernel_matrix(grid, beta, gamma)
+        omega = kernel_matrix(grid, beta, gamma)[0].dense()
         ref = build_matrix_reference(np.arange(grid.n + 1.0) ** grid.r, 0.0, beta, gamma)
         err = np.abs(omega - ref)
         assert err.max() <= rel * np.abs(ref).max()

@@ -190,23 +190,39 @@ class TestBlockedMarching:
         P = self.VARYING if kind == "varying" else self.FORCED
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        data = _node_data(P, ORDER, g, scale)
+        data = _node_data(P, ORDER, g)
         for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
-            wf, wg = _marching(omega, *data, np.array(f_a), np.array(g_a))
+            wf, wg = _marching(omega, scale, *data, np.array(f_a), np.array(g_a))
             assert wf.shape == wg.shape == (n + 1, len(f_a))
             for j, (fa, ga) in enumerate(zip(f_a, g_a)):
-                for ref, got in zip(marching_reference(omega, *data, fa, ga),
+                for ref, got in zip(marching_reference(scale * omega.dense(), *data,
+                                                       fa, ga),
                                     (wf[:, j], wg[:, j])):
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [613, 2048])
+    def test_solve_batch_matches_a_march_on_the_dense_matrix(self, n):
+        # several levels of interpolated far blocks, applied as factors,
+        # against the node-by-node loop on the dense matrix they stand for
+        g = build_grid(0.0, 3.0, n, 2.0)
+        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
+        dense = scale * omega.dense()
+        data = _node_data(self.VARYING, ORDER, g)
+        f_a, g_a = [0.6, 1.0, -0.3], [-0.8, 0.0, 2.0]
+        reps = solve_batch(self.VARYING, ORDER, f_a, g_a, g)
+        for fa, ga, rep in zip(f_a, g_a, reps):
+            for ref, got in zip(marching_reference(dense, *data, fa, ga), (rep.f, rep.g)):
+                assert np.abs(got.reg_samples - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_singular_step_names_its_node(self):
         # P is nonzero only at node k > _BLOCK, where it makes det_k vanish
         n, k = 100, 40
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        d = scale * g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
+        omega = scale * omega.dense()
+        d = g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
         P = lambda s: np.where(s == g.nodes[k], -d ** -2, 0.0)
-        data = _node_data(P, ORDER, g, scale)
+        data = _node_data(P, ORDER, g)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
             marching_reference(omega, *data, 1.0, 0.0)
         with pytest.raises(ConvergenceError, match=rf"singular at node {k} \("):
@@ -244,13 +260,26 @@ class TestBatchedSolve:
                         [0.0, 1.0, 0.8], g)
 
     def test_non_finite_residual_fails_the_batch(self):
-        # the march stays finite at data near the float maximum over the
-        # kernel matrix's scale, but the defect overflows: alone or next to
-        # a finite column, no report
+        # the march stays finite at data near the float maximum, but the
+        # defect overflows: alone or next to a finite column, no report
         g = build_grid(0.0, 1.0, 64, 2.0)
-        for f_a, g_a in ((2e306, 2e306), ([1.0, 2e306], [0.0, 2e306])):
+        for f_a, g_a in ((1e308, 1e308), ([1.0, 1e308], [0.0, 1e308])):
             with pytest.raises(ConvergenceError, match="non-finite residual"):
                 solve_batch(lambda t: 1.0, ORDER, f_a, g_a, g)
+
+    def test_data_near_the_float_maximum_solve(self):
+        # The history carries the kernel_matrix scale, so no product on the
+        # raw nodes j^r, (n^r)^(1-beta-gamma) = 64 times larger here, is
+        # formed: data within that factor of the float maximum solve, with
+        # samples and residual that scale with them.
+        g = build_grid(0.0, 1.0, 64, 2.0)
+        unit = solve_fite(lambda t: 1.0, ORDER, 1.0, 1.0, g)
+        rep = solve_fite(lambda t: 1.0, ORDER, 5e306, 5e306, g)
+        assert math.isfinite(rep.residual)
+        assert rep.residual <= 5e306 * 1e-14
+        for got, ref in ((rep.f, unit.f), (rep.g, unit.g)):
+            np.testing.assert_allclose(got.reg_samples, 5e306 * ref.reg_samples,
+                                       rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("f_a,g_a", [([], []), ([1.0, 0.0], [1.0])])
     def test_data_shapes(self, f_a, g_a):

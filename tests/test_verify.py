@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,8 +267,8 @@ class TestRunScenario:
 
     def test_non_finite_residual_is_solver_failed(self):
         # finite march, overflowing defect: no verdict without a residual.
-        # Data 50x larger already overflow in the march.
-        for data, detail in ((2e306, "non-finite residual"), (1e308, "non-finite samples")):
+        # Data 1.5x larger already overflow in the march.
+        for data, detail in ((1e308, "non-finite residual"), (1.5e308, "non-finite samples")):
             s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
                                    "f_a": data, "g_a": data, "n": 64})
             rep = run_scenario(s)
@@ -442,12 +444,32 @@ class TestSweep:
                       directions=0)
 
     def test_directions_bounded_by_the_batched_solve(self):
-        # 12 columns of n + 1 = 17 doubles per direction: 2^31 // 1632 of
-        # them fit the cap. Parsing alone decides; nothing is solved.
+        # 14 columns of n + 1 = 17 doubles and 1536 bytes of objects per
+        # direction: 2^31 // 3440 of them fit the cap. Parsing alone
+        # decides; nothing is solved.
         obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16}
-        assert SweepSpec.from_obj({**obj, "directions": 1315860}).directions == 1315860
-        with pytest.raises(ConfigError, match="^directions: .*directions <= 1315860"):
-            SweepSpec.from_obj({**obj, "directions": 1315861})
+        assert SweepSpec.from_obj({**obj, "directions": 624268}).directions == 624268
+        with pytest.raises(ConfigError, match="^directions: .*directions <= 624268"):
+            SweepSpec.from_obj({**obj, "directions": 624269})
+
+    def test_directions_cap_covers_what_a_direction_holds(self):
+        # the peak of a 1,000-direction sweep at n = 16, per direction,
+        # against what the cap charges a direction
+        obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16,
+               "directions": 1000, "random_directions": True}
+        spec = SweepSpec.from_obj(obj)
+        sweep(spec)  # the kernel is cached; its blocks are not per direction
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = sweep(SweepSpec.from_obj(obj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.reports) == 1000
+        charged = 17 * 8 * verify_module._COLUMNS_PER_DIRECTION \
+            + verify_module._OBJECT_BYTES_PER_DIRECTION
+        assert peak / 1000 <= charged
 
     def test_small_sweep_no_counterexamples(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.05, 2.0),
