@@ -42,8 +42,11 @@ and leaves the hat functions unchanged: Omega on [a, a+L] is
 (L / n^r)^{1-beta-gamma} times the leading (n+1) x (n+1) block of the
 matrix on j^r for any larger n. Only that matrix is built, one per
 (r, beta, gamma), grown by its new blocks when a larger n is asked for,
-and the last one is cached: callers ask for one key in runs (a sweep's
-cells at one alpha, a solve at n then 2n). kernel_matrix returns the
+and the last one is cached: a sweep's cells at one alpha, and a solve at
+n then 2n, ask for one key in a run. A sweep at n = 512 and then 1024 in
+one process makes 6 fresh builds, 0 growths and 48 hits: at 1024 the
+entry holds the last alpha's operator, so each alpha is built again
+rather than grown. kernel_matrix returns the
 operator for n with the scalar factor, which callers fold into the data
 they apply it to.
 """

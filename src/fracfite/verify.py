@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import product
 
@@ -36,22 +36,25 @@ from .sfde import SolveReport, solve_batch
 from .weighted import GradedGrid, Order, build_grid
 from .zeros import first_zero_pair
 
-# Cap on n: n = 16383 is the largest n whose dense (n+1)^2 float64 kernel
-# matrix fits 2 GiB, and n >= 16384 is rejected before anything is allocated.
-# The solver keeps the kernel in blocks (12 MiB at n = 4096), but configs and
-# tests pin this cap and its message. A sweep cell's batched solve is held to
-# the same 2 GiB.
-_MAX_MATRIX_BYTES = 2 * 1024**3
-# Columns of n+1 doubles a batched solve holds per direction: in _marching
-# wf, wg, the 2-column history and the 2-column far-field accumulator of its
-# blocks; in _defect the 2-column stack, its 2-column product and the two
-# defects; the copies of f and g in the reports.
+_MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
+# Bytes a sweep may hold: it keeps every scenario to the end and solves one
+# cell (the directions of one (alpha, P, L)) at a time.
+_MAX_SWEEP_BYTES = 2 * 1024**3
+# Bytes the process running a sweep keeps per scenario until it returns: the
+# Scenario copy with its label and the VerifyReport with its zero pair, about
+# 600 in one process; a pool's main process also holds the reports unpickled,
+# about 1,360 at its peak (tracemalloc, 27 cells of 4,000 directions, n = 16).
+_SCENARIO_BYTES = 1536
+# Columns of n+1 doubles a cell's batched solve holds per direction: in
+# _marching wf, wg, the 2-column history and the 2-column far-field
+# accumulator of its blocks; in _defect the 2-column stack, its 2-column
+# product and the two defects; the copies of f and g in the reports.
 _COLUMNS_PER_DIRECTION = 14
-# Bytes of Python objects a sweep holds per direction besides those columns:
-# the Scenario copy with its label (about 440), the SolveReport with its two
-# WeightedFns and their array headers (about 550), the VerifyReport with its
-# zero pair (about 200); measured with tracemalloc on Python 3.11.
-_OBJECT_BYTES_PER_DIRECTION = 1536
+# Bytes of Python objects a cell's solve holds per direction besides those
+# columns: the SolveReport with its two WeightedFns and their array headers.
+# A cell's solve peaks at about 610 bytes per direction at n = 2 (336 of them
+# charged as columns) and 1,340 at n = 16 (tracemalloc, 4,000 directions).
+_SOLVE_BYTES_PER_DIRECTION = 512
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -85,14 +88,15 @@ _list = _json((list, tuple), "a list")
 _reals = _json((list, tuple), "a list of numbers", lambda v: tuple(map(_real, v)))
 
 
-_REQUIRED = object()  # default of a key the config must give
+def _key(key: str, parse, default=MISSING):
+    """A config field: its JSON key, the parser of its JSON value and its
+    default (MISSING: the config must give the key)."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
 
 class _Config:
-    """from_obj/to_obj for a dataclass whose config object (named _WHERE in
-    errors) has the schema _KEYS: rows of (JSON key, field, JSON type,
-    default). A callable default is computed from the fields parsed before
-    it."""
+    """from_obj/to_obj for a dataclass whose _key fields, in field order,
+    are the keys of its config object (named _WHERE in errors)."""
 
     @classmethod
     def from_obj(cls, obj, **overrides):
@@ -102,37 +106,39 @@ class _Config:
         if not isinstance(obj, dict):
             raise ConfigError(cls._WHERE, f"must be a JSON object, got {obj!r}")
         obj = {**obj, **{k: v for k, v in overrides.items() if v is not None}}
-        known = [row[0] for row in cls._KEYS]
+        keyed = [f for f in fields(cls) if "key" in f.metadata]
+        known = [f.metadata["key"] for f in keyed]
         for key in obj:
             if key not in known:
                 raise ConfigError(key, f"unknown key; expected one of {known}")
-        fields = {}
-        for key, name, kind, default in cls._KEYS:
+        values = {}
+        for f in keyed:
+            key = f.metadata["key"]
             if key in obj:
                 try:
-                    fields[name] = kind(obj[key])
+                    values[f.name] = f.metadata["parse"](obj[key])
                 except ConfigError:
                     raise
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(key, str(exc)) from None
-            elif default is _REQUIRED:
+            elif f.default is MISSING:
                 raise ConfigError(key, "missing required field")
-            else:
-                fields[name] = default(fields) if callable(default) else default
-        return cls(**fields)
+        return cls(**values)
 
     def to_obj(self) -> dict:
         """The config object of this instance; from_obj gives it back."""
         obj = {}
-        for key, name, _, _ in self._KEYS:
-            value = getattr(self, name)
+        for f in fields(self):
+            if "key" not in f.metadata:
+                continue
+            value = getattr(self, f.name)
             if isinstance(value, Order):
                 value = value.alpha
             elif isinstance(value, CoefficientSpec):
                 value = value.to_obj()
             elif isinstance(value, tuple):
                 value = list(value)
-            obj[key] = value
+            obj[f.metadata["key"]] = value
         return obj
 
 
@@ -253,42 +259,28 @@ class Scenario(_Config):
     checked to be > 0 and echoed, for the configs that carry it."""
 
     _WHERE = "config"
-    _KEYS = (
-        ("alpha", "order", lambda v: Order(_real(v)), _REQUIRED),
-        ("a", "a", _real, _REQUIRED),
-        ("c", "c", _real, _REQUIRED),
-        ("b", "b", _real, lambda f: f["a"] + 0.01 * (f["c"] - f["a"])),
-        ("P", "p_coeff", CoefficientSpec.from_obj, _REQUIRED),
-        ("f_a", "f_a", _real, 1.0),
-        ("g_a", "g_a", _real, 0.0),
-        ("n", "n", _int, 512),
-        ("grading", "r", _real, 2.0),
-        ("tol", "tol", _real, 1e-10),
-    )
 
-    order: Order
-    a: float
-    b: float
-    c: float
-    p_coeff: CoefficientSpec
-    f_a: float
-    g_a: float
-    n: int = 512
-    r: float = 2.0
-    tol: float = 1e-10
+    order: Order = _key("alpha", lambda v: Order(_real(v)))
+    a: float = _key("a", _real)
+    c: float = _key("c", _real)
+    p_coeff: CoefficientSpec = _key("P", CoefficientSpec.from_obj)
+    b: float = _key("b", _real, None)  # None: a + 0.01 (c - a)
+    f_a: float = _key("f_a", _real, 1.0)
+    g_a: float = _key("g_a", _real, 0.0)
+    n: int = _key("n", _int, 512)
+    r: float = _key("grading", _real, 2.0)
+    tol: float = _key("tol", _real, 1e-10)
     label: str = ""
     p_sup: float = field(init=False, repr=False, compare=False)
     grid: GradedGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.b is None:
+            object.__setattr__(self, "b", self.a + 0.01 * (self.c - self.a))
         if self.n < 2:
             raise ConfigError("n", f"need at least 2 grid cells, got {self.n!r}")
-        if (self.n + 1) ** 2 * 8 > _MAX_MATRIX_BYTES:
-            raise ConfigError(
-                "n", f"the {self.n + 1}^2 kernel matrix needs "
-                f"{(self.n + 1) ** 2 * 8} bytes, above the "
-                f"{_MAX_MATRIX_BYTES}-byte cap "
-                f"(n <= {math.isqrt(_MAX_MATRIX_BYTES // 8) - 1})")
+        if self.n > _MAX_N:
+            raise ConfigError("n", f"must be at most {_MAX_N}, got {self.n!r}")
         if not (self.r >= 1.0):
             raise ConfigError("grading", f"must be >= 1, got {self.r!r}")
         if not (self.tol > 0.0):
@@ -401,29 +393,17 @@ class SweepSpec(_Config):
     """Cartesian scenario grid; initial data are unit-circle directions."""
 
     _WHERE = "sweep"  # the object under a config's "sweep" key
-    _KEYS = (
-        ("alphas", "alphas", _reals, _REQUIRED),
-        ("p_infs", "p_infs", _reals, _REQUIRED),
-        ("lengths", "lengths", _reals, _REQUIRED),
-        ("directions", "directions", _int, 8),
-        ("seed", "seed", _int, 0),
-        ("a", "a", _real, 0.0),
-        ("b_fraction", "b_fraction", _real, 0.01),
-        ("n", "n", _int, 512),
-        ("grading", "r", _real, 2.0),
-        ("random_directions", "random_directions", _bool, False),
-    )
 
-    alphas: tuple[float, ...]
-    p_infs: tuple[float, ...]
-    lengths: tuple[float, ...]
-    directions: int = 8
-    seed: int = 0
-    a: float = 0.0
-    b_fraction: float = 0.01
-    n: int = 512
-    r: float = 2.0
-    random_directions: bool = False
+    alphas: tuple[float, ...] = _key("alphas", _reals)
+    p_infs: tuple[float, ...] = _key("p_infs", _reals)
+    lengths: tuple[float, ...] = _key("lengths", _reals)
+    directions: int = _key("directions", _int, 8)
+    seed: int = _key("seed", _int, 0)
+    a: float = _key("a", _real, 0.0)
+    b_fraction: float = _key("b_fraction", _real, 0.01)
+    n: int = _key("n", _int, 512)
+    r: float = _key("grading", _real, 2.0)
+    random_directions: bool = _key("random_directions", _bool, False)
     # ((alpha, P, L), validated scenario of that cell at direction 0)
     _cells: tuple = field(init=False, repr=False, compare=False)
 
@@ -448,18 +428,19 @@ class SweepSpec(_Config):
                 cells.append((cell, Scenario(
                     order=Order(alpha), a=self.a, b=self.a + self.b_fraction * length,
                     c=self.a + length, p_coeff=CoefficientSpec.const(p_inf),
-                    f_a=1.0, g_a=0.0, n=self.n, r=self.r)))
+                    n=self.n, r=self.r)))
             except ConfigError as exc:
                 key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
                        "c": "lengths"}.get(exc.field, exc.field)
                 raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
-        per = (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION + _OBJECT_BYTES_PER_DIRECTION
-        if self.directions * per > _MAX_MATRIX_BYTES:
+        per = (len(cells) * _SCENARIO_BYTES + (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION
+               + _SOLVE_BYTES_PER_DIRECTION)
+        if self.directions * per > _MAX_SWEEP_BYTES:
             raise ConfigError(
-                "directions", f"a cell's batched solve of {self.directions} "
+                "directions", f"a sweep of {len(cells)} cells of {self.directions} "
                 f"directions needs {self.directions * per} bytes at n={self.n}, "
-                f"above the {_MAX_MATRIX_BYTES}-byte cap "
-                f"(directions <= {_MAX_MATRIX_BYTES // per})")
+                f"above the {_MAX_SWEEP_BYTES}-byte cap "
+                f"(directions <= {_MAX_SWEEP_BYTES // per})")
         object.__setattr__(self, "_cells", tuple(cells))
 
     def direction_angles(self) -> np.ndarray:

@@ -466,8 +466,9 @@ class TestKernelNodesOverflow:
 
 
 class TestMatrixCap:
-    """n >= 16384 asks for a (n+1)^2 float64 kernel matrix above 2 GiB,
-    which gave a MemoryError traceback or an OOM kill."""
+    """n is at most 16383; a larger n is a config error before anything is
+    built (when the solver held a dense (n+1)^2 kernel matrix, it gave a
+    MemoryError traceback or an OOM kill)."""
 
     @pytest.mark.parametrize("n", [16384, 1_000_000])
     @pytest.mark.parametrize("command,sweep", [("solve", False), ("verify", False),
@@ -482,7 +483,7 @@ class TestMatrixCap:
         cfg = write_config(tmp_path, {"sweep": cfg_obj} if sweep else cfg_obj)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
-        assert "n: the" in capsys.readouterr().err
+        assert f"n: must be at most 16383, got {n}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
         assert not (out / "verify.json").exists()
 

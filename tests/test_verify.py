@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,10 +125,10 @@ class TestScenarioValidation:
                           c=10.0)
 
     def test_matrix_cap(self):
-        # (n+1)^2 float64 entries: n = 16383 is exactly the 2 GiB cap
-        assert (16383 + 1) ** 2 * 8 == verify_module._MAX_MATRIX_BYTES
+        # a plain bound: validating n = 16383 builds no kernel
+        assert fite_scenario(n=16383).n == 16383
         for n in (16384, 1_000_000):
-            with pytest.raises(ValueError, match="^n: the .* kernel matrix needs"):
+            with pytest.raises(ValueError, match=f"^n: must be at most 16383, got {n}$"):
                 fite_scenario(n=n)
 
 SCENARIO_OBJ = {"alpha": 0.75, "a": 0, "c": 2, "P": {"poly": [1, 2]}}
@@ -143,6 +144,19 @@ class TestConfigSchema:
                        "n": 512, "grading": 2.0, "tol": 1e-10}
         assert isinstance(obj["c"], float) and isinstance(obj["n"], int)
         assert Scenario.from_obj(obj) == s
+
+    def test_python_and_json_construction_default_alike(self):
+        # only the required keys: both construct with the same defaults,
+        # b = a + 0.01 (c - a) among them
+        assert Scenario.from_obj(SCENARIO_OBJ) == Scenario(
+            order=Order(0.75), a=0.0, c=2.0, p_coeff=CoefficientSpec.poly([1.0, 2.0]))
+        assert SweepSpec.from_obj({"alphas": [0.75], "p_infs": [1], "lengths": [1]}) \
+            == SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(1.0,))
+
+    def test_unknown_key_lists_the_keys_in_field_order(self):
+        keys = ["alpha", "a", "c", "P", "b", "f_a", "g_a", "n", "grading", "tol"]
+        with pytest.raises(ConfigError, match=re.escape(f"expected one of {keys}")):
+            Scenario.from_obj({**SCENARIO_OBJ, "V": {"const": 0}})
 
     def test_overrides(self):
         s = Scenario.from_obj({**SCENARIO_OBJ, "n": 64}, n=128, grading=None)
@@ -444,32 +458,50 @@ class TestSweep:
                       directions=0)
 
     def test_directions_bounded_by_the_batched_solve(self):
-        # 14 columns of n + 1 = 17 doubles and 1536 bytes of objects per
-        # direction: 2^31 // 3440 of them fit the cap. Parsing alone
-        # decides; nothing is solved.
+        # one cell at n = 17 nodes: 1536 bytes kept per scenario, 14 columns
+        # of 17 doubles and 512 bytes of solve objects per direction, so
+        # 2^31 // 3952 directions fit the cap. Parsing alone decides;
+        # nothing is solved.
         obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16}
-        assert SweepSpec.from_obj({**obj, "directions": 624268}).directions == 624268
-        with pytest.raises(ConfigError, match="^directions: .*directions <= 624268"):
-            SweepSpec.from_obj({**obj, "directions": 624269})
+        assert SweepSpec.from_obj({**obj, "directions": 543391}).directions == 543391
+        with pytest.raises(ConfigError, match="^directions: .*directions <= 543391"):
+            SweepSpec.from_obj({**obj, "directions": 543392})
+
+    def test_directions_cap_charges_every_cell(self):
+        # a sweep keeps every cell's scenarios: 27 cells charge 27 * 1536
+        # bytes per direction on top of one cell's solve, so 2^31 // 43888
+        # directions fit. 624,268, about 11 GB, was once accepted. Parsing
+        # alone decides; nothing is solved.
+        obj = {"alphas": [0.6, 0.75, 0.9], "p_infs": [0.5, 1, 2],
+               "lengths": [0.5, 1, 5], "n": 16}
+        assert SweepSpec.from_obj({**obj, "directions": 48930}).directions == 48930
+        for directions in (48931, 624268):
+            with pytest.raises(ConfigError,
+                               match="^directions: a sweep of 27 cells .*directions <= 48930"):
+                SweepSpec.from_obj({**obj, "directions": directions})
 
     def test_directions_cap_covers_what_a_direction_holds(self):
-        # the peak of a 1,000-direction sweep at n = 16, per direction,
-        # against what the cap charges a direction
-        obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16,
-               "directions": 1000, "random_directions": True}
-        spec = SweepSpec.from_obj(obj)
-        sweep(spec)  # the kernel is cached; its blocks are not per direction
+        # a 27-cell sweep of 100 directions at n = 16: what it keeps per
+        # scenario (about 620 bytes), and its peak per direction (about
+        # 18,400), against what the cap charges
+        obj = {"alphas": [0.6, 0.75, 0.9], "p_infs": [0.5, 1, 2],
+               "lengths": [0.5, 1, 5], "n": 16, "random_directions": True}
+        sweep(SweepSpec.from_obj(obj))  # the kernels are cached; not per direction
         gc.collect()
         tracemalloc.start()
         try:
-            report = sweep(SweepSpec.from_obj(obj))
-            peak = tracemalloc.get_traced_memory()[1]
+            base = tracemalloc.get_traced_memory()[0]
+            report = sweep(SweepSpec.from_obj({**obj, "directions": 100}))
+            gc.collect()
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert len(report.reports) == 1000
-        charged = 17 * 8 * verify_module._COLUMNS_PER_DIRECTION \
-            + verify_module._OBJECT_BYTES_PER_DIRECTION
-        assert peak / 1000 <= charged
+        assert len(report.reports) == 27 * 100
+        assert kept / (27 * 100) <= verify_module._SCENARIO_BYTES
+        charged = 27 * verify_module._SCENARIO_BYTES \
+            + 17 * 8 * verify_module._COLUMNS_PER_DIRECTION \
+            + verify_module._SOLVE_BYTES_PER_DIRECTION
+        assert peak / 100 <= charged
 
     def test_small_sweep_no_counterexamples(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.05, 2.0),
