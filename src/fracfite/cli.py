@@ -74,8 +74,7 @@ def _write_trace(path: Path, report) -> None:
 
 
 def cmd_solve(args) -> int:
-    scenario = Scenario.from_obj(_load_config(args.config), n=args.n,
-                                 grading=args.grading)
+    scenario = Scenario.from_obj(_load_config(args.config), n=args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -140,8 +139,7 @@ def _report_obj(rep) -> dict:
 
 
 def cmd_verify(args) -> int:
-    run = parse_config(_load_config(args.config), n=args.n,
-                       grading=args.grading, seed=args.seed)
+    run = parse_config(_load_config(args.config), n=args.n)
     result = sweep(run, workers=args.workers, rhs_scale=args.rhs_scale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True, help="JSON scenario config")
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--n", type=int, default=None, help="override grid cells")
-    sp.add_argument("--grading", type=float, default=None, help="override grading")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bound", help="bound constants and minimal length")
@@ -202,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run a scenario or sweep against the bound")
     vp.add_argument("--config", required=True, help="JSON scenario or sweep config")
     vp.add_argument("--out", default="out")
-    vp.add_argument("--seed", type=int, default=None)
-    vp.add_argument("--n", type=int, default=None)
-    vp.add_argument("--grading", type=float, default=None)
+    vp.add_argument("--n", type=int, default=None, help="override grid cells")
     vp.add_argument("--workers", type=int, default=1)
     vp.add_argument("--rhs-scale", type=float, default=1.0,
                     help="test hook: scale the bound's right side")

@@ -127,13 +127,12 @@ class _Omega:
         multiplied out.
     Every block keeps its nominal rows at any n, so no entry depends on n,
     and growth appends blocks: the operator for n does not depend on the
-    n asked for before, bit for bit. diag is Omega's diagonal.
+    n asked for before, bit for bit.
     """
 
     def __init__(self, r: float, beta: float, gamma: float):
         self.r, self.beta, self.gamma = r, beta, gamma
         self.leaves: list[tuple] = []
-        self.diag = np.zeros(1)  # of the rows the leaves hold
         self.n = 0  # every block whose first row is <= n is built
 
     def upto(self, n: int) -> "KernelOperator":
@@ -190,7 +189,6 @@ class _Omega:
         while _ROW_BLOCK << len(cut) <= 2 * hi:
             cut.append(cuts(_ROW_BLOCK << len(cut)))
         leaf = cut[0]
-        diag = [self.diag]
         for q in range(len(self.leaves), leaf.size):
             i0, i1 = 2 + q * _ROW_BLOCK, 2 + (q + 1) * _ROW_BLOCK
             # The leaf's own interpolated cells c0..lc-1 are multiplied out
@@ -235,8 +233,6 @@ class _Omega:
                     tau, lag = _chebyshev_interp(nodes[i0:i0 + (_ROW_BLOCK << lv)])
                     blocks.append((c0, _frozen(lag), _frozen(far(tau, c0, c1))))
             self.leaves.append((i0, h, c, _frozen(near), tuple(blocks)))
-            diag.append(np.diagonal(near, h + i0 - c))
-        self.diag = _frozen(np.concatenate(diag))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -247,13 +243,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class KernelOperator:
     """Omega for n cells, lower triangular: the rows 0..n of a cached
-    _Omega's blocks, and diag, its diagonal. Applying it costs one small
-    product per block, O(n log n) in all; dense() forms the array."""
+    _Omega's blocks. Applying it costs one small product per block,
+    O(n log n) in all; dense() forms the array."""
 
     def __init__(self, kernel: _Omega, n: int):
         self.n = n
         self.leaves = kernel.leaves[:(n + _ROW_BLOCK - 2) // _ROW_BLOCK]
-        self.diag = kernel.diag[:n + 1]
 
     def blocks(self, U: np.ndarray):
         """For a causal solve: per leaf s of rows, clipped to n, yield

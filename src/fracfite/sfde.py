@@ -67,9 +67,9 @@ def _marching(omega, scale, R, pf, f_a, g_a):
     through omega.blocks. The block coupling wf = F + A wg,
     wg = H + C wf is solved through its Schur complement (I - A C) wf =
     F + A H, one solve with k right-hand sides. I - A C does not depend on
-    the data; it is lower triangular with diagonal det_i = 1 - (pf_i scale
-    omega_ii)^2 R_i, checked up front. A block with non-finite inputs in any
-    column fails the solve."""
+    the data; it is lower triangular, and its diagonal det_i = 1 - (pf_i
+    scale omega_ii)^2 R_i is checked before the block's solve. A block with
+    non-finite inputs in any column fails the solve."""
     n = omega.n
     k = f_a.size
     wf = np.empty((n + 1, k))
@@ -79,17 +79,17 @@ def _marching(omega, scale, R, pf, f_a, g_a):
     U[0, :k] = scale * g_a
     U[0, k:] = scale * (R[0] * f_a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = pf * (scale * omega.diag)
-        det = 1.0 - d * (d * R)
-        bad = np.flatnonzero(np.abs(det[1:]) < 1e-12)
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise ConvergenceError(f"marching step singular at node {i} (det={det[i]})")
         for s, hist, D in omega.blocks(U):
             A = pf[s, None] * (scale * D)
             C = A * R[s]
             H = g_a + pf[s, None] * hist[:, k:]
             M = np.eye(s.stop - s.start) - A @ C
+            det = np.diagonal(M)
+            bad = np.flatnonzero(np.abs(det) < 1e-12)
+            if bad.size:
+                i = int(bad[0])
+                raise ConvergenceError(
+                    f"marching step singular at node {s.start + i} (det={det[i]})")
             rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
                 raise ConvergenceError("marching solve produced non-finite samples")

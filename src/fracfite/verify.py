@@ -37,24 +37,10 @@ from .weighted import GradedGrid, Order, build_grid
 from .zeros import first_zero_pair
 
 _MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
-# Bytes a sweep may hold: it keeps every scenario to the end and solves one
-# cell (the directions of one (alpha, P, L)) at a time.
-_MAX_SWEEP_BYTES = 2 * 1024**3
-# Bytes the process running a sweep keeps per scenario until it returns: the
-# Scenario copy with its label and the VerifyReport with its zero pair, about
-# 600 in one process; a pool's main process also holds the reports unpickled,
-# about 1,360 at its peak (tracemalloc, 27 cells of 4,000 directions, n = 16).
-_SCENARIO_BYTES = 1536
-# Columns of n+1 doubles a cell's batched solve holds per direction: in
-# _marching wf, wg, the 2-column history and the 2-column far-field
-# accumulator of its blocks; in _defect the 2-column stack, its 2-column
-# product and the two defects; the copies of f and g in the reports.
-_COLUMNS_PER_DIRECTION = 14
-# Bytes of Python objects a cell's solve holds per direction besides those
-# columns: the SolveReport with its two WeightedFns and their array headers.
-# A cell's solve peaks at about 610 bytes per direction at n = 2 (336 of them
-# charged as columns) and 1,340 at n = 16 (tracemalloc, 4,000 directions).
-_SOLVE_BYTES_PER_DIRECTION = 512
+# Plain bounds on a sweep, which holds at most 2 GiB within them at n = _MAX_N:
+_MAX_DIRECTIONS = 512  # a cell's batched solve, 77 bytes per direction and node
+_MAX_CELLS = 2048  # each cell keeps its validated grid, 129 KiB at n = _MAX_N
+_MAX_SCENARIOS = 2**17  # cells x directions; each is kept, 5.6 KiB in `verify`
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -99,13 +85,13 @@ class _Config:
     are the keys of its config object (named _WHERE in errors)."""
 
     @classmethod
-    def from_obj(cls, obj, **overrides):
-        """Parse, default and validate a config object; overrides that are
-        not None replace its values. Every failure is a ConfigError naming
-        the key."""
+    def from_obj(cls, obj, n=None):
+        """Parse, default and validate a config object; n, when not None,
+        replaces its "n". Every failure is a ConfigError naming the key."""
         if not isinstance(obj, dict):
             raise ConfigError(cls._WHERE, f"must be a JSON object, got {obj!r}")
-        obj = {**obj, **{k: v for k, v in overrides.items() if v is not None}}
+        if n is not None:
+            obj = {**obj, "n": n}
         keyed = [f for f in fields(cls) if "key" in f.metadata]
         known = [f.metadata["key"] for f in keyed]
         for key in obj:
@@ -339,11 +325,16 @@ class VerifyReport:
         return self.lhs / self.rhs if self.rhs else math.nan
 
 
+# the fields that the scenarios of a cell share
+_SHARED = tuple(f.name for f in fields(Scenario)
+                if f.compare and f.name not in ("f_a", "g_a", "label"))
+
+
 def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
     """Solve the scenarios of a cell, which differ only in f_a, g_a and
     label, in one batched solve on the graded grid they validated."""
     s = cell[0]
-    if any(s.with_direction(c.f_a, c.g_a, c.label) != c for c in cell):
+    if any(getattr(c, name) != getattr(s, name) for c in cell for name in _SHARED):
         raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
     return solve_batch(s.p_coeff.as_callable(s.a), s.order, [c.f_a for c in cell],
                        [c.g_a for c in cell], s.grid)
@@ -411,8 +402,16 @@ class SweepSpec(_Config):
         for name in ("alphas", "p_infs", "lengths"):
             if not getattr(self, name):
                 raise ConfigError(name, "must not be empty")
-        if self.directions < 1:
-            raise ConfigError("directions", f"must be >= 1, got {self.directions!r}")
+        if not 1 <= self.directions <= _MAX_DIRECTIONS:
+            raise ConfigError("directions", f"must lie in [1, {_MAX_DIRECTIONS}], "
+                              f"got {self.directions!r}")
+        count = len(self.alphas) * len(self.p_infs) * len(self.lengths)
+        if count > _MAX_CELLS:
+            raise ConfigError("sweep", f"alphas x p_infs x lengths must be at most "
+                              f"{_MAX_CELLS} cells, got {count}")
+        if count * self.directions > _MAX_SCENARIOS:
+            raise ConfigError("directions", f"{count} cells of {self.directions} "
+                              f"directions exceed {_MAX_SCENARIOS} scenarios")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed!r}")
         if not 0.0 < self.b_fraction < 1.0:
@@ -433,14 +432,6 @@ class SweepSpec(_Config):
                 key = {"alpha": "alphas", "P": "p_infs", "b": "lengths",
                        "c": "lengths"}.get(exc.field, exc.field)
                 raise ConfigError(key, f"{exc.message} (alpha, P, L = {cell})") from None
-        per = (len(cells) * _SCENARIO_BYTES + (self.n + 1) * 8 * _COLUMNS_PER_DIRECTION
-               + _SOLVE_BYTES_PER_DIRECTION)
-        if self.directions * per > _MAX_SWEEP_BYTES:
-            raise ConfigError(
-                "directions", f"a sweep of {len(cells)} cells of {self.directions} "
-                f"directions needs {self.directions * per} bytes at n={self.n}, "
-                f"above the {_MAX_SWEEP_BYTES}-byte cap "
-                f"(directions <= {_MAX_SWEEP_BYTES // per})")
         object.__setattr__(self, "_cells", tuple(cells))
 
     def direction_angles(self) -> np.ndarray:
@@ -459,12 +450,12 @@ class SweepSpec(_Config):
                 for (alpha, p_inf, length), s in self._cells]
 
 
-def parse_config(obj, n=None, grading=None, seed=None) -> Scenario | SweepSpec:
-    """{"sweep": {...}} is a SweepSpec, any other config a Scenario; n,
-    grading and (for sweeps) seed override the config when not None."""
+def parse_config(obj, n=None) -> Scenario | SweepSpec:
+    """{"sweep": {...}} is a SweepSpec, any other config a Scenario; n
+    overrides the config's when not None."""
     if isinstance(obj, dict) and set(obj) == {"sweep"}:
-        return SweepSpec.from_obj(obj["sweep"], n=n, grading=grading, seed=seed)
-    return Scenario.from_obj(obj, n=n, grading=grading)
+        return SweepSpec.from_obj(obj["sweep"], n=n)
+    return Scenario.from_obj(obj, n=n)
 
 
 @dataclass(frozen=True)

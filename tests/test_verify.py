@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import json
 import math
 import re
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
                       best_min_length, run_scenario, sweep)
 from fracfite import bounds, rlops
+from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from oracles import classical_fite_check, fite_closed_form
@@ -159,11 +161,11 @@ class TestConfigSchema:
             Scenario.from_obj({**SCENARIO_OBJ, "V": {"const": 0}})
 
     def test_overrides(self):
-        s = Scenario.from_obj({**SCENARIO_OBJ, "n": 64}, n=128, grading=None)
+        s = Scenario.from_obj({**SCENARIO_OBJ, "n": 64}, n=128)
         assert (s.n, s.r) == (128, 2.0)
         spec = SweepSpec.from_obj({"alphas": [0.75], "p_infs": [1], "lengths": [1],
-                                   "seed": 3}, seed=5, n=None)
-        assert (spec.seed, spec.n) == (5, 512)
+                                   "n": 64}, n=None)
+        assert spec.n == 64
         assert spec.to_obj()["p_infs"] == [1.0]
 
     @pytest.mark.parametrize("key,value", [("n", True), ("n", 2.9), ("n", "64"),
@@ -199,7 +201,7 @@ class TestConfigSchema:
             parse_config(obj)
 
     def test_parse_config_dispatch(self):
-        assert isinstance(parse_config(SCENARIO_OBJ, seed=7), Scenario)
+        assert isinstance(parse_config(SCENARIO_OBJ, n=64), Scenario)
         assert isinstance(parse_config({"sweep": {"alphas": [0.75], "p_infs": [1],
                                                   "lengths": [1]}}), SweepSpec)
 
@@ -457,51 +459,92 @@ class TestSweep:
             SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
                       directions=0)
 
-    def test_directions_bounded_by_the_batched_solve(self):
-        # one cell at n = 17 nodes: 1536 bytes kept per scenario, 14 columns
-        # of 17 doubles and 512 bytes of solve objects per direction, so
-        # 2^31 // 3952 directions fit the cap. Parsing alone decides;
-        # nothing is solved.
-        obj = {"alphas": [0.75], "p_infs": [1.0], "lengths": [1.0], "n": 16}
-        assert SweepSpec.from_obj({**obj, "directions": 543391}).directions == 543391
-        with pytest.raises(ConfigError, match="^directions: .*directions <= 543391"):
-            SweepSpec.from_obj({**obj, "directions": 543392})
+    @staticmethod
+    def grid_of(cells: int, directions: int) -> dict:
+        # a sweep config of `cells` cells at n = 16 (one alpha and one P)
+        return {"alphas": [0.75], "p_infs": [1.0],
+                "lengths": [0.5 + k / cells for k in range(cells)],
+                "directions": directions, "n": 16}
 
-    def test_directions_cap_charges_every_cell(self):
-        # a sweep keeps every cell's scenarios: 27 cells charge 27 * 1536
-        # bytes per direction on top of one cell's solve, so 2^31 // 43888
-        # directions fit. 624,268, about 11 GB, was once accepted. Parsing
-        # alone decides; nothing is solved.
-        obj = {"alphas": [0.6, 0.75, 0.9], "p_infs": [0.5, 1, 2],
-               "lengths": [0.5, 1, 5], "n": 16}
-        assert SweepSpec.from_obj({**obj, "directions": 48930}).directions == 48930
-        for directions in (48931, 624268):
-            with pytest.raises(ConfigError,
-                               match="^directions: a sweep of 27 cells .*directions <= 48930"):
-                SweepSpec.from_obj({**obj, "directions": directions})
+    def test_directions_bound(self):
+        assert SweepSpec.from_obj(self.grid_of(1, 512)).directions == 512
+        with pytest.raises(ConfigError, match=r"^directions: must lie in \[1, 512\], got 513$"):
+            SweepSpec.from_obj(self.grid_of(1, 513))
 
-    def test_directions_cap_covers_what_a_direction_holds(self):
-        # a 27-cell sweep of 100 directions at n = 16: what it keeps per
-        # scenario (about 620 bytes), and its peak per direction (about
-        # 18,400), against what the cap charges
-        obj = {"alphas": [0.6, 0.75, 0.9], "p_infs": [0.5, 1, 2],
-               "lengths": [0.5, 1, 5], "n": 16, "random_directions": True}
-        sweep(SweepSpec.from_obj(obj))  # the kernels are cached; not per direction
-        gc.collect()
+    def test_cells_bound(self):
+        assert len(SweepSpec.from_obj(self.grid_of(2048, 1)).cells()) == 2048
+        with pytest.raises(ConfigError, match="^sweep: .* at most 2048 cells, got 2049$"):
+            SweepSpec.from_obj(self.grid_of(2049, 1))
+
+    @pytest.mark.parametrize("cells,directions", [(256, 512), (2048, 64)])
+    def test_scenarios_bound(self, cells, directions):
+        # 2^17 scenarios pass; 2^17 + 1 = 3 * 43691 and 2^17 + 2 = 2 * 65537
+        # split into no cells <= 2048 and directions <= 512, so the least
+        # count above the bound is 2^17 + 3 = 749 * 175
+        assert SweepSpec.from_obj(self.grid_of(cells, directions)).directions == directions
+        with pytest.raises(ConfigError, match="^directions: 749 cells of 175 directions "
+                                              "exceed 131072 scenarios$"):
+            SweepSpec.from_obj(self.grid_of(749, 175))
+
+    def test_bounds_are_checked_before_any_cell_is_built(self):
+        # 4,000 cells of one direction at n = 16383: built before the check,
+        # their grids would hold 503 MiB
+        obj = {"alphas": [0.75], "p_infs": [1.0 + k for k in range(40)],
+               "lengths": [0.5 + k for k in range(100)], "directions": 1, "n": 16383}
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            report = sweep(SweepSpec.from_obj({**obj, "directions": 100}))
-            gc.collect()
-            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+            with pytest.raises(ConfigError, match="^sweep: .*, got 4000$"):
+                SweepSpec.from_obj(obj)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.reports) == 27 * 100
-        assert kept / (27 * 100) <= verify_module._SCENARIO_BYTES
-        charged = 27 * verify_module._SCENARIO_BYTES \
-            + 17 * 8 * verify_module._COLUMNS_PER_DIRECTION \
-            + verify_module._SOLVE_BYTES_PER_DIRECTION
-        assert peak / 100 <= charged
+        assert peak < 2**20
+
+    def test_bounds_hold_a_sweep_to_2_gib(self, tmp_path):
+        # A sweep at any corner of the three bounds at n = 16383, scaled from
+        # small runs (tracemalloc): the scenarios it keeps, at the peak per
+        # scenario of in-process `fracfite verify` (27 cells of 20
+        # directions at n = 16, about 5.9 KiB), one cell's batched solve
+        # (per direction and node, 16 directions at n = 1024) with its
+        # kernel, and each cell's validated grid.
+        def traced(run):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = run()  # held while measured
+                gc.collect()
+                return [m - base for m in tracemalloc.get_traced_memory()]
+            finally:
+                tracemalloc.stop()
+
+        def verify(directions):
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({"sweep": {
+                "alphas": [0.6, 0.75, 0.9], "p_infs": [0.5, 1, 2], "lengths": [0.5, 1, 5],
+                "directions": directions, "n": 16, "random_directions": True}}))
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        verify(1)  # what a first run sets up is not per scenario
+        scenario = traced(lambda: verify(20))[1] / (27 * 20)
+        cell, = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(1.0,),
+                          directions=16, n=1024).cells()
+        verify_module.solve_cell(cell)
+        column = traced(lambda: verify_module.solve_cell(cell))[1] / (16 * 1025)
+        # the kernel's blocks take O(n log n) bytes, charged here as n^1.5
+        kernel = traced(lambda: rlops._Omega(2.0, 0.25, 0.25).upto(1024))[1] * 16**1.5
+        grid = traced(lambda: SweepSpec(alphas=(0.75,), p_infs=(1.0,),
+                                        lengths=(0.5, 1.0, 2.0, 4.0), directions=1,
+                                        n=16383))[0] / 4
+
+        def held(cells, directions):
+            return (cells * directions * scenario + cells * grid
+                    + directions * 16384 * column + kernel)
+
+        D, C, S = (verify_module._MAX_DIRECTIONS, verify_module._MAX_CELLS,
+                   verify_module._MAX_SCENARIOS)
+        corners = [(1, D), (S // D, D), (C, S // C), (C, 1)]
+        assert max(held(*corner) for corner in corners) <= 2 * 2**30
 
     def test_small_sweep_no_counterexamples(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.05, 2.0),
