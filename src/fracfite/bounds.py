@@ -179,19 +179,18 @@ def bound_report(order: Order, p: float, m: float, length: float) -> BoundReport
 AUDITED = ("kernel_product", "kernel_window", "kernel_difference",
            "uniform_continuity", "subadditive_power", "weighted_continuity",
            "chain_D", "chain_E")
+# the nine (lhs, rhs) pairs that audit_sides returns, in check order;
+# chain_D is checked in two steps
+CHECKS = AUDITED[:7] + ("chain_D", "chain_E")
 
 _AUDIT_N = 96
+_AUDIT_CHUNK = 1024  # trials drawn, then checked as arrays, at a time
 
 
 @dataclass(frozen=True)
 class AuditReport:
     trials: int
     passes: dict[str, int]
-
-
-def _assert_le(name: str, lhs: float, rhs: float, seed: int, trial: int) -> None:
-    if not (lhs <= rhs * _AUDIT_SLACK):
-        raise AuditFailure(name, seed, trial, f"lhs={lhs!r} > rhs={rhs!r}")
 
 
 def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditReport:
@@ -204,18 +203,65 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     rows of the product-integration matrix Omega; kernel_window and
     kernel_difference take the closed-form kernel_integral. Trial k
     draws its instance from SeedSequence([seed, k]) alone, so the first
-    `trials` trials of a seed are the same in every run. Raises
-    AuditFailure, naming the seed and the trial, on the first violated
-    inequality; otherwise every trial checked and passed every inequality.
+    `trials` trials of a seed are the same in every run. The trials are
+    checked _AUDIT_CHUNK at a time (audit_sides). Raises AuditFailure,
+    naming the seed and the trial, on the first violated inequality in
+    (trial, check) order; otherwise every trial checked and passed every
+    inequality.
     """
-    q = holder_params(order, p)
+    holder_params(order, p)
     if trials < 0:
         raise ConfigError("trials", f"must be >= 0, got {trials!r}")
     if seed < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed!r}")
+    for start in range(0, trials, _AUDIT_CHUNK):
+        lhs, rhs = audit_sides(order, p, seed, start, min(start + _AUDIT_CHUNK, trials))
+        bad = np.flatnonzero(~(lhs <= rhs * _AUDIT_SLACK))
+        if bad.size:
+            k, j = divmod(int(bad[0]), len(CHECKS))
+            raise AuditFailure(CHECKS[j], seed, start + k,
+                               f"lhs={float(lhs[k, j])!r} > rhs={float(rhs[k, j])!r}")
+    return AuditReport(trials, dict.fromkeys(AUDITED, trials))
+
+
+def audit_sides(order: Order, p: float, seed: int, start: int,
+                stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs), two (stop - start) x 9 arrays: the sides of the CHECKS
+    for trials start .. stop-1 of seed.
+
+    A loop draws each trial's instance in a fixed order and keeps only its
+    scalars, among them the two Omega-row products; the nine inequalities
+    are then evaluated for all the trials at once.
+    """
+    q = holder_params(order, p)
     ga = order.gamma
     beta = ga
     al = order.alpha
+    # Omega depends on n and r only: every trial grid shares this one
+    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, 2.0), beta, ga)[0].dense()
+    draws = np.empty((stop - start, 15))
+    for k, trial in enumerate(range(start, stop)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        a = rng.uniform(-2.0, 2.0)
+        length = rng.uniform(0.3, 3.0)
+        grid = build_grid(a, a + length, _AUDIT_N, 2.0)
+        b = a + rng.uniform(0.02, 0.3) * length
+        eligible = np.flatnonzero(grid.nodes >= b)
+        i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
+        A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+        W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+        rows = kernel_matrix(grid, beta, ga)[1] * unit[[i1, i2]]
+        q1, q2 = rows @ (A_nodes * W_nodes)
+        t1, t2 = grid.nodes[i1], grid.nodes[i2]
+        # weighted_continuity's lhs is the difference of these two; they are
+        # taken on scalars, since the difference would magnify the last-bit
+        # rounding of an array power
+        draws[k] = (a, length, b, t1, t2, q1, q2,
+                    (t1 - a) ** beta * q1, (t2 - a) ** beta * q2,
+                    rows[1] @ np.abs(A_nodes * W_nodes),
+                    np.abs(A_nodes).max(), np.abs(W_nodes).max(),
+                    *rng.uniform(0.0, 5.0, 2), rng.uniform(0.05, 0.95))
+    a, length, b, t1, t2, q1, q2, wq1, wq2, kp, sup_A, norm_f, x, y, e = draws.T
     # trial-independent factors of the right-hand sides
     b_kernel = beta_fn(1.0 - ga, 1.0 - beta)
     csum = 2.0 * small_c(order, p)
@@ -223,78 +269,47 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))
     e_const = (two_pow + b_alpha) / gamma_fn(al)
-    # Omega depends on n and r only: every trial grid shares this one
-    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, 2.0), beta, ga)[0].dense()
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        a = rng.uniform(-2.0, 2.0)
-        length = rng.uniform(0.3, 3.0)
-        c = a + length
-        grid = build_grid(a, c, _AUDIT_N, 2.0)
-        b = a + rng.uniform(0.02, 0.3) * length
-        eligible = np.flatnonzero(grid.nodes >= b)
-        i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
-        t1, t2 = grid.nodes[i1], grid.nodes[i2]
-
-        A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-        W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-        sup_A = float(np.abs(A_nodes).max())
-        norm_f = float(np.abs(W_nodes).max())
-
-        scale = kernel_matrix(grid, beta, ga)[1]
-        rows = scale * unit[[i1, i2]]
-        q1, q2 = rows @ (A_nodes * W_nodes)
-
+    ek = 1.0 - beta - ga
+    span = t2 - t1
+    rhs_kernel = (t2 - a) ** ek * csum * (span / (t2 - a)) ** (1.0 / q)
+    expo = ek - 1.0 / q
+    # the raw window-dependent form of D
+    d_raw = (Cconst * length ** beta * ((b - a) ** expo + length ** expo)
+             + length ** ek * b_kernel)
+    dd = big_D(order, p, length)
+    step1 = two_pow * length ** (al - 1.0 / q) + b_alpha * length ** (2.0 * al - 1.0)
+    mn = np.minimum(length ** (1.0 / q), length ** (1.0 - al))
+    mx = np.maximum(length ** (1.0 / q), length ** (1.0 - al))
+    lhs = (
         # (kernel_product) |Q_{beta,A} f|(t) <= (t-a)^{1-beta-gamma} B(...) |A| |f|
-        lhs = float(rows[1] @ np.abs(A_nodes * W_nodes))
-        rhs = (t2 - a) ** (1.0 - beta - ga) * b_kernel * sup_A * norm_f
-        _assert_le("kernel_product", lhs, rhs, seed, trial)
-
-        ratio = (t2 - t1) / (t2 - a)
-        rhs_kernel = (t2 - a) ** (1.0 - beta - ga) * csum * ratio ** (1.0 / q)
-
+        kp,
         # (kernel_window) int_{t1}^{t2} kernel <= split-and-Hoelder bound
-        lhs = kernel_integral(t1, t2, a, t2, beta, ga)
-        _assert_le("kernel_window", lhs, rhs_kernel, seed, trial)
-
+        kernel_integral(t1, t2, a, t2, beta, ga),
         # (kernel_difference) int_a^{t1} kernel-difference <= same bound
-        lhs = (kernel_integral(a, t1, a, t1, beta, ga)
-               - kernel_integral(a, t1, a, t2, beta, ga))
-        _assert_le("kernel_difference", lhs, rhs_kernel, seed, trial)
-
+        kernel_integral(a, t1, a, t1, beta, ga) - kernel_integral(a, t1, a, t2, beta, ga),
         # (uniform_continuity) |Qf(t1) - Qf(t2)| <= C (t2-a)^{...} (t2-t1)^{1/q} |A| |f|
-        lhs = abs(q1 - q2)
-        rhs = (Cconst * (t2 - a) ** (1.0 - beta - ga - 1.0 / q)
-               * (t2 - t1) ** (1.0 / q) * sup_A * norm_f)
-        _assert_le("uniform_continuity", lhs, rhs, seed, trial)
-
+        np.abs(q1 - q2),
         # (subadditive_power) (x + y)^e <= x^e + y^e for e in (0, 1)
-        x, y = rng.uniform(0.0, 5.0, 2)
-        e = rng.uniform(0.05, 0.95)
-        _assert_le("subadditive_power", (x + y) ** e, x**e + y**e, seed, trial)
-
-        # (weighted_continuity) raw window-dependent form of D
-        expo = 1.0 - beta - ga - 1.0 / q
-        d_raw = (Cconst * length ** beta * ((b - a) ** expo + length ** expo)
-                 + length ** (1.0 - beta - ga) * b_kernel)
-        lhs = abs((t1 - a) ** beta * q1 - (t2 - a) ** beta * q2)
-        rhs = (d_raw * sup_A * norm_f
-               * max((t2 - t1) ** (1.0 / q), (t2 - t1) ** beta))
-        _assert_le("weighted_continuity", lhs, rhs, seed, trial)
-
-        # (chain_D) D <= [2^{2(2-alpha)} + B(alpha,alpha)] L^alpha / min(...)
-        dd = big_D(order, p, length)
-        step1 = (two_pow * length ** (al - 1.0 / q)
-                 + b_alpha * length ** (2.0 * al - 1.0))
-        _assert_le("chain_D", dd, step1, seed, trial)
-        mn = min(length ** (1.0 / q), length ** (1.0 - al))
-        step2 = (two_pow + b_alpha) * length ** al / mn
-        _assert_le("chain_D", step1, step2, seed, trial)
-
+        (x + y) ** e,
+        # (weighted_continuity) with the raw form of D
+        np.abs(wq1 - wq2),
+        # (chain_D) D <= [2^{2(2-alpha)} + B(alpha,alpha)] L^alpha / min(...),
+        # in two steps
+        dd,
+        step1,
         # (chain_E) E <= [2^{2(2-alpha)} + B(alpha,alpha)]/Gamma(alpha)
-        #               * L^alpha max(...)/min(...)
-        ee = big_E(order, p, length)
-        mx = max(length ** (1.0 / q), length ** (1.0 - al))
-        rhs = e_const * length ** al * mx / mn
-        _assert_le("chain_E", ee, rhs, seed, trial)
-    return AuditReport(trials, dict.fromkeys(AUDITED, trials))
+        #               * L^alpha max(...)/min(...), E as big_E forms it
+        dd / gamma_fn(al) * mx,
+    )
+    rhs = (
+        (t2 - a) ** ek * b_kernel * sup_A * norm_f,
+        rhs_kernel,
+        rhs_kernel,
+        Cconst * (t2 - a) ** expo * span ** (1.0 / q) * sup_A * norm_f,
+        x**e + y**e,
+        d_raw * sup_A * norm_f * np.maximum(span ** (1.0 / q), span**beta),
+        step1,
+        (two_pow + b_alpha) * length**al / mn,
+        e_const * length**al * mx / mn,
+    )
+    return np.stack(lhs, axis=1), np.stack(rhs, axis=1)

@@ -53,7 +53,6 @@ they apply it to.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -324,29 +323,35 @@ def kernel_matrix(grid: GradedGrid, beta: float,
     return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n), scale
 
 
-def kernel_integral(lo: float, hi: float, a: float, t: float,
-                    beta: float, gamma: float) -> float:
-    """int_lo^hi (t-s)^{-beta} (s-a)^{-gamma} ds for a <= lo < hi <= t.
+def kernel_integral(lo, hi, a, t, beta, gamma):
+    """int_lo^hi (t-s)^{-beta} (s-a)^{-gamma} ds for a <= lo < hi <= t,
+    elementwise over the broadcast arguments; a float for scalar arguments.
 
     Reference integral for the inequality audits, in closed form: with
     x = (s-a)/(t-a) it is (t-a)^{1-beta-gamma} [B_x(1-gamma, 1-beta)] from
-    x_lo to x_hi (DLMF 8.17). When lo lies in the upper half of [a, t] it
-    is taken from the other end, B_{1-x}(1-beta, 1-gamma) from 1-x_hi to
-    1-x_lo, with 1-x = (t-s)/(t-a) so that the digits near t survive.
-    Requires 0 < beta < 1, 0 <= gamma < 1 and finite arguments.
+    x_lo to x_hi (DLMF 8.17). An element whose lo lies in the upper half of
+    [a, t] is taken from the other end, B_{1-x}(1-beta, 1-gamma) from
+    1-x_hi to 1-x_lo, with 1-x = (t-s)/(t-a) so that the digits near t
+    survive. Requires 0 < beta < 1, 0 <= gamma < 1 and finite arguments.
     """
-    if not all(math.isfinite(x) for x in (lo, hi, a, t, beta, gamma)):
+    args = (lo, hi, a, t, beta, gamma)
+    scalar = all(np.ndim(v) == 0 for v in args)
+    # a scalar call is a 1-element array call, so the two round alike
+    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
+    if not all(np.isfinite(v).all() for v in args):
         raise ValueError("kernel_integral arguments must be finite")
-    if not (a <= lo < hi <= t):
+    lo, hi, a, t, beta, gamma = args
+    if not ((a <= lo) & (lo < hi) & (hi <= t)).all():
         raise ValueError("need a <= lo < hi <= t")
-    if not (0.0 < beta < 1.0 and 0.0 <= gamma < 1.0):
+    ok = (0.0 < beta) & (beta < 1.0) & (0.0 <= gamma) & (gamma < 1.0)
+    if not ok.all():
+        b, g = (float(v[~ok].flat[0]) for v in (beta, gamma))
         raise ValueError(f"need 0 < beta < 1 and 0 <= gamma < 1, "
-                         f"got beta={beta!r}, gamma={gamma!r}")
+                         f"got beta={b!r}, gamma={g!r}")
     w = t - a
-    if lo - a > t - lo:
-        part = (inc_beta((t - lo) / w, 1.0 - beta, 1.0 - gamma)
-                - inc_beta((t - hi) / w, 1.0 - beta, 1.0 - gamma))
-    else:
-        part = (inc_beta((hi - a) / w, 1.0 - gamma, 1.0 - beta)
-                - inc_beta((lo - a) / w, 1.0 - gamma, 1.0 - beta))
-    return w ** (1.0 - beta - gamma) * part
+    up = lo - a > t - lo
+    p, q = np.where(up, 1.0 - beta, 1.0 - gamma), np.where(up, 1.0 - gamma, 1.0 - beta)
+    part = (inc_beta(np.where(up, t - lo, hi - a) / w, p, q)
+            - inc_beta(np.where(up, t - hi, lo - a) / w, p, q))
+    out = w ** (1.0 - beta - gamma) * part
+    return float(out[0]) if scalar else out

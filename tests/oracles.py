@@ -12,8 +12,9 @@ of the bound's proof, and the oracle for marching) with the exact
 contraction factor of that map, the 16-point kernel-matrix build that
 the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
-the weighted sup-norms, and helpers that sample, evaluate or search
-weighted functions point by point.
+the randomized audit's scalar trial loop that bounds.audit_sides
+evaluates as arrays, the weighted sup-norms, and helpers that sample,
+evaluate or search weighted functions point by point.
 """
 
 import math
@@ -24,8 +25,10 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from fracfite import (GradedGrid, Order, WeightedFn, beta_fn, eval_reg,
-                      find_zeros, from_samples, gamma_fn, kernel_matrix)
+from fracfite import (AuditFailure, GradedGrid, Order, WeightedFn, beta_fn,
+                      big_D, big_E, bounds, build_grid, eval_reg, find_zeros,
+                      from_samples, gamma_fn, holder_params, kernel_matrix,
+                      small_c)
 from fracfite.errors import ConvergenceError
 from fracfite.sfde import _node_data
 
@@ -341,6 +344,101 @@ def kernel_integral_reference(lo, hi, a, t, beta, gamma):
         w = t - a
         return float(w ** (1 - beta - gamma) * mp.betainc(
             1 - gamma, 1 - beta, (lo - a) / w, (hi - a) / w))
+
+
+def audit_reference(order: Order, p: float, trials: int, seed: int):
+    """The randomized audit one trial at a time, on scalars: the loop that
+    bounds.audit_sides evaluates as arrays. Returns (lhs, rhs), two
+    trials x 9 arrays in the order of bounds.CHECKS, and raises AuditFailure
+    at the first violated inequality in (trial, check) order. The kernel
+    integrals are looked up on bounds at call time, so a test that patches
+    bounds.kernel_integral reaches both this loop and the audit."""
+    q = holder_params(order, p)
+    ga = order.gamma
+    beta = ga
+    al = order.alpha
+    b_kernel = beta_fn(1.0 - ga, 1.0 - beta)
+    csum = 2.0 * small_c(order, p)
+    Cconst = 2.0 * csum
+    b_alpha = beta_fn(al, al)
+    two_pow = 2.0 ** (2.0 * (2.0 - al))
+    e_const = (two_pow + b_alpha) / gamma_fn(al)
+    unit = kernel_matrix(build_grid(0.0, 1.0, 96, 2.0), beta, ga)[0].dense()
+    sides = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        a = rng.uniform(-2.0, 2.0)
+        length = rng.uniform(0.3, 3.0)
+        c = a + length
+        grid = build_grid(a, c, 96, 2.0)
+        b = a + rng.uniform(0.02, 0.3) * length
+        eligible = np.flatnonzero(grid.nodes >= b)
+        i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
+        t1, t2 = grid.nodes[i1], grid.nodes[i2]
+
+        A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+        W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+        sup_A = float(np.abs(A_nodes).max())
+        norm_f = float(np.abs(W_nodes).max())
+
+        scale = kernel_matrix(grid, beta, ga)[1]
+        rows = scale * unit[[i1, i2]]
+        q1, q2 = rows @ (A_nodes * W_nodes)
+        pairs = []
+
+        # (kernel_product)
+        lhs = float(rows[1] @ np.abs(A_nodes * W_nodes))
+        rhs = (t2 - a) ** (1.0 - beta - ga) * b_kernel * sup_A * norm_f
+        pairs.append((lhs, rhs))
+
+        ratio = (t2 - t1) / (t2 - a)
+        rhs_kernel = (t2 - a) ** (1.0 - beta - ga) * csum * ratio ** (1.0 / q)
+
+        # (kernel_window)
+        pairs.append((bounds.kernel_integral(t1, t2, a, t2, beta, ga), rhs_kernel))
+
+        # (kernel_difference)
+        lhs = (bounds.kernel_integral(a, t1, a, t1, beta, ga)
+               - bounds.kernel_integral(a, t1, a, t2, beta, ga))
+        pairs.append((lhs, rhs_kernel))
+
+        # (uniform_continuity)
+        lhs = abs(q1 - q2)
+        rhs = (Cconst * (t2 - a) ** (1.0 - beta - ga - 1.0 / q)
+               * (t2 - t1) ** (1.0 / q) * sup_A * norm_f)
+        pairs.append((lhs, rhs))
+
+        # (subadditive_power)
+        x, y = rng.uniform(0.0, 5.0, 2)
+        e = rng.uniform(0.05, 0.95)
+        pairs.append(((x + y) ** e, x**e + y**e))
+
+        # (weighted_continuity)
+        expo = 1.0 - beta - ga - 1.0 / q
+        d_raw = (Cconst * length ** beta * ((b - a) ** expo + length ** expo)
+                 + length ** (1.0 - beta - ga) * b_kernel)
+        lhs = abs((t1 - a) ** beta * q1 - (t2 - a) ** beta * q2)
+        rhs = (d_raw * sup_A * norm_f
+               * max((t2 - t1) ** (1.0 / q), (t2 - t1) ** beta))
+        pairs.append((lhs, rhs))
+
+        # (chain_D), two steps
+        step1 = (two_pow * length ** (al - 1.0 / q)
+                 + b_alpha * length ** (2.0 * al - 1.0))
+        pairs.append((big_D(order, p, length), step1))
+        mn = min(length ** (1.0 / q), length ** (1.0 - al))
+        pairs.append((step1, (two_pow + b_alpha) * length ** al / mn))
+
+        # (chain_E)
+        mx = max(length ** (1.0 / q), length ** (1.0 - al))
+        pairs.append((big_E(order, p, length), e_const * length ** al * mx / mn))
+
+        for name, (lhs, rhs) in zip(bounds.CHECKS, pairs):
+            if not (lhs <= rhs * bounds._AUDIT_SLACK):
+                raise AuditFailure(name, seed, trial, f"lhs={lhs!r} > rhs={rhs!r}")
+        sides.append(pairs)
+    sides = np.array(sides, dtype=float).reshape(trials, len(bounds.CHECKS), 2)
+    return sides[..., 0], sides[..., 1]
 
 
 def from_callable(reg: Callable[[float], float], f_a: float, gamma: float,

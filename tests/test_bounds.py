@@ -13,7 +13,7 @@ from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
                       fite_lhs, fite_rhs, holder_params, kernel_integral,
                       min_length, small_c)
 from fracfite import bounds
-from oracles import kernel_integral_reference
+from oracles import audit_reference, kernel_integral_reference
 
 ORDER = Order(0.75)
 # frozen 20-digit references (mpmath, dps=40)
@@ -303,22 +303,13 @@ class TestAudit:
         assert "--seed 123 --trials 5" in str(err)
 
     def test_failure_names_the_seed_and_trial_that_reproduce_it(self, monkeypatch):
-        calls = []
-
-        def record(*args):
-            calls.append(args)
-            return kernel_integral(*args)
-
-        monkeypatch.setattr(bounds, "kernel_integral", record)
+        calls = record_integrals(monkeypatch)
         audit_estimates(ORDER, 1.5, 10, 42)
-        assert len(calls) == 30  # three integrals per trial
-        target = calls[15]  # trial 5's kernel_window integral
+        # one call per integral of the chunk, kernel_window's first
+        assert [len(args) for args, _ in calls] == [10, 10, 10]  # three per trial
+        target = calls[0][0][5]  # trial 5's kernel_window integral
 
-        def inflate(*args):
-            val = kernel_integral(*args)
-            return 1e6 * val if args == target else val
-
-        monkeypatch.setattr(bounds, "kernel_integral", inflate)
+        inflate_integrals(monkeypatch, target)
         with pytest.raises(AuditFailure) as first:
             audit_estimates(ORDER, 1.5, 10, 42)
         err = first.value
@@ -330,16 +321,96 @@ class TestAudit:
         assert str(rerun.value) == str(err)
 
     def test_audited_integrals_match_betainc(self, monkeypatch):
-        calls = []
-
-        def record(*args):
-            val = kernel_integral(*args)
-            calls.append((args, val))
-            return val
-
-        monkeypatch.setattr(bounds, "kernel_integral", record)
+        calls = record_integrals(monkeypatch)
         audit_estimates(ORDER, 1.5, 200, 42)
-        assert len(calls) == 600
-        for args, val in calls:
+        pairs = [(arg, val) for args, vals in calls for arg, val in zip(args, vals)]
+        assert len(pairs) == 600
+        for args, val in pairs:
             ref = kernel_integral_reference(*args)
             assert abs(val - ref) <= 1e-14 * abs(ref), args
+
+    @pytest.mark.parametrize("alpha,p", [(0.75, 1.5), (0.8, 1.7)])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_chunked_sides_match_scalar_reference(self, alpha, p, seed):
+        order = Order(alpha)
+        lhs, rhs = bounds.audit_sides(order, p, seed, 0, 300)
+        ref_lhs, ref_rhs = audit_reference(order, p, 300, seed)
+        assert lhs.shape == rhs.shape == (300, len(bounds.CHECKS))
+        assert np.all(np.abs(lhs - ref_lhs) <= 1e-14 * np.abs(ref_lhs))
+        assert np.all(np.abs(rhs - ref_rhs) <= 1e-14 * np.abs(ref_rhs))
+
+    @pytest.mark.parametrize("alpha,p", [(0.75, 1.5), (0.8, 1.7)])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_injected_fault_found_at_the_same_trial_as_reference(
+            self, monkeypatch, alpha, p, seed):
+        order = Order(alpha)
+        calls = record_integrals(monkeypatch)
+        bounds.audit_sides(order, p, seed, 77, 78)
+        # trial 77's int_a^{t1} over [a, t1]: kernel_difference's first term
+        inflate_integrals(monkeypatch, calls[1][0][0])
+        with pytest.raises(AuditFailure) as chunked:
+            audit_estimates(order, p, 300, seed)
+        with pytest.raises(AuditFailure) as ref:
+            audit_reference(order, p, 300, seed)
+        found = (chunked.value.inequality, chunked.value.seed, chunked.value.trial)
+        assert found == (ref.value.inequality, ref.value.seed, ref.value.trial)
+        assert found == ("kernel_difference", seed, 77)
+
+    def test_fault_in_second_chunk_reproduces_at_its_trial(self, monkeypatch):
+        trial = bounds._AUDIT_CHUNK + 6
+        calls = record_integrals(monkeypatch)
+        bounds.audit_sides(ORDER, 1.5, 42, trial, trial + 1)
+        inflate_integrals(monkeypatch, calls[0][0][0])  # its kernel_window
+        with pytest.raises(AuditFailure) as full:
+            audit_estimates(ORDER, 1.5, bounds._AUDIT_CHUNK + 50, 42)
+        assert (full.value.inequality, full.value.trial) == ("kernel_window", trial)
+        with pytest.raises(AuditFailure) as rerun:
+            audit_estimates(ORDER, 1.5, trial + 1, 42)
+        assert str(rerun.value) == str(full.value)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_passes_at_chunk_boundary(self, monkeypatch, extra):
+        trials = bounds._AUDIT_CHUNK + extra
+        chunks = []
+        sides = bounds.audit_sides
+
+        def record(order, p, seed, start, stop):
+            chunks.append((start, stop))
+            return sides(order, p, seed, start, stop)
+
+        monkeypatch.setattr(bounds, "audit_sides", record)
+        report = audit_estimates(ORDER, 1.5, trials, 42)
+        assert report.passes == dict.fromkeys(bounds.AUDITED, trials)
+        # every trial checked once, in order
+        covered = [t for start, stop in chunks for t in range(start, stop)]
+        assert covered == list(range(trials))
+
+
+def record_integrals(monkeypatch):
+    """Patch bounds.kernel_integral to record each call as (args, values):
+    args a list of one (lo, hi, a, t, beta, gamma) tuple of floats per
+    element, values the elements' integrals."""
+    calls = []
+
+    def record(*args):
+        val = kernel_integral(*args)
+        vals = np.atleast_1d(val)
+        cols = [np.broadcast_to(v, vals.shape).tolist() for v in args]
+        calls.append((list(zip(*cols)), vals.tolist()))
+        return val
+
+    monkeypatch.setattr(bounds, "kernel_integral", record)
+    return calls
+
+
+def inflate_integrals(monkeypatch, target):
+    """Patch bounds.kernel_integral to multiply by 1e6 every element whose
+    arguments are target."""
+    def inflate(*args):
+        val = kernel_integral(*args)
+        hit = True
+        for v, w in zip(args, target):
+            hit = hit & np.equal(v, w)
+        return np.where(hit, 1e6 * val, val)
+
+    monkeypatch.setattr(bounds, "kernel_integral", inflate)

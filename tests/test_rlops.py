@@ -476,3 +476,56 @@ class TestKernelIntegral:
         # (t-s)^{-0.9} is nearly singular at hi: a 64-cell Gauss quadrature
         # graded toward a only is 6.2e-3 off here
         self._assert_matches_betainc(1e-13, 0.0, 0.9999, 0.0, 1.0, 0.9, 0.5)
+
+    def _random_args(self, size, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-2.0, 2.0, size)
+        t = a + rng.uniform(0.05, 3.0, size)
+        lo, hi = np.sort(rng.uniform(a, t, (2, size)), axis=0)
+        return lo, hi, a, t, rng.uniform(0.01, 0.99, size), rng.uniform(0.0, 0.99, size)
+
+    @pytest.mark.parametrize("exponents", ["shared", "per element"])
+    def test_array_call_matches_scalar_calls(self, exponents):
+        # both branches of the mask, with the ends a and t among the elements
+        lo, hi, a, t, beta, gamma = self._random_args(400, 7)
+        lo[:50], hi[50:100] = a[:50], t[50:100]
+        if exponents == "shared":
+            beta, gamma = 0.3, 0.25
+        vals = kernel_integral(lo, hi, a, t, beta, gamma)
+        assert vals.shape == (400,)
+        for k, val in enumerate(vals):
+            args = [float(np.broadcast_to(v, vals.shape)[k])
+                    for v in (lo, hi, a, t, beta, gamma)]
+            ref = kernel_integral(*args)
+            assert type(ref) is float
+            assert abs(val - ref) <= math.ulp(ref), args
+
+    def test_array_shape_kept(self):
+        lo, hi, a, t, beta, gamma = (v.reshape(3, 4) for v in self._random_args(12, 8))
+        assert kernel_integral(lo, hi, a, t, beta, gamma).shape == (3, 4)
+        assert kernel_integral(lo, hi, a, t, beta[:1], 0.3).shape == (3, 4)
+        assert type(kernel_integral(np.float64(0.2), 0.8, 0.0, 1.0, 0.3, 0.3)) is float
+
+    @pytest.mark.parametrize("bad,match", [
+        ({"lo": math.nan}, "arguments must be finite"),
+        ({"hi": 5.0}, r"need a <= lo < hi <= t"),
+        ({"beta": 1.0}, r"got beta=1\.0, gamma=0\.3"),
+        ({"gamma": -0.1}, r"got beta=0\.3, gamma=-0\.1"),
+    ], ids=["nan", "range", "beta", "gamma"])
+    def test_one_bad_element_rejected(self, bad, match):
+        args = {"lo": np.full(5, 0.2), "hi": np.full(5, 0.8), "a": 0.0, "t": 1.0,
+                "beta": np.full(5, 0.3), "gamma": np.full(5, 0.3)}
+        for name, value in bad.items():
+            args[name][3] = value
+        with pytest.raises(ValueError, match=match):
+            kernel_integral(**args)
+
+    def test_end_elements_raise_no_warning(self):
+        a, t = np.zeros(4), np.ones(4)
+        lo = np.array([0.0, 0.0, 0.5, 0.0])
+        hi = np.array([1.0, 0.5, 1.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = kernel_integral(lo, hi, a, t, 0.25, 0.25)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        assert vals[0] == kernel_integral(0.0, 1.0, 0.0, 1.0, 0.25, 0.25)

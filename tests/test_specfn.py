@@ -1,6 +1,7 @@
 """Special-function kernel against stdlib and identity oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -118,6 +119,45 @@ class TestIncBeta:
     def test_domain_errors(self, x, p, q):
         with pytest.raises(ValueError):
             inc_beta(x, p, q)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared p,q", "per element"])
+    def test_array_call_matches_scalar_calls(self, shared):
+        # both branches, with the ends and the branch point among the elements
+        rng = np.random.default_rng(11)
+        x = np.r_[0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, 300)]
+        p, q = (0.3, 0.85) if shared else rng.uniform(0.01, 1.0, (2, x.size))
+        vals = inc_beta(x, p, q)
+        assert vals.shape == x.shape
+        for k, val in enumerate(vals):
+            ref = inc_beta(float(x[k]), float(np.broadcast_to(p, x.shape)[k]),
+                           float(np.broadcast_to(q, x.shape)[k]))
+            assert type(ref) is float
+            assert abs(val - ref) <= math.ulp(ref)
+
+    def test_array_shape_kept(self):
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert inc_beta(x, 0.5, 0.5).shape == (3, 4)
+        assert inc_beta(0.25, np.full((2, 1), 0.5), np.full(5, 0.5)).shape == (2, 5)
+        assert type(inc_beta(np.float64(0.25), 0.5, 0.5)) is float
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("x", 1.5, r"x must lie in \[0, 1\], got 1\.5"),
+        ("x", math.nan, r"x must lie in \[0, 1\], got nan"),
+        ("p", 0.0, r"p must lie in \(0, 1\], got 0\.0"),
+        ("q", 1.25, r"q must lie in \(0, 1\], got 1\.25"),
+    ])
+    def test_one_bad_element_rejected(self, name, value, match):
+        args = {"x": np.full(6, 0.4), "p": np.full(6, 0.5), "q": np.full(6, 0.5)}
+        args[name][4] = value
+        with pytest.raises(ValueError, match=match):
+            inc_beta(**args)
+
+    def test_end_elements_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = inc_beta(np.array([0.0, 0.5, 1.0]), 0.25, 0.75)
+        assert vals[0] == 0.0 and vals[2] == beta_fn(0.25, 0.75)
+        assert vals[1] == inc_beta(0.5, 0.25, 0.75)
 
 
 class TestMittagLeffler:
