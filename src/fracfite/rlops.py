@@ -35,7 +35,7 @@ sums; each 32-row leaf keeps one dense block with its diagonal, its
 16-point band, the cells left over and its own interpolated cells. The
 build makes O(n log n) far-field power evaluations, storage and one
 application are O(n log n) too (about 12 MiB at n = 4096, against 128 MiB
-dense), and a causal solve applies the blocks in row order (see
+dense), and it is applied only block by block in row order (see
 KernelOperator.blocks). The substitution s = a + L sigma / n^r maps the
 grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on n,
 and leaves the hat functions unchanged: Omega on [a, a+L] is
@@ -242,7 +242,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class KernelOperator:
     """Omega for n cells, lower triangular: the rows 0..n of a cached
-    _Omega's blocks. Applying it costs one small product per block,
+    _Omega's blocks. blocks() applies it, one small product per block,
     O(n log n) in all; dense() forms the array."""
 
     def __init__(self, kernel: _Omega, n: int):
@@ -267,20 +267,6 @@ class KernelOperator:
                 hist += near[:m, :h] @ U[:h]
             yield slice(i0, i0 + m), hist, near[:m, d:d + m]
 
-    def __matmul__(self, U: np.ndarray) -> np.ndarray:
-        """Omega @ U for U of n+1 rows."""
-        n = self.n
-        V = U.reshape(n + 1, -1)
-        out = np.zeros((n + 1, V.shape[1]))
-        for i0, h, c, near, far in self.leaves:
-            e = min(i0 + near.shape[0], n + 1)
-            for c0, lag, P in far:
-                out[i0:i0 + lag.shape[0]] += lag[:n + 1 - i0] @ (P @ V[c0:c0 + P.shape[1]])
-            out[i0:e] += near[:e - i0, h:h + e - c] @ V[c:e]
-            if h:
-                out[i0:e] += near[:e - i0, :h] @ V[:h]
-        return out.reshape(U.shape)
-
     def dense(self) -> np.ndarray:
         """Omega as an (n+1) x (n+1) array, summed block by block in a fixed
         order (the leaves in turn, each one's far blocks, then its near)."""
@@ -302,9 +288,10 @@ _matrix_cached = lru_cache(maxsize=1)(_Omega)  # keyed on (r, beta, gamma)
 
 def node_scale(n: int, r: float) -> float:
     """n^r, the last of the nodes t_j = j^r that Omega for n cells is built
-    on. ValueError when a node the build reads, up to j = 2n + 63, overflows."""
+    on. ValueError when the square of a node the build reads, up to
+    j = 2n + 63, overflows: the cell weights are products of two spacings."""
     try:
-        float(2 * n + 2 * _ROW_BLOCK - 1) ** r
+        float(2 * n + 2 * _ROW_BLOCK - 1) ** (2.0 * r)
     except OverflowError:
         raise ValueError(f"the kernel nodes j^r overflow at n={n}, r={r!r}") from None
     return float(n) ** r

@@ -21,7 +21,8 @@ carries the kernel's scale, so no product on the raw nodes j^r, larger by
 (n^r)^{1-beta-gamma}, is formed. The system is linear in the
 initial data (f_a, g_a) and the block Schur matrix depends only on P, so
 one marching pass solves k initial data at once: the history has 2k
-columns and each block has one Schur solve with k right-hand sides.
+columns and each block has one Schur solve with k right-hand sides. The
+residual reuses the rows of omega @ U the march forms: one walk per solve.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def _node_data(P: Coefficient, order: Order, grid: GradedGrid):
 def _marching(omega, scale, R, pf, f_a, g_a):
     """Causal solve on the blocks of the kernel operator omega for k columns
     of initial data f_a, g_a (arrays of shape (k,)); returns wf, wg of shape
-    (n+1, k). The history U = scale * (wg, R wf) carries the kernel_matrix
-    scale, so no product on the raw nodes j^r is formed, and enters a block
-    through omega.blocks. The block coupling wf = F + A wg,
+    (n+1, k) and their _defect. The history U = scale * (wg, R wf) carries
+    the kernel_matrix scale, so no product on the raw nodes j^r is formed,
+    enters a block through omega.blocks, and gives the defect its rows of
+    omega @ U once the block is solved. The block coupling wf = F + A wg,
     wg = H + C wf is solved through its Schur complement (I - A C) wf =
     F + A H, one solve with k right-hand sides. I - A C does not depend on
     the data; it is lower triangular, and its diagonal det_i = 1 - (pf_i
@@ -78,6 +80,7 @@ def _marching(omega, scale, R, pf, f_a, g_a):
     U = np.empty((n + 1, 2 * k))  # columns :k hold scale wg, k: scale R wf
     U[0, :k] = scale * g_a
     U[0, k:] = scale * (R[0] * f_a)
+    full = np.zeros_like(U)  # omega @ U; row 0 of omega is zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s, hist, D in omega.blocks(U):
             A = pf[s, None] * (scale * D)
@@ -97,18 +100,17 @@ def _marching(omega, scale, R, pf, f_a, g_a):
             wg[s] = H + C @ wf[s]
             U[s, :k] = scale * wg[s]
             U[s, k:] = scale * (R[s, None] * wf[s])
-    return wf, wg
+            full[s] = hist + D @ U[s]
+        return wf, wg, _defect(pf, full, wf, wg)
 
 
-def _defect(omega, scale, R, pf, wf, wg) -> np.ndarray:
+def _defect(pf, full, wf, wg) -> np.ndarray:
     """Max regularized defect of the two integral equations over t_j, j >= 1,
-    one per column of wf, wg (shape (n+1, k))."""
+    per column of wf, wg (shape (n+1, k)), from full = omega @ U for
+    U = scale * (wg, R wf); non-finite where a sample at a node >= 1 is."""
     k = wf.shape[1]
-    U = np.hstack((wg, R[:, None] * wf))
-    U *= scale
-    hist = omega @ U
-    df = wf - (wf[0] + pf[:, None] * hist[:, :k])
-    dg = wg - (wg[0] + pf[:, None] * hist[:, k:])
+    df = wf - (wf[0] + pf[:, None] * full[:, :k])
+    dg = wg - (wg[0] + pf[:, None] * full[:, k:])
     return np.maximum(np.abs(df[1:]).max(axis=0), np.abs(dg[1:]).max(axis=0))
 
 
@@ -125,10 +127,7 @@ def solve_batch(P: Coefficient, order: Order, f_a, g_a,
     ga = order.gamma
     kernel = kernel_matrix(grid, 1.0 - order.alpha, ga)
     data = _node_data(P, order, grid)
-    wf, wg = _marching(*kernel, *data, f_a, g_a)
-    # a non-finite sample at a node >= 1 makes its column's defect non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _defect(*kernel, *data, wf, wg)
+    wf, wg, res = _marching(*kernel, *data, f_a, g_a)
     if not np.isfinite(res).all():
         raise ConvergenceError("marching solve has a non-finite residual")
     return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
@@ -141,9 +140,14 @@ def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
-    kernel = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    return float(_defect(*kernel, *_node_data(P, order, grid),
-                         report.f.reg_samples[:, None], report.g.reg_samples[:, None])[0])
+    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    R, pf = _node_data(P, order, grid)
+    wf, wg = report.f.reg_samples[:, None], report.g.reg_samples[:, None]
+    U = scale * np.hstack((wg, R[:, None] * wf))
+    full = np.zeros_like(U)
+    for s, hist, D in omega.blocks(U):
+        full[s] = hist + D @ U[s]
+    return float(_defect(pf, full, wf, wg)[0])
 
 
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,

@@ -261,6 +261,13 @@ class Scenario(_Config):
     grid: GradedGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value!r}")
+        if not math.isfinite(self.c - self.a):
+            raise ConfigError("c", f"the length c - a must be finite, got "
+                              f"a={self.a!r}, c={self.c!r}")
         if self.b is None:
             object.__setattr__(self, "b", self.a + 0.01 * (self.c - self.a))
         if self.n < 2:
@@ -271,9 +278,6 @@ class Scenario(_Config):
             raise ConfigError("grading", f"must be >= 1, got {self.r!r}")
         if not (self.tol > 0.0):
             raise ConfigError("tol", f"must be positive, got {self.tol!r}")
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
         _check_direction(self.f_a, self.g_a)
         if not (self.a < self.b < self.c):
             raise ConfigError(

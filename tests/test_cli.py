@@ -450,19 +450,62 @@ class TestGridNodesRoundTogether:
 
 class TestKernelNodesOverflow:
     """The kernel matrix is built on the nodes j^r, and 512^116 overflows;
-    n = 512 at grading 116 is otherwise a valid grid."""
+    n = 512 at grading 116 is otherwise a valid grid. Its cell weights are
+    products of two node spacings, so the squares of the nodes must not
+    overflow either: at n = 512, grading 60 and 90 warned inside the build
+    (at 90 `verify` gave SOLVER_FAILED and exited 0)."""
 
     @pytest.mark.parametrize("command,cfg_obj,report", [
         ("solve", {**SOLVE_CONFIG, "n": 512, "grading": 116}, "summary.json"),
         ("verify", {**SOLVE_CONFIG, "n": 512, "grading": 116}, "verify.json"),
         ("verify", {"sweep": {**SWEEP_CONFIG["sweep"], "n": 512, "grading": 116}},
-         "verify.json")])
+         "verify.json"),
+        ("solve", {**SOLVE_CONFIG, "n": 512, "grading": 60}, "summary.json"),
+        ("verify", {**SOLVE_CONFIG, "n": 512, "grading": 60}, "verify.json"),
+        ("solve", {**SOLVE_CONFIG, "n": 512, "grading": 90}, "summary.json"),
+        ("verify", {**SOLVE_CONFIG, "n": 512, "grading": 90}, "verify.json")])
     def test_is_a_config_error(self, tmp_path, capsys, command, cfg_obj, report):
         cfg = write_config(tmp_path, cfg_obj)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "grading: the kernel nodes j^r overflow" in capsys.readouterr().err
         assert not (out / report).exists()
+
+
+class TestIntervalLengthOverflow:
+    """c - a overflows for a = -1e308, c = 1e308: without b the error named
+    b (its default is a + 0.01 (c - a)), with b = 0 it named the grading
+    (build_grid's nodes are a + (c - a) (j/n)^r)."""
+
+    CONFIGS = [{**SOLVE_CONFIG, "a": -1e308, "c": 1e308, "b": None},
+               {**SOLVE_CONFIG, "a": -1e308, "c": 1e308, "b": 0}]
+
+    @pytest.mark.parametrize("command,report", [("solve", "summary.json"),
+                                                ("verify", "verify.json")])
+    @pytest.mark.parametrize("cfg_obj", CONFIGS, ids=["no_b", "b_0"])
+    def test_names_c(self, tmp_path, capsys, command, report, cfg_obj):
+        cfg = write_config(tmp_path, {k: v for k, v in cfg_obj.items() if v is not None})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "error: c: the length c - a must be finite" in capsys.readouterr().err
+        assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    {**SOLVE_CONFIG, "n": 512, "grading": 90},
+    TestIntervalLengthOverflow.CONFIGS[1]],
+    ids=["grading_90", "length"])
+def test_config_errors_raise_no_warning(tmp_path, cfg_obj):
+    # the CI runs the console script with RuntimeWarnings as errors
+    cfg = write_config(tmp_path, cfg_obj)
+    src = str(Path(fracfite.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracfite.cli", "verify", "--config", cfg,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 class TestMatrixCap:

@@ -11,7 +11,8 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix)
-from fracfite.rlops import _CHEB, _Omega, _chebyshev_interp, _matrix_cached
+from fracfite.rlops import (_CHEB, _Omega, _chebyshev_interp, _matrix_cached,
+                            node_scale)
 from oracles import (build_matrix_reference, from_callable,
                      kernel_integral_reference, norm_full, q_operator,
                      rl_derivative, rl_integral)
@@ -161,11 +162,27 @@ class TestKernelMatrixScaling:
             rel=1e-14)
 
     def test_nodes_that_overflow_raise(self):
-        # the build reads the nodes j^r up to j = 2n + 63
-        with pytest.raises(ValueError, match="overflow"):
-            kernel_matrix(build_grid(0.0, 1.0, 512, 116.0), 0.25, 0.25)
-        with pytest.raises(ValueError, match="overflow"):
-            kernel_matrix(build_grid(0.0, 1.0, 512, 102.0), 0.25, 0.25)
+        # the build reads the nodes j^r up to j = 2n + 63, and their squares
+        for r in (116.0, 102.0, 90.0, 60.0):
+            with pytest.raises(ValueError, match="the kernel nodes j\\^r overflow"):
+                kernel_matrix(build_grid(0.0, 1.0, 512, r), 0.25, 0.25)
+
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    def test_largest_accepted_grading_builds_without_warnings(self, n):
+        # the largest r that node_scale accepts, to a few ulps
+        lo, hi = 1.0, 200.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                node_scale(n, mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega, scale = kernel_matrix(build_grid(0.0, 1.0, n, lo), 0.25, 0.25)
+            assert all(np.isfinite(near).all() for *_, near, _ in omega.leaves)
+            assert math.isfinite(scale)
 
 
 class TestGrowth:
@@ -207,10 +224,14 @@ class TestOperator:
 
     @pytest.mark.parametrize("n", [33, 613, 4096])
     def test_product_matches_dense(self, n):
+        # Omega @ U as a causal solve forms it: hist + D @ U[s] per block
         op = _Omega(2.0, 0.25, 0.25).upto(n)
         U = np.random.default_rng(n).standard_normal((n + 1, 5))
         ref = op.dense() @ U
-        assert np.abs(op @ U - ref).max() <= 1e-14 * np.abs(ref).max()
+        full = np.zeros_like(U)
+        for s, hist, D in op.blocks(U):
+            full[s] = hist + D @ U[s]
+        assert np.abs(full - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_blocks_are_the_rows_of_the_product(self):
         # what a causal solve reads: Omega[s, :s.start] @ U[:s.start] and
@@ -457,8 +478,7 @@ class TestKernelIntegral:
             for lo, hi in ((a, t), (a, y), (x, t), (x, y)):
                 self._assert_matches_betainc(1e-10, lo, hi, a, t, beta, gamma)
                 pts = np.linspace(lo, hi, n_sub + 1)
-                loop = math.fsum(kernel_integral(p, q, a, t, beta, gamma)
-                                 for p, q in zip(pts[:-1], pts[1:]))
+                loop = math.fsum(kernel_integral(pts[:-1], pts[1:], a, t, beta, gamma))
                 ref = kernel_integral_reference(lo, hi, a, t, beta, gamma)
                 assert abs(loop - ref) <= 1e-10 * abs(ref), (lo, hi, n_sub)
 

@@ -9,7 +9,7 @@ import pytest
 
 from fracfite import (ConvergenceError, GradedGrid, Order, big_E, build_grid,
                       from_samples, gamma_fn, residual, solve_fite)
-from fracfite.rlops import kernel_matrix
+from fracfite.rlops import KernelOperator, kernel_matrix
 from fracfite.sfde import SolveReport, _marching, _node_data, solve_batch
 from oracles import (contraction_factor, fite_closed_form, marching_reference,
                      mittag_leffler, picard_reference, rl_derivative)
@@ -192,7 +192,7 @@ class TestBlockedMarching:
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
         data = _node_data(P, ORDER, g)
         for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
-            wf, wg = _marching(omega, scale, *data, np.array(f_a), np.array(g_a))
+            wf, wg, _ = _marching(omega, scale, *data, np.array(f_a), np.array(g_a))
             assert wf.shape == wg.shape == (n + 1, len(f_a))
             for j, (fa, ga) in enumerate(zip(f_a, g_a)):
                 for ref, got in zip(marching_reference(scale * omega.dense(), *data,
@@ -333,3 +333,27 @@ class TestResidual:
         perturbed = SolveReport(f=from_samples(bumped, rep.f.gamma, g),
                                 g=rep.g, residual=0.0)
         assert residual(ml_p, ORDER, perturbed) >= 0.5
+
+    @pytest.mark.parametrize("n", [64, 613, 4096])
+    def test_report_residual_is_residual_of_its_pair(self, n):
+        # the march's own rows of Omega @ U and residual()'s walk over the
+        # blocks are the same products, so the two agree to the bit
+        g = build_grid(0.0, 3.0, n, 2.0)
+        P = TestBlockedMarching.VARYING
+        rep = solve_fite(P, ORDER, 0.6, -0.8, g)
+        assert rep.residual == residual(P, ORDER, rep)
+
+    def test_solve_walks_the_operator_once(self, monkeypatch):
+        walks = []
+        blocks = KernelOperator.blocks
+
+        def counted(self, U):
+            walks.append(U.shape)
+            return blocks(self, U)
+
+        monkeypatch.setattr(KernelOperator, "blocks", counted)
+        g = build_grid(0.0, 3.0, 613, 2.0)
+        reps = solve_batch(TestBlockedMarching.VARYING, ORDER, [0.6, 1.0, -0.3],
+                           [-0.8, 0.0, 2.0], g)
+        assert len(reps) == 3
+        assert walks == [(614, 6)]
