@@ -52,11 +52,19 @@ def _load_config(path: str):
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
 
 
-def _print_record(record: dict, out_dir: str | None, name: str) -> None:
+def _out_dir(path: str) -> Path:
+    """Make the --out directory before any run: a path that cannot be one
+    is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an existing file
+        raise ConfigError("out", f"cannot make directory {path}: {exc}") from None
+    return Path(path)
+
+
+def _print_record(record: dict, out: Path | None, name: str) -> None:
     print(json.dumps(record, sort_keys=True, indent=2))
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         _dump_json(record, out / name)
 
 
@@ -75,8 +83,7 @@ def _write_trace(path: Path, report) -> None:
 
 def cmd_solve(args) -> int:
     scenario = Scenario.from_obj(_load_config(args.config), n=args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     try:
         (rep,) = solve_cell((scenario,))
     except ConvergenceError as exc:
@@ -94,6 +101,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     order = Order(args.alpha)
+    out = _out_dir(args.out) if args.out else None
     if args.p is not None:
         p_used = args.p
         length = min_length(order, args.m, args.p)
@@ -113,7 +121,7 @@ def cmd_bound(args) -> int:
             "beta_value": beta_fn(order.alpha, order.alpha),
         },
     }
-    _print_record(record, args.out, "bound.json")
+    _print_record(record, out, "bound.json")
     return OK
 
 
@@ -140,9 +148,8 @@ def _report_obj(rep) -> dict:
 
 def cmd_verify(args) -> int:
     run = parse_config(_load_config(args.config), n=args.n)
+    out = _out_dir(args.out)
     result = sweep(run, workers=args.workers, rhs_scale=args.rhs_scale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _dump_json({
         "spec": result.spec.to_obj(),
         "rhs_scale": args.rhs_scale,
@@ -160,6 +167,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     try:
         report = audit_estimates(Order(args.alpha), args.p, args.trials, args.seed)
     except AuditFailure as exc:
@@ -169,7 +177,7 @@ def cmd_audit(args) -> int:
         "alpha": args.alpha, "p": args.p, "trials": args.trials,
         "seed": args.seed, "passes": report.passes,
     }
-    _print_record(record, args.out, "audit.json")
+    _print_record(record, out, "audit.json")
     return OK
 
 

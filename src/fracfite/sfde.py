@@ -18,11 +18,11 @@ enters a block through the operator's blocks (rlops.KernelOperator.blocks),
 and the block's own coupling is solved by forward substitution through
 its Schur complement. It needs no contraction condition. The history
 carries the kernel's scale, so no product on the raw nodes j^r, larger by
-(n^r)^{1-beta-gamma}, is formed. The system is linear in the
-initial data (f_a, g_a) and the block Schur matrix depends only on P, so
-one marching pass solves k initial data at once: the history has 2k
-columns and each block has one Schur solve with k right-hand sides. The
-residual reuses the rows of omega @ U the march forms: one walk per solve.
+(n^r)^{1-beta-gamma}, is formed. The equation is linear and homogeneous,
+so each solve marches only the (1, 0) and (0, 1) solutions (a 4-column
+history) and forms k initial data, samples and rows of omega @ U, as one
+product of them; each datum's residual comes from its own rows. One walk
+over the operator per solve, whatever k.
 """
 
 from __future__ import annotations
@@ -60,32 +60,31 @@ def _node_data(P: Coefficient, order: Order, grid: GradedGrid):
     return R, pf
 
 
-def _marching(omega, scale, R, pf, f_a, g_a):
-    """Causal solve on the blocks of the kernel operator omega for k columns
-    of initial data f_a, g_a (arrays of shape (k,)); returns wf, wg of shape
-    (n+1, k) and their _defect. The history U = scale * (wg, R wf) carries
-    the kernel_matrix scale, so no product on the raw nodes j^r is formed,
-    enters a block through omega.blocks, and gives the defect its rows of
-    omega @ U once the block is solved. The block coupling wf = F + A wg,
-    wg = H + C wf is solved through its Schur complement (I - A C) wf =
-    F + A H, one solve with k right-hand sides. I - A C does not depend on
-    the data; it is lower triangular, and its diagonal det_i = 1 - (pf_i
-    scale omega_ii)^2 R_i is checked before the block's solve. A block with
-    non-finite inputs in any column fails the solve."""
+def _marching(omega, scale, R, pf):
+    """Causal solve on the blocks of the kernel operator omega for the basis
+    data (f_a, g_a) = (1, 0) and (0, 1); returns wf, wg of shape (n+1, 2)
+    and full = omega @ U. The history U = scale * (wg, R wf) carries the
+    kernel_matrix scale, so no product on the raw nodes j^r is formed,
+    enters a block through omega.blocks, and gives full its rows once the
+    block is solved. The block coupling wf = F + A wg, wg = H + C wf is
+    solved through its Schur complement (I - A C) wf = F + A H, one solve
+    with two right-hand sides. I - A C does not depend on the data; it is
+    lower triangular, and its diagonal det_i = 1 - (pf_i scale omega_ii)^2
+    R_i is checked before the block's solve. A block with non-finite inputs
+    fails the solve."""
     n = omega.n
-    k = f_a.size
-    wf = np.empty((n + 1, k))
-    wg = np.empty((n + 1, k))
-    wf[0], wg[0] = f_a, g_a
-    U = np.empty((n + 1, 2 * k))  # columns :k hold scale wg, k: scale R wf
-    U[0, :k] = scale * g_a
-    U[0, k:] = scale * (R[0] * f_a)
+    wf = np.empty((n + 1, 2))
+    wg = np.empty((n + 1, 2))
+    wf[0], wg[0] = np.eye(2)
+    U = np.empty((n + 1, 4))  # columns :2 hold scale wg, 2: scale R wf
+    U[0, :2] = scale * wg[0]
+    U[0, 2:] = scale * (R[0] * wf[0])
     full = np.zeros_like(U)  # omega @ U; row 0 of omega is zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s, hist, D in omega.blocks(U):
             A = pf[s, None] * (scale * D)
             C = A * R[s]
-            H = g_a + pf[s, None] * hist[:, k:]
+            H = wg[0] + pf[s, None] * hist[:, 2:]
             M = np.eye(s.stop - s.start) - A @ C
             det = np.diagonal(M)
             bad = np.flatnonzero(np.abs(det) < 1e-12)
@@ -93,15 +92,15 @@ def _marching(omega, scale, R, pf, f_a, g_a):
                 i = int(bad[0])
                 raise ConvergenceError(
                     f"marching step singular at node {s.start + i} (det={det[i]})")
-            rhs = f_a + pf[s, None] * hist[:, :k] + A @ H
+            rhs = wf[0] + pf[s, None] * hist[:, :2] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
                 raise ConvergenceError("marching solve produced non-finite samples")
             wf[s] = np.linalg.solve(M, rhs)
             wg[s] = H + C @ wf[s]
-            U[s, :k] = scale * wg[s]
-            U[s, k:] = scale * (R[s, None] * wf[s])
+            U[s, :2] = scale * wg[s]
+            U[s, 2:] = scale * (R[s, None] * wf[s])
             full[s] = hist + D @ U[s]
-        return wf, wg, _defect(pf, full, wf, wg)
+    return wf, wg, full
 
 
 def _defect(pf, full, wf, wg) -> np.ndarray:
@@ -117,7 +116,7 @@ def _defect(pf, full, wf, wg) -> np.ndarray:
 def solve_batch(P: Coefficient, order: Order, f_a, g_a,
                 grid: GradedGrid) -> tuple[SolveReport, ...]:
     """Solve D^alpha f = g, D^alpha g = -P f on the grid for k initial data
-    (f_a[j], g_a[j]) in one marching pass; one report per datum, in order.
+    (f_a[j], g_a[j]) from one march of the basis; one report per datum.
     The solve succeeds only when every column's residual is finite; any
     failure of any column fails the batch with ConvergenceError."""
     f_a = np.asarray(f_a, dtype=float).reshape(-1)
@@ -126,14 +125,22 @@ def solve_batch(P: Coefficient, order: Order, f_a, g_a,
         raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     ga = order.gamma
     kernel = kernel_matrix(grid, 1.0 - order.alpha, ga)
-    data = _node_data(P, order, grid)
-    wf, wg, res = _marching(*kernel, *data, f_a, g_a)
+    R, pf = _node_data(P, order, grid)
+    k = f_a.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        # datum j solves as f_a[j] times the (1, 0) column plus g_a[j] times
+        # the (0, 1) column, and so do its rows of omega @ U
+        wf, wg, full = np.split(np.hstack(_marching(*kernel, R, pf))
+                                @ np.kron(np.eye(4), (f_a, g_a)), [k, 2 * k], axis=1)
+        if not np.isfinite((wf, wg)).all():
+            raise ConvergenceError("marching solve produced non-finite samples")
+        res = _defect(pf, full, wf, wg)
     if not np.isfinite(res).all():
         raise ConvergenceError("marching solve has a non-finite residual")
     return tuple(SolveReport(f=from_samples(wf[:, j], ga, grid),
                              g=from_samples(wg[:, j], ga, grid),
                              residual=float(res[j]))
-                 for j in range(f_a.size))
+                 for j in range(k))
 
 
 def residual(P: Coefficient, order: Order, report: SolveReport) -> float:

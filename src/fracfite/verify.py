@@ -38,7 +38,7 @@ from .zeros import first_zero_pair
 
 _MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
 # Plain bounds on a sweep, which holds at most 2 GiB within them at n = _MAX_N:
-_MAX_DIRECTIONS = 512  # a cell's batched solve, 77 bytes per direction and node
+_MAX_DIRECTIONS = 512  # a cell's batched solve, 61 bytes per direction and node
 _MAX_CELLS = 2048  # each cell keeps its validated grid, 129 KiB at n = _MAX_N
 _MAX_SCENARIOS = 2**17  # cells x directions; each is kept, 5.6 KiB in `verify`
 

@@ -14,7 +14,8 @@ the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
 the randomized audit's scalar trial loop that bounds.audit_sides
 evaluates as arrays, the weighted sup-norms, and helpers that sample,
-evaluate or search weighted functions point by point.
+evaluate or search weighted functions point by point, and the arcs of
+directions on which a combination of two basis solutions has a zero.
 """
 
 import math
@@ -503,3 +504,49 @@ def zero_set(f: WeightedFn, g: WeightedFn, b: float, c_w: float) -> ZeroSet:
         zeros_g=tuple(map(float, find_zeros(g, b, c_w))),
         window=(b, c_w),
     )
+
+
+def theta_arcs(w1: WeightedFn, w2: WeightedFn, b: float, c_w: float) -> np.ndarray:
+    """The directions theta for which the combination cos(theta) w1 +
+    sin(theta) w2 of two basis columns changes sign between consecutive
+    search points of find_zeros on [b, c_w], as rows (lo, hi) of open arcs
+    of the circle mod pi, 0 <= lo < pi and lo <= hi <= lo + pi. With
+    phi = atan2(W2, W1) at the points the combination is |W| cos(theta - phi);
+    on a segment [p, q] the angle of the linear W runs over the shorter arc
+    from phi_p to phi_q, so the combination changes sign there exactly when
+    theta (mod pi) lies on the shorter arc from phi_p + pi/2 to phi_q + pi/2."""
+    nodes = w1.grid.nodes
+    pts = np.concatenate([[b], nodes[(nodes > b) & (nodes < c_w)], [c_w]])
+    phi = np.arctan2(eval_reg(w2, pts), eval_reg(w1, pts))
+    turn = np.remainder(np.diff(phi) + np.pi, 2.0 * np.pi) - np.pi
+    lo = np.remainder(phi[:-1] + np.pi / 2 + np.minimum(turn, 0.0), np.pi)
+    return np.column_stack((lo, lo + np.abs(turn)))
+
+
+def on_arcs(arcs: np.ndarray, theta: float) -> bool:
+    """Whether theta (mod pi) lies on one of the open arcs of theta_arcs."""
+    t = theta % np.pi + np.array([[0.0], [np.pi]])
+    return bool(((arcs[:, 0] < t) & (t < arcs[:, 1])).any())
+
+
+def _arc_union(arcs: np.ndarray) -> np.ndarray:
+    """The open arcs of theta_arcs as sorted disjoint intervals of [0, pi],
+    an arc past pi split in two; single points where two arcs touch count
+    as covered, which changes no overlap of positive length."""
+    past = arcs[:, 1] > np.pi
+    lo = np.concatenate([arcs[:, 0], 0.0 * arcs[past, 1]])
+    hi = np.concatenate([np.minimum(arcs[:, 1], np.pi), arcs[past, 1] - np.pi])
+    merged = []
+    for a, b in sorted(zip(lo, hi)):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        elif a < b:
+            merged.append([a, b])
+    return np.array(merged).reshape(-1, 2)
+
+
+def arcs_meet(arcs1: np.ndarray, arcs2: np.ndarray) -> bool:
+    """Whether two sets of arcs of theta_arcs share an open arc of theta."""
+    u1, u2 = _arc_union(arcs1), _arc_union(arcs2)
+    return bool((np.maximum(u1[:, None, 0], u2[None, :, 0])
+                 < np.minimum(u1[:, None, 1], u2[None, :, 1])).any())

@@ -508,6 +508,33 @@ def test_config_errors_raise_no_warning(tmp_path, cfg_obj):
     assert not (tmp_path / "out" / "verify.json").exists()
 
 
+class TestOutIsAFile:
+    """--out naming an existing file, or a path under one, is a config error
+    found before any run (it was a FileExistsError traceback, and verify ran
+    its whole sweep first)."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("argv,run", [
+        (["solve", "--config", "{cfg}"], "solve_cell"),
+        (["verify", "--config", "{cfg}"], "sweep"),
+        (["bound", "--alpha", "0.75", "--m", "1"], "best_min_length"),
+        (["audit", "--trials", "5"], "audit_estimates")],
+        ids=["solve", "verify", "bound", "audit"])
+    def test_is_a_config_error(self, tmp_path, capsys, monkeypatch, argv, run, under):
+        def unreached(*args, **kwargs):
+            raise AssertionError(f"{run} ran")
+
+        monkeypatch.setattr(cli, run, unreached)
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: out: cannot make directory {out}" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+
 class TestMatrixCap:
     """n is at most 16383; a larger n is a config error before anything is
     built (when the solver held a dense (n+1)^2 kernel matrix, it gave a

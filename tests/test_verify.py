@@ -17,7 +17,9 @@ from fracfite import bounds, rlops
 from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
-from oracles import classical_fite_check, fite_closed_form
+from fracfite.sfde import solve_batch
+from oracles import (arcs_meet, classical_fite_check, fite_closed_form, on_arcs,
+                     theta_arcs)
 
 ORDER = Order(0.75)
 
@@ -355,6 +357,34 @@ class TestClosedFormZeros:
             one_signed = any(np.all(w > 0.0) or np.all(w < 0.0) for w in (wf, wg))
             assert one_signed == (rep.verdict == "NO_ZERO_PAIR"), s.label
         assert len(basis) == 27
+
+
+class TestThetaArcs:
+    """The equation is linear and homogeneous, so the (1, 0) and (0, 1)
+    solutions decide the zero pair of every direction theta: f_theta has a
+    zero exactly on the theta-arcs of the two f columns, and the same for g."""
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_arc_rule_predicts_every_sampled_pair(self, n):
+        # 0 mismatches in 216 directions; only the nine L = 5 cells have a
+        # zero pair for any theta, so no sample misses a pair between samples
+        spec = SweepSpec(**STANDARD_GRID, n=n)
+        reports = iter(standard_sweep(n).reports)
+        paired = []
+        for cell in spec.cells():
+            s = cell[0]
+            e1, e2 = solve_batch(s.p_coeff.as_callable(s.a), s.order, [1.0, 0.0],
+                                 [0.0, 1.0], s.grid)
+            arcs_f = theta_arcs(e1.f, e2.f, s.b, s.c)
+            arcs_g = theta_arcs(e1.g, e2.g, s.b, s.c)
+            for c in cell:
+                theta = math.atan2(c.g_a, c.f_a)
+                predicted = on_arcs(arcs_f, theta) and on_arcs(arcs_g, theta)
+                assert predicted == (next(reports).zero_pair is not None), c.label
+            if arcs_meet(arcs_f, arcs_g):
+                paired.append(s.length)
+        assert next(reports, None) is None
+        assert paired == [5.0] * 9
 
 
 class TestSweep:
