@@ -27,6 +27,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
     fite_rhs, min_length, small_c
@@ -52,9 +54,13 @@ def _load_config(path: str):
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
 
 
-def _out_dir(path: str) -> Path:
-    """Make the --out directory before any run: a path that cannot be one
-    is a config error."""
+def _out_dir(path: str | None) -> Path | None:
+    """Make the --out directory before any run (None: no --out given). An
+    empty path, or one that cannot be a directory, is a config error."""
+    if path is None:
+        return None
+    if not path:
+        raise ConfigError("out", "must not be empty")
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. an existing file
@@ -72,10 +78,11 @@ def _write_trace(path: Path, report) -> None:
     f, g = report.f, report.g
     t, a, ga = f.grid.nodes, f.grid.a, f.gamma
     rows = [(t[0], f.reg_samples[0], None, g.reg_samples[0], None)]
-    for j in range(1, t.size):
-        wf, wg = f.reg_samples[j], g.reg_samples[j]
-        wt = (t[j] - a) ** ga
-        rows.append((t[j], wf, wf / wt, wg, wg / wt))
+    with np.errstate(over="ignore"):  # a raw value that overflows is written inf
+        for j in range(1, t.size):
+            wf, wg = f.reg_samples[j], g.reg_samples[j]
+            wt = (t[j] - a) ** ga
+            rows.append((t[j], wf, wf / wt, wg, wg / wt))
     path.write_text("\n".join([_TRACE_COLUMNS, *(
         ",".join(_NON_VALUE if x is None else f"{x:.17g}" for x in row)
         for row in rows)]) + "\n")
@@ -85,7 +92,7 @@ def cmd_solve(args) -> int:
     scenario = Scenario.from_obj(_load_config(args.config), n=args.n)
     out = _out_dir(args.out)
     try:
-        (rep,) = solve_cell((scenario,))
+        (rep,) = solve_cell(*scenario.cells())
     except ConvergenceError as exc:
         _dump_json({"config": scenario.to_obj(), "converged": False,
                     "detail": str(exc)}, out / "summary.json")
@@ -101,7 +108,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     order = Order(args.alpha)
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out)
     if args.p is not None:
         p_used = args.p
         length = min_length(order, args.m, args.p)
@@ -167,7 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out)
     try:
         report = audit_estimates(Order(args.alpha), args.p, args.trials, args.seed)
     except AuditFailure as exc:

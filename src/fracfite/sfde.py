@@ -70,8 +70,8 @@ def _marching(omega, scale, R, pf):
     solved through its Schur complement (I - A C) wf = F + A H, one solve
     with two right-hand sides. I - A C does not depend on the data; it is
     lower triangular, and its diagonal det_i = 1 - (pf_i scale omega_ii)^2
-    R_i is checked before the block's solve. A block with non-finite inputs
-    fails the solve."""
+    R_i is checked before the block's solve. A block with non-finite inputs,
+    or one the pivoted solve finds singular, fails the solve."""
     n = omega.n
     wf = np.empty((n + 1, 2))
     wg = np.empty((n + 1, 2))
@@ -95,7 +95,11 @@ def _marching(omega, scale, R, pf):
             rhs = wf[0] + pf[s, None] * hist[:, :2] + A @ H
             if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
                 raise ConvergenceError("marching solve produced non-finite samples")
-            wf[s] = np.linalg.solve(M, rhs)
+            try:
+                wf[s] = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError as exc:  # pivoting can meet a zero pivot
+                raise ConvergenceError(f"marching step singular in nodes "
+                                       f"{s.start}..{s.stop - 1} ({exc})") from None
             wg[s] = H + C @ wf[s]
             U[s, :2] = scale * wg[s]
             U[s, 2:] = scale * (R[s, None] * wf[s])

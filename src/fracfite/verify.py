@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -180,11 +181,9 @@ class CoefficientSpec:
         return {"table": [list(p) for p in self.data]}
 
     def as_callable(self, a: float):
-        """The coefficient as a function of a node array, as sfde takes it."""
-        if self.kind == "const":
-            v = self.data[0]
-            return lambda t: np.full(np.shape(t), v)
-        if self.kind == "poly":
+        """The coefficient as a function of a node array, as sfde takes it;
+        a constant is the polynomial of degree 0."""
+        if self.kind != "table":
             coeffs = self.data
             return lambda t: sum(ck * (t - a) ** k for k, ck in enumerate(coeffs))
         ts = np.asarray([p[0] for p in self.data])
@@ -196,25 +195,29 @@ class CoefficientSpec:
         extremes at its knots inside (a, c) or at a and c, a poly at a, at
         c or at a stationary point inside (candidates at the real parts of
         its derivative's roots; extra points in [a, c] cannot hurt).
-        Raises ValueError if a table does not cover [a, c] or a value is
-        not finite."""
+        Raises ValueError if a table does not cover [a, c], or a value or
+        a stationary point is not finite."""
         if self.kind == "table":
             lo, hi = self.data[0][0], self.data[-1][0]
             if lo > a or hi < c:
                 raise ValueError(
                     f"coefficient table covers [{lo}, {hi}], needs [{a}, {c}]")
             t = np.array([a, *(s for s, _ in self.data if a < s < c), c])
-        elif self.kind == "poly":
+        else:  # a poly; a const is the poly of degree 0
             u = np.empty(0)  # offsets t - a of the stationary points
             if len(self.data) > 2:
-                slope = npoly.polyder(self.data)
-                if not np.isfinite(slope).all():
-                    raise ValueError(f"must be finite, derivative is {slope.tolist()}")
-                u = npoly.polyroots(slope).real
+                with np.errstate(all="ignore"):  # overflows are checked below
+                    slope = npoly.polyder(self.data)
+                    if not np.isfinite(slope).all():
+                        raise ValueError(f"must be finite, derivative is {slope.tolist()}")
+                    try:  # a root that overflows to +-inf lies outside (0, c - a)
+                        u = npoly.polyroots(slope).real
+                    except np.linalg.LinAlgError:  # its companion matrix overflows
+                        raise ValueError("its stationary points are not finite, "
+                                         f"derivative is {slope.tolist()}") from None
             t = np.array([a, *(a + u[(u > 0.0) & (u < c - a)]), c])
-        else:
-            t = np.array([a, c])
-        vals = self.as_callable(a)(t)
+        with np.errstate(all="ignore"):  # a non-finite value is checked below
+            vals = self.as_callable(a)(t)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"must be finite on [{a}, {c}], range is [{lo}, {hi}]")
@@ -306,9 +309,13 @@ class Scenario(_Config):
             object.__setattr__(other, name, value)
         return other
 
-    def cells(self) -> tuple[tuple[Scenario]]:
-        """A single scenario runs as a sweep of one cell of one."""
-        return ((self,),)
+    def cells(self) -> tuple[Cell]:
+        """A single scenario runs as a sweep of one cell of one direction."""
+        return ((self, ((self.f_a, self.g_a, self.label),)),)
+
+
+# one validated scenario and its directions (f_a, g_a, label), which share it
+Cell = tuple[Scenario, tuple[tuple[float, float, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -329,43 +336,38 @@ class VerifyReport:
         return self.lhs / self.rhs if self.rhs else math.nan
 
 
-# the fields that the scenarios of a cell share
-_SHARED = tuple(f.name for f in fields(Scenario)
-                if f.compare and f.name not in ("f_a", "g_a", "label"))
+def solve_cell(cell: Cell) -> tuple[SolveReport, ...]:
+    """Solve a cell's directions in one batched solve on the graded grid
+    its scenario validated; one report per direction, in order."""
+    s, directions = cell
+    f_a, g_a, _ = zip(*directions)
+    return solve_batch(s.p_coeff.as_callable(s.a), s.order, f_a, g_a, s.grid)
 
 
-def solve_cell(cell: tuple[Scenario, ...]) -> tuple[SolveReport, ...]:
-    """Solve the scenarios of a cell, which differ only in f_a, g_a and
-    label, in one batched solve on the graded grid they validated."""
-    s = cell[0]
-    if any(getattr(c, name) != getattr(s, name) for c in cell for name in _SHARED):
-        raise ValueError("the scenarios of a cell may differ only in f_a, g_a and label")
-    return solve_batch(s.p_coeff.as_callable(s.a), s.order, [c.f_a for c in cell],
-                       [c.g_a for c in cell], s.grid)
-
-
-def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyReport]:
-    """Solve a cell (see solve_cell) once and classify each of its scenarios;
-    the bound (m, p*, minimal length, lhs, rhs) is the cell's. A failed
-    solve fails every scenario of the cell with the same detail.
+def run_cell(cell: Cell, rhs_scale: float = 1.0) -> list[VerifyReport]:
+    """Solve a cell (see solve_cell) once and classify each direction; each
+    report's scenario is the cell's with that direction's f_a, g_a and
+    label, and the bound (m, p*, minimal length, lhs, rhs) is the cell's.
+    A failed solve fails every direction of the cell with the same detail.
 
     rhs_scale multiplies the bound's right side; it exists purely as a
     fault-injection hook for negative-path tests of the harness.
     """
+    s, directions = cell
+    scenarios = [s.with_direction(*d) for d in directions]
     try:
         solves = solve_cell(cell)
     except ConvergenceError as exc:
         return [VerifyReport(scenario=c, verdict=SOLVER_FAILED, detail=str(exc))
-                for c in cell]
+                for c in scenarios]
 
-    s = cell[0]
     m = max(1.0, s.p_sup)
     p_star, min_len = best_min_length(s.order, m)
     lhs = fite_lhs(s.order, p_star, m, s.length)
     rhs = fite_rhs(s.order) * rhs_scale
     reports = []
-    for c, report in zip(cell, solves):
-        pair = first_zero_pair(report.f, report.g, c.b, c.c)
+    for c, report in zip(scenarios, solves):
+        pair = first_zero_pair(report.f, report.g, s.b, s.c)
         if pair is None:
             verdict = NO_ZERO_PAIR
         elif lhs >= rhs:
@@ -379,8 +381,8 @@ def run_cell(cell: tuple[Scenario, ...], rhs_scale: float = 1.0) -> list[VerifyR
 
 
 def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
-    """Solve one scenario and classify it: a cell of one."""
-    return run_cell((s,), rhs_scale)[0]
+    """Solve one scenario and classify it: its cell of one direction."""
+    return run_cell(s.cells()[0], rhs_scale)[0]
 
 
 @dataclass(frozen=True)
@@ -444,13 +446,13 @@ class SweepSpec(_Config):
             return rng.uniform(0.0, 2.0 * math.pi, self.directions)
         return 2.0 * math.pi * np.arange(self.directions) / self.directions
 
-    def cells(self) -> list[tuple[Scenario, ...]]:
-        """The scenarios, one per direction, grouped by (alpha, P, L) cell
-        in sweep order."""
+    def cells(self) -> list[Cell]:
+        """One cell per (alpha, P, L), in sweep order: its validated
+        scenario and its directions, one per angle."""
         angles = list(enumerate(self.direction_angles()))
-        return [tuple(s.with_direction(math.cos(theta), math.sin(theta),
-                                       f"alpha={alpha},P={p_inf},L={length},dir={k}")
-                      for k, theta in angles)
+        return [(s, tuple((math.cos(theta), math.sin(theta),
+                           f"alpha={alpha},P={p_inf},L={length},dir={k}")
+                          for k, theta in angles))
                 for (alpha, p_inf, length), s in self._cells]
 
 
@@ -475,20 +477,31 @@ class SweepReport:
         return tuple(r.verdict for r in self.reports)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(spec: Scenario | SweepSpec, workers: int = 1,
           rhs_scale: float = 1.0) -> SweepReport:
     """Run every scenario of a parsed config (a Scenario is a sweep of one),
     one cell (the directions of one (alpha, P, L)) at a time; deterministic
     for a given spec and seed regardless of worker count (cell and scenario
-    order are fixed up front). The pool has at most one worker per cell."""
+    order are fixed up front). The pool has at most one worker per cell and
+    per CPU the process may run on; with one, the run stays in-process."""
     if not (math.isfinite(rhs_scale) and rhs_scale > 0.0):
         raise ConfigError("rhs_scale", f"must be finite and > 0, got {rhs_scale!r}")
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
     cells = spec.cells()
     run = partial(run_cell, rhs_scale=rhs_scale)
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+    # the fork start method launches all max_workers processes at once
+    workers = min(workers, len(cells), _cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, cells))
     else:
         done = list(map(run, cells))

@@ -30,7 +30,8 @@ def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
     vals = np.asarray(eval_reg(w, pts), dtype=float)
     k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     lo, hi, flo, fhi = pts[k], pts[k + 1], vals[k], vals[k + 1]
-    roots = np.clip(lo - flo * (hi - lo) / (fhi - flo), lo, hi)
+    # flo / (fhi - flo) lies in [-1, 0], so no product overflows on a long window
+    roots = np.clip(lo - flo / (fhi - flo) * (hi - lo), lo, hi)
     found = np.sort(np.concatenate([pts[vals == 0.0], roots]))
     merged: list[float] = []
     for z in found:

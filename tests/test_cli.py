@@ -31,6 +31,12 @@ OVERFLOW_CONFIG = {"alpha": 0.9, "a": 0.0, "c": 1e8, "P": {"const": 1e300},
 HUGE_DATA_CONFIG = {"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
                     "f_a": 1e308, "g_a": 1e308, "n": 64}
 
+# A valid config whose first marching block is finite and passes the
+# diagonal check, yet is singular to the pivoted solve.
+SINGULAR_BLOCK_CONFIG = {"alpha": 0.999999, "a": 1e-150, "c": 0.55,
+                         "P": {"poly": [1e308, 0.999, 1e-150, 0.5]},
+                         "f_a": -1, "g_a": 0, "n": 64, "grading": 30}
+
 SWEEP_CONFIG = {
     "sweep": {
         "alphas": [0.75], "p_infs": [1.0], "lengths": [0.5, 3.0],
@@ -114,6 +120,28 @@ class TestSolve:
             assert "RuntimeWarning" not in proc.stderr
         for path in tmp_path.rglob("*.json"):
             assert "Infinity" not in path.read_text(), path
+
+
+    def test_singular_block_is_a_solver_failure(self, tmp_path, capsys):
+        # it was a LinAlgError traceback, and verify wrote no verify.json
+        cfg = write_config(tmp_path, SINGULAR_BLOCK_CONFIG)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 3
+        assert "solver failure: marching step singular" in capsys.readouterr().err
+        assert not (tmp_path / "solve" / "trace.csv").exists()
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
+        agg = json.loads((tmp_path / "verify" / "verify.json").read_text())
+        assert agg["scenarios"][0]["verdict"] == "SOLVER_FAILED"
+
+    def test_overflowing_raw_value_is_written_inf(self, tmp_path):
+        # W / (t - a)^gamma overflows next to a = 5e-324; it was a
+        # RuntimeWarning, an error in this suite and in the CI's console runs
+        cfg = write_config(tmp_path, {"alpha": 0.75, "a": 5e-324, "c": 3.5,
+                                      "P": {"poly": [0, 1e-150]}, "f_a": -1e308,
+                                      "g_a": 1, "n": 64, "grading": 5})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        second = (out / "trace.csv").read_text().splitlines()[2].split(",")
+        assert second[1:3] == ["-1e+308", "-inf"]
 
 
 class TestBound:
@@ -533,6 +561,24 @@ class TestOutIsAFile:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: out: cannot make directory {out}" in capsys.readouterr().err
         assert taken.read_text() == "kept\n"
+
+
+class TestEmptyOut:
+    """An empty --out is a config error before any run (solve and verify
+    wrote into the working directory, bound and audit wrote no record)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "{cfg}"], ["verify", "--config", "{cfg}"],
+        ["bound", "--alpha", "0.75", "--m", "1"], ["audit", "--trials", "5"]],
+        ids=["solve", "verify", "bound", "audit"])
+    def test_is_a_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", ""]) == 2
+        assert "error: out: must not be empty" in capsys.readouterr().err
+        assert not any(cwd.iterdir())
 
 
 class TestMatrixCap:

@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -92,6 +93,17 @@ class TestCoefficientSpec:
             CoefficientSpec.const(math.nan).range_on(0.0, 1.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             CoefficientSpec.poly([0.0, 1e300, 1e300]).range_on(0.0, 1e10)
+
+    @pytest.mark.parametrize("coeffs,c,message", [
+        ([0.0, 0.0, 1e308], 1.0, r"must be finite, derivative is \[0.0, inf\]"),
+        ([1e308, 1e308], 1.0, r"must be finite on \[0.0, 1.0\], range is "
+                              r"\[1e\+308, inf\]"),
+        ([1.0, 2.0, -1.0, 1e-320], 2.0, "its stationary points are not finite")],
+        ids=["derivative", "value", "stationary_point"])
+    def test_overflowing_poly_is_a_config_error(self, coeffs, c, message):
+        # each overflow was a RuntimeWarning, an error in this suite
+        with pytest.raises(ConfigError, match=f"^P: {message}"):
+            fite_scenario(p_coeff=CoefficientSpec.poly(coeffs), c=c)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -371,16 +383,15 @@ class TestThetaArcs:
         spec = SweepSpec(**STANDARD_GRID, n=n)
         reports = iter(standard_sweep(n).reports)
         paired = []
-        for cell in spec.cells():
-            s = cell[0]
+        for s, directions in spec.cells():
             e1, e2 = solve_batch(s.p_coeff.as_callable(s.a), s.order, [1.0, 0.0],
                                  [0.0, 1.0], s.grid)
             arcs_f = theta_arcs(e1.f, e2.f, s.b, s.c)
             arcs_g = theta_arcs(e1.g, e2.g, s.b, s.c)
-            for c in cell:
-                theta = math.atan2(c.g_a, c.f_a)
+            for f_a, g_a, label in directions:
+                theta = math.atan2(g_a, f_a)
                 predicted = on_arcs(arcs_f, theta) and on_arcs(arcs_g, theta)
-                assert predicted == (next(reports).zero_pair is not None), c.label
+                assert predicted == (next(reports).zero_pair is not None), label
             if arcs_meet(arcs_f, arcs_g):
                 paired.append(s.length)
         assert next(reports, None) is None
@@ -440,6 +451,8 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 2.0),
                          directions=3, n=64)
         assert len(sweep(spec, workers=5000).reports) == 6  # two cells
@@ -449,13 +462,46 @@ class TestSweep:
         sweep(fite_scenario(n=64), workers=5000)  # one scenario runs in-process
         assert sizes == [2]
 
+    @pytest.mark.parametrize("affinity,count,sizes", [
+        ({0, 1, 2}, 8, [3]), ({0}, 8, []), (None, 4, [4]), (None, None, [])],
+        ids=["3_cpus", "1_cpu", "cpu_count", "unknown"])
+    def test_pool_is_capped_at_the_cpus(self, monkeypatch, affinity, count, sizes):
+        # 5000 workers on 5 cells asked for 5 processes, up to one per cell
+        recorded = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,),
+                         lengths=(0.5, 1.0, 1.5, 2.0, 2.5), directions=1, n=16)
+        assert len(sweep(spec, workers=5000).reports) == 5
+        assert recorded == sizes
+
     def test_failed_cell_fails_each_direction(self):
         # one solve per cell: the overflowing cell fails all 3 directions
         # with the detail each gives alone, and the order stays the sweep's
         spec = SweepSpec(alphas=(0.9,), p_infs=(1e300, 1.0), lengths=(1e8,),
                          directions=3, n=64)
         report = sweep(spec)
-        alone = [run_scenario(s) for cell in spec.cells() for s in cell]
+        alone = [run_scenario(s.with_direction(*d))
+                 for s, directions in spec.cells() for d in directions]
         assert [r.scenario.label for r in report.reports] == [
             f"alpha=0.9,P={p},L=100000000.0,dir={k}"
             for p in (1e300, 1.0) for k in range(3)]
@@ -476,10 +522,6 @@ class TestSweep:
             s.with_direction(0.0, 0.0)
         with pytest.raises(ConfigError, match="^g_a: must be finite"):
             s.with_direction(1.0, math.nan)
-
-    def test_cell_must_differ_only_in_direction(self):
-        with pytest.raises(ValueError, match="differ only in f_a, g_a and label"):
-            verify_module.solve_cell((fite_scenario(n=64), fite_scenario(n=96)))
 
     def test_empty_grid(self):
         # a sweep that checks nothing must not pass as a clean sweep

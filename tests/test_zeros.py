@@ -40,6 +40,13 @@ class TestFindZeros:
         zs = find_zeros(w, 0.1, 1.0)
         assert zs.size == 1 and zs[0] == pytest.approx(0.3, abs=1e-15)
 
+    def test_root_on_a_long_window(self):
+        # W falls from 4 to -4 across [5e307, 1e308]: 4 * 5e307 overflows, and
+        # the root was clipped to the bracket's end 1e308
+        g = build_grid(0.0, 1e308, 2, 1.0)
+        w = from_samples(np.array([4.0, 4.0, -4.0]), 0.0, g)
+        assert find_zeros(w, 1e300, 1e308).tolist() == [7.5e307]
+
     def test_single_sine_zero(self):
         g = build_grid(0.0, 2.0, 1024, 1.0)
         w = from_callable(lambda t: math.sin(math.pi * t), 0.0, 0.25, g)
