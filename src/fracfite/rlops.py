@@ -29,12 +29,12 @@ interpolate to their rows (the kernel-independent interpolation of
 black-box fast multipole methods and H-matrices); a block takes the cells
 at least _ETA of its widths away that its parent block does not. At
 _ETA = 2 the interpolant converges like 9.9^-k, below the 6-point rule's
-own error at k = 16. A block of 64 rows or more is kept as its two
-factors, the (rows x _CHEB) interpolation matrix and the (_CHEB x cells)
-sums; each 32-row leaf keeps one dense block with its diagonal, its
-16-point band, the cells left over and its own interpolated cells. The
+own error at k = 16. Every interpolating block, the 32-row leaves
+included, is kept as its two factors, the (rows x _CHEB) interpolation
+matrix and the (_CHEB x cells) sums; each 32-row leaf keeps one dense
+block with its diagonal, its 16-point band and the cells left over. The
 build makes O(n log n) far-field power evaluations, storage and one
-application are O(n log n) too (about 12 MiB at n = 4096, against 128 MiB
+application are O(n log n) too (about 11.6 MiB at n = 4096, against 128 MiB
 dense), and it is applied only block by block in row order (see
 KernelOperator.blocks). The substitution s = a + L sigma / n^r maps the
 grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on n,
@@ -118,9 +118,9 @@ class _Omega:
     _ROW_BLOCK rows from i0 = 2 + 32 q, leaf 0 the rows [1, 34), row 1 being
     its two Beta moments. A leaf is (i0, h, c, near, far):
       * near, dense, over the columns [0, h) and [c, end of the leaf): the
-        diagonal, the 16-point band, the far cells left over and the leaf's
-        own interpolated cells; h = c = 0 when the two ranges meet,
-      * far, the interpolating blocks of 32 * 2^l rows, l >= 1, whose first
+        diagonal, the 16-point band and the far cells left over; h = c = 0
+        when the two ranges meet,
+      * far, the interpolating blocks of 32 * 2^l rows, l >= 0, whose first
         row is this leaf's, in order of l, each as (c0, lag, P): rows
         lag @ P over the columns c0 .. c0 + P.shape[1] - 1, never
         multiplied out.
@@ -190,16 +190,9 @@ class _Omega:
         leaf = cut[0]
         for q in range(len(self.leaves), leaf.size):
             i0, i1 = 2 + q * _ROW_BLOCK, 2 + (q + 1) * _ROW_BLOCK
-            # The leaf's own interpolated cells c0..lc-1 are multiplied out
-            # into near: at 32 rows their factors save no work and would
-            # cost two more products per leaf.
             lc = int(leaf[q])
-            c0 = min(lc, int(cut[1][q // 2])) if q else lc
-            h, c = (0, 0) if c0 <= first + 1 else (first + 1, c0)
+            h, c = (0, 0) if lc <= first + 1 else (first + 1, lc)
             near = np.zeros((_ROW_BLOCK, h + i1 - c))  # rows i0..i1-1
-            if lc > c0:
-                tau, lag = _chebyshev_interp(nodes[i0:i1])
-                near[:, c0 + h - c:lc + 1 + h - c] = lag @ far(tau, c0, lc)
             r = np.arange(_ROW_BLOCK)
             i = i0 + r
             # cell [t_{i-1}, t_i] of each row: kernel singular at its right end
@@ -223,7 +216,7 @@ class _Omega:
                 near = np.vstack((np.r_[row1, np.zeros(i1 - 2)], near))
                 i0 = 1
             blocks = []
-            for lv in range(1, len(cut) - 1):  # the blocks of 2^lv leaves from q
+            for lv in range(len(cut) - 1):  # the blocks of 2^lv leaves from q
                 b = q >> lv
                 if q % (1 << lv) or b == 0:
                     break

@@ -101,5 +101,13 @@ def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
 
 
 def eval_reg(w: WeightedFn, t) -> np.ndarray | float:
-    """Piecewise-linear interpolant of the regularized samples at t in [a, c]."""
-    return np.interp(t, w.grid.nodes, w.reg_samples)
+    """Piecewise-linear interpolant of the regularized samples at t in [a, c]:
+    (1 - u) W_j + u W_{j+1} on the cell [t_j, t_{j+1}] holding t, with
+    u = (t - t_j) / (t_{j+1} - t_j) in [0, 1]. Up to rounding the value
+    lies between the cell's two samples, so it stays finite where the slope
+    (W_{j+1} - W_j) / (t_{j+1} - t_j) of a short cell overflows, and at a
+    node it is that node's sample exactly."""
+    nodes, W = w.grid.nodes, w.reg_samples
+    j = np.searchsorted(nodes[1:-1], t, side="right")  # t lies in cell j
+    u = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    return (1.0 - u) * W[j] + u * W[j + 1]

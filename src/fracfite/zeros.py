@@ -25,9 +25,10 @@ def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
     if not (grid.a < b < c_w <= grid.c):
         raise ValueError(
             f"window [{b!r}, {c_w!r}] not inside ({grid.a}, {grid.c}]")
-    inner = grid.nodes[(grid.nodes > b) & (grid.nodes < c_w)]
-    pts = np.concatenate([[b], inner, [c_w]])
-    vals = np.asarray(eval_reg(w, pts), dtype=float)
+    inner = (grid.nodes > b) & (grid.nodes < c_w)
+    pts = np.concatenate([[b], grid.nodes[inner], [c_w]])
+    ends = eval_reg(w, pts[[0, -1]])  # at a node the interpolant is its sample
+    vals = np.concatenate([ends[:1], w.reg_samples[inner], ends[1:]])
     k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     lo, hi, flo, fhi = pts[k], pts[k + 1], vals[k], vals[k + 1]
     # flo / (fhi - flo) lies in [-1, 0], so no product overflows on a long window

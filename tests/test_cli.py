@@ -536,6 +536,36 @@ def test_config_errors_raise_no_warning(tmp_path, cfg_obj):
     assert not (tmp_path / "out" / "verify.json").exists()
 
 
+class TestSteepWindowStart:
+    """A short graded cell with samples near 1e297 put an overflowing slope
+    into the interpolant at the window start b: find_zeros saw a false sign
+    change and took inf/inf, so verify wrote BOUND_HOLDS with a NaN zero."""
+
+    CONFIGS = [
+        {"alpha": 0.55, "a": 0, "c": 1e-12, "P": {"poly": [1, 1e300]},
+         "f_a": 1, "g_a": 1e300, "n": 100},
+        {"alpha": 0.51, "a": 0, "c": 1e-10, "P": {"poly": [1, 1.7e308]},
+         "f_a": 1e-320, "g_a": 1e300, "n": 100},
+        {"alpha": 0.99, "a": 1e-300, "c": 2e-300,
+         "P": {"table": [[-1, 1.7e308], [1.3333333333333334e-300, 0], [2.01e-300, 1]]},
+         "f_a": 1e20, "g_a": -1.7e308, "n": 2, "grading": 7}]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cfg_obj", CONFIGS, ids=["poly", "poly_max", "table"])
+    def test_no_zero_pair_in_strict_json(self, tmp_path, cfg_obj):
+        cfg = write_config(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"verify.json holds {name}")
+
+        report = json.loads((out / "verify.json").read_text(), parse_constant=reject)
+        [rep] = report["scenarios"]
+        assert rep["verdict"] == "NO_ZERO_PAIR"
+        assert rep["zero_pair"] is None
+
+
 class TestOutIsAFile:
     """--out naming an existing file, or a path under one, is a config error
     found before any run (it was a FileExistsError traceback, and verify ran

@@ -171,3 +171,13 @@ class TestNorms:
         g = build_grid(0.0, 1.0, 16, 2.0)
         w = from_callable(lambda t: math.cos(t), 1.0, 0.25, g)
         np.testing.assert_allclose(eval_reg(w, g.nodes), w.reg_samples)
+
+    def test_eval_reg_stays_between_the_samples_of_a_steep_cell(self):
+        # the slope 8.1e296 / 1.9e-13 of the first cell overflows
+        g = build_grid(0.0, 3.8e-13, 2, 1.0)
+        w = from_samples([-1.6e297, -7.9e296, 1.0], 0.45, g)
+        t = np.linspace(0.0, g.nodes[1], 7)
+        vals = eval_reg(w, t)
+        assert np.isfinite(vals).all()
+        assert ((-1.6e297 <= vals) & (vals <= -7.9e296)).all()
+        assert vals[0] == -1.6e297 and vals[-1] == -7.9e296
