@@ -45,7 +45,7 @@ def run(args) -> int:
     print(f"  min lhs/rhs among zero-pair scenarios: {coarse.min_ratio:.3f}")
     if coarse.counts["COUNTEREXAMPLE"]:
         for rep in coarse.counterexamples:
-            print(f"  !! {rep.scenario.label}: lhs={rep.lhs} rhs={rep.rhs}")
+            print(f"  !! {rep.direction[2]}: lhs={rep.lhs} rhs={rep.rhs}")
         return 1
 
     t0 = time.time()

@@ -137,10 +137,10 @@ def _num(x: float):
 
 
 def _report_obj(rep) -> dict:
-    s = rep.scenario
+    f_a, g_a, label = rep.direction
     obj = {
-        "scenario": s.to_obj(),
-        "label": s.label,
+        "scenario": {**rep.scenario.to_obj(), "f_a": f_a, "g_a": g_a},
+        "label": label,
         "verdict": rep.verdict,
         "residual": _num(rep.residual),
         "zero_pair": list(rep.zero_pair) if rep.zero_pair else None,

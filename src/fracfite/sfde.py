@@ -15,8 +15,9 @@ constant), so it is written with numpy functions. The solve is a causal
 marching scheme on the kernel operator's row blocks (rows [1, 34), then
 32 rows at a time): the history of the product-integration quadrature
 enters a block through the operator's blocks (rlops.KernelOperator.blocks),
-and the block's own coupling is solved by forward substitution through
-its Schur complement. It needs no contraction condition. The history
+and the block's own coupling is solved through its lower-triangular Schur
+complement by an LU solve with partial pivoting (np.linalg.solve). It
+needs no contraction condition. The history
 carries the kernel's scale, so no product on the raw nodes j^r, larger by
 (n^r)^{1-beta-gamma}, is formed. The equation is linear and homogeneous,
 so each solve marches only the (1, 0) and (0, 1) solutions (a 4-column

@@ -19,7 +19,6 @@ implementation bug; the sweep exists to hunt for exactly that.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -154,8 +153,12 @@ class CoefficientSpec:
         pts = tuple((float(t), float(v)) for t, v in points)
         if len(pts) < 2:
             raise ValueError("table needs at least two points")
-        if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
-            raise ValueError("table abscissae must be strictly increasing")
+        if not all(math.isfinite(x) for p in pts for x in p):
+            raise ValueError("table knots and values must be finite")
+        # a gap that overflows would make np.interp's slope 0
+        if not all(0.0 < t2 - t1 < math.inf for (t1, _), (t2, _) in zip(pts, pts[1:])):
+            raise ValueError("table abscissae must be strictly increasing, "
+                             "with finite gaps")
         return cls("table", pts)
 
     @classmethod
@@ -224,15 +227,6 @@ class CoefficientSpec:
         return lo, hi
 
 
-def _check_direction(f_a: float, g_a: float) -> None:
-    """The checks on a scenario's initial data: finite and nontrivial."""
-    for name, value in (("f_a", f_a), ("g_a", g_a)):
-        if not math.isfinite(value):
-            raise ConfigError(name, f"must be finite, got {value!r}")
-    if f_a == 0.0 and g_a == 0.0:
-        raise ConfigError("f_a", "trivial data: (f_a, g_a) must not be (0, 0)")
-
-
 def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
     """spec.range_on(a, c), with any error reported under the field name."""
     try:
@@ -245,7 +239,7 @@ def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
 class Scenario(_Config):
     """One solvable instance plus the window for the zero search. Its tol
     is read by no solve (the marching solve has no tolerance); it is
-    checked to be > 0 and echoed, for the configs that carry it."""
+    checked to be finite and > 0 and echoed, for the configs that carry it."""
 
     _WHERE = "config"
 
@@ -259,12 +253,11 @@ class Scenario(_Config):
     n: int = _key("n", _int, 512)
     r: float = _key("grading", _real, 2.0)
     tol: float = _key("tol", _real, 1e-10)
-    label: str = ""
     p_sup: float = field(init=False, repr=False, compare=False)
     grid: GradedGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
+        for name in ("a", "b", "c", "f_a", "g_a"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value!r}")
@@ -279,9 +272,10 @@ class Scenario(_Config):
             raise ConfigError("n", f"must be at most {_MAX_N}, got {self.n!r}")
         if not (self.r >= 1.0):
             raise ConfigError("grading", f"must be >= 1, got {self.r!r}")
-        if not (self.tol > 0.0):
-            raise ConfigError("tol", f"must be positive, got {self.tol!r}")
-        _check_direction(self.f_a, self.g_a)
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError("tol", f"must be finite and positive, got {self.tol!r}")
+        if self.f_a == 0.0 and self.g_a == 0.0:
+            raise ConfigError("f_a", "trivial data: (f_a, g_a) must not be (0, 0)")
         if not (self.a < self.b < self.c):
             raise ConfigError(
                 "c" if self.a >= self.c else "b", "need 'a' < 'b' < 'c', got "
@@ -300,18 +294,9 @@ class Scenario(_Config):
     def length(self) -> float:
         return self.c - self.a
 
-    def with_direction(self, f_a: float, g_a: float, label: str = "") -> Scenario:
-        """This scenario with initial data (f_a, g_a) and label; it shares
-        the grid and P range validated here and checks only the new data."""
-        _check_direction(f_a, g_a)
-        other = copy.copy(self)
-        for name, value in (("f_a", f_a), ("g_a", g_a), ("label", label)):
-            object.__setattr__(other, name, value)
-        return other
-
     def cells(self) -> tuple[Cell]:
         """A single scenario runs as a sweep of one cell of one direction."""
-        return ((self, ((self.f_a, self.g_a, self.label),)),)
+        return ((self, ((self.f_a, self.g_a, ""),)),)
 
 
 # one validated scenario and its directions (f_a, g_a, label), which share it
@@ -320,7 +305,12 @@ Cell = tuple[Scenario, tuple[tuple[float, float, str], ...]]
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """One direction's run. scenario is its cell's validated Scenario, shared
+    by the cell's reports; in a sweep its f_a, g_a are the cell's (1, 0),
+    and the report's own data are direction = (f_a, g_a, label)."""
+
     scenario: Scenario
+    direction: tuple[float, float, str]
     verdict: str
     residual: float = math.nan
     zero_pair: tuple[float, float] | None = None
@@ -346,27 +336,26 @@ def solve_cell(cell: Cell) -> tuple[SolveReport, ...]:
 
 def run_cell(cell: Cell, rhs_scale: float = 1.0) -> list[VerifyReport]:
     """Solve a cell (see solve_cell) once and classify each direction; each
-    report's scenario is the cell's with that direction's f_a, g_a and
-    label, and the bound (m, p*, minimal length, lhs, rhs) is the cell's.
+    report carries the cell's scenario and its direction, and the bound
+    (m, p*, minimal length, lhs, rhs) is the cell's.
     A failed solve fails every direction of the cell with the same detail.
 
     rhs_scale multiplies the bound's right side; it exists purely as a
     fault-injection hook for negative-path tests of the harness.
     """
     s, directions = cell
-    scenarios = [s.with_direction(*d) for d in directions]
     try:
         solves = solve_cell(cell)
     except ConvergenceError as exc:
-        return [VerifyReport(scenario=c, verdict=SOLVER_FAILED, detail=str(exc))
-                for c in scenarios]
+        return [VerifyReport(scenario=s, direction=d, verdict=SOLVER_FAILED,
+                             detail=str(exc)) for d in directions]
 
     m = max(1.0, s.p_sup)
     p_star, min_len = best_min_length(s.order, m)
     lhs = fite_lhs(s.order, p_star, m, s.length)
     rhs = fite_rhs(s.order) * rhs_scale
     reports = []
-    for c, report in zip(scenarios, solves):
+    for d, report in zip(directions, solves):
         pair = first_zero_pair(report.f, report.g, s.b, s.c)
         if pair is None:
             verdict = NO_ZERO_PAIR
@@ -375,8 +364,8 @@ def run_cell(cell: Cell, rhs_scale: float = 1.0) -> list[VerifyReport]:
         else:
             verdict = COUNTEREXAMPLE
         reports.append(VerifyReport(
-            scenario=c, verdict=verdict, residual=report.residual, zero_pair=pair,
-            m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs))
+            scenario=s, direction=d, verdict=verdict, residual=report.residual,
+            zero_pair=pair, m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs))
     return reports
 
 

@@ -3,7 +3,8 @@
 None of these is called by the package's pipeline: the Mittag-Leffler
 series (an arbitrary-precision solver oracle, the reason mpmath is a test
 dependency) and the closed-form solution of the constant-P sequential
-equation built on it, the weakly singular operator q_operator on rlops'
+equation built on it, the fractional power series of the solution for a
+polynomial P, the weakly singular operator q_operator on rlops'
 kernel matrix and the Riemann-Liouville integral and derivative built on
 it, the closed-form check of the classical second-order Fite statement,
 the node-by-node marching loop that the blocked solve in sfde replaces,
@@ -106,6 +107,68 @@ def fite_closed_form(alpha: float, P: float, f_a: float, g_a: float,
     ga = gamma_fn(alpha)
     return (ga * (f_a * A + g_a * P ** -0.5 * B),
             ga * (g_a * A - f_a * P ** 0.5 * B))
+
+
+_SERIES_DPS = 60
+
+
+@dataclass(frozen=True)
+class PolySeries:
+    """The exact regularized parts of the solution of D^alpha(D^alpha f) +
+    P f = 0 for a polynomial P, as levels of a fractional power series:
+    levels[column][l] maps i to the coefficient of (t-a)^{l alpha + i} in
+    W_f (column 0) or W_g (column 1)."""
+
+    alpha: float
+    levels: tuple[list[dict], list[dict]]
+
+    def __call__(self, column: int, t: float, first: int = 0) -> float:
+        """W_f or W_g at distance t >= 0 from a, summed over the levels from
+        `first` on."""
+        with mp.workdps(_SERIES_DPS):
+            t = mp.mpf(t)
+            x, total = t ** mp.mpf(self.alpha), mp.mpf(0)
+            for l, terms in enumerate(self.levels[column][first:], first):
+                if terms:  # sum_i c_i t^i, highest power first
+                    total += x ** l * mp.polyval(
+                        [terms.get(i, 0) for i in range(max(terms), -1, -1)], t)
+            return float(total)
+
+
+def poly_series(alpha: float, coeffs, f_a: float, g_a: float,
+                levels: int) -> PolySeries:
+    """Picard iteration of the Volterra system for P(t) = sum_k coeffs[k]
+    (t-a)^k, exact on monomials since I^alpha (t-a)^mu = Gamma(mu+1) /
+    Gamma(mu+1+alpha) (t-a)^{mu+alpha}: F_0 = f_a (t-a)^{alpha-1}, G_0 =
+    g_a (t-a)^{alpha-1}, F_{l+1} = I^alpha G_l, G_{l+1} = -I^alpha (P F_l);
+    f = sum F_l and g = sum G_l, to `levels` levels, at 60 digits (the
+    generalised power series method of Kilbas, Srivastava & Trujillo, 2006).
+    Level l holds the exponents alpha - 1 + l alpha + i, so W = (t-a)^{1-alpha}
+    times it holds l alpha + i. At degree 0 this is the Mittag-Leffler form."""
+    with mp.workdps(_SERIES_DPS):
+        al, p = mp.mpf(alpha), [mp.mpf(c) for c in coeffs]
+
+        def integral(terms, l):
+            # I^alpha of sum c (t-a)^{(l+1) alpha - 1 + i}: the gamma ratio
+            # Gamma((l+1) alpha + i) / Gamma((l+2) alpha + i), by recurrence in i
+            out, ratio = {}, mp.gamma((l + 1) * al) / mp.gamma((l + 2) * al)
+            for i in range(max(terms, default=-1) + 1):
+                if i in terms:
+                    out[i] = terms[i] * ratio
+                ratio *= ((l + 1) * al + i) / ((l + 2) * al + i)
+            return out
+
+        F, G = ({0: mp.mpf(d)} if d else {} for d in (f_a, g_a))
+        wf, wg = [], []
+        for l in range(levels):
+            wf.append(F)
+            wg.append(G)
+            pf = {}
+            for i, c in F.items():
+                for k, pk in enumerate(p):
+                    pf[i + k] = pf.get(i + k, 0) + c * pk
+            F, G = integral(G, l), {i: -c for i, c in integral(pf, l).items()}
+    return PolySeries(alpha, (wf, wg))
 
 
 def _check_regime(beta: float, gamma: float) -> None:
@@ -477,14 +540,15 @@ def norm_window(w: WeightedFn, b: float, c_w: float) -> float:
     max_{t in [b, c_w]} (t-a)^gamma |f(t)| = max |W| there.
 
     W is piecewise linear, so the max is attained at a node or at one of
-    the interpolated window endpoints.
+    the window endpoints, evaluated by eval_reg, which stays finite on a
+    cell whose slope overflows.
     """
     if not (w.grid.a < b <= c_w <= w.grid.c):
         raise ValueError(
             f"window [{b!r}, {c_w!r}] not inside ({w.grid.a}, {w.grid.c}]")
     nodes = w.grid.nodes
     inside = w.reg_samples[(nodes >= b) & (nodes <= c_w)]
-    ends = np.interp([b, c_w], nodes, w.reg_samples)
+    ends = eval_reg(w, np.array([b, c_w]))
     vals = np.concatenate([ends, inside]) if inside.size else ends
     return float(np.abs(vals).max())
 

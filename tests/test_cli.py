@@ -340,12 +340,18 @@ class TestVerify:
 
 # Each reproduced a traceback (exit 1) from `solve`, a SOLVER_FAILED verdict
 # with exit 0 from `verify`, or a silent fallback to marching (max_iter 0).
+# The tables exited 0: infinite knots or a NaN value were written into the
+# reports as non-strict JSON, and a knot gap of 2e308 overflowed, so P was
+# interpolated as a constant.
 # scheme and max_iter are retired keys, rejected as unknown ("auto" was the
 # Picard-then-marching scheme).
 BAD_SCENARIO_FIELDS = [("n", 1), ("tol", -1.0), ("scheme", "bogus"),
                        ("scheme", "auto"), ("grading", 0.5), ("max_iter", 0),
                        ("c", math.inf), ("f_a", math.nan), ("g_a", math.inf),
-                       ("P", {"const": math.nan}), ("P", {"const": math.inf})]
+                       ("P", {"const": math.nan}), ("P", {"const": math.inf}),
+                       ("P", {"table": [[-math.inf, 1], [math.inf, 1]]}),
+                       ("P", {"table": [[-1, math.nan], [0, 1], [10, 1]]}),
+                       ("P", {"table": [[-1e308, 1], [1e308, 2]]})]
 # Sweep configs carry no scheme, c, f_a, g_a or P field. A non-numeric
 # list entry gave a traceback (exit 1); an empty list or no directions wrote
 # a verify.json with zero scenarios and exited 0; a non-finite P gave

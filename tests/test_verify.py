@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
-                      best_min_length, run_scenario, sweep)
+                      best_min_length, find_zeros, run_scenario, sweep)
 from fracfite import bounds, rlops
 from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch
 from oracles import (arcs_meet, classical_fite_check, fite_closed_form, on_arcs,
-                     theta_arcs)
+                     poly_series, theta_arcs)
 
 ORDER = Order(0.75)
 
@@ -105,6 +105,16 @@ class TestCoefficientSpec:
         with pytest.raises(ConfigError, match=f"^P: {message}"):
             fite_scenario(p_coeff=CoefficientSpec.poly(coeffs), c=c)
 
+    @pytest.mark.parametrize("points,message", [
+        ([[-math.inf, 1.0], [math.inf, 1.0]], "knots and values must be finite"),
+        ([[0.0, 1.0], [1.0, math.nan]], "knots and values must be finite"),
+        ([[-1e308, 1.0], [1e308, 2.0]], "with finite gaps")],
+        ids=["knot", "value", "gap"])
+    def test_table_rejects(self, points, message):
+        # a gap of 2e308 overflows, and np.interp's slope over it is 0
+        with pytest.raises(ValueError, match=message):
+            CoefficientSpec.table(points)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             CoefficientSpec.from_obj({"spline": [1.0]})
@@ -125,7 +135,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             fite_scenario(p_coeff=CoefficientSpec.const(-0.5))
 
-    @pytest.mark.parametrize("field", ["a", "b", "c", "f_a", "g_a"])
+    @pytest.mark.parametrize("field", ["a", "b", "c", "f_a", "g_a", "tol"])
     def test_non_finite_field_rejected(self, field):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{field}: must be finite"):
@@ -263,7 +273,7 @@ class TestRunScenario:
         # give the same zero pair, so the same verdict, however small the
         # solution is
         s = fite_scenario(c=10.0, n=256, f_a=0.0, g_a=1.0)
-        big, small = (run_scenario(s.with_direction(0.0, g_a), rhs_scale=1e3)
+        big, small = (run_scenario(dataclasses.replace(s, g_a=g_a), rhs_scale=1e3)
                       for g_a in (1.0, 1e-12))
         assert big.verdict == small.verdict == "COUNTEREXAMPLE"
         assert small.zero_pair == pytest.approx(big.zero_pair, abs=1e-12 * s.length)
@@ -325,12 +335,13 @@ class TestClosedFormZeros:
         assert len(held) == 68
         for rep in held:
             s = rep.scenario
+            f_a, g_a, label = rep.direction
             tol = 5e-5 * s.length
             for column, z in enumerate(rep.zero_pair):
-                lo, hi = (fite_closed_form(s.order.alpha, s.p_sup, s.f_a, s.g_a,
+                lo, hi = (fite_closed_form(s.order.alpha, s.p_sup, f_a, g_a,
                                            z - s.a + dz)[column]
                           for dz in (-tol, tol))
-                assert lo * hi < 0.0, (s.label, "fg"[column], z)
+                assert lo * hi < 0.0, (label, "fg"[column], z)
 
     def test_standard_sweep_zero_pairs_are_exact_zeros(self):
         # Every zero of f and of D^alpha f in a BOUND_HOLDS zero pair of the
@@ -364,11 +375,65 @@ class TestClosedFormZeros:
                 basis[cell] = np.array([fite_closed_form(*cell[:2], 1.0, 0.0, x)
                                         for x in t]).T
             wf10, wg10 = basis[cell]
-            wf = s.f_a * wf10 - s.g_a * wg10 / s.p_sup
-            wg = s.g_a * wf10 + s.f_a * wg10
+            f_a, g_a, label = rep.direction
+            wf = f_a * wf10 - g_a * wg10 / s.p_sup
+            wg = g_a * wf10 + f_a * wg10
             one_signed = any(np.all(w > 0.0) or np.all(w < 0.0) for w in (wf, wg))
-            assert one_signed == (rep.verdict == "NO_ZERO_PAIR"), s.label
+            assert one_signed == (rep.verdict == "NO_ZERO_PAIR"), label
         assert len(basis) == 27
+
+
+POLY_SCENARIO = {"alpha": 0.75, "a": 0.0, "c": 6.0, "P": {"poly": [1.0, 0.5]},
+                 "f_a": 0.0, "g_a": 1.0, "n": 1024}
+POLY_LEVELS = 160  # 120 levels agree to every printed digit
+
+
+@functools.lru_cache(maxsize=None)
+def poly_exact():
+    return poly_series(0.75, (1.0, 0.5), 0.0, 1.0, POLY_LEVELS)
+
+
+@functools.lru_cache(maxsize=None)
+def poly_solve():
+    s = Scenario.from_obj(POLY_SCENARIO)
+    (rep,) = verify_module.solve_cell(s.cells()[0])
+    return s, rep
+
+
+class TestPolySeriesZeros:
+    """P = 1 + 0.5 (t - a) on [0, 6] against its exact fractional power
+    series, whose W_f changes sign within 1e-6 of 2.1943806, 4.2052168 and
+    5.6552054."""
+
+    def test_zeros_are_exact_zeros(self):
+        # Each zero of f and of D^alpha f in the window lies within 5e-5 L of
+        # a sign change of the exact W_f or W_g. The worst measured
+        # |solver - exact| over the 3 f and 3 g zeros is 1.27e-5 L at n = 1024
+        # (4.68e-5 L at 512, 3.56e-6 L at 2048), so the tolerance is 3.9x it.
+        s, rep = poly_solve()
+        exact, tol = poly_exact(), 5e-5 * s.length
+        zeros = [find_zeros(w, s.b, s.c) for w in (rep.f, rep.g)]
+        assert [len(zs) for zs in zeros] == [3, 3]
+        for column, zs in enumerate(zeros):
+            for z in zs:
+                lo, hi = (exact(column, z - s.a + dz) for dz in (-tol, tol))
+                assert lo * hi < 0.0, ("fg"[column], z)
+
+    def test_last_levels_are_below_rounding(self):
+        # With f_a = 0, W_f has terms on odd levels only and W_g on even
+        # ones, so each column's last two levels are one level, whose
+        # coefficients share a sign: its largest value is at t = c.
+        s, rep = poly_solve()
+        window = s.grid.nodes >= s.b
+        for column, w in enumerate((rep.f, rep.g)):
+            tail = poly_exact()(column, s.length, first=POLY_LEVELS - 2)
+            assert abs(tail) < 1e-16 * np.abs(w.reg_samples[window]).max()
+
+    def test_degree_0_is_the_closed_form(self):
+        series = poly_series(0.75, (2.0,), 0.3, 1.0, 120)
+        for t in (0.5, 3.0, 6.0):
+            assert [series(column, t) for column in (0, 1)] == pytest.approx(
+                fite_closed_form(0.75, 2.0, 0.3, 1.0, t), rel=1e-13, abs=1e-15)
 
 
 class TestThetaArcs:
@@ -500,9 +565,9 @@ class TestSweep:
         spec = SweepSpec(alphas=(0.9,), p_infs=(1e300, 1.0), lengths=(1e8,),
                          directions=3, n=64)
         report = sweep(spec)
-        alone = [run_scenario(s.with_direction(*d))
-                 for s, directions in spec.cells() for d in directions]
-        assert [r.scenario.label for r in report.reports] == [
+        alone = [run_scenario(dataclasses.replace(s, f_a=f_a, g_a=g_a))
+                 for s, directions in spec.cells() for f_a, g_a, _ in directions]
+        assert [r.direction[2] for r in report.reports] == [
             f"alpha=0.9,P={p},L=100000000.0,dir={k}"
             for p in (1e300, 1.0) for k in range(3)]
         assert report.verdicts[:3] == ("SOLVER_FAILED",) * 3
@@ -512,16 +577,17 @@ class TestSweep:
         assert [(r.verdict, r.detail) for r in report.reports] == [
             (r.verdict, r.detail) for r in alone]
 
-    def test_with_direction_checks_the_data(self):
-        s = fite_scenario(n=64)
-        other = s.with_direction(0.6, 0.8, "x")
-        assert (other.f_a, other.g_a, other.label) == (0.6, 0.8, "x")
-        assert other.grid is s.grid
-        assert (s.f_a, s.g_a) == (0.0, 1.0)
-        with pytest.raises(ConfigError, match="^f_a: trivial data"):
-            s.with_direction(0.0, 0.0)
-        with pytest.raises(ConfigError, match="^g_a: must be finite"):
-            s.with_direction(1.0, math.nan)
+    def test_reports_share_their_cell_scenario(self):
+        # each report of a cell is that cell's one validated Scenario (no
+        # copy per direction) and carries its direction, in the cell's order
+        spec = SweepSpec(alphas=(0.75,), p_infs=(0.5, 2.0), lengths=(1.0,),
+                         directions=3, seed=5, random_directions=True, n=32)
+        reports = iter(sweep(spec).reports)
+        for s, directions in spec.cells():
+            cell = [next(reports) for _ in directions]
+            assert all(r.scenario is s for r in cell)
+            assert [r.direction for r in cell] == list(directions)
+        assert next(reports, None) is None
 
     def test_empty_grid(self):
         # a sweep that checks nothing must not pass as a clean sweep
@@ -576,7 +642,7 @@ class TestSweep:
         # A sweep at any corner of the three bounds at n = 16383, scaled from
         # small runs (tracemalloc): the scenarios it keeps, at the peak per
         # scenario of in-process `fracfite verify` (27 cells of 20
-        # directions at n = 16, about 5.9 KiB), one cell's batched solve
+        # directions at n = 16, about 5.6 KiB), one cell's batched solve
         # (per direction and node, 16 directions at n = 1024) with its
         # kernel, and each cell's validated grid.
         def traced(run):

@@ -159,6 +159,14 @@ class TestNorms:
         vals = [norm_window(w, 0.4 - d, 0.6 + d) for d in (0.0, 0.1, 0.2, 0.3)]
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
+    def test_window_norm_of_a_steep_cell(self):
+        # the first cell's slope overflows, which np.interp turned into an
+        # inf window end; the max is W at the window's left end
+        g = build_grid(0.0, 3.8e-13, 2, 1.0)
+        w = from_samples([-1.6e297, -7.9e296, 1.0], 0.45, g)
+        assert norm_window(w, 1e-13, 3.8e-13) == abs(eval_reg(w, 1e-13))
+        assert norm_window(w, 1e-13, 3.8e-13) == pytest.approx(1.1737e297, rel=1e-4)
+
     def test_window_bounds_checked(self):
         g = build_grid(0.0, 1.0, 8, 2.0)
         w = from_callable(lambda t: 1.0, 1.0, 0.25, g)
