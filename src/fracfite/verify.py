@@ -24,7 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,7 +32,7 @@ from numpy.polynomial import polynomial as npoly
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
 from .rlops import node_scale
-from .sfde import SolveReport, solve_batch
+from .sfde import SolveReport, solve_batch, solve_cells
 from .weighted import GradedGrid, Order, build_grid
 from .zeros import first_zero_pair
 
@@ -40,6 +40,7 @@ _MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
 # Plain bounds on a sweep, which holds at most 2 GiB within them at n = _MAX_N:
 _MAX_DIRECTIONS = 512  # a cell's batched solve, 61 bytes per direction and node
 _MAX_CELLS = 2048  # each cell keeps its validated grid, 129 KiB at n = _MAX_N
+_MAX_MARCH = 64  # cells per march; a group holds 210 bytes per cell and node
 _MAX_SCENARIOS = 2**17  # cells x directions; each is kept, 5.6 KiB in `verify`
 
 BOUND_HOLDS = "BOUND_HOLDS"
@@ -155,7 +156,7 @@ class CoefficientSpec:
             raise ValueError("table needs at least two points")
         if not all(math.isfinite(x) for p in pts for x in p):
             raise ValueError("table knots and values must be finite")
-        # a gap that overflows would make np.interp's slope 0
+        # a gap that overflows would make the interpolant constant on it
         if not all(0.0 < t2 - t1 < math.inf for (t1, _), (t2, _) in zip(pts, pts[1:])):
             raise ValueError("table abscissae must be strictly increasing, "
                              "with finite gaps")
@@ -189,9 +190,16 @@ class CoefficientSpec:
         if self.kind != "table":
             coeffs = self.data
             return lambda t: sum(ck * (t - a) ** k for k, ck in enumerate(coeffs))
-        ts = np.asarray([p[0] for p in self.data])
-        vs = np.asarray([p[1] for p in self.data])
-        return lambda t: np.interp(t, ts, vs)
+        ts, vs = np.array(self.data).T
+
+        def table(t):
+            # (1 - u) v_j + u v_{j+1} on the knot cell holding t, clamped at
+            # the ends like np.interp, whose slope (v_{j+1} - v_j) / (t_{j+1}
+            # - t_j) overflows between values far apart (see weighted.eval_reg)
+            j = np.searchsorted(ts[1:-1], t, side="right")
+            u = np.clip((t - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
+            return (1.0 - u) * vs[j] + u * vs[j + 1]
+        return table
 
     def range_on(self, a: float, c: float) -> tuple[float, float]:
         """(min, max) over [a, c], exact: a piecewise linear table takes its
@@ -326,52 +334,60 @@ class VerifyReport:
         return self.lhs / self.rhs if self.rhs else math.nan
 
 
+def _problem(cell: Cell):
+    """A cell as sfde solves it: (P, f_a, g_a, grid) of its directions."""
+    s, directions = cell
+    f_a, g_a, _ = zip(*directions)
+    return s.p_coeff.as_callable(s.a), f_a, g_a, s.grid
+
+
 def solve_cell(cell: Cell) -> tuple[SolveReport, ...]:
     """Solve a cell's directions in one batched solve on the graded grid
     its scenario validated; one report per direction, in order."""
-    s, directions = cell
-    f_a, g_a, _ = zip(*directions)
-    return solve_batch(s.p_coeff.as_callable(s.a), s.order, f_a, g_a, s.grid)
+    P, f_a, g_a, grid = _problem(cell)
+    return solve_batch(P, cell[0].order, f_a, g_a, grid)
 
 
-def run_cell(cell: Cell, rhs_scale: float = 1.0) -> list[VerifyReport]:
-    """Solve a cell (see solve_cell) once and classify each direction; each
-    report carries the cell's scenario and its direction, and the bound
-    (m, p*, minimal length, lhs, rhs) is the cell's.
-    A failed solve fails every direction of the cell with the same detail.
+def run_group(cells: list[Cell], rhs_scale: float = 1.0) -> list[VerifyReport]:
+    """Solve cells that share (order, n, r) in one march (sfde.solve_cells),
+    then classify each cell's directions, one cell at a time; each report
+    carries its cell's scenario and its direction, and the bound (m, p*,
+    minimal length, lhs, rhs) is the cell's. A cell whose solve fails fails
+    each of its directions with the detail its own solve gives.
 
     rhs_scale multiplies the bound's right side; it exists purely as a
     fault-injection hook for negative-path tests of the harness.
     """
-    s, directions = cell
-    try:
-        solves = solve_cell(cell)
-    except ConvergenceError as exc:
-        return [VerifyReport(scenario=s, direction=d, verdict=SOLVER_FAILED,
-                             detail=str(exc)) for d in directions]
-
-    m = max(1.0, s.p_sup)
-    p_star, min_len = best_min_length(s.order, m)
-    lhs = fite_lhs(s.order, p_star, m, s.length)
-    rhs = fite_rhs(s.order) * rhs_scale
+    order = cells[0][0].order
+    if any(s.order != order for s, _ in cells):
+        raise ValueError("the cells of one march need one order")
     reports = []
-    for d, report in zip(directions, solves):
-        pair = first_zero_pair(report.f, report.g, s.b, s.c)
-        if pair is None:
-            verdict = NO_ZERO_PAIR
-        elif lhs >= rhs:
-            verdict = BOUND_HOLDS
-        else:
-            verdict = COUNTEREXAMPLE
-        reports.append(VerifyReport(
-            scenario=s, direction=d, verdict=verdict, residual=report.residual,
-            zero_pair=pair, m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs))
+    for (s, directions), solves in zip(cells, solve_cells(order, map(_problem, cells))):
+        if isinstance(solves, ConvergenceError):
+            reports += [VerifyReport(scenario=s, direction=d, verdict=SOLVER_FAILED,
+                                     detail=str(solves)) for d in directions]
+            continue
+        m = max(1.0, s.p_sup)
+        p_star, min_len = best_min_length(s.order, m)
+        lhs = fite_lhs(s.order, p_star, m, s.length)
+        rhs = fite_rhs(s.order) * rhs_scale
+        for d, report in zip(directions, solves):
+            pair = first_zero_pair(report.f, report.g, s.b, s.c)
+            if pair is None:
+                verdict = NO_ZERO_PAIR
+            elif lhs >= rhs:
+                verdict = BOUND_HOLDS
+            else:
+                verdict = COUNTEREXAMPLE
+            reports.append(VerifyReport(
+                scenario=s, direction=d, verdict=verdict, residual=report.residual,
+                zero_pair=pair, m=m, p_star=p_star, min_len=min_len, lhs=lhs, rhs=rhs))
     return reports
 
 
 def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
     """Solve one scenario and classify it: its cell of one direction."""
-    return run_cell(s.cells()[0], rhs_scale)[0]
+    return run_group(s.cells(), rhs_scale)[0]
 
 
 @dataclass(frozen=True)
@@ -474,27 +490,38 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _groups(cells: list[Cell]) -> list[list[Cell]]:
+    """The marches of a sweep: runs of consecutive cells that share (order,
+    n, r), in sweep order, cut into groups of at most _MAX_MARCH cells."""
+    groups = []
+    for _, run in groupby(cells, key=lambda cell: (cell[0].order, cell[0].n, cell[0].r)):
+        run = list(run)
+        groups += [run[i:i + _MAX_MARCH] for i in range(0, len(run), _MAX_MARCH)]
+    return groups
+
+
 def sweep(spec: Scenario | SweepSpec, workers: int = 1,
           rhs_scale: float = 1.0) -> SweepReport:
     """Run every scenario of a parsed config (a Scenario is a sweep of one),
-    one cell (the directions of one (alpha, P, L)) at a time; deterministic
-    for a given spec and seed regardless of worker count (cell and scenario
-    order are fixed up front). The pool has at most one worker per cell and
-    per CPU the process may run on; with one, the run stays in-process."""
+    one group of cells (see _groups) per march, and each cell's directions
+    classified in turn; deterministic for a given spec and seed regardless
+    of worker count (groups, cell and scenario order are fixed up front).
+    The pool has at most one worker per group and per CPU the process may
+    run on; with one, the run stays in-process."""
     if not (math.isfinite(rhs_scale) and rhs_scale > 0.0):
         raise ConfigError("rhs_scale", f"must be finite and > 0, got {rhs_scale!r}")
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
-    cells = spec.cells()
-    run = partial(run_cell, rhs_scale=rhs_scale)
+    groups = _groups(spec.cells())
+    run = partial(run_group, rhs_scale=rhs_scale)
     # the fork start method launches all max_workers processes at once
-    workers = min(workers, len(cells), _cpu_count())
+    workers = min(workers, len(groups), _cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, cells))
+            done = list(pool.map(run, groups))
     else:
-        done = list(map(run, cells))
-    reports = [rep for cell in done for rep in cell]
+        done = list(map(run, groups))
+    reports = [rep for group in done for rep in group]
     counts = {v: sum(rep.verdict == v for rep in reports) for v in VERDICTS}
     ratios = [rep.ratio for rep in reports if rep.zero_pair is not None
               and math.isfinite(rep.ratio)]

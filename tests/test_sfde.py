@@ -191,7 +191,8 @@ class TestBlockedMarching:
         g = build_grid(0.0, 3.0, n, 2.0)
         omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
         data = _node_data(P, ORDER, g)
-        basis_f, basis_g, _ = _marching(omega, scale, *data)
+        (basis_f,), (basis_g,), _ = _marching(omega, np.array([scale]),
+                                              *(x[None] for x in data))
         assert basis_f.shape == basis_g.shape == (n + 1, 2)
         for f_a, g_a in (([0.6], [-0.8]), ([0.6, 1.0, -0.3], [-0.8, 0.0, 2.0])):
             wf, wg = basis_f @ [f_a, g_a], basis_g @ [f_a, g_a]

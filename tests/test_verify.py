@@ -18,7 +18,7 @@ from fracfite import bounds, rlops
 from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
-from fracfite.sfde import solve_batch
+from fracfite.sfde import solve_batch, solve_cells
 from oracles import (arcs_meet, classical_fite_check, fite_closed_form, on_arcs,
                      poly_series, theta_arcs)
 
@@ -111,7 +111,7 @@ class TestCoefficientSpec:
         ([[-1e308, 1.0], [1e308, 2.0]], "with finite gaps")],
         ids=["knot", "value", "gap"])
     def test_table_rejects(self, points, message):
-        # a gap of 2e308 overflows, and np.interp's slope over it is 0
+        # a gap of 2e308 overflows, and the interpolant over it is constant
         with pytest.raises(ValueError, match=message):
             CoefficientSpec.table(points)
 
@@ -315,6 +315,20 @@ class TestRunScenario:
             assert rep.verdict == "SOLVER_FAILED"
             assert detail in rep.detail
 
+    def test_table_between_values_far_apart_solves(self):
+        # the slope (1.7e308 - 0) / 0.5 of np.interp overflowed: P(0.1) was
+        # inf, where it is 3.4e307, and the scenario SOLVER_FAILED
+        table = [[0, 0], [0.5, 1.7e308], [10, 0]]
+        P = CoefficientSpec.table(table).as_callable(0.0)
+        assert P(0.1) == pytest.approx(3.4e307, rel=1e-15)
+        assert P(np.array([0.0, 0.5, 10.0])).tolist() == [0.0, 1.7e308, 0.0]
+        s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 10, "P": {"table": table},
+                               "f_a": 0, "g_a": 1, "n": 64})
+        rep = run_scenario(s)
+        assert rep.verdict == "BOUND_HOLDS"
+        assert rep.residual <= 1e-13  # 8.0e-15
+
+
 STANDARD_GRID = dict(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
                      lengths=(0.05, 0.5, 5.0), directions=8, seed=42)
 
@@ -463,6 +477,74 @@ class TestThetaArcs:
         assert paired == [5.0] * 9
 
 
+class TestGroupMarch:
+    """A sweep marches the cells of one alpha together: one walk of the
+    kernel operator and one stacked block solve per group."""
+
+    @staticmethod
+    def samples(reports):
+        return [(r.f.reg_samples, r.g.reg_samples, r.residual) for r in reports]
+
+    def test_one_cell_is_the_single_solve(self):
+        # a group of one is bit for bit the cell's own solve_batch
+        spec = SweepSpec(alphas=(0.6, 0.9), p_infs=(0.5, 2.0), lengths=(0.5, 5.0),
+                         directions=3, n=613)
+        for cell in spec.cells():
+            solved, = solve_cells(cell[0].order, [verify_module._problem(cell)])
+            alone = verify_module.solve_cell(cell)
+            for (f, g, res), (f1, g1, res1) in zip(self.samples(solved),
+                                                   self.samples(alone)):
+                assert np.array_equal(f, f1) and np.array_equal(g, g1)
+                assert res == res1
+            reps = verify_module.run_group([cell])
+            assert [r.residual for r in reps] == [r.residual for r in alone]
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_group_matches_cell_by_cell(self, n):
+        # the standard sweep's 9-cell groups against one march per cell
+        spec = SweepSpec(**STANDARD_GRID, n=n)
+        cells = spec.cells()
+        for k in range(0, len(cells), 9):
+            group = cells[k:k + 9]
+            solved = solve_cells(group[0][0].order, map(verify_module._problem, group))
+            for cell, reports in zip(group, solved):
+                for (f, g, res), (f1, g1, res1) in zip(
+                        self.samples(reports), self.samples(verify_module.solve_cell(cell))):
+                    w = max(np.abs(f1).max(), np.abs(g1).max())
+                    assert np.abs(f - f1).max() <= 1e-13 * w
+                    assert np.abs(g - g1).max() <= 1e-13 * w
+                    assert abs(res - res1) <= 1e-13 * w
+        alone = [rep for cell in cells for rep in verify_module.run_group([cell])]
+        grouped = standard_sweep(n)
+        assert grouped.verdicts == tuple(r.verdict for r in alone)
+        assert grouped.counts == {v: sum(r.verdict == v for r in alone) for v in VERDICTS}
+        for r, r1 in zip(grouped.reports, alone):
+            assert (r.zero_pair is None) == (r1.zero_pair is None)
+            if r.zero_pair is not None:
+                assert np.abs(np.subtract(r.zero_pair, r1.zero_pair)).max() \
+                    <= 1e-13 * r.scenario.length
+
+    def test_one_walk_per_group(self, monkeypatch):
+        # one walk per alpha, four columns per cell; a run of more than
+        # _MAX_MARCH cells is cut into marches of at most that many
+        walks = []
+        blocks = rlops.KernelOperator.blocks
+
+        def counted(self, U):
+            walks.append(U.shape)
+            return blocks(self, U)
+
+        monkeypatch.setattr(rlops.KernelOperator, "blocks", counted)
+        assert len(sweep(SweepSpec(**STANDARD_GRID, n=64)).reports) == 216
+        assert walks == [(65, 36)] * 3
+        walks.clear()
+        monkeypatch.setattr(verify_module, "_MAX_MARCH", 2)
+        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 1.0, 1.5, 2.0, 2.5),
+                         directions=2, n=16)
+        assert len(sweep(spec).reports) == 10
+        assert walks == [(17, 8), (17, 8), (17, 4)]
+
+
 class TestSweep:
     def test_scenario_is_a_sweep_of_one(self):
         s = fite_scenario(c=10.0, n=256)
@@ -518,9 +600,9 @@ class TestSweep:
         monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 2.0),
+        spec = SweepSpec(alphas=(0.6, 0.75), p_infs=(1.0,), lengths=(0.5, 2.0),
                          directions=3, n=64)
-        assert len(sweep(spec, workers=5000).reports) == 6  # two cells
+        assert len(sweep(spec, workers=5000).reports) == 12  # two groups of two cells
         one_cell = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
                              directions=3, n=64)
         assert len(sweep(one_cell, workers=5000).reports) == 3  # in-process
@@ -531,7 +613,7 @@ class TestSweep:
         ({0, 1, 2}, 8, [3]), ({0}, 8, []), (None, 4, [4]), (None, None, [])],
         ids=["3_cpus", "1_cpu", "cpu_count", "unknown"])
     def test_pool_is_capped_at_the_cpus(self, monkeypatch, affinity, count, sizes):
-        # 5000 workers on 5 cells asked for 5 processes, up to one per cell
+        # 5000 workers on 5 groups asked for 5 processes, up to one per group
         recorded = []
 
         class RecordingPool:
@@ -554,8 +636,8 @@ class TestSweep:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,),
-                         lengths=(0.5, 1.0, 1.5, 2.0, 2.5), directions=1, n=16)
+        spec = SweepSpec(alphas=(0.6, 0.65, 0.7, 0.75, 0.8), p_infs=(1.0,),
+                         lengths=(0.5,), directions=1, n=16)
         assert len(sweep(spec, workers=5000).reports) == 5
         assert recorded == sizes
 
@@ -644,7 +726,8 @@ class TestSweep:
         # scenario of in-process `fracfite verify` (27 cells of 20
         # directions at n = 16, about 5.6 KiB), one cell's batched solve
         # (per direction and node, 16 directions at n = 1024) with its
-        # kernel, and each cell's validated grid.
+        # kernel, one march of _MAX_MARCH cells (per cell and node, 8 cells
+        # of one direction at n = 1024) and each cell's validated grid.
         def traced(run):
             gc.collect()
             tracemalloc.start()
@@ -669,6 +752,10 @@ class TestSweep:
                           directions=16, n=1024).cells()
         verify_module.solve_cell(cell)
         column = traced(lambda: verify_module.solve_cell(cell))[1] / (16 * 1025)
+        group = SweepSpec(alphas=(0.75,), p_infs=(1.0,),
+                          lengths=tuple(0.5 + k for k in range(8)), directions=1,
+                          n=1024).cells()
+        march = traced(lambda: verify_module.run_group(group))[1] / (8 * 1025)
         # the kernel's blocks take O(n log n) bytes, charged here as n^1.5
         kernel = traced(lambda: rlops._Omega(2.0, 0.25, 0.25).upto(1024))[1] * 16**1.5
         grid = traced(lambda: SweepSpec(alphas=(0.75,), p_infs=(1.0,),
@@ -677,7 +764,8 @@ class TestSweep:
 
         def held(cells, directions):
             return (cells * directions * scenario + cells * grid
-                    + directions * 16384 * column + kernel)
+                    + directions * 16384 * column
+                    + verify_module._MAX_MARCH * 16384 * march + kernel)
 
         D, C, S = (verify_module._MAX_DIRECTIONS, verify_module._MAX_CELLS,
                    verify_module._MAX_SCENARIOS)
@@ -702,7 +790,7 @@ class TestSweep:
                 or (math.isnan(r1.min_ratio) and math.isnan(r2.min_ratio)))
 
     def test_parallel_matches_serial(self):
-        spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 3.0),
+        spec = SweepSpec(alphas=(0.6, 0.75), p_infs=(1.0,), lengths=(0.5, 3.0),
                          directions=4, n=96, seed=2)
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=2)
