@@ -34,7 +34,8 @@ from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
     fite_rhs, min_length, small_c
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn
-from .verify import Scenario, parse_config, solve_cell, sweep
+from .sfde import solve_batch
+from .verify import Scenario, parse_config, sweep
 from .weighted import Order
 
 OK, CONFIG_ERROR, SOLVER_FAILURE, VERIFY_FAILURE = 0, 2, 3, 4
@@ -92,7 +93,8 @@ def cmd_solve(args) -> int:
     scenario = Scenario.from_obj(_load_config(args.config), n=args.n)
     out = _out_dir(args.out)
     try:
-        (rep,) = solve_cell(*scenario.cells())
+        (rep,) = solve_batch(scenario.p_coeff.as_callable(scenario.a), scenario.order,
+                             scenario.f_a, scenario.g_a, scenario.grid)
     except ConvergenceError as exc:
         _dump_json({"config": scenario.to_obj(), "converged": False,
                     "detail": str(exc)}, out / "summary.json")

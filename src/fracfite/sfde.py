@@ -17,16 +17,18 @@ marching scheme on the kernel operator's row blocks (rows [1, 34), then
 enters a block through the operator's blocks (rlops.KernelOperator.blocks),
 and the block's own coupling is solved through its lower-triangular Schur
 complement by an LU solve with partial pivoting (np.linalg.solve). It
-needs no contraction condition. The history
-carries the kernel's scale, so no product on the raw nodes j^r, larger by
-(n^r)^{1-beta-gamma}, is formed. The equation is linear and homogeneous,
-so each solve marches only the (1, 0) and (0, 1) solutions (a 4-column
-history) and forms k initial data, samples and rows of omega @ U, as one
-product of them; each datum's residual comes from its own rows. Cells
-whose grids share n and r (a sweep's cells at one alpha) differ only in
-the kernel's scale, R and pf, so solve_cells marches them together: one
-walk over the operator for all their 4-column histories, and one stacked
-solve per block. A single solve is the march of one cell.
+needs no contraction condition. The history carries the kernel's scale,
+so no product on the raw nodes j^r, larger by (n^r)^{1-beta-gamma}, is
+formed. The equation is linear and homogeneous, so each solve marches
+only the (1, 0) and (0, 1) solutions (a 4-column history) and forms k
+initial data, samples and rows of omega @ U, as one product of them;
+each datum's residual comes from its own rows. Cells whose grids share
+n and r (a sweep's cells at one alpha) differ only in the kernel's
+scale, R and pf, so solve_cells marches them together: one walk over the
+operator for all their 4-column histories, and one stacked solve per
+block. A solved cell is its columns, (n+1, k) samples of f and of g and
+k residuals; solve_batch, the march of one cell, alone wraps them in
+SolveReports.
 """
 
 from __future__ import annotations
@@ -132,44 +134,23 @@ def _defect(pf, full, wf, wg) -> np.ndarray:
 
 def _data(f_a, g_a):
     """The k initial data pairs as two arrays of shape (k,)."""
-    f_a = np.asarray(f_a, dtype=float).reshape(-1)
-    g_a = np.asarray(g_a, dtype=float).reshape(-1)
+    f_a, g_a = (np.asarray(v, dtype=float).reshape(-1) for v in (f_a, g_a))
     if f_a.shape != g_a.shape or not f_a.size:
         raise ValueError(f"need k >= 1 data pairs, got {f_a.size} f_a, {g_a.size} g_a")
     return f_a, g_a
 
 
-def _reports(march, pf, f_a, g_a, gamma, grid) -> tuple[SolveReport, ...]:
-    """One cell's k reports from its basis march (wf, wg, full)."""
-    k = f_a.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        # datum j solves as f_a[j] times the (1, 0) column plus g_a[j] times
-        # the (0, 1) column, and so do its rows of omega @ U
-        wf, wg, full = np.split(np.hstack(march) @ np.kron(np.eye(4), (f_a, g_a)),
-                                [k, 2 * k], axis=1)
-        if not np.isfinite((wf, wg)).all():
-            raise ConvergenceError("marching solve produced non-finite samples")
-        res = _defect(pf, full, wf, wg)
-    if not np.isfinite(res).all():
-        raise ConvergenceError("marching solve has a non-finite residual")
-    return tuple(SolveReport(f=from_samples(wf[:, j], gamma, grid),
-                             g=from_samples(wg[:, j], gamma, grid),
-                             residual=float(res[j]))
-                 for j in range(k))
-
-
-def solve_cells(order: Order,
-                cells) -> Iterator[tuple[SolveReport, ...] | ConvergenceError]:
+def solve_cells(order: Order, cells) -> Iterator[tuple | ConvergenceError]:
     """Solve D^alpha f = g, D^alpha g = -P f for cells (P, f_a, g_a, grid)
     whose grids share n and r, in one march of all their basis columns
     (one walk of the kernel operator); yields, cell by cell and as it is
-    asked for, the cell's k reports as solve_batch returns them, or the
-    ConvergenceError that fails the cell. When the march fails, each cell
-    is marched again alone, so a cell fails only on its own data, with the
-    detail its own solve gives."""
+    asked for, the cell's (wf, wg, residuals) for its k data: the (n+1, k)
+    regularized samples of f and of g and each column's residual, or the
+    ConvergenceError that fails the cell (a non-finite sample or residual
+    in any column). When the march fails, each cell is marched again alone,
+    so a cell fails only on its own data, with the detail its own solve gives."""
     cells = [(P, *_data(f_a, g_a), grid) for P, f_a, g_a, grid in cells]
-    grid = cells[0][3]
-    if any((g.n, g.r) != (grid.n, grid.r) for *_, g in cells):
+    if len({(g.n, g.r) for *_, g in cells}) > 1:
         raise ValueError("the cells of one march need grids of one n and r")
     ga = order.gamma
     omega, scale = zip(*(kernel_matrix(g, 1.0 - order.alpha, ga) for *_, g in cells))
@@ -183,23 +164,34 @@ def solve_cells(order: Order,
             for cell in cells:
                 yield from solve_cells(order, [cell])
         return
-    for march, p, (_, f_a, g_a, g) in zip(marches, pf, cells):
-        try:
-            yield _reports(march, p, f_a, g_a, ga, g)
-        except ConvergenceError as exc:
-            yield exc
+    for march, p, (_, f_a, g_a, _) in zip(marches, pf, cells):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # datum j solves as f_a[j] times the (1, 0) column plus g_a[j]
+            # times the (0, 1) column, and so do its rows of omega @ U
+            wf, wg, full = np.split(np.hstack(march) @ np.kron(np.eye(4), (f_a, g_a)),
+                                    [f_a.size, 2 * f_a.size], axis=1)
+            res = _defect(p, full, wf, wg)
+        if not np.isfinite((wf, wg)).all():
+            yield ConvergenceError("marching solve produced non-finite samples")
+        elif not np.isfinite(res).all():
+            yield ConvergenceError("marching solve has a non-finite residual")
+        else:
+            yield wf, wg, res
 
 
 def solve_batch(P: Coefficient, order: Order, f_a, g_a,
                 grid: GradedGrid) -> tuple[SolveReport, ...]:
     """Solve D^alpha f = g, D^alpha g = -P f on the grid for k initial data
-    (f_a[j], g_a[j]) from one march of the basis; one report per datum.
-    The solve succeeds only when every column's residual is finite; any
-    failure of any column fails the batch with ConvergenceError."""
+    (f_a[j], g_a[j]) from one march of the basis (solve_cells); one report
+    per datum. Any column whose samples or residual are not finite fails
+    the batch with ConvergenceError."""
     solved, = solve_cells(order, [(P, f_a, g_a, grid)])
     if isinstance(solved, ConvergenceError):
         raise solved
-    return solved
+    wf, wg, res = solved
+    return tuple(SolveReport(f=from_samples(f, order.gamma, grid),
+                             g=from_samples(g, order.gamma, grid), residual=float(r))
+                 for f, g, r in zip(wf.T, wg.T, res))
 
 
 def residual(P: Coefficient, order: Order, report: SolveReport) -> float:

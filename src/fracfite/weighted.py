@@ -78,6 +78,7 @@ class WeightedFn:
 
     reg_samples[0] holds the limit value w_0 (= f_a for weight gamma); the
     interpolant of the samples is the piecewise-linear W used everywhere.
+    Samples of shape (n+1, k) are k functions on one grid, one per column.
     """
 
     gamma: float
@@ -87,7 +88,7 @@ class WeightedFn:
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"weight exponent must lie in [0, 1), got {self.gamma!r}")
-        if self.reg_samples.shape != self.grid.nodes.shape:
+        if self.reg_samples.shape[:1] != self.grid.nodes.shape:
             raise ValueError("one regularized sample per grid node required")
         if not np.all(np.isfinite(self.reg_samples)):
             raise ValueError("regularized samples must be finite")
@@ -106,8 +107,10 @@ def eval_reg(w: WeightedFn, t) -> np.ndarray | float:
     u = (t - t_j) / (t_{j+1} - t_j) in [0, 1]. Up to rounding the value
     lies between the cell's two samples, so it stays finite where the slope
     (W_{j+1} - W_j) / (t_{j+1} - t_j) of a short cell overflows, and at a
-    node it is that node's sample exactly."""
+    node it is that node's sample exactly. Samples of shape (n+1, k) give
+    the k columns' values, of shape np.shape(t) + (k,)."""
     nodes, W = w.grid.nodes, w.reg_samples
     j = np.searchsorted(nodes[1:-1], t, side="right")  # t lies in cell j
     u = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    u = np.reshape(u, np.shape(u) + (1,) * (W.ndim - 1))  # one u for all columns
     return (1.0 - u) * W[j] + u * W[j + 1]

@@ -15,8 +15,9 @@ the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
 the randomized audit's scalar trial loop that bounds.audit_sides
 evaluates as arrays, the weighted sup-norms, and helpers that sample,
-evaluate or search weighted functions point by point, and the arcs of
-directions on which a combination of two basis solutions has a zero.
+evaluate or search weighted functions point by point, the arcs of
+directions on which a combination of two basis solutions has a zero, and
+the closed-form sharp threshold kappa of the zero pair at P = 1.
 """
 
 import math
@@ -107,6 +108,34 @@ def fite_closed_form(alpha: float, P: float, f_a: float, g_a: float,
     ga = gamma_fn(alpha)
     return (ga * (f_a * A + g_a * P ** -0.5 * B),
             ga * (g_a * A - f_a * P ** 0.5 * B))
+
+
+def kappa_closed_form(alpha: float, b_fraction: float) -> float:
+    """The sharp threshold kappa(alpha, b_fraction) at P = 1: the least
+    length L such that some solution of D^alpha(D^alpha f) + f = 0 on
+    [0, L] has a zero of f and a zero of D^alpha f in [b_fraction L, L].
+    With psi(x) the angle of (A, B) of fite_closed_form at P = 1, the
+    solution of data (cos theta, sin theta) has W_f ~ cos(theta - psi) and
+    W_g ~ sin(theta - psi), so f vanishes where psi = theta + pi/2 and g
+    where psi = theta (mod pi): a window holds a zero pair for some theta
+    exactly when psi spans pi/2 on it. psi increases from 0 and stays below
+    pi on [0, 2] for alpha in [0.55, 0.95], so kappa is the root of
+    psi(L) - psi(b_fraction L) = pi/2, bisected on [0.5, 2] to 1e-12."""
+    def span(length):
+        psi = []
+        for x in (b_fraction * length, length):
+            z = -x ** (2.0 * alpha)
+            psi.append(math.atan2(x ** alpha * mittag_leffler(2.0 * alpha, 2.0 * alpha, z),
+                                  mittag_leffler(2.0 * alpha, alpha, z)))
+        return psi[1] - psi[0] - math.pi / 2
+
+    lo, hi = 0.5, 2.0
+    if not span(lo) < 0.0 < span(hi):
+        raise ValueError(f"kappa({alpha}, {b_fraction}) is not bracketed by [0.5, 2]")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if span(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 _SERIES_DPS = 60

@@ -579,7 +579,7 @@ class TestOutIsAFile:
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     @pytest.mark.parametrize("argv,run", [
-        (["solve", "--config", "{cfg}"], "solve_cell"),
+        (["solve", "--config", "{cfg}"], "solve_batch"),
         (["verify", "--config", "{cfg}"], "sweep"),
         (["bound", "--alpha", "0.75", "--m", "1"], "best_min_length"),
         (["audit", "--trials", "5"], "audit_estimates")],

@@ -13,16 +13,24 @@ import numpy as np
 import pytest
 
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
-                      best_min_length, find_zeros, run_scenario, sweep)
+                      best_min_length, build_grid, find_zeros, from_samples,
+                      run_scenario, sweep)
 from fracfite import bounds, rlops
 from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch, solve_cells
-from oracles import (arcs_meet, classical_fite_check, fite_closed_form, on_arcs,
-                     poly_series, theta_arcs)
+from oracles import (arcs_meet, classical_fite_check, fite_closed_form,
+                     kappa_closed_form, on_arcs, poly_series, theta_arcs)
 
 ORDER = Order(0.75)
+
+
+def solve_directions(cell):
+    """A cell's directions solved as `fracfite solve` solves one scenario
+    (sfde.solve_batch): one SolveReport per direction, in order."""
+    P, f_a, g_a, grid = verify_module._problem(cell)
+    return solve_batch(P, cell[0].order, f_a, g_a, grid)
 
 
 def fite_scenario(**kw):
@@ -410,7 +418,7 @@ def poly_exact():
 @functools.lru_cache(maxsize=None)
 def poly_solve():
     s = Scenario.from_obj(POLY_SCENARIO)
-    (rep,) = verify_module.solve_cell(s.cells()[0])
+    (rep,) = solve_directions(s.cells()[0])
     return s, rep
 
 
@@ -477,13 +485,55 @@ class TestThetaArcs:
         assert paired == [5.0] * 9
 
 
+class TestKappa:
+    """The sharp threshold kappa(alpha, b_f) of the zero pair at P = 1 from
+    the solver: the least length at which the theta-arcs of f and of g,
+    from the (1, 0) and (0, 1) columns of one solve, meet."""
+
+    @staticmethod
+    def solver_kappa(alpha: float, b_fraction: float, n: int) -> float:
+        # The arc test is not monotone in L near kappa, so it is not
+        # bisected: a geometric scan of 64 lengths on [0.3, 3], then three
+        # linear scans of 64 inside the bracket of the first length that
+        # meets (resolution about 1.6e-7); each scan is one group march.
+        order = Order(alpha)
+        lengths = np.geomspace(0.3, 3.0, 64)
+        for _ in range(4):
+            grids = [build_grid(0.0, length, n, 2.0) for length in lengths]
+            cells = [(lambda t: 1.0, (1.0, 0.0), (0.0, 1.0), g) for g in grids]
+            meets = []
+            for g, (wf, wg, _) in zip(grids, solve_cells(order, cells)):
+                b = b_fraction * g.length
+                arcs_f, arcs_g = (theta_arcs(from_samples(w[:, 0], order.gamma, g),
+                                             from_samples(w[:, 1], order.gamma, g), b, g.c)
+                                  for w in (wf, wg))
+                meets.append(arcs_meet(arcs_f, arcs_g))
+            first = meets.index(True)
+            assert first > 0, "the scan starts inside the pair region"
+            lengths = np.linspace(lengths[first - 1], lengths[first], 64)
+        return float(lengths[-1])
+
+    @pytest.mark.parametrize("alpha,kappa", [(0.6, 1.095176), (0.75, 1.234296),
+                                             (0.9, 1.435513)])
+    def test_scan_matches_the_closed_form(self, alpha, kappa):
+        # measured error at n = 512: at most 3.0e-6; the closed form agrees
+        # with the 40-digit values to their 7 digits
+        exact = kappa_closed_form(alpha, 1e-2)
+        assert exact == pytest.approx(kappa, abs=5e-7)
+        assert abs(self.solver_kappa(alpha, 1e-2, 512) - exact) <= 1e-5
+
+
 class TestGroupMarch:
     """A sweep marches the cells of one alpha together: one walk of the
     kernel operator and one stacked block solve per group."""
 
     @staticmethod
-    def samples(reports):
-        return [(r.f.reg_samples, r.g.reg_samples, r.residual) for r in reports]
+    def columns(reports):
+        """solve_batch's reports as solve_cells yields a cell: the (n+1, k)
+        samples of f and of g and the k residuals."""
+        return (np.column_stack([r.f.reg_samples for r in reports]),
+                np.column_stack([r.g.reg_samples for r in reports]),
+                np.array([r.residual for r in reports]))
 
     def test_one_cell_is_the_single_solve(self):
         # a group of one is bit for bit the cell's own solve_batch
@@ -491,13 +541,11 @@ class TestGroupMarch:
                          directions=3, n=613)
         for cell in spec.cells():
             solved, = solve_cells(cell[0].order, [verify_module._problem(cell)])
-            alone = verify_module.solve_cell(cell)
-            for (f, g, res), (f1, g1, res1) in zip(self.samples(solved),
-                                                   self.samples(alone)):
-                assert np.array_equal(f, f1) and np.array_equal(g, g1)
-                assert res == res1
+            assert [x.shape for x in solved] == [(614, 3), (614, 3), (3,)]
+            for x, alone in zip(solved, self.columns(solve_directions(cell))):
+                assert np.array_equal(x, alone)
             reps = verify_module.run_group([cell])
-            assert [r.residual for r in reps] == [r.residual for r in alone]
+            assert [r.residual for r in reps] == solved[2].tolist()
 
     @pytest.mark.parametrize("n", [512, 1024])
     def test_group_matches_cell_by_cell(self, n):
@@ -507,13 +555,12 @@ class TestGroupMarch:
         for k in range(0, len(cells), 9):
             group = cells[k:k + 9]
             solved = solve_cells(group[0][0].order, map(verify_module._problem, group))
-            for cell, reports in zip(group, solved):
-                for (f, g, res), (f1, g1, res1) in zip(
-                        self.samples(reports), self.samples(verify_module.solve_cell(cell))):
-                    w = max(np.abs(f1).max(), np.abs(g1).max())
-                    assert np.abs(f - f1).max() <= 1e-13 * w
-                    assert np.abs(g - g1).max() <= 1e-13 * w
-                    assert abs(res - res1) <= 1e-13 * w
+            for cell, (f, g, res) in zip(group, solved):
+                f1, g1, res1 = self.columns(solve_directions(cell))
+                w = np.maximum(np.abs(f1).max(axis=0), np.abs(g1).max(axis=0))
+                assert (np.abs(f - f1).max(axis=0) <= 1e-13 * w).all()
+                assert (np.abs(g - g1).max(axis=0) <= 1e-13 * w).all()
+                assert (np.abs(res - res1) <= 1e-13 * w).all()
         alone = [rep for cell in cells for rep in verify_module.run_group([cell])]
         grouped = standard_sweep(n)
         assert grouped.verdicts == tuple(r.verdict for r in alone)
@@ -724,8 +771,9 @@ class TestSweep:
         # A sweep at any corner of the three bounds at n = 16383, scaled from
         # small runs (tracemalloc): the scenarios it keeps, at the peak per
         # scenario of in-process `fracfite verify` (27 cells of 20
-        # directions at n = 16, about 5.6 KiB), one cell's batched solve
-        # (per direction and node, 16 directions at n = 1024) with its
+        # directions at n = 16, about 5.6 KiB), one cell's solve and the
+        # zero search over its columns (per direction and node, run_group on
+        # one cell of 16 directions at n = 1024, about 83 bytes) with its
         # kernel, one march of _MAX_MARCH cells (per cell and node, 8 cells
         # of one direction at n = 1024) and each cell's validated grid.
         def traced(run):
@@ -750,8 +798,8 @@ class TestSweep:
         scenario = traced(lambda: verify(20))[1] / (27 * 20)
         cell, = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(1.0,),
                           directions=16, n=1024).cells()
-        verify_module.solve_cell(cell)
-        column = traced(lambda: verify_module.solve_cell(cell))[1] / (16 * 1025)
+        verify_module.run_group([cell])
+        column = traced(lambda: verify_module.run_group([cell]))[1] / (16 * 1025)
         group = SweepSpec(alphas=(0.75,), p_infs=(1.0,),
                           lengths=tuple(0.5 + k for k in range(8)), directions=1,
                           n=1024).cells()

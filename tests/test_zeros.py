@@ -106,6 +106,13 @@ class TestFindZeros:
         with pytest.raises(ValueError):
             find_zeros(w, 1.0, 0.5)
 
+    def test_one_function_only(self):
+        # the zeros of several columns are no one function's zeros
+        g = build_grid(0.0, 1.0, 16, 1.0)
+        w = from_samples(np.column_stack([g.nodes - 0.5, g.nodes - 0.25]), 0.0, g)
+        with pytest.raises(ValueError, match="one function"):
+            find_zeros(w, 0.1, 1.0)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_zeros_sorted_and_inside_window(self, seed):
@@ -117,27 +124,71 @@ class TestFindZeros:
         assert np.all((zs >= 0.2) & (zs <= 0.9))
 
 
+def columns(g, *regs, gamma=0.25):
+    """One WeightedFn whose columns sample the regularized parts regs, each
+    a function of t whose limit value is its value at a."""
+    return from_samples(np.column_stack([from_callable(reg, reg(g.a), gamma, g).reg_samples
+                                         for reg in regs]), gamma, g)
+
+
 class TestFirstZeroPair:
+    """One search over the columns of f and g: per column, its first zero
+    pair or None."""
+
     def test_pair_ordering(self):
         g = build_grid(0.0, 2.0, 512, 1.0)
-        f = from_callable(lambda t: t - 1.0, -1.0, 0.25, g)
-        h = from_callable(lambda t: t - 1.2, -1.2, 0.25, g)
-        pair = first_zero_pair(f, h, 0.5, 2.0)
-        assert pair is not None
-        assert pair[0] == pytest.approx(1.0, abs=1e-9)
-        assert pair[1] == pytest.approx(1.2, abs=1e-9)
+        f = columns(g, lambda t: t - 1.0, lambda t: t - 0.7)
+        h = columns(g, lambda t: t - 1.2, lambda t: t - 0.6)
+        (f1, h1), (f2, h2) = first_zero_pair(f, h, 0.5, 2.0)
+        assert f1 == pytest.approx(1.0, abs=1e-9) and h1 == pytest.approx(1.2, abs=1e-9)
+        assert f2 == pytest.approx(0.7, abs=1e-9) and h2 == pytest.approx(0.6, abs=1e-9)
 
     def test_missing_zero_returns_none(self):
         g = build_grid(0.0, 2.0, 128, 1.0)
-        f = from_callable(lambda t: t - 1.0, -1.0, 0.25, g)
-        h = from_callable(lambda t: 1.0 + t, 1.0, 0.25, g)
-        assert first_zero_pair(f, h, 0.5, 2.0) is None
+        f = columns(g, lambda t: t - 1.0, lambda t: 1.0 + t, lambda t: t - 1.0)
+        h = columns(g, lambda t: 1.0 + t, lambda t: t - 1.0, lambda t: t - 1.5)
+        pairs = first_zero_pair(f, h, 0.5, 2.0)
+        assert pairs[:2] == [None, None]
+        assert pairs[2] == pytest.approx((1.0, 1.5), abs=1e-9)
 
     def test_same_function_gives_equal_points(self):
         g = build_grid(0.0, 2.0, 512, 1.0)
-        f = from_callable(lambda t: t - 1.0, -1.0, 0.25, g)
-        pair = first_zero_pair(f, f, 0.5, 2.0)
-        assert pair[0] == pair[1]
+        f = columns(g, lambda t: t - 1.0, lambda t: t - 1.3)
+        assert [p[0] == p[1] for p in first_zero_pair(f, f, 0.5, 2.0)] == [True, True]
+
+    def test_one_dimensional_samples_are_one_column(self):
+        w = sine_fn(6)
+        assert first_zero_pair(w, w, 0.2, 2.0) == [(find_zeros(w, 0.2, 2.0)[0],) * 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_each_pair_is_the_columns_first_zeros(self, data):
+        # Against find_zeros column by column, bit for bit: random columns,
+        # some of one sign, with exact zeros planted at nodes and at b, on
+        # unit and 1e308-long grids, at sample scales 1 and 1e-170, in
+        # windows that may end before c.
+        n, k = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 5))
+        a, length = data.draw(st.sampled_from([(0.0, 1.0), (2.5, 3.0), (0.0, 1e308)]))
+        g = build_grid(a, a + length, n, data.draw(st.sampled_from([1.0, 2.0, 3.5])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a column's offset makes some of one sign and others change sign rarely
+        W = rng.uniform(-2.0, 2.0, (2, 1, k)) + rng.uniform(-1.0, 1.0, (2, n + 1, k))
+        W[rng.random(W.shape) < 0.1] = 0.0
+        if data.draw(st.booleans()):  # b at a node, where some columns vanish
+            i = data.draw(st.integers(1, n - 1))
+            b = g.nodes[i]
+            W[:, i][rng.random((2, k)) < 0.5] = 0.0
+        else:
+            b = a + data.draw(st.floats(1e-3, 0.9)) * length
+        before_c = b + data.draw(st.floats(0.05, 0.99)) * (g.c - b)
+        c_w = data.draw(st.sampled_from([g.c, before_c]))
+        W *= data.draw(st.sampled_from([1.0, 1e-170]))
+        f, h = (from_samples(w, 0.0, g) for w in W)
+        expected = []
+        for j in range(k):
+            zf, zh = (find_zeros(from_samples(w[:, j], 0.0, g), b, c_w) for w in W)
+            expected.append((float(zf[0]), float(zh[0])) if zf.size and zh.size else None)
+        assert repr(first_zero_pair(f, h, b, c_w)) == repr(expected)
 
     def test_zero_set_collects_both(self):
         w = sine_fn(6)
