@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import AuditFailure, ConfigError
 from .specfn import beta_fn, gamma_fn
-from .rlops import kernel_integral, kernel_matrix
-from .weighted import Order, build_grid
+from .rlops import kernel_integral, kernel_matrix, kernel_scale
+from .weighted import Order, build_grid, graded_nodes
 
 _CLAMP_EPS = 1e-6
 _AUDIT_SLACK = 1.0 + 1e-6
@@ -184,7 +184,8 @@ AUDITED = ("kernel_product", "kernel_window", "kernel_difference",
 CHECKS = AUDITED[:7] + ("chain_D", "chain_E")
 
 _AUDIT_N = 96
-_AUDIT_CHUNK = 1024  # trials drawn, then checked as arrays, at a time
+_AUDIT_R = 2.0
+_AUDIT_CHUNK = 128  # trials drawn, then checked as arrays, at a time
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,11 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     rows of the product-integration matrix Omega; kernel_window and
     kernel_difference take the closed-form kernel_integral. Trial k
     draws its instance from SeedSequence([seed, k]) alone, so the first
-    `trials` trials of a seed are the same in every run. The trials are
-    checked _AUDIT_CHUNK at a time (audit_sides). Raises AuditFailure,
-    naming the seed and the trial, on the first violated inequality in
-    (trial, check) order; otherwise every trial checked and passed every
-    inequality.
+    `trials` trials of a seed are the same in every run, whatever the
+    chunk size. The trials are checked _AUDIT_CHUNK at a time
+    (audit_sides). Raises AuditFailure, naming the seed and the trial, on
+    the first violated inequality in (trial, check) order; otherwise
+    every trial checked and passed every inequality.
     """
     holder_params(order, p)
     if trials < 0:
@@ -224,44 +225,83 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     return AuditReport(trials, dict.fromkeys(AUDITED, trials))
 
 
+def _uniform(low: float, high: float, u):
+    """rng.uniform(low, high) from the generator's doubles u, as numpy forms
+    it: low + (high - low) u, high - low rounded once (0.3 - 0.02 is not
+    0.28 in binary)."""
+    return low + (high - low) * u
+
+
+def _audit_draws(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The instances of trials start .. stop-1 of seed, one entry per trial:
+    (a, length, b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e), the node
+    values as (trials, n+1) arrays.
+
+    Trial k draws from SeedSequence([seed, k]), in this order: a, the
+    length and b's fraction of it; two distinct indices i1 < i2 of the
+    trial grid's nodes t1, t2 at or after b (rng.choice); A's and then W's
+    n+1 node values; x, y and e. The loops only draw, the uniforms as the
+    generator's doubles, and every value is formed from those for the chunk
+    at once. The choice needs the count of nodes at or after b, so the
+    generators are kept from the first loop for a second one.
+    """
+    n = _AUDIT_N
+    # default_rng seeds each from SeedSequence([seed, trial])
+    rngs = [np.random.default_rng([seed, trial]) for trial in range(start, stop)]
+    head = np.empty((len(rngs), 3))
+    for rng, row in zip(rngs, head):
+        rng.random(out=row)
+    a = _uniform(-2.0, 2.0, head[:, 0])
+    length = _uniform(0.3, 3.0, head[:, 1])
+    b = a + _uniform(0.02, 0.3, head[:, 2]) * length
+    nodes = graded_nodes(a[:, None], (a + length)[:, None], n, _AUDIT_R)
+    first = np.count_nonzero(nodes < b[:, None], axis=1)  # nodes first..n are >= b
+    picks = np.empty((len(rngs), 2), dtype=np.int64)
+    tail = np.empty((len(rngs), 2 * (n + 1) + 3))
+    for rng, eligible, pick, row in zip(rngs, (n + 1 - first).tolist(), picks, tail):
+        pick[:] = rng.choice(eligible, size=2, replace=False)
+        rng.random(out=row)
+    i1, i2 = first + picks.min(axis=1), first + picks.max(axis=1)
+    each = np.arange(len(rngs))
+    AW = _uniform(-3.0, 3.0, tail[:, :-3])
+    return (a, length, b, i1, i2, nodes[each, i1], nodes[each, i2],
+            AW[:, :n + 1], AW[:, n + 1:], _uniform(0.0, 5.0, tail[:, -3]),
+            _uniform(0.0, 5.0, tail[:, -2]), _uniform(0.05, 0.95, tail[:, -1]))
+
+
 def audit_sides(order: Order, p: float, seed: int, start: int,
                 stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs), two (stop - start) x 9 arrays: the sides of the CHECKS
     for trials start .. stop-1 of seed.
 
-    A loop draws each trial's instance in a fixed order and keeps only its
-    scalars, among them the two Omega-row products; the nine inequalities
-    are then evaluated for all the trials at once.
+    The chunk's instances are drawn first (_audit_draws); every quantity
+    derived from them, the two Omega-row products among them, and the nine
+    inequalities are then evaluated for all the trials at once.
     """
     q = holder_params(order, p)
     ga = order.gamma
     beta = ga
     al = order.alpha
-    # Omega depends on n and r only: every trial grid shares this one
-    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, 2.0), beta, ga)[0].dense()
-    draws = np.empty((stop - start, 15))
-    for k, trial in enumerate(range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        a = rng.uniform(-2.0, 2.0)
-        length = rng.uniform(0.3, 3.0)
-        grid = build_grid(a, a + length, _AUDIT_N, 2.0)
-        b = a + rng.uniform(0.02, 0.3) * length
-        eligible = np.flatnonzero(grid.nodes >= b)
-        i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
-        A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-        W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-        rows = kernel_matrix(grid, beta, ga)[1] * unit[[i1, i2]]
-        q1, q2 = rows @ (A_nodes * W_nodes)
-        t1, t2 = grid.nodes[i1], grid.nodes[i2]
-        # weighted_continuity's lhs is the difference of these two; they are
-        # taken on scalars, since the difference would magnify the last-bit
-        # rounding of an array power
-        draws[k] = (a, length, b, t1, t2, q1, q2,
-                    (t1 - a) ** beta * q1, (t2 - a) ** beta * q2,
-                    rows[1] @ np.abs(A_nodes * W_nodes),
-                    np.abs(A_nodes).max(), np.abs(W_nodes).max(),
-                    *rng.uniform(0.0, 5.0, 2), rng.uniform(0.05, 0.95))
-    a, length, b, t1, t2, q1, q2, wq1, wq2, kp, sup_A, norm_f, x, y, e = draws.T
+    a, length, b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e = _audit_draws(seed, start, stop)
+    # Omega depends on n and r only: every trial grid shares this one, scaled
+    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, _AUDIT_R), beta, ga)[0].dense()
+    scale = kernel_scale((a + length) - a, _AUDIT_N, _AUDIT_R, beta, ga)  # c - a
+    rows = scale[:, None, None] * unit[np.stack((i1, i2), axis=1)]
+    AW = A_nodes * W_nodes
+    # one matrix-vector and one vector product per trial, stacked: each
+    # rounds as the same product of one trial's rows alone
+    q1, q2 = (rows @ AW[:, :, None])[:, :, 0].T
+    kp = (rows[:, 1:] @ np.abs(AW)[:, :, None])[:, 0, 0]
+    sup_A, norm_f = np.abs(A_nodes).max(axis=1), np.abs(W_nodes).max(axis=1)
+
+    def weighted(t, qt):
+        # weighted_continuity's lhs is the difference of two of these; they
+        # are taken on floats, since the difference would magnify the
+        # last-bit rounding of an array power
+        return np.array([(s - u) ** beta * v
+                         for s, u, v in zip(t.tolist(), a.tolist(), qt.tolist())])
+
+    wq1, wq2 = weighted(t1, q1), weighted(t2, q2)
     # trial-independent factors of the right-hand sides
     b_kernel = beta_fn(1.0 - ga, 1.0 - beta)
     csum = 2.0 * small_c(order, p)

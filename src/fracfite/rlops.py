@@ -301,9 +301,21 @@ def kernel_matrix(grid: GradedGrid, beta: float,
     whose nodes j^r overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
-    e = 1.0 - beta - gamma
-    scale = grid.length ** e / node_scale(grid.n, grid.r) ** e
+    scale = kernel_scale(grid.length, grid.n, grid.r, beta, gamma)
     return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n), scale
+
+
+def kernel_scale(length, n: int, r: float, beta: float, gamma: float):
+    """The scale (L / n^r)^{1-beta-gamma} of Omega for n cells on an
+    interval of length L, taken as L^e / (n^r)^e; for an array of lengths,
+    the array of their scales. Each power is taken on a Python float, so
+    an array's scales are bit for bit those of its lengths one at a time:
+    numpy's array power may round the last bit differently."""
+    e = 1.0 - beta - gamma
+    unit = node_scale(n, r) ** e
+    if np.ndim(length) == 0:
+        return length ** e / unit
+    return np.array([v ** e for v in np.asarray(length, dtype=float).tolist()]) / unit
 
 
 def kernel_integral(lo, hi, a, t, beta, gamma):

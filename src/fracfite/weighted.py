@@ -52,6 +52,16 @@ class GradedGrid:
         return self.c - self.a
 
 
+def graded_nodes(a, c, n: int, r: float) -> np.ndarray:
+    """The nodes a + (c-a) (j/n)^r, j = 0..n, with the ends a and c exact.
+    a and c are floats, or (T, 1) arrays for T intervals at once, whose
+    nodes are the rows of a (T, n+1) array. Unchecked: build_grid validates."""
+    j = np.arange(n + 1, dtype=float)
+    nodes = a + (c - a) * (j / n) ** r
+    nodes[..., :1], nodes[..., -1:] = a, c
+    return nodes
+
+
 def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:
     """Graded grid on [a, c] with n cells and grading exponent r >= 1."""
     if not (np.isfinite(a) and np.isfinite(c)) or a >= c:
@@ -60,9 +70,7 @@ def build_grid(a: float, c: float, n: int, r: float) -> GradedGrid:
         raise ValueError(f"need n >= 2 cells, got {n!r}")
     if r < 1.0:
         raise ValueError(f"grading exponent must be >= 1, got {r!r}")
-    j = np.arange(n + 1, dtype=float)
-    nodes = a + (c - a) * (j / n) ** r
-    nodes[0], nodes[-1] = a, c
+    nodes = graded_nodes(a, c, n, r)
     up = nodes[1:] > nodes[:-1]
     if not up.all():
         k = int(np.argmin(up))

@@ -14,8 +14,11 @@ contraction factor of that map, the 16-point kernel-matrix build that
 the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
 the randomized audit's scalar trial loop that bounds.audit_sides
-evaluates as arrays, the weighted sup-norms, and helpers that sample,
-evaluate or search weighted functions point by point, the arcs of
+evaluates as arrays (each trial's instance drawn by one rng.uniform call
+per value on its own build_grid, where the audit keeps only the
+generator's doubles and forms a chunk's instances at once), the weighted
+sup-norms, and helpers that sample, evaluate or search weighted
+functions point by point, the arcs of
 directions on which a combination of two basis solutions has a zero, and
 the closed-form sharp threshold kappa of the zero pair at P = 1.
 """
@@ -439,13 +442,35 @@ def kernel_integral_reference(lo, hi, a, t, beta, gamma):
             1 - gamma, 1 - beta, (lo - a) / w, (hi - a) / w))
 
 
+def audit_instance(seed: int, trial: int) -> dict:
+    """Trial `trial` of seed's instance as the audit draws it: one
+    rng.uniform call per draw, in the audit's order, and rng.choice of two
+    of the eligible nodes of the trial's build_grid. By name: a, length,
+    b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    a = rng.uniform(-2.0, 2.0)
+    length = rng.uniform(0.3, 3.0)
+    grid = build_grid(a, a + length, 96, 2.0)
+    b = a + rng.uniform(0.02, 0.3) * length
+    eligible = np.flatnonzero(grid.nodes >= b)
+    i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
+    A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+    W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+    x, y = rng.uniform(0.0, 5.0, 2)
+    e = rng.uniform(0.05, 0.95)
+    return dict(a=a, length=length, b=b, i1=i1, i2=i2, t1=grid.nodes[i1],
+                t2=grid.nodes[i2], A_nodes=A_nodes, W_nodes=W_nodes, x=x, y=y, e=e)
+
+
 def audit_reference(order: Order, p: float, trials: int, seed: int):
     """The randomized audit one trial at a time, on scalars: the loop that
-    bounds.audit_sides evaluates as arrays. Returns (lhs, rhs), two
-    trials x 9 arrays in the order of bounds.CHECKS, and raises AuditFailure
-    at the first violated inequality in (trial, check) order. The kernel
-    integrals are looked up on bounds at call time, so a test that patches
-    bounds.kernel_integral reaches both this loop and the audit."""
+    bounds.audit_sides evaluates as arrays, each trial on its
+    audit_instance, its build_grid and its kernel_matrix. Returns (lhs,
+    rhs), two trials x 9 arrays in the order of bounds.CHECKS, and raises
+    AuditFailure at the first violated inequality in (trial, check) order.
+    The kernel integrals are looked up on bounds at call time, so a test
+    that patches bounds.kernel_integral reaches both this loop and the
+    audit."""
     q = holder_params(order, p)
     ga = order.gamma
     beta = ga
@@ -459,18 +484,9 @@ def audit_reference(order: Order, p: float, trials: int, seed: int):
     unit = kernel_matrix(build_grid(0.0, 1.0, 96, 2.0), beta, ga)[0].dense()
     sides = []
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        a = rng.uniform(-2.0, 2.0)
-        length = rng.uniform(0.3, 3.0)
-        c = a + length
-        grid = build_grid(a, c, 96, 2.0)
-        b = a + rng.uniform(0.02, 0.3) * length
-        eligible = np.flatnonzero(grid.nodes >= b)
-        i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
-        t1, t2 = grid.nodes[i1], grid.nodes[i2]
-
-        A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-        W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
+        (a, length, b, i1, i2, t1, t2, A_nodes, W_nodes,
+         x, y, e) = audit_instance(seed, trial).values()
+        grid = build_grid(a, a + length, 96, 2.0)
         sup_A = float(np.abs(A_nodes).max())
         norm_f = float(np.abs(W_nodes).max())
 
@@ -502,8 +518,6 @@ def audit_reference(order: Order, p: float, trials: int, seed: int):
         pairs.append((lhs, rhs))
 
         # (subadditive_power)
-        x, y = rng.uniform(0.0, 5.0, 2)
-        e = rng.uniform(0.05, 0.95)
         pairs.append(((x + y) ** e, x**e + y**e))
 
         # (weighted_continuity)

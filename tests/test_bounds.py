@@ -13,7 +13,7 @@ from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
                       fite_lhs, fite_rhs, holder_params, kernel_integral,
                       min_length, small_c)
 from fracfite import bounds
-from oracles import audit_reference, kernel_integral_reference
+from oracles import audit_instance, audit_reference, kernel_integral_reference
 
 ORDER = Order(0.75)
 # frozen 20-digit references (mpmath, dps=40)
@@ -384,6 +384,38 @@ class TestAudit:
         # every trial checked once, in order
         covered = [t for start, stop in chunks for t in range(start, stop)]
         assert covered == list(range(trials))
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_chunk_draws_are_the_reference_instances_bit_for_bit(self, seed):
+        # from trial 77, mid-chunk, across two chunk boundaries; only the
+        # generator and rounded + - * / feed these values, so they match on
+        # every platform
+        start, stop = 77, 2 * bounds._AUDIT_CHUNK + 44
+        ref = [audit_instance(seed, trial) for trial in range(start, stop)]
+        draws = bounds._audit_draws(seed, start, stop)
+        assert len(draws) == len(ref[0])
+        for name, got in zip(ref[0], draws):
+            want = np.array([inst[name] for inst in ref])
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("chunk", [1, 7, bounds._AUDIT_CHUNK, 1024])
+    def test_chunk_size_is_invisible(self, monkeypatch, chunk):
+        whole = bounds.audit_sides(ORDER, 1.5, 42, 0, 300)
+        parts = [bounds.audit_sides(ORDER, 1.5, 42, start, min(start + chunk, 300))
+                 for start in range(0, 300, chunk)]
+        for side, pieces in zip(whole, zip(*parts)):
+            assert np.concatenate(pieces).tobytes() == side.tobytes()
+        monkeypatch.setattr(bounds, "_AUDIT_CHUNK", chunk)
+        report = audit_estimates(ORDER, 1.5, 300, 42)
+        assert report.passes == dict.fromkeys(bounds.AUDITED, 300)
+        calls = record_integrals(monkeypatch)
+        bounds.audit_sides(ORDER, 1.5, 42, 77, 78)
+        inflate_integrals(monkeypatch, calls[1][0][0])  # trial 77's kernel_difference
+        with pytest.raises(AuditFailure) as err:
+            audit_estimates(ORDER, 1.5, 300, 42)
+        assert (err.value.inequality, err.value.seed, err.value.trial) == (
+            "kernel_difference", 42, 77)
 
 
 def record_integrals(monkeypatch):

@@ -21,7 +21,8 @@ from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch, solve_cells
 from oracles import (arcs_meet, classical_fite_check, fite_closed_form,
-                     kappa_closed_form, on_arcs, poly_series, theta_arcs)
+                     kappa_closed_form, mittag_leffler, on_arcs, poly_series,
+                     theta_arcs)
 
 ORDER = Order(0.75)
 
@@ -521,6 +522,23 @@ class TestKappa:
         exact = kappa_closed_form(alpha, 1e-2)
         assert exact == pytest.approx(kappa, abs=5e-7)
         assert abs(self.solver_kappa(alpha, 1e-2, 512) - exact) <= 1e-5
+
+    @pytest.mark.parametrize("alpha,kappa0", [
+        (0.55, 0.913015), (0.6, 0.975819), (0.75, 1.182802), (0.9, 1.410599),
+        (0.95, 1.489988), (1.0, math.pi / 2)])
+    def test_vanishing_window_start_is_the_first_zero(self, alpha, kappa0):
+        # kappa(alpha, 0+), the README's L_sharp(alpha, 0+): the first
+        # positive zero of E_{2a,a}(-x^{2a}), which at alpha = 1 is cos x
+        def ml(x):
+            return mittag_leffler(2.0 * alpha, alpha, -x ** (2.0 * alpha))
+
+        assert all(ml(x) > 0.0 for x in np.linspace(0.05, 0.5, 10))
+        lo, hi = 0.5, 2.0
+        assert ml(hi) < 0.0
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ml(mid) > 0.0 else (lo, mid)
+        assert 0.5 * (lo + hi) == pytest.approx(kappa0, abs=5e-7)
 
 
 class TestGroupMarch:
