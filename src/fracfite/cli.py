@@ -158,10 +158,9 @@ def _report_obj(rep) -> dict:
 def cmd_verify(args) -> int:
     run = parse_config(_load_config(args.config), n=args.n)
     out = _out_dir(args.out)
-    result = sweep(run, workers=args.workers, rhs_scale=args.rhs_scale)
+    result = sweep(run, workers=args.workers)
     _dump_json({
         "spec": result.spec.to_obj(),
-        "rhs_scale": args.rhs_scale,
         "counts": result.counts,
         "min_ratio": _num(result.min_ratio),
         "scenarios": [_report_obj(r) for r in result.reports],
@@ -218,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--out", default="out")
     vp.add_argument("--n", type=int, default=None, help="override grid cells")
     vp.add_argument("--workers", type=int, default=1)
-    vp.add_argument("--rhs-scale", type=float, default=1.0,
-                    help="test hook: scale the bound's right side")
     vp.set_defaults(func=cmd_verify)
 
     au = sub.add_parser("audit", help="randomized audit of the inequality chain")

@@ -23,7 +23,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 from itertools import groupby, product
 
 import numpy as np
@@ -33,7 +32,7 @@ from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
 from .rlops import node_scale
 from .sfde import solve_cells
-from .weighted import GradedGrid, Order, build_grid, from_samples
+from .weighted import GradedGrid, Order, build_grid, from_samples, interpolate
 from .zeros import first_zero_pair
 
 _MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
@@ -191,15 +190,7 @@ class CoefficientSpec:
             coeffs = self.data
             return lambda t: sum(ck * (t - a) ** k for k, ck in enumerate(coeffs))
         ts, vs = np.array(self.data).T
-
-        def table(t):
-            # (1 - u) v_j + u v_{j+1} on the knot cell holding t, clamped at
-            # the ends like np.interp, whose slope (v_{j+1} - v_j) / (t_{j+1}
-            # - t_j) overflows between values far apart (see weighted.eval_reg)
-            j = np.searchsorted(ts[1:-1], t, side="right")
-            u = np.clip((t - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
-            return (1.0 - u) * vs[j] + u * vs[j + 1]
-        return table
+        return lambda t: interpolate(ts, vs, t)
 
     def range_on(self, a: float, c: float) -> tuple[float, float]:
         """(min, max) over [a, c], exact: a piecewise linear table takes its
@@ -233,14 +224,6 @@ class CoefficientSpec:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"must be finite on [{a}, {c}], range is [{lo}, {hi}]")
         return lo, hi
-
-
-def _range_of(name: str, spec: CoefficientSpec, a: float, c: float):
-    """spec.range_on(a, c), with any error reported under the field name."""
-    try:
-        return spec.range_on(a, c)
-    except ValueError as exc:
-        raise ConfigError(name, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -294,7 +277,10 @@ class Scenario(_Config):
             node_scale(self.n, self.r)  # the kernel matrix's nodes j^r must not overflow
         except ValueError as exc:
             raise ConfigError("grading", f"{exc}; lower the grading or n") from None
-        p_min, p_max = _range_of("P", self.p_coeff, self.a, self.c)
+        try:
+            p_min, p_max = self.p_coeff.range_on(self.a, self.c)
+        except ValueError as exc:
+            raise ConfigError("P", str(exc)) from None
         if p_min < 0.0:
             raise ConfigError("P", f"must be nonnegative, min is {p_min!r}")
         object.__setattr__(self, "p_sup", p_max)
@@ -342,17 +328,13 @@ def _problem(cell: Cell):
     return s.p_coeff.as_callable(s.a), f_a, g_a, s.grid
 
 
-def run_group(cells: list[Cell], rhs_scale: float = 1.0) -> list[VerifyReport]:
+def run_group(cells: list[Cell]) -> list[VerifyReport]:
     """Solve cells that share (order, n, r) in one march (sfde.solve_cells),
     then classify each cell's directions, one cell at a time, from one zero
     search over its columns (zeros.first_zero_pair); each report carries
     its cell's scenario and its direction, and the bound (m, p*, minimal
     length, lhs, rhs) is the cell's. A cell whose solve fails fails each
-    of its directions with the detail its own solve gives.
-
-    rhs_scale multiplies the bound's right side; it exists purely as a
-    fault-injection hook for negative-path tests of the harness.
-    """
+    of its directions with the detail its own solve gives."""
     order = cells[0][0].order
     if any(s.order != order for s, _ in cells):
         raise ValueError("the cells of one march need one order")
@@ -368,7 +350,7 @@ def run_group(cells: list[Cell], rhs_scale: float = 1.0) -> list[VerifyReport]:
         m = max(1.0, s.p_sup)
         p_star, min_len = best_min_length(s.order, m)
         lhs = fite_lhs(s.order, p_star, m, s.length)
-        rhs = fite_rhs(s.order) * rhs_scale
+        rhs = fite_rhs(s.order)
         paired = BOUND_HOLDS if lhs >= rhs else COUNTEREXAMPLE  # a zero pair's verdict
         reports += [VerifyReport(
             scenario=s, direction=d, verdict=NO_ZERO_PAIR if pair is None else paired,
@@ -377,9 +359,9 @@ def run_group(cells: list[Cell], rhs_scale: float = 1.0) -> list[VerifyReport]:
     return reports
 
 
-def run_scenario(s: Scenario, rhs_scale: float = 1.0) -> VerifyReport:
+def run_scenario(s: Scenario) -> VerifyReport:
     """Solve one scenario and classify it: its cell of one direction."""
-    return run_group(s.cells(), rhs_scale)[0]
+    return run_group(s.cells())[0]
 
 
 @dataclass(frozen=True)
@@ -492,27 +474,23 @@ def _groups(cells: list[Cell]) -> list[list[Cell]]:
     return groups
 
 
-def sweep(spec: Scenario | SweepSpec, workers: int = 1,
-          rhs_scale: float = 1.0) -> SweepReport:
+def sweep(spec: Scenario | SweepSpec, workers: int = 1) -> SweepReport:
     """Run every scenario of a parsed config (a Scenario is a sweep of one),
     one group of cells (see _groups) per march, and each cell's directions
     classified in turn; deterministic for a given spec and seed regardless
     of worker count (groups, cell and scenario order are fixed up front).
     The pool has at most one worker per group and per CPU the process may
     run on; with one, the run stays in-process."""
-    if not (math.isfinite(rhs_scale) and rhs_scale > 0.0):
-        raise ConfigError("rhs_scale", f"must be finite and > 0, got {rhs_scale!r}")
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
     groups = _groups(spec.cells())
-    run = partial(run_group, rhs_scale=rhs_scale)
     # the fork start method launches all max_workers processes at once
     workers = min(workers, len(groups), _cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, groups))
+            done = list(pool.map(run_group, groups))
     else:
-        done = list(map(run, groups))
+        done = list(map(run_group, groups))
     reports = [rep for group in done for rep in group]
     counts = {v: sum(rep.verdict == v for rep in reports) for v in VERDICTS}
     ratios = [rep.ratio for rep in reports if rep.zero_pair is not None

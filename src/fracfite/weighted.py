@@ -109,16 +109,24 @@ def from_samples(samples, gamma: float, grid: GradedGrid) -> WeightedFn:
                       reg_samples=np.array(samples, dtype=float))
 
 
+def interpolate(x: np.ndarray, y: np.ndarray, t) -> np.ndarray | float:
+    """Piecewise-linear interpolant of the points (x_j, y_j) at t, x strictly
+    increasing: (1 - u) y_j + u y_{j+1} on the cell [x_j, x_{j+1}] holding t,
+    with u = (t - x_j) / (x_{j+1} - x_j) clamped to [0, 1], so constant past
+    the ends like np.interp (inside [x_0, x_n] rounding is monotone and the
+    clamp never acts). Up to rounding the value lies between the cell's two
+    values, so it stays finite where the slope (y_{j+1} - y_j) / (x_{j+1} -
+    x_j) of a short cell overflows, and at a knot it is that knot's value
+    exactly. y of shape (x.size, k) gives the k columns' values, of shape
+    np.shape(t) + (k,)."""
+    j = np.searchsorted(x[1:-1], t, side="right")  # t lies in cell j
+    u = np.clip((t - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+    u = np.reshape(u, np.shape(u) + (1,) * (y.ndim - 1))  # one u for all columns
+    return (1.0 - u) * y[j] + u * y[j + 1]
+
+
 def eval_reg(w: WeightedFn, t) -> np.ndarray | float:
-    """Piecewise-linear interpolant of the regularized samples at t in [a, c]:
-    (1 - u) W_j + u W_{j+1} on the cell [t_j, t_{j+1}] holding t, with
-    u = (t - t_j) / (t_{j+1} - t_j) in [0, 1]. Up to rounding the value
-    lies between the cell's two samples, so it stays finite where the slope
-    (W_{j+1} - W_j) / (t_{j+1} - t_j) of a short cell overflows, and at a
-    node it is that node's sample exactly. Samples of shape (n+1, k) give
-    the k columns' values, of shape np.shape(t) + (k,)."""
-    nodes, W = w.grid.nodes, w.reg_samples
-    j = np.searchsorted(nodes[1:-1], t, side="right")  # t lies in cell j
-    u = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
-    u = np.reshape(u, np.shape(u) + (1,) * (W.ndim - 1))  # one u for all columns
-    return (1.0 - u) * W[j] + u * W[j + 1]
+    """Piecewise-linear interpolant of the regularized samples at t in [a, c]
+    (see interpolate); samples of shape (n+1, k) give the k columns' values,
+    of shape np.shape(t) + (k,)."""
+    return interpolate(w.grid.nodes, w.reg_samples, t)

@@ -652,8 +652,16 @@ def _arc_union(arcs: np.ndarray) -> np.ndarray:
     return np.array(merged).reshape(-1, 2)
 
 
+def common_theta(arcs1: np.ndarray, arcs2: np.ndarray) -> float | None:
+    """The midpoint of the first open arc of theta that two sets of arcs of
+    theta_arcs share, or None when they share none."""
+    u1, u2 = _arc_union(arcs1), _arc_union(arcs2)
+    lo = np.maximum(u1[:, None, 0], u2[None, :, 0]).ravel()
+    hi = np.minimum(u1[:, None, 1], u2[None, :, 1]).ravel()
+    shared = np.flatnonzero(lo < hi)
+    return float(0.5 * (lo[shared[0]] + hi[shared[0]])) if shared.size else None
+
+
 def arcs_meet(arcs1: np.ndarray, arcs2: np.ndarray) -> bool:
     """Whether two sets of arcs of theta_arcs share an open arc of theta."""
-    u1, u2 = _arc_union(arcs1), _arc_union(arcs2)
-    return bool((np.maximum(u1[:, None, 0], u2[None, :, 0])
-                 < np.minimum(u1[:, None, 1], u2[None, :, 1])).any())
+    return common_theta(arcs1, arcs2) is not None

@@ -20,9 +20,9 @@ from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch, solve_cells
-from oracles import (arcs_meet, classical_fite_check, fite_closed_form,
-                     kappa_closed_form, mittag_leffler, on_arcs, poly_series,
-                     theta_arcs)
+from oracles import (arcs_meet, classical_fite_check, common_theta,
+                     fite_closed_form, kappa_closed_form, mittag_leffler, on_arcs,
+                     poly_series, theta_arcs)
 
 ORDER = Order(0.75)
 
@@ -32,6 +32,13 @@ def solve_directions(cell):
     (sfde.solve_batch): one SolveReport per direction, in order."""
     P, f_a, g_a, grid = verify_module._problem(cell)
     return solve_batch(P, cell[0].order, f_a, g_a, grid)
+
+
+def inflate_rhs(monkeypatch, factor):
+    """Fault injection: the harness compares lhs with the bound's right side
+    times factor (a pool forked after this inherits it)."""
+    monkeypatch.setattr(verify_module, "fite_rhs",
+                        lambda order: bounds.fite_rhs(order) * factor)
 
 
 def fite_scenario(**kw):
@@ -271,18 +278,20 @@ class TestRunScenario:
         if r1.zero_pair is not None:
             assert r2.zero_pair == pytest.approx(r1.zero_pair, abs=1e-6)
 
-    def test_rhs_corruption_hook_detects_counterexample(self):
+    def test_rhs_corruption_hook_detects_counterexample(self, monkeypatch):
         # negative path: inflating the right side must flip the verdict,
         # proving the harness can actually report counterexamples
-        rep = run_scenario(fite_scenario(c=10.0, n=512), rhs_scale=1e3)
+        inflate_rhs(monkeypatch, 1e3)
+        rep = run_scenario(fite_scenario(c=10.0, n=512))
         assert rep.verdict == "COUNTEREXAMPLE"
 
-    def test_counterexample_does_not_depend_on_data_scale(self):
+    def test_counterexample_does_not_depend_on_data_scale(self, monkeypatch):
         # the equation is linear and homogeneous: data 1e-12 times smaller
         # give the same zero pair, so the same verdict, however small the
         # solution is
+        inflate_rhs(monkeypatch, 1e3)
         s = fite_scenario(c=10.0, n=256, f_a=0.0, g_a=1.0)
-        big, small = (run_scenario(dataclasses.replace(s, g_a=g_a), rhs_scale=1e3)
+        big, small = (run_scenario(dataclasses.replace(s, g_a=g_a))
                       for g_a in (1.0, 1e-12))
         assert big.verdict == small.verdict == "COUNTEREXAMPLE"
         assert small.zero_pair == pytest.approx(big.zero_pair, abs=1e-12 * s.length)
@@ -486,6 +495,18 @@ class TestThetaArcs:
         assert paired == [5.0] * 9
 
 
+def basis_arcs(order, lengths, b_fraction, n):
+    """Per length L at P = 1 on [0, L] with b = b_fraction L: the theta-arcs
+    of f and of g (theta_arcs) from the (1, 0) and (0, 1) columns of one
+    group march."""
+    grids = [build_grid(0.0, length, n, 2.0) for length in lengths]
+    cells = [(lambda t: 1.0, (1.0, 0.0), (0.0, 1.0), g) for g in grids]
+    for g, (wf, wg, _) in zip(grids, solve_cells(order, cells)):
+        yield tuple(theta_arcs(from_samples(w[:, 0], order.gamma, g),
+                               from_samples(w[:, 1], order.gamma, g),
+                               b_fraction * g.length, g.c) for w in (wf, wg))
+
+
 class TestKappa:
     """The sharp threshold kappa(alpha, b_f) of the zero pair at P = 1 from
     the solver: the least length at which the theta-arcs of f and of g,
@@ -497,18 +518,10 @@ class TestKappa:
         # bisected: a geometric scan of 64 lengths on [0.3, 3], then three
         # linear scans of 64 inside the bracket of the first length that
         # meets (resolution about 1.6e-7); each scan is one group march.
-        order = Order(alpha)
         lengths = np.geomspace(0.3, 3.0, 64)
         for _ in range(4):
-            grids = [build_grid(0.0, length, n, 2.0) for length in lengths]
-            cells = [(lambda t: 1.0, (1.0, 0.0), (0.0, 1.0), g) for g in grids]
-            meets = []
-            for g, (wf, wg, _) in zip(grids, solve_cells(order, cells)):
-                b = b_fraction * g.length
-                arcs_f, arcs_g = (theta_arcs(from_samples(w[:, 0], order.gamma, g),
-                                             from_samples(w[:, 1], order.gamma, g), b, g.c)
-                                  for w in (wf, wg))
-                meets.append(arcs_meet(arcs_f, arcs_g))
+            meets = [arcs_meet(*arcs) for arcs in basis_arcs(Order(alpha), lengths,
+                                                             b_fraction, n)]
             first = meets.index(True)
             assert first > 0, "the scan starts inside the pair region"
             lengths = np.linspace(lengths[first - 1], lengths[first], 64)
@@ -539,6 +552,37 @@ class TestKappa:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if ml(mid) > 0.0 else (lo, mid)
         assert 0.5 * (lo + hi) == pytest.approx(kappa0, abs=5e-7)
+
+
+class TestInjectionAtKappa:
+    """Fault injection with teeth: the bound's right side, substituted by
+    lhs(1.1 L_emp) with L_emp = kappa(alpha, 1e-2) at P = 1, flips the
+    verdict between 1.05 L_emp and 1.25 L_emp. lhs increases with L, so a
+    length whose zero pair persists above L_emp is a counterexample below
+    1.1 L_emp and holds the bound above it; below L_emp no direction has a
+    zero pair."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_verdicts_flip_at_the_calibrated_length(self, monkeypatch, alpha):
+        order = Order(alpha)
+        l_emp = kappa_closed_form(alpha, 1e-2)
+        p_star, _ = best_min_length(order, 1.0)
+        rhs = bounds.fite_lhs(order, p_star, 1.0, 1.1 * l_emp)
+        monkeypatch.setattr(verify_module, "fite_rhs", lambda order: rhs)
+        scales = (0.8, 0.95, 1.05, 1.25)
+        lengths = [scale * l_emp for scale in scales]
+        verdicts = []
+        for scale, length, arcs in zip(scales, lengths,
+                                       basis_arcs(order, lengths, 1e-2, 512)):
+            theta = common_theta(*arcs)  # a direction with a zero pair, if any
+            assert (theta is not None) == (scale > 1.0), scale
+            rep = run_scenario(fite_scenario(
+                order=order, b=1e-2 * length, c=length, n=512,
+                f_a=math.cos(theta or 0.0), g_a=math.sin(theta or 0.0)))
+            assert rep.rhs == rhs
+            verdicts.append(rep.verdict)
+        assert verdicts == ["NO_ZERO_PAIR", "NO_ZERO_PAIR", "COUNTEREXAMPLE",
+                            "BOUND_HOLDS"]
 
 
 class TestGroupMarch:

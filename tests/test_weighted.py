@@ -189,3 +189,25 @@ class TestNorms:
         assert np.isfinite(vals).all()
         assert ((-1.6e297 <= vals) & (vals <= -7.9e296)).all()
         assert vals[0] == -1.6e297 and vals[-1] == -7.9e296
+
+    @pytest.mark.parametrize("a,c,r", [(0.0, 1.0, 2.0), (-3.7, 1e-3, 6.0),
+                                       (1e8, 1e8 + 0.3, 1.0)])
+    def test_clamp_never_acts_inside_the_nodes(self, a, c, r):
+        # rounding is monotone, so 0 <= fl(t - t_j) <= fl(t_{j+1} - t_j):
+        # inside [a, c] eval_reg is the unclamped interpolant bit for bit
+        g = build_grid(a, c, 97, r)
+        rng = np.random.default_rng(5)
+        w = from_samples(rng.standard_normal((98, 2)), 0.25, g)
+        nodes = g.nodes
+        t = np.concatenate([nodes, rng.uniform(a, c, 500), np.nextafter(nodes, np.inf)[:-1],
+                            np.nextafter(nodes, -np.inf)[1:]])
+        j = np.searchsorted(nodes[1:-1], t, side="right")
+        u = ((t - nodes[j]) / (nodes[j + 1] - nodes[j]))[:, None]
+        assert ((0.0 <= u) & (u <= 1.0)).all()
+        unclamped = (1.0 - u) * w.reg_samples[j] + u * w.reg_samples[j + 1]
+        assert np.array_equal(eval_reg(w, t), unclamped)
+
+    def test_clamped_past_the_ends(self):
+        g = build_grid(0.0, 1.0, 4, 2.0)
+        w = from_samples([2.0, 3.0, 5.0, 7.0, 11.0], 0.25, g)
+        assert eval_reg(w, -1.0) == 2.0 and eval_reg(w, 2.0) == 11.0
