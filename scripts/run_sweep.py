@@ -44,8 +44,8 @@ def run(args) -> int:
         print(f"  {verdict:15s} {count}")
     print(f"  min lhs/rhs among zero-pair scenarios: {coarse.min_ratio:.3f}")
     if coarse.counts["COUNTEREXAMPLE"]:
-        for rep in coarse.counterexamples:
-            print(f"  !! {rep.direction[2]}: lhs={rep.lhs} rhs={rep.rhs}")
+        for cell, (_, _, label) in coarse.counterexamples:
+            print(f"  !! {label}: lhs={cell.lhs} rhs={cell.rhs}")
         return 1
 
     t0 = time.time()

@@ -18,15 +18,15 @@ from .zeros import find_zeros, first_zero_pair
 from .bounds import (AuditReport, BoundReport, audit_estimates,
                      best_min_length, big_C, big_D, big_E, bound_report,
                      fite_lhs, fite_rhs, holder_params, min_length, small_c)
-from .verify import (CoefficientSpec, Scenario, SweepReport, SweepSpec,
-                     VerifyReport, run_scenario, sweep)
+from .verify import (CellReport, CoefficientSpec, Scenario, SweepReport,
+                     SweepSpec, run_scenario, sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditFailure", "AuditReport", "BoundReport", "CoefficientSpec",
-    "ConfigError", "ConvergenceError", "GradedGrid", "Order", "Scenario",
-    "SolveReport", "SweepReport", "SweepSpec", "VerifyReport",
+    "AuditFailure", "AuditReport", "BoundReport", "CellReport",
+    "CoefficientSpec", "ConfigError", "ConvergenceError", "GradedGrid",
+    "Order", "Scenario", "SolveReport", "SweepReport", "SweepSpec",
     "WeightedFn", "audit_estimates", "best_min_length", "beta_fn",
     "big_C", "big_D", "big_E", "bound_report", "build_grid", "eval_reg",
     "find_zeros", "first_zero_pair", "fite_lhs", "fite_rhs",

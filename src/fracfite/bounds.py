@@ -320,13 +320,15 @@ def audit_sides(order: Order, p: float, seed: int, start: int,
     step1 = two_pow * length ** (al - 1.0 / q) + b_alpha * length ** (2.0 * al - 1.0)
     mn = np.minimum(length ** (1.0 / q), length ** (1.0 - al))
     mx = np.maximum(length ** (1.0 / q), length ** (1.0 - al))
+    window, inner, outer = kernel_integral(  # one call; each element rounds as alone
+        np.stack((t1, a, a)), np.stack((t2, t1, t1)), a, np.stack((t2, t1, t2)), beta, ga)
     lhs = (
         # (kernel_product) |Q_{beta,A} f|(t) <= (t-a)^{1-beta-gamma} B(...) |A| |f|
         kp,
         # (kernel_window) int_{t1}^{t2} kernel <= split-and-Hoelder bound
-        kernel_integral(t1, t2, a, t2, beta, ga),
+        window,
         # (kernel_difference) int_a^{t1} kernel-difference <= same bound
-        kernel_integral(a, t1, a, t1, beta, ga) - kernel_integral(a, t1, a, t2, beta, ga),
+        inner - outer,
         # (uniform_continuity) |Qf(t1) - Qf(t2)| <= C (t2-a)^{...} (t2-t1)^{1/q} |A| |f|
         np.abs(q1 - q2),
         # (subadditive_power) (x + y)^e <= x^e + y^e for e in (0, 1)

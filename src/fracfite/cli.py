@@ -35,7 +35,7 @@ from .bounds import audit_estimates, best_min_length, big_C, big_D, big_E, \
 from .errors import AuditFailure, ConfigError, ConvergenceError
 from .specfn import beta_fn
 from .sfde import solve_batch
-from .verify import Scenario, parse_config, sweep
+from .verify import COUNTEREXAMPLE, Scenario, parse_config, sweep
 from .weighted import Order
 
 OK, CONFIG_ERROR, SOLVER_FAILURE, VERIFY_FAILURE = 0, 2, 3, 4
@@ -138,37 +138,31 @@ def _num(x: float):
     return x if math.isfinite(x) else None  # strict JSON has no NaN
 
 
-def _report_obj(rep) -> dict:
-    f_a, g_a, label = rep.direction
-    obj = {
-        "scenario": {**rep.scenario.to_obj(), "f_a": f_a, "g_a": g_a},
-        "label": label,
-        "verdict": rep.verdict,
-        "residual": _num(rep.residual),
-        "zero_pair": list(rep.zero_pair) if rep.zero_pair else None,
-        "m": _num(rep.m), "p_star": _num(rep.p_star),
-        "min_length": _num(rep.min_len),
-        "lhs": _num(rep.lhs), "rhs": _num(rep.rhs),
-    }
-    if rep.detail:
-        obj["detail"] = rep.detail
-    return obj
+def _cell_objs(cell) -> list[dict]:  # one verify.json entry per direction
+    config = cell.scenario.to_obj()
+    shared = {"m": _num(cell.m), "p_star": _num(cell.p_star),
+              "min_length": _num(cell.min_len), "lhs": _num(cell.lhs), "rhs": _num(cell.rhs)}
+    if cell.detail is not None:
+        shared["detail"] = cell.detail
+    return [{"scenario": {**config, "f_a": f_a, "g_a": g_a}, "label": label,
+             "verdict": verdict, "residual": _num(residual),
+             "zero_pair": None if pair is None else list(pair), **shared}
+            for (f_a, g_a, label), verdict, residual, pair
+            in zip(cell.directions, cell.verdicts, cell.residuals, cell.zero_pairs)]
 
 
 def cmd_verify(args) -> int:
     run = parse_config(_load_config(args.config), n=args.n)
     out = _out_dir(args.out)
     result = sweep(run, workers=args.workers)
-    _dump_json({
-        "spec": result.spec.to_obj(),
-        "counts": result.counts,
-        "min_ratio": _num(result.min_ratio),
-        "scenarios": [_report_obj(r) for r in result.reports],
-        "counterexamples": [_report_obj(r) for r in result.counterexamples],
-    }, out / "verify.json")
+    scenarios = [obj for cell in result.cells for obj in _cell_objs(cell)]
+    counterexamples = [obj for obj in scenarios if obj["verdict"] == COUNTEREXAMPLE]
+    _dump_json({"spec": result.spec.to_obj(), "counts": result.counts,
+                "min_ratio": _num(result.min_ratio), "scenarios": scenarios,
+                "counterexamples": counterexamples}, out / "verify.json")
     print(json.dumps({"counts": result.counts}, sort_keys=True))
-    if result.counterexamples:
-        print(f"verification failure: {len(result.counterexamples)} "
+    if counterexamples:
+        print(f"verification failure: {len(counterexamples)} "
               "counterexample(s) recorded", file=sys.stderr)
         return VERIFY_FAILURE
     return OK

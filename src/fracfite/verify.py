@@ -39,8 +39,8 @@ _MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
 # Plain bounds on a sweep, which holds at most 2 GiB within them at n = _MAX_N:
 _MAX_DIRECTIONS = 512  # a cell's solve and search, 83 bytes per direction and node
 _MAX_CELLS = 2048  # each cell keeps its validated grid, 129 KiB at n = _MAX_N
-_MAX_MARCH = 64  # cells per march; a group holds 210 bytes per cell and node
-_MAX_SCENARIOS = 2**17  # cells x directions; each is kept, 5.6 KiB in `verify`
+_MAX_MARCH = 64  # cells per march; a group holds 198 bytes per cell and node
+_MAX_SCENARIOS = 2**17  # cells x directions; each is kept, 5.2 KiB in `verify`
 
 BOUND_HOLDS = "BOUND_HOLDS"
 NO_ZERO_PAIR = "NO_ZERO_PAIR"
@@ -299,26 +299,33 @@ Cell = tuple[Scenario, tuple[tuple[float, float, str], ...]]
 
 
 @dataclass(frozen=True)
-class VerifyReport:
-    """One direction's run. scenario is its cell's validated Scenario, shared
-    by the cell's reports; in a sweep its f_a, g_a are the cell's (1, 0),
-    and the report's own data are direction = (f_a, g_a, label)."""
+class CellReport:
+    """One cell's run: its validated Scenario and directions (f_a, g_a,
+    label), per direction the residual and first zero pair, and the cell's
+    bound. A failed solve keeps its detail, NaN residuals and no pairs."""
 
     scenario: Scenario
-    direction: tuple[float, float, str]
-    verdict: str
-    residual: float = math.nan
-    zero_pair: tuple[float, float] | None = None
+    directions: tuple[tuple[float, float, str], ...]
+    residuals: tuple[float, ...]
+    zero_pairs: tuple[tuple[float, float] | None, ...]
     m: float = math.nan
     p_star: float = math.nan
     min_len: float = math.nan
     lhs: float = math.nan
     rhs: float = math.nan
-    detail: str = ""
+    detail: str | None = None  # the failed solve's message; None when solved
 
     @property
     def ratio(self) -> float:
         return self.lhs / self.rhs if self.rhs else math.nan
+
+    @property
+    def verdicts(self) -> tuple[str, ...]:
+        """Each direction's verdict (see the module docstring)."""
+        if self.detail is not None:
+            return (SOLVER_FAILED,) * len(self.directions)
+        paired = BOUND_HOLDS if self.lhs >= self.rhs else COUNTEREXAMPLE
+        return tuple(NO_ZERO_PAIR if pair is None else paired for pair in self.zero_pairs)
 
 
 def _problem(cell: Cell):
@@ -328,39 +335,34 @@ def _problem(cell: Cell):
     return s.p_coeff.as_callable(s.a), f_a, g_a, s.grid
 
 
-def run_group(cells: list[Cell]) -> list[VerifyReport]:
+def run_group(cells: list[Cell]) -> list[CellReport]:
     """Solve cells that share (order, n, r) in one march (sfde.solve_cells),
-    then classify each cell's directions, one cell at a time, from one zero
-    search over its columns (zeros.first_zero_pair); each report carries
-    its cell's scenario and its direction, and the bound (m, p*, minimal
-    length, lhs, rhs) is the cell's. A cell whose solve fails fails each
-    of its directions with the detail its own solve gives."""
+    then report each cell from one zero search over its columns
+    (zeros.first_zero_pair) and one bound. A cell whose solve fails is
+    reported with the detail its own solve gives."""
     order = cells[0][0].order
     if any(s.order != order for s, _ in cells):
         raise ValueError("the cells of one march need one order")
     reports = []
     for (s, directions), solved in zip(cells, solve_cells(order, map(_problem, cells))):
         if isinstance(solved, ConvergenceError):
-            reports += [VerifyReport(scenario=s, direction=d, verdict=SOLVER_FAILED,
-                                     detail=str(solved)) for d in directions]
+            k = len(directions)
+            reports.append(CellReport(s, directions, (math.nan,) * k, (None,) * k,
+                                      detail=str(solved)))
             continue
         wf, wg, res = solved
         pairs = first_zero_pair(from_samples(wf, order.gamma, s.grid),
                                 from_samples(wg, order.gamma, s.grid), s.b, s.c)
         m = max(1.0, s.p_sup)
         p_star, min_len = best_min_length(s.order, m)
-        lhs = fite_lhs(s.order, p_star, m, s.length)
-        rhs = fite_rhs(s.order)
-        paired = BOUND_HOLDS if lhs >= rhs else COUNTEREXAMPLE  # a zero pair's verdict
-        reports += [VerifyReport(
-            scenario=s, direction=d, verdict=NO_ZERO_PAIR if pair is None else paired,
-            residual=float(r), zero_pair=pair, m=m, p_star=p_star, min_len=min_len,
-            lhs=lhs, rhs=rhs) for d, r, pair in zip(directions, res, pairs)]
+        reports.append(CellReport(
+            s, directions, tuple(map(float, res)), tuple(pairs), m, p_star, min_len,
+            fite_lhs(s.order, p_star, m, s.length), fite_rhs(s.order)))
     return reports
 
 
-def run_scenario(s: Scenario) -> VerifyReport:
-    """Solve one scenario and classify it: its cell of one direction."""
+def run_scenario(s: Scenario) -> CellReport:
+    """Solve one scenario and report it: its cell of one direction."""
     return run_group(s.cells())[0]
 
 
@@ -445,15 +447,28 @@ def parse_config(obj, n=None) -> Scenario | SweepSpec:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """A run's cells in sweep order; every tally derives from them."""
+
     spec: Scenario | SweepSpec
-    counts: dict[str, int]
-    reports: tuple[VerifyReport, ...]
-    counterexamples: tuple[VerifyReport, ...]
-    min_ratio: float = math.nan  # smallest lhs/rhs among zero-pair scenarios
+    cells: tuple[CellReport, ...]
 
     @property
     def verdicts(self) -> tuple[str, ...]:
-        return tuple(r.verdict for r in self.reports)
+        return tuple(v for cell in self.cells for v in cell.verdicts)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return dict(zip(VERDICTS, map(self.verdicts.count, VERDICTS)))
+
+    @property
+    def counterexamples(self) -> tuple:  # (cell, direction) of each, in sweep order
+        return tuple((cell, d) for cell in self.cells for d, v
+                     in zip(cell.directions, cell.verdicts) if v == COUNTEREXAMPLE)
+
+    @property
+    def min_ratio(self) -> float:  # the least finite lhs/rhs of a cell with a zero pair
+        return min((cell.ratio for cell in self.cells if math.isfinite(cell.ratio)
+                    and any(pair is not None for pair in cell.zero_pairs)), default=math.nan)
 
 
 def _cpu_count() -> int:
@@ -475,12 +490,11 @@ def _groups(cells: list[Cell]) -> list[list[Cell]]:
 
 
 def sweep(spec: Scenario | SweepSpec, workers: int = 1) -> SweepReport:
-    """Run every scenario of a parsed config (a Scenario is a sweep of one),
-    one group of cells (see _groups) per march, and each cell's directions
-    classified in turn; deterministic for a given spec and seed regardless
-    of worker count (groups, cell and scenario order are fixed up front).
-    The pool has at most one worker per group and per CPU the process may
-    run on; with one, the run stays in-process."""
+    """Run every cell of a parsed config (a Scenario is a sweep of one), one
+    group of cells (see _groups) per march; deterministic for a given spec
+    and seed regardless of worker count (groups, cell and direction order
+    are fixed up front). The pool has at most one worker per group and per
+    CPU the process may run on; with one, the run stays in-process."""
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
     groups = _groups(spec.cells())
@@ -491,14 +505,4 @@ def sweep(spec: Scenario | SweepSpec, workers: int = 1) -> SweepReport:
             done = list(pool.map(run_group, groups))
     else:
         done = list(map(run_group, groups))
-    reports = [rep for group in done for rep in group]
-    counts = {v: sum(rep.verdict == v for rep in reports) for v in VERDICTS}
-    ratios = [rep.ratio for rep in reports if rep.zero_pair is not None
-              and math.isfinite(rep.ratio)]
-    return SweepReport(
-        spec=spec,
-        counts=counts,
-        reports=tuple(reports),
-        counterexamples=tuple(r for r in reports if r.verdict == COUNTEREXAMPLE),
-        min_ratio=min(ratios) if ratios else math.nan,
-    )
+    return SweepReport(spec=spec, cells=tuple(rep for group in done for rep in group))

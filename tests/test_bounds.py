@@ -296,6 +296,18 @@ class TestAudit:
     def test_subadditive_power_inequality(self, x, y, e):
         assert (x + y) ** e <= x**e + y**e + 1e-12
 
+    def test_one_integral_call_per_chunk(self, monkeypatch):
+        # a chunk's three integrals per trial are one call on (3, T) arguments
+        shapes = []
+
+        def counted(*args):
+            shapes.append(np.shape(args[0]))
+            return kernel_integral(*args)
+
+        monkeypatch.setattr(bounds, "kernel_integral", counted)
+        audit_estimates(ORDER, 1.5, 300, 42)
+        assert shapes == [(3, 128), (3, 128), (3, 44)]
+
     def test_audit_failure_type_exists(self):
         err = AuditFailure("chain_D", 123, 4, "detail")
         assert (err.inequality, err.seed, err.trial) == ("chain_D", 123, 4)
@@ -305,7 +317,7 @@ class TestAudit:
     def test_failure_names_the_seed_and_trial_that_reproduce_it(self, monkeypatch):
         calls = record_integrals(monkeypatch)
         audit_estimates(ORDER, 1.5, 10, 42)
-        # one call per integral of the chunk, kernel_window's first
+        # one record per integral of the chunk, kernel_window's first
         assert [len(args) for args, _ in calls] == [10, 10, 10]  # three per trial
         target = calls[0][0][5]  # trial 5's kernel_window integral
 
@@ -419,16 +431,17 @@ class TestAudit:
 
 
 def record_integrals(monkeypatch):
-    """Patch bounds.kernel_integral to record each call as (args, values):
-    args a list of one (lo, hi, a, t, beta, gamma) tuple of floats per
-    element, values the elements' integrals."""
+    """Patch bounds.kernel_integral to record each integral it evaluates
+    as (args, values), a call on stacked (k, T) arguments as its k rows in
+    turn: args a list of one (lo, hi, a, t, beta, gamma) tuple of floats
+    per element, values the elements' integrals."""
     calls = []
 
     def record(*args):
         val = kernel_integral(*args)
-        vals = np.atleast_1d(val)
-        cols = [np.broadcast_to(v, vals.shape).tolist() for v in args]
-        calls.append((list(zip(*cols)), vals.tolist()))
+        vals = np.atleast_2d(val)
+        rows = zip(*(np.broadcast_to(v, vals.shape).tolist() for v in args), vals.tolist())
+        calls.extend((list(zip(*cols)), row) for *cols, row in rows)
         return val
 
     monkeypatch.setattr(bounds, "kernel_integral", record)

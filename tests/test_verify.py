@@ -16,6 +16,7 @@ from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
                       best_min_length, build_grid, find_zeros, from_samples,
                       run_scenario, sweep)
 from fracfite import bounds, rlops
+from fracfite import cli as cli_module
 from fracfite.cli import main
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
@@ -39,6 +40,14 @@ def inflate_rhs(monkeypatch, factor):
     times factor (a pool forked after this inherits it)."""
     monkeypatch.setattr(verify_module, "fite_rhs",
                         lambda order: bounds.fite_rhs(order) * factor)
+
+
+def directions_of(cells):
+    """Each direction of the cell reports, in order, as (cell, direction,
+    verdict, residual, zero pair)."""
+    for cell in cells:
+        yield from ((cell, *row) for row in zip(cell.directions, cell.verdicts,
+                                                 cell.residuals, cell.zero_pairs))
 
 
 def fite_scenario(**kw):
@@ -251,12 +260,12 @@ class TestRunScenario:
         # P == 0, f_a = 1: f = (x-a)^{alpha-1} never vanishes; g == 0
         rep = run_scenario(fite_scenario(
             p_coeff=CoefficientSpec.const(0.0), f_a=1.0, g_a=0.0))
-        assert rep.verdict == "NO_ZERO_PAIR"
+        assert rep.verdicts[0] == "NO_ZERO_PAIR"
 
     def test_oscillatory_long_interval_bound_holds(self):
         rep = run_scenario(fite_scenario(c=10.0, n=512))
-        assert rep.verdict == "BOUND_HOLDS"
-        assert rep.zero_pair is not None
+        assert rep.verdicts[0] == "BOUND_HOLDS"
+        assert rep.zero_pairs[0] is not None
         assert rep.lhs >= rep.rhs
         assert rep.m == 1.0
 
@@ -269,21 +278,21 @@ class TestRunScenario:
                               f_a=math.cos(theta) or 1e-3,
                               g_a=math.sin(theta))
             rep = run_scenario(s)
-            assert rep.verdict != "COUNTEREXAMPLE", f"direction {k}"
+            assert rep.verdicts[0] != "COUNTEREXAMPLE", f"direction {k}"
 
     def test_scale_invariant_verdict(self):
         r1 = run_scenario(fite_scenario(c=10.0, n=512))
         r2 = run_scenario(fite_scenario(c=10.0, n=512, f_a=0.0, g_a=5.0))
-        assert r1.verdict == r2.verdict
-        if r1.zero_pair is not None:
-            assert r2.zero_pair == pytest.approx(r1.zero_pair, abs=1e-6)
+        assert r1.verdicts[0] == r2.verdicts[0]
+        if r1.zero_pairs[0] is not None:
+            assert r2.zero_pairs[0] == pytest.approx(r1.zero_pairs[0], abs=1e-6)
 
     def test_rhs_corruption_hook_detects_counterexample(self, monkeypatch):
         # negative path: inflating the right side must flip the verdict,
         # proving the harness can actually report counterexamples
         inflate_rhs(monkeypatch, 1e3)
         rep = run_scenario(fite_scenario(c=10.0, n=512))
-        assert rep.verdict == "COUNTEREXAMPLE"
+        assert rep.verdicts[0] == "COUNTEREXAMPLE"
 
     def test_counterexample_does_not_depend_on_data_scale(self, monkeypatch):
         # the equation is linear and homogeneous: data 1e-12 times smaller
@@ -293,8 +302,8 @@ class TestRunScenario:
         s = fite_scenario(c=10.0, n=256, f_a=0.0, g_a=1.0)
         big, small = (run_scenario(dataclasses.replace(s, g_a=g_a))
                       for g_a in (1.0, 1e-12))
-        assert big.verdict == small.verdict == "COUNTEREXAMPLE"
-        assert small.zero_pair == pytest.approx(big.zero_pair, abs=1e-12 * s.length)
+        assert big.verdicts[0] == small.verdicts[0] == "COUNTEREXAMPLE"
+        assert small.zero_pairs[0] == pytest.approx(big.zero_pairs[0], abs=1e-12 * s.length)
 
     def test_m_uses_coefficient_sup(self):
         rep = run_scenario(fite_scenario(p_coeff=CoefficientSpec.const(3.0),
@@ -320,7 +329,7 @@ class TestRunScenario:
         # a valid config whose solve overflows double precision
         rep = run_scenario(fite_scenario(order=Order(0.9), c=1e8, b=1e6, n=64,
                                          p_coeff=CoefficientSpec.const(1e300)))
-        assert rep.verdict == "SOLVER_FAILED"
+        assert rep.verdicts[0] == "SOLVER_FAILED"
         assert "non-finite" in rep.detail
 
     def test_non_finite_residual_is_solver_failed(self):
@@ -330,7 +339,7 @@ class TestRunScenario:
             s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
                                    "f_a": data, "g_a": data, "n": 64})
             rep = run_scenario(s)
-            assert rep.verdict == "SOLVER_FAILED"
+            assert rep.verdicts[0] == "SOLVER_FAILED"
             assert detail in rep.detail
 
     def test_table_between_values_far_apart_solves(self):
@@ -343,8 +352,8 @@ class TestRunScenario:
         s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 10, "P": {"table": table},
                                "f_a": 0, "g_a": 1, "n": 64})
         rep = run_scenario(s)
-        assert rep.verdict == "BOUND_HOLDS"
-        assert rep.residual <= 1e-13  # 8.0e-15
+        assert rep.verdicts[0] == "BOUND_HOLDS"
+        assert rep.residuals[0] <= 1e-13  # 8.0e-15
 
 
 STANDARD_GRID = dict(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
@@ -363,13 +372,13 @@ class TestClosedFormZeros:
     @staticmethod
     def check_zero_pairs(n):
         report = standard_sweep(n)
-        held = [r for r in report.reports if r.verdict == "BOUND_HOLDS"]
+        held = [(cell, d, pair) for cell, d, verdict, _, pair in directions_of(report.cells)
+                if verdict == "BOUND_HOLDS"]
         assert len(held) == 68
-        for rep in held:
-            s = rep.scenario
-            f_a, g_a, label = rep.direction
+        for cell, (f_a, g_a, label), pair in held:
+            s = cell.scenario
             tol = 5e-5 * s.length
-            for column, z in enumerate(rep.zero_pair):
+            for column, z in enumerate(pair):
                 lo, hi = (fite_closed_form(s.order.alpha, s.p_sup, f_a, g_a,
                                            z - s.a + dz)[column]
                           for dz in (-tol, tol))
@@ -398,7 +407,7 @@ class TestClosedFormZeros:
         report = standard_sweep(n)
         assert report.counts["NO_ZERO_PAIR"] == 148
         basis = {}
-        for rep in report.reports:
+        for rep, (f_a, g_a, label), verdict, _, _ in directions_of(report.cells):
             s = rep.scenario
             cell = (s.order.alpha, s.p_sup, s.length)
             if cell not in basis:
@@ -407,11 +416,10 @@ class TestClosedFormZeros:
                 basis[cell] = np.array([fite_closed_form(*cell[:2], 1.0, 0.0, x)
                                         for x in t]).T
             wf10, wg10 = basis[cell]
-            f_a, g_a, label = rep.direction
             wf = f_a * wf10 - g_a * wg10 / s.p_sup
             wg = g_a * wf10 + f_a * wg10
             one_signed = any(np.all(w > 0.0) or np.all(w < 0.0) for w in (wf, wg))
-            assert one_signed == (rep.verdict == "NO_ZERO_PAIR"), label
+            assert one_signed == (verdict == "NO_ZERO_PAIR"), label
         assert len(basis) == 27
 
 
@@ -478,7 +486,7 @@ class TestThetaArcs:
         # 0 mismatches in 216 directions; only the nine L = 5 cells have a
         # zero pair for any theta, so no sample misses a pair between samples
         spec = SweepSpec(**STANDARD_GRID, n=n)
-        reports = iter(standard_sweep(n).reports)
+        pairs = (pair for *_, pair in directions_of(standard_sweep(n).cells))
         paired = []
         for s, directions in spec.cells():
             e1, e2 = solve_batch(s.p_coeff.as_callable(s.a), s.order, [1.0, 0.0],
@@ -488,10 +496,10 @@ class TestThetaArcs:
             for f_a, g_a, label in directions:
                 theta = math.atan2(g_a, f_a)
                 predicted = on_arcs(arcs_f, theta) and on_arcs(arcs_g, theta)
-                assert predicted == (next(reports).zero_pair is not None), label
+                assert predicted == (next(pairs) is not None), label
             if arcs_meet(arcs_f, arcs_g):
                 paired.append(s.length)
-        assert next(reports, None) is None
+        assert next(pairs, "end") == "end"
         assert paired == [5.0] * 9
 
 
@@ -580,7 +588,7 @@ class TestInjectionAtKappa:
                 order=order, b=1e-2 * length, c=length, n=512,
                 f_a=math.cos(theta or 0.0), g_a=math.sin(theta or 0.0)))
             assert rep.rhs == rhs
-            verdicts.append(rep.verdict)
+            verdicts.append(rep.verdicts[0])
         assert verdicts == ["NO_ZERO_PAIR", "NO_ZERO_PAIR", "COUNTEREXAMPLE",
                             "BOUND_HOLDS"]
 
@@ -606,8 +614,8 @@ class TestGroupMarch:
             assert [x.shape for x in solved] == [(614, 3), (614, 3), (3,)]
             for x, alone in zip(solved, self.columns(solve_directions(cell))):
                 assert np.array_equal(x, alone)
-            reps = verify_module.run_group([cell])
-            assert [r.residual for r in reps] == solved[2].tolist()
+            rep, = verify_module.run_group([cell])
+            assert list(rep.residuals) == solved[2].tolist()
 
     @pytest.mark.parametrize("n", [512, 1024])
     def test_group_matches_cell_by_cell(self, n):
@@ -625,13 +633,13 @@ class TestGroupMarch:
                 assert (np.abs(res - res1) <= 1e-13 * w).all()
         alone = [rep for cell in cells for rep in verify_module.run_group([cell])]
         grouped = standard_sweep(n)
-        assert grouped.verdicts == tuple(r.verdict for r in alone)
-        assert grouped.counts == {v: sum(r.verdict == v for r in alone) for v in VERDICTS}
-        for r, r1 in zip(grouped.reports, alone):
-            assert (r.zero_pair is None) == (r1.zero_pair is None)
-            if r.zero_pair is not None:
-                assert np.abs(np.subtract(r.zero_pair, r1.zero_pair)).max() \
-                    <= 1e-13 * r.scenario.length
+        assert grouped.verdicts == tuple(v for r in alone for v in r.verdicts)
+        assert grouped.counts == {v: sum(r.verdicts.count(v) for r in alone) for v in VERDICTS}
+        for (r, *_, pair), (*_, pair1) in zip(directions_of(grouped.cells),
+                                              directions_of(alone)):
+            assert (pair is None) == (pair1 is None)
+            if pair is not None:
+                assert np.abs(np.subtract(pair, pair1)).max() <= 1e-13 * r.scenario.length
 
     def test_one_walk_per_group(self, monkeypatch):
         # one walk per alpha, four columns per cell; a run of more than
@@ -644,13 +652,13 @@ class TestGroupMarch:
             return blocks(self, U)
 
         monkeypatch.setattr(rlops.KernelOperator, "blocks", counted)
-        assert len(sweep(SweepSpec(**STANDARD_GRID, n=64)).reports) == 216
+        assert len(sweep(SweepSpec(**STANDARD_GRID, n=64)).verdicts) == 216
         assert walks == [(65, 36)] * 3
         walks.clear()
         monkeypatch.setattr(verify_module, "_MAX_MARCH", 2)
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 1.0, 1.5, 2.0, 2.5),
                          directions=2, n=16)
-        assert len(sweep(spec).reports) == 10
+        assert len(sweep(spec).verdicts) == 10
         assert walks == [(17, 8), (17, 8), (17, 4)]
 
 
@@ -658,11 +666,11 @@ class TestSweep:
     def test_scenario_is_a_sweep_of_one(self):
         s = fite_scenario(c=10.0, n=256)
         rep = run_scenario(s)
-        assert rep.zero_pair is not None
+        assert rep.zero_pairs[0] is not None
         result = sweep(s)
         assert result.spec is s
-        assert result.reports == (rep,)
-        assert result.counts == {v: int(v == rep.verdict) for v in VERDICTS}
+        assert result.cells == (rep,)
+        assert result.counts == {v: int(v == rep.verdicts[0]) for v in VERDICTS}
         assert result.min_ratio == rep.ratio
 
     def test_one_grid_and_one_min_length_per_scenario(self, monkeypatch):
@@ -682,7 +690,7 @@ class TestSweep:
         monkeypatch.setattr(bounds, "min_length", counting_length)
         rlops._matrix_cached.cache_clear()
         report = sweep(SweepSpec(**STANDARD_GRID, n=64))
-        assert len(report.reports) == 216
+        assert len(report.verdicts) == 216
         # one grid per cell SweepSpec validates, which its directions share,
         # and one kernel build per alpha; the bound is the cell's
         assert len(grids) == 27
@@ -711,10 +719,10 @@ class TestSweep:
                             raising=False)
         spec = SweepSpec(alphas=(0.6, 0.75), p_infs=(1.0,), lengths=(0.5, 2.0),
                          directions=3, n=64)
-        assert len(sweep(spec, workers=5000).reports) == 12  # two groups of two cells
+        assert len(sweep(spec, workers=5000).verdicts) == 12  # two groups of two cells
         one_cell = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5,),
                              directions=3, n=64)
-        assert len(sweep(one_cell, workers=5000).reports) == 3  # in-process
+        assert len(sweep(one_cell, workers=5000).verdicts) == 3  # in-process
         sweep(fite_scenario(n=64), workers=5000)  # one scenario runs in-process
         assert sizes == [2]
 
@@ -747,7 +755,7 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         spec = SweepSpec(alphas=(0.6, 0.65, 0.7, 0.75, 0.8), p_infs=(1.0,),
                          lengths=(0.5,), directions=1, n=16)
-        assert len(sweep(spec, workers=5000).reports) == 5
+        assert len(sweep(spec, workers=5000).verdicts) == 5
         assert recorded == sizes
 
     def test_failed_cell_fails_each_direction(self):
@@ -758,27 +766,69 @@ class TestSweep:
         report = sweep(spec)
         alone = [run_scenario(dataclasses.replace(s, f_a=f_a, g_a=g_a))
                  for s, directions in spec.cells() for f_a, g_a, _ in directions]
-        assert [r.direction[2] for r in report.reports] == [
+        assert [label for _, (*_, label), *_ in directions_of(report.cells)] == [
             f"alpha=0.9,P={p},L=100000000.0,dir={k}"
             for p in (1e300, 1.0) for k in range(3)]
         assert report.verdicts[:3] == ("SOLVER_FAILED",) * 3
-        assert {r.detail for r in report.reports[:3]} == {
-            "marching solve produced non-finite samples"}
+        failed = report.cells[0]
+        assert failed.detail == "marching solve produced non-finite samples"
+        assert np.isnan(failed.residuals).all() and failed.zero_pairs == (None,) * 3
         assert "SOLVER_FAILED" not in report.verdicts[3:]
-        assert [(r.verdict, r.detail) for r in report.reports] == [
-            (r.verdict, r.detail) for r in alone]
+        assert [(v, r.detail) for r, _, v, *_ in directions_of(report.cells)] == [
+            (v, r.detail) for r, _, v, *_ in directions_of(alone)]
+
+    def test_mixed_sweep_tallies_derive_from_its_cells(self, monkeypatch, tmp_path):
+        # The standard sweep with the right side 30x too large gives cells
+        # of each kind side by side: 24 BOUND_HOLDS, 44 COUNTEREXAMPLE and
+        # 148 NO_ZERO_PAIR. `fracfite verify` writes what its sweep reports.
+        def rule(cell, pair):
+            if cell.detail is not None:
+                return "SOLVER_FAILED"
+            if pair is None:
+                return "NO_ZERO_PAIR"
+            return "BOUND_HOLDS" if cell.lhs >= cell.rhs else "COUNTEREXAMPLE"
+
+        inflate_rhs(monkeypatch, 30.0)
+        runs = []
+        monkeypatch.setattr(cli_module, "sweep",
+                            lambda *args, **kw: runs.append(sweep(*args, **kw)) or runs[-1])
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"sweep": {**STANDARD_GRID, "n": 512}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        report, = runs
+        ratios, kinds = [], set()
+        for cell in report.cells:
+            assert cell.verdicts == tuple(rule(cell, pair) for pair in cell.zero_pairs)
+            paired = {v for v, pair in zip(cell.verdicts, cell.zero_pairs) if pair is not None}
+            assert len(paired) <= 1  # a cell's paired directions share one verdict
+            kinds |= paired
+            if paired and math.isfinite(cell.ratio):
+                ratios.append(cell.lhs / cell.rhs)
+        assert kinds == {"BOUND_HOLDS", "COUNTEREXAMPLE"}
+        assert report.verdicts == tuple(v for cell in report.cells for v in cell.verdicts)
+        assert report.counts == {v: sum(cell.verdicts.count(v) for cell in report.cells)
+                                 for v in VERDICTS}
+        assert report.counts == {"BOUND_HOLDS": 24, "COUNTEREXAMPLE": 44,
+                                 "NO_ZERO_PAIR": 148, "SOLVER_FAILED": 0}
+        assert report.min_ratio == min(ratios)
+        written = json.loads((tmp_path / "verify.json").read_text())
+        assert [e["verdict"] for e in written["scenarios"]] == list(report.verdicts)
+        assert written["counts"] == report.counts
+        assert written["counterexamples"] == [
+            e for e in written["scenarios"] if e["verdict"] == "COUNTEREXAMPLE"]
 
     def test_reports_share_their_cell_scenario(self):
-        # each report of a cell is that cell's one validated Scenario (no
-        # copy per direction) and carries its direction, in the cell's order
+        # each cell's report holds that cell's one validated Scenario and
+        # its own directions, in the cell's order, with one entry of each
+        # per-direction field per direction
         spec = SweepSpec(alphas=(0.75,), p_infs=(0.5, 2.0), lengths=(1.0,),
                          directions=3, seed=5, random_directions=True, n=32)
-        reports = iter(sweep(spec).reports)
-        for s, directions in spec.cells():
-            cell = [next(reports) for _ in directions]
-            assert all(r.scenario is s for r in cell)
-            assert [r.direction for r in cell] == list(directions)
-        assert next(reports, None) is None
+        report = sweep(spec)
+        assert len(report.cells) == len(spec.cells()) == 2
+        for rep, (s, directions) in zip(report.cells, spec.cells()):
+            assert rep.scenario is s
+            assert rep.directions == directions
+            assert len(rep.residuals) == len(rep.zero_pairs) == len(rep.verdicts) == 3
 
     def test_empty_grid(self):
         # a sweep that checks nothing must not pass as a clean sweep
@@ -833,7 +883,7 @@ class TestSweep:
         # A sweep at any corner of the three bounds at n = 16383, scaled from
         # small runs (tracemalloc): the scenarios it keeps, at the peak per
         # scenario of in-process `fracfite verify` (27 cells of 20
-        # directions at n = 16, about 5.6 KiB), one cell's solve and the
+        # directions at n = 16, about 5.2 KiB), one cell's solve and the
         # zero search over its columns (per direction and node, run_group on
         # one cell of 16 directions at n = 1024, about 83 bytes) with its
         # kernel, one march of _MAX_MARCH cells (per cell and node, 8 cells
@@ -888,14 +938,14 @@ class TestSweep:
         report = sweep(spec)
         assert report.counts["COUNTEREXAMPLE"] == 0
         assert report.counts["SOLVER_FAILED"] == 0
-        assert len(report.reports) == 8
+        assert len(report.verdicts) == 8
 
     def test_sweep_deterministic(self):
         spec = SweepSpec(alphas=(0.6, 0.75), p_infs=(1.0,), lengths=(0.5,),
                          directions=4, n=96, seed=11)
         r1, r2 = sweep(spec), sweep(spec)
         assert r1.verdicts == r2.verdicts
-        assert [x.lhs for x in r1.reports] == [x.lhs for x in r2.reports]
+        assert [x.lhs for x in r1.cells] == [x.lhs for x in r2.cells]
         assert (r1.min_ratio == r2.min_ratio
                 or (math.isnan(r1.min_ratio) and math.isnan(r2.min_ratio)))
 
@@ -905,7 +955,7 @@ class TestSweep:
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=2)
         assert serial.verdicts == parallel.verdicts
-        assert [x.lhs for x in serial.reports] == [x.lhs for x in parallel.reports]
+        assert [x.lhs for x in serial.cells] == [x.lhs for x in parallel.cells]
 
     def test_verdicts_stable_under_refinement(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0, 2.0), lengths=(0.05, 2.0),
