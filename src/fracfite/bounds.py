@@ -186,6 +186,7 @@ CHECKS = AUDITED[:7] + ("chain_D", "chain_E")
 _AUDIT_N = 96
 _AUDIT_R = 2.0
 _AUDIT_CHUNK = 128  # trials drawn, then checked as arrays, at a time
+_AUDIT_WIDTH = 2 * (_AUDIT_N + 1) + 8  # doubles in one trial's window
 
 
 @dataclass(frozen=True)
@@ -202,13 +203,13 @@ def audit_estimates(order: Order, p: float, trials: int, seed: int) -> AuditRepo
     weighted function f (both random piecewise linear), all with
     beta = gamma = 1 - alpha and the given p. The operator checks apply
     rows of the product-integration matrix Omega; kernel_window and
-    kernel_difference take the closed-form kernel_integral. Trial k
-    draws its instance from SeedSequence([seed, k]) alone, so the first
-    `trials` trials of a seed are the same in every run, whatever the
-    chunk size. The trials are checked _AUDIT_CHUNK at a time
-    (audit_sides). Raises AuditFailure, naming the seed and the trial, on
-    the first violated inequality in (trial, check) order; otherwise
-    every trial checked and passed every inequality.
+    kernel_difference take the closed-form kernel_integral. Trial k reads
+    the k-th window of _AUDIT_WIDTH doubles of default_rng(seed) alone, so
+    a seed's first `trials` trials are the same in every run, whatever the
+    chunk size; they are checked _AUDIT_CHUNK at a time (audit_sides).
+    Raises AuditFailure, naming the seed and the trial, on the first
+    violated inequality in (trial, check) order; otherwise every trial
+    checked and passed every inequality.
     """
     holder_params(order, p)
     if trials < 0:
@@ -232,41 +233,40 @@ def _uniform(low: float, high: float, u):
     return low + (high - low) * u
 
 
-def _audit_draws(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """The instances of trials start .. stop-1 of seed, one entry per trial:
-    (a, length, b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e), the node
-    values as (trials, n+1) arrays.
+def _node_pair(u1, u2, count):
+    """Distinct indices in [0, count) from uniforms u1, u2, each ordered pair
+    equally likely: floor(u1 count), and floor(u2 (count-1)) stepped past
+    it. The clamps keep u = 1 in range."""
+    j1 = np.minimum((u1 * count).astype(np.int64), count - 1)
+    j2 = np.minimum((u2 * (count - 1)).astype(np.int64), count - 2)
+    return j1, j2 + (j2 >= j1)
 
-    Trial k draws from SeedSequence([seed, k]), in this order: a, the
-    length and b's fraction of it; two distinct indices i1 < i2 of the
-    trial grid's nodes t1, t2 at or after b (rng.choice); A's and then W's
-    n+1 node values; x, y and e. The loops only draw, the uniforms as the
-    generator's doubles, and every value is formed from those for the chunk
-    at once. The choice needs the count of nodes at or after b, so the
-    generators are kept from the first loop for a second one.
+
+def _audit_draws(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Trials start .. stop-1 of seed, one entry per trial: (a, length, b, i1,
+    i2, t1, t2, A_nodes, W_nodes, x, y, e), node values as (trials, n+1).
+
+    Trial k reads doubles k w .. (k+1) w - 1 of default_rng(seed)'s stream
+    (w = _AUDIT_WIDTH): a, the length and b's fraction of it; u1, u2, which
+    pick nodes t1 <= t2 (i1 < i2) at or after b (_node_pair); A's and W's
+    n+1 node values; x, y, e. One generator advances to trial start's window
+    (PCG64's jump-ahead) and fills the chunk's windows in one call.
     """
-    n = _AUDIT_N
-    # default_rng seeds each from SeedSequence([seed, trial])
-    rngs = [np.random.default_rng([seed, trial]) for trial in range(start, stop)]
-    head = np.empty((len(rngs), 3))
-    for rng, row in zip(rngs, head):
-        rng.random(out=row)
-    a = _uniform(-2.0, 2.0, head[:, 0])
-    length = _uniform(0.3, 3.0, head[:, 1])
-    b = a + _uniform(0.02, 0.3, head[:, 2]) * length
-    nodes = graded_nodes(a[:, None], (a + length)[:, None], n, _AUDIT_R)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * _AUDIT_WIDTH)
+    u = rng.random((stop - start, _AUDIT_WIDTH))
+    a = _uniform(-2.0, 2.0, u[:, 0])
+    length = _uniform(0.3, 3.0, u[:, 1])
+    b = a + _uniform(0.02, 0.3, u[:, 2]) * length
+    nodes = graded_nodes(a[:, None], (a + length)[:, None], _AUDIT_N, _AUDIT_R)
     first = np.count_nonzero(nodes < b[:, None], axis=1)  # nodes first..n are >= b
-    picks = np.empty((len(rngs), 2), dtype=np.int64)
-    tail = np.empty((len(rngs), 2 * (n + 1) + 3))
-    for rng, eligible, pick, row in zip(rngs, (n + 1 - first).tolist(), picks, tail):
-        pick[:] = rng.choice(eligible, size=2, replace=False)
-        rng.random(out=row)
-    i1, i2 = first + picks.min(axis=1), first + picks.max(axis=1)
-    each = np.arange(len(rngs))
-    AW = _uniform(-3.0, 3.0, tail[:, :-3])
-    return (a, length, b, i1, i2, nodes[each, i1], nodes[each, i2],
-            AW[:, :n + 1], AW[:, n + 1:], _uniform(0.0, 5.0, tail[:, -3]),
-            _uniform(0.0, 5.0, tail[:, -2]), _uniform(0.05, 0.95, tail[:, -1]))
+    j1, j2 = _node_pair(u[:, 3], u[:, 4], _AUDIT_N + 1 - first)
+    i1, i2 = first + np.minimum(j1, j2), first + np.maximum(j1, j2)
+    each = np.arange(stop - start)
+    A_nodes, W_nodes = np.split(_uniform(-3.0, 3.0, u[:, 5:-3]), 2, axis=1)
+    return (a, length, b, i1, i2, nodes[each, i1], nodes[each, i2], A_nodes,
+            W_nodes, _uniform(0.0, 5.0, u[:, -3]), _uniform(0.0, 5.0, u[:, -2]),
+            _uniform(0.05, 0.95, u[:, -1]))
 
 
 def audit_sides(order: Order, p: float, seed: int, start: int,

@@ -11,7 +11,7 @@ class AuditFailure(RuntimeError):
     """A numerically audited inequality was violated.
 
     Carries the inequality label, the audit seed and the failing trial:
-    trial k of seed S draws its instance from SeedSequence([S, k]), so
+    trial k of seed S draws from window k of default_rng(S)'s doubles, so
     `fracfite audit --seed S --trials k+1` (same alpha and p) reproduces it.
     """
 

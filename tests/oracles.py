@@ -14,9 +14,10 @@ contraction factor of that map, the 16-point kernel-matrix build that
 the blocked build in rlops replaces, the kernel integral that
 rlops.kernel_integral evaluates in closed form (from mpmath.betainc),
 the randomized audit's scalar trial loop that bounds.audit_sides
-evaluates as arrays (each trial's instance drawn by one rng.uniform call
-per value on its own build_grid, where the audit keeps only the
-generator's doubles and forms a chunk's instances at once), the weighted
+evaluates as arrays (trial k's instance drawn from the k-th window of
+its seed's stream by one rng.uniform call per value on its own
+build_grid, where the audit fills a chunk's windows in one call and
+forms its instances at once), the weighted
 sup-norms, and helpers that sample, evaluate or search weighted
 functions point by point, the arcs of
 directions on which a combination of two basis solutions has a zero, and
@@ -443,20 +444,29 @@ def kernel_integral_reference(lo, hi, a, t, beta, gamma):
 
 
 def audit_instance(seed: int, trial: int) -> dict:
-    """Trial `trial` of seed's instance as the audit draws it: one
-    rng.uniform call per draw, in the audit's order, and rng.choice of two
-    of the eligible nodes of the trial's build_grid. By name: a, length,
-    b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    """Trial `trial` of seed's instance as the audit draws it, one value at
+    a time: default_rng(seed) advanced past the windows of the trials
+    before it (202 doubles each), then one rng.uniform call per value in
+    the audit's order, and the pair of the trial's build_grid nodes at or
+    after b from the uniforms u1, u2 in Python int arithmetic. By name: a,
+    length, b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e."""
+    n = 96
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(trial * (2 * (n + 1) + 8))
     a = rng.uniform(-2.0, 2.0)
     length = rng.uniform(0.3, 3.0)
-    grid = build_grid(a, a + length, 96, 2.0)
+    grid = build_grid(a, a + length, n, 2.0)
     b = a + rng.uniform(0.02, 0.3) * length
-    eligible = np.flatnonzero(grid.nodes >= b)
-    i1, i2 = np.sort(rng.choice(eligible, size=2, replace=False))
-    A_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-    W_nodes = rng.uniform(-3.0, 3.0, grid.n + 1)
-    x, y = rng.uniform(0.0, 5.0, 2)
+    u1, u2 = rng.uniform(), rng.uniform()
+    eligible = [i for i, t in enumerate(grid.nodes.tolist()) if t >= b]
+    count = len(eligible)
+    j1 = min(math.floor(u1 * count), count - 1)
+    j2 = min(math.floor(u2 * (count - 1)), count - 2)
+    j2 += j2 >= j1
+    i1, i2 = sorted((eligible[j1], eligible[j2]))
+    A_nodes = np.array([rng.uniform(-3.0, 3.0) for _ in range(n + 1)])
+    W_nodes = np.array([rng.uniform(-3.0, 3.0) for _ in range(n + 1)])
+    x, y = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
     e = rng.uniform(0.05, 0.95)
     return dict(a=a, length=length, b=b, i1=i1, i2=i2, t1=grid.nodes[i1],
                 t2=grid.nodes[i2], A_nodes=A_nodes, W_nodes=W_nodes, x=x, y=y, e=e)

@@ -286,7 +286,7 @@ class TestAudit:
     @pytest.mark.parametrize("trials,seed,field", [(-1, 42, "trials"),
                                                    (5, -1, "seed")])
     def test_negative_counts_rejected(self, trials, seed, field):
-        # a negative seed was a ValueError from numpy's SeedSequence
+        # a negative seed would be a ValueError from numpy's default_rng
         with pytest.raises(ConfigError, match=f"^{field}: must be >= 0"):
             audit_estimates(ORDER, 1.5, trials, seed)
 
@@ -410,6 +410,32 @@ class TestAudit:
             want = np.array([inst[name] for inst in ref])
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    def test_node_pair_maps_cell_centres_onto_the_ordered_pairs(self):
+        # the unit square in count x (count-1) cells: each cell's centre
+        # lands on its own ordered pair of distinct indices
+        for count in range(2, 98):
+            i, j = np.divmod(np.arange(count * (count - 1)), count - 1)
+            u1, u2 = (i + 0.5) / count, (j + 0.5) / (count - 1)
+            j1, j2 = bounds._node_pair(u1, u2, np.full(i.size, count))
+            assert set(zip(j1.tolist(), j2.tolist())) == {
+                (k, m) for k in range(count) for m in range(count) if k != m}
+
+    @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0])
+    def test_node_pair_keeps_the_top_in_range(self, u):
+        # 1 - 2^-53 is the generator's largest double; the clamps hold u = 1
+        count = np.arange(2, 98)
+        top = np.full(count.size, u)
+        j1, j2 = bounds._node_pair(top, top, count)
+        assert j1.tolist() == (count - 1).tolist()
+        assert j2.tolist() == (count - 2).tolist()
+
+    @pytest.mark.parametrize("alpha,p", [(0.55, 1.05), (0.6, 1.2), (0.9, 3.0),
+                                         (0.95, 9.9)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_audit_passes_at_the_regime_edges(self, alpha, p, seed):
+        report = audit_estimates(Order(alpha), p, 2000, seed)
+        assert report.passes == dict.fromkeys(bounds.AUDITED, 2000)
 
     @pytest.mark.parametrize("chunk", [1, 7, bounds._AUDIT_CHUNK, 1024])
     def test_chunk_size_is_invisible(self, monkeypatch, chunk):
