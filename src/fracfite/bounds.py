@@ -90,6 +90,7 @@ def big_E(order: Order, p: float, length: float) -> float:
 # the Fite-type inequality
 # ---------------------------------------------------------------------------
 
+# bound_report's record (perfbench/tracing.py patches it by name); ROADMAP item 4 deletes it
 @dataclass(frozen=True)
 class BoundReport:
     """Both sides of the length inequality for one instance."""
@@ -163,6 +164,7 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
     return p_star, min_length(order, m, p_star)
 
 
+# called only by perfbench/tracing.py, which patches it by name; ROADMAP item 4 deletes it
 def bound_report(order: Order, p: float, m: float, length: float) -> BoundReport:
     """Evaluate the inequality at a fixed exponent; satisfied <=> lhs >= rhs."""
     lhs = fite_lhs(order, p, m, length)

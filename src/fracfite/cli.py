@@ -119,14 +119,17 @@ def cmd_bound(args) -> int:
     if length == 0.0:
         # the root lies below the float range: no length to report
         raise ConfigError("m", f"the minimal length for m={args.m!r} underflows")
+    d_at, e_at = big_D(order, p_used, length), big_E(order, p_used, length)
+    if not (math.isfinite(d_at) and math.isfinite(e_at)):  # L* near the float maximum
+        raise ConfigError("m", f"the constants at the minimal length for m={args.m!r} "
+                          "overflow")
     record = {
         "alpha": args.alpha, "m": args.m, "p": p_used,
         "p_given": args.p is not None,
         "rhs": fite_rhs(order), "min_length": length,
         "constants": {
             "small_c": small_c(order, p_used), "big_C": big_C(order, p_used),
-            "big_D_at_min_length": big_D(order, p_used, length),
-            "big_E_at_min_length": big_E(order, p_used, length),
+            "big_D_at_min_length": d_at, "big_E_at_min_length": e_at,
             "beta_value": beta_fn(order.alpha, order.alpha),
         },
     }

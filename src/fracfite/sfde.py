@@ -86,13 +86,14 @@ def _marching(omega, scale, R, pf):
     wf = np.empty((cells, n + 1, 2))
     wg = np.empty((cells, n + 1, 2))
     wf[:, 0], wg[:, 0] = np.eye(2)
-    U = np.empty((n + 1, cells, 4))  # per cell, :2 hold scale wg, 2: scale R wf
-    U[0, :, :2] = scale[:, None] * wg[:, 0]
-    U[0, :, 2:] = scale[:, None] * (R[:, 0, None] * wf[:, 0])
-    U = U.reshape(n + 1, 4 * cells)
+    U = np.empty((n + 1, 4 * cells))  # per cell, :2 hold scale wg, 2: scale R wf
     full = np.zeros_like(U)  # omega @ U; row 0 of omega is zero
     scale = scale[:, None, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # row 0 as a block's rows: scale R overflows there as anywhere else
+        Uc = U[:1].reshape(1, cells, 4).transpose(1, 0, 2)
+        Uc[..., :2] = scale * wg[:, :1]
+        Uc[..., 2:] = scale * (R[:, :1, None] * wf[:, :1])
         for s, hist, D in omega.blocks(U):
             b = s.stop - s.start
             Hc = hist.reshape(b, cells, 4).transpose(1, 0, 2)  # per cell
@@ -194,6 +195,7 @@ def solve_batch(P: Coefficient, order: Order, f_a, g_a,
                  for f, g, r in zip(wf.T, wg.T, res))
 
 
+# called only by perfbench/tracing.py, which patches it by name; ROADMAP item 4 deletes it
 def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
@@ -208,6 +210,7 @@ def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     return float(_defect(pf, full, wf, wg)[0])
 
 
+# called only by perfbench/tracing.py, which patches it by name; ROADMAP item 4 deletes it
 def solve_fite(P: Coefficient, order: Order, f_a: float, g_a: float,
                grid: GradedGrid) -> SolveReport:
     """Solve D^alpha(D^alpha f) + P f = 0 for one initial datum; the

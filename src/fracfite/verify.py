@@ -361,6 +361,7 @@ def run_group(cells: list[Cell]) -> list[CellReport]:
     return reports
 
 
+# called only by perfbench/tracing.py, which patches it by name; ROADMAP item 4 deletes it
 def run_scenario(s: Scenario) -> CellReport:
     """Solve one scenario and report it: its cell of one direction."""
     return run_group(s.cells())[0]

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfite import (AuditFailure, ConfigError, Order, audit_estimates,
-                      best_min_length,
-                      big_C, big_D, big_E, bound_report,
-                      fite_lhs, fite_rhs, holder_params, kernel_integral,
-                      min_length, small_c)
+                      best_min_length, big_C, big_D, big_E, fite_lhs,
+                      fite_rhs, holder_params, kernel_integral, min_length,
+                      small_c)
 from fracfite import bounds
+from fracfite.bounds import bound_report
 from oracles import audit_instance, audit_reference, kernel_integral_reference
 
 ORDER = Order(0.75)

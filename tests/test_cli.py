@@ -225,6 +225,15 @@ class TestBound:
         assert "m: the minimal length for m=1e-320 overflows" in captured.err
         assert captured.out == ""
 
+    def test_constants_overflowing_at_min_length(self, capsys):
+        # L* = 9.05e307 is finite, D and E at it are not: exit 0 with
+        # non-strict `Infinity` for both
+        m = "2.225073858507203e-309"
+        assert main(["bound", "--alpha", "0.99999", "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert f"m: the constants at the minimal length for m={m} overflow" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_sweep_ok(self, tmp_path, capsys):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from fracfite import (ConvergenceError, GradedGrid, Order, big_E, build_grid,
-                      find_zeros, from_samples, gamma_fn, residual, solve_fite)
+                      find_zeros, from_samples, gamma_fn)
 from fracfite.rlops import KernelOperator, kernel_matrix
-from fracfite.sfde import SolveReport, _marching, _node_data, solve_batch
+from fracfite.sfde import SolveReport, _marching, _node_data, residual, solve_batch
 from oracles import (contraction_factor, fite_closed_form, marching_reference,
                      mittag_leffler, picard_reference, rl_derivative)
 
@@ -117,7 +117,7 @@ class TestSolveSystem:
     def test_default_solve_succeeds_where_picard_diverges(self):
         # same instance as test_picard_scheme_raises_without_fallback
         g = build_grid(0.0, 10.0, 128, 2.0)
-        rep = solve_fite(lambda t: 4.0, ORDER, 1.0, 0.0, g)
+        rep = solve_batch(lambda t: 4.0, ORDER, 1.0, 0.0, g)[0]
         assert rep.residual < 1e-8
 
     def test_report_carries_only_computed_fields(self):
@@ -134,7 +134,7 @@ class TestSolveSystem:
         errs = []
         for n in (512, 1024):
             g = build_grid(0.0, length, n, 2.0)
-            rep = solve_fite(lambda t: P, Order(alpha), f_a, g_a, g)
+            rep = solve_batch(lambda t: P, Order(alpha), f_a, g_a, g)[0]
             idx = np.arange(16, n + 1, 16)
             exact = np.array([fite_closed_form(alpha, P, f_a, g_a, g.nodes[j])
                               for j in idx])
@@ -166,7 +166,7 @@ class TestSolveSystem:
     def test_overflow_raises_convergence_error(self):
         g = build_grid(0.0, 1e8, 64, 2.0)
         with pytest.raises(ConvergenceError):
-            solve_fite(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)
+            solve_batch(lambda t: 1e300, Order(0.9), 1.0, 0.0, g)[0]
 
     def test_invalid_inputs(self):
         # the kernel matrix is cached per graded grid: other nodes are refused
@@ -247,7 +247,7 @@ class TestBatchedSolve:
         batch = solve_batch(P, ORDER, f_a, g_a, g)
         assert len(batch) == 8
         for fa, ga, got in zip(f_a, g_a, batch):
-            ref = solve_fite(P, ORDER, fa, ga, g)
+            ref = solve_batch(P, ORDER, fa, ga, g)[0]
             for w_ref, w_got in ((ref.f, got.f), (ref.g, got.g)):
                 scale = np.abs(w_ref.reg_samples).max()
                 assert np.abs(w_got.reg_samples - w_ref.reg_samples).max() \
@@ -275,8 +275,8 @@ class TestBatchedSolve:
         # formed: data within that factor of the float maximum solve, with
         # samples and residual that scale with them.
         g = build_grid(0.0, 1.0, 64, 2.0)
-        unit = solve_fite(lambda t: 1.0, ORDER, 1.0, 1.0, g)
-        rep = solve_fite(lambda t: 1.0, ORDER, 5e306, 5e306, g)
+        unit = solve_batch(lambda t: 1.0, ORDER, 1.0, 1.0, g)[0]
+        rep = solve_batch(lambda t: 1.0, ORDER, 5e306, 5e306, g)[0]
         assert math.isfinite(rep.residual)
         assert rep.residual <= 5e306 * 1e-14
         for got, ref in ((rep.f, unit.f), (rep.g, unit.g)):
@@ -325,21 +325,21 @@ class TestScaleIdentity:
 class TestSolveFite:
     def test_zero_coefficient_gives_free_term(self):
         g = build_grid(0.0, 1.0, 64, 2.0)
-        rep = solve_fite(lambda t: 0.0, ORDER, 1.0, 0.0, g)
+        rep = solve_batch(lambda t: 0.0, ORDER, 1.0, 0.0, g)[0]
         np.testing.assert_allclose(rep.f.reg_samples, 1.0)
         np.testing.assert_array_equal(rep.g.reg_samples, 0.0)
 
     def test_two_scheme_cross_check(self):
         g = build_grid(0.0, 1.0, 256, 2.0)
         pic = picard_reference(lambda t: 1.0, ORDER, 0.0, 1.0, g)
-        mar = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g)
+        mar = solve_batch(lambda t: 1.0, ORDER, 0.0, 1.0, g)[0]
         diff = max(np.abs(pic.f.reg_samples - mar.f.reg_samples).max(),
                    np.abs(pic.g.reg_samples - mar.g.reg_samples).max())
         assert diff <= 1e-6
 
     def test_returned_g_is_fractional_derivative(self):
         g = build_grid(0.0, 1.0, 512, 2.0)
-        rep = solve_fite(lambda t: 1.0, ORDER, 0.0, 1.0, g)
+        rep = solve_batch(lambda t: 1.0, ORDER, 0.0, 1.0, g)[0]
         d = rl_derivative(rep.f, ORDER.alpha)
         t = g.nodes[3:-2]
         raw_d = d.reg_samples[3:-2] / t**ORDER.alpha
@@ -376,7 +376,7 @@ class TestResidual:
         # at most 1.8 eps max|W|.
         g = build_grid(0.0, 3.0, n, 2.0)
         P = TestBlockedMarching.VARYING
-        rep = solve_fite(P, ORDER, 0.6, -0.8, g)
+        rep = solve_batch(P, ORDER, 0.6, -0.8, g)[0]
         w_max = max(np.abs(rep.f.reg_samples).max(), np.abs(rep.g.reg_samples).max())
         assert abs(rep.residual - residual(P, ORDER, rep)) \
             <= 16 * np.finfo(float).eps * w_max

@@ -14,7 +14,7 @@ import pytest
 
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
                       best_min_length, build_grid, find_zeros, from_samples,
-                      run_scenario, sweep)
+                      sweep)
 from fracfite import bounds, rlops
 from fracfite import cli as cli_module
 from fracfite.cli import main
@@ -258,12 +258,12 @@ class TestConfigSchema:
 class TestRunScenario:
     def test_free_term_case_has_no_pair(self):
         # P == 0, f_a = 1: f = (x-a)^{alpha-1} never vanishes; g == 0
-        rep = run_scenario(fite_scenario(
-            p_coeff=CoefficientSpec.const(0.0), f_a=1.0, g_a=0.0))
+        rep = sweep(fite_scenario(
+            p_coeff=CoefficientSpec.const(0.0), f_a=1.0, g_a=0.0)).cells[0]
         assert rep.verdicts[0] == "NO_ZERO_PAIR"
 
     def test_oscillatory_long_interval_bound_holds(self):
-        rep = run_scenario(fite_scenario(c=10.0, n=512))
+        rep = sweep(fite_scenario(c=10.0, n=512)).cells[0]
         assert rep.verdicts[0] == "BOUND_HOLDS"
         assert rep.zero_pairs[0] is not None
         assert rep.lhs >= rep.rhs
@@ -277,12 +277,12 @@ class TestRunScenario:
             s = fite_scenario(c=0.9 * ell, b=0.9 * ell * 0.01,
                               f_a=math.cos(theta) or 1e-3,
                               g_a=math.sin(theta))
-            rep = run_scenario(s)
+            rep = sweep(s).cells[0]
             assert rep.verdicts[0] != "COUNTEREXAMPLE", f"direction {k}"
 
     def test_scale_invariant_verdict(self):
-        r1 = run_scenario(fite_scenario(c=10.0, n=512))
-        r2 = run_scenario(fite_scenario(c=10.0, n=512, f_a=0.0, g_a=5.0))
+        r1 = sweep(fite_scenario(c=10.0, n=512)).cells[0]
+        r2 = sweep(fite_scenario(c=10.0, n=512, f_a=0.0, g_a=5.0)).cells[0]
         assert r1.verdicts[0] == r2.verdicts[0]
         if r1.zero_pairs[0] is not None:
             assert r2.zero_pairs[0] == pytest.approx(r1.zero_pairs[0], abs=1e-6)
@@ -291,7 +291,7 @@ class TestRunScenario:
         # negative path: inflating the right side must flip the verdict,
         # proving the harness can actually report counterexamples
         inflate_rhs(monkeypatch, 1e3)
-        rep = run_scenario(fite_scenario(c=10.0, n=512))
+        rep = sweep(fite_scenario(c=10.0, n=512)).cells[0]
         assert rep.verdicts[0] == "COUNTEREXAMPLE"
 
     def test_counterexample_does_not_depend_on_data_scale(self, monkeypatch):
@@ -300,14 +300,14 @@ class TestRunScenario:
         # solution is
         inflate_rhs(monkeypatch, 1e3)
         s = fite_scenario(c=10.0, n=256, f_a=0.0, g_a=1.0)
-        big, small = (run_scenario(dataclasses.replace(s, g_a=g_a))
+        big, small = (sweep(dataclasses.replace(s, g_a=g_a)).cells[0]
                       for g_a in (1.0, 1e-12))
         assert big.verdicts[0] == small.verdicts[0] == "COUNTEREXAMPLE"
         assert small.zero_pairs[0] == pytest.approx(big.zero_pairs[0], abs=1e-12 * s.length)
 
     def test_m_uses_coefficient_sup(self):
-        rep = run_scenario(fite_scenario(p_coeff=CoefficientSpec.const(3.0),
-                                         c=4.0, n=256))
+        rep = sweep(fite_scenario(p_coeff=CoefficientSpec.const(3.0),
+                                  c=4.0, n=256)).cells[0]
         assert rep.m == 3.0
 
     def test_coefficient_range_sampled_once(self, monkeypatch):
@@ -321,14 +321,14 @@ class TestRunScenario:
 
         monkeypatch.setattr(CoefficientSpec, "range_on", counting)
         s = fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 0.5]), c=2.0)
-        rep = run_scenario(s)
+        rep = sweep(s).cells[0]
         assert len(calls) == 1
         assert rep.m == pytest.approx(2.0)
 
     def test_overflow_is_solver_failed(self):
         # a valid config whose solve overflows double precision
-        rep = run_scenario(fite_scenario(order=Order(0.9), c=1e8, b=1e6, n=64,
-                                         p_coeff=CoefficientSpec.const(1e300)))
+        rep = sweep(fite_scenario(order=Order(0.9), c=1e8, b=1e6, n=64,
+                                  p_coeff=CoefficientSpec.const(1e300))).cells[0]
         assert rep.verdicts[0] == "SOLVER_FAILED"
         assert "non-finite" in rep.detail
 
@@ -338,7 +338,7 @@ class TestRunScenario:
         for data, detail in ((1e308, "non-finite residual"), (1.5e308, "non-finite samples")):
             s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 1, "P": {"const": 1},
                                    "f_a": data, "g_a": data, "n": 64})
-            rep = run_scenario(s)
+            rep = sweep(s).cells[0]
             assert rep.verdicts[0] == "SOLVER_FAILED"
             assert detail in rep.detail
 
@@ -351,7 +351,7 @@ class TestRunScenario:
         assert P(np.array([0.0, 0.5, 10.0])).tolist() == [0.0, 1.7e308, 0.0]
         s = Scenario.from_obj({"alpha": 0.75, "a": 0, "c": 10, "P": {"table": table},
                                "f_a": 0, "g_a": 1, "n": 64})
-        rep = run_scenario(s)
+        rep = sweep(s).cells[0]
         assert rep.verdicts[0] == "BOUND_HOLDS"
         assert rep.residuals[0] <= 1e-13  # 8.0e-15
 
@@ -584,9 +584,9 @@ class TestInjectionAtKappa:
                                        basis_arcs(order, lengths, 1e-2, 512)):
             theta = common_theta(*arcs)  # a direction with a zero pair, if any
             assert (theta is not None) == (scale > 1.0), scale
-            rep = run_scenario(fite_scenario(
+            rep = sweep(fite_scenario(
                 order=order, b=1e-2 * length, c=length, n=512,
-                f_a=math.cos(theta or 0.0), g_a=math.sin(theta or 0.0)))
+                f_a=math.cos(theta or 0.0), g_a=math.sin(theta or 0.0))).cells[0]
             assert rep.rhs == rhs
             verdicts.append(rep.verdicts[0])
         assert verdicts == ["NO_ZERO_PAIR", "NO_ZERO_PAIR", "COUNTEREXAMPLE",
@@ -665,7 +665,7 @@ class TestGroupMarch:
 class TestSweep:
     def test_scenario_is_a_sweep_of_one(self):
         s = fite_scenario(c=10.0, n=256)
-        rep = run_scenario(s)
+        rep = verify_module.run_group(s.cells())[0]  # its group of one cell
         assert rep.zero_pairs[0] is not None
         result = sweep(s)
         assert result.spec is s
@@ -764,7 +764,7 @@ class TestSweep:
         spec = SweepSpec(alphas=(0.9,), p_infs=(1e300, 1.0), lengths=(1e8,),
                          directions=3, n=64)
         report = sweep(spec)
-        alone = [run_scenario(dataclasses.replace(s, f_a=f_a, g_a=g_a))
+        alone = [sweep(dataclasses.replace(s, f_a=f_a, g_a=g_a)).cells[0]
                  for s, directions in spec.cells() for f_a, g_a, _ in directions]
         assert [label for _, (*_, label), *_ in directions_of(report.cells)] == [
             f"alpha=0.9,P={p},L=100000000.0,dir={k}"

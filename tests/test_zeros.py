@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfite import (Order, build_grid, eval_reg, find_zeros, first_zero_pair,
-                      from_samples, solve_fite)
+                      from_samples)
+from fracfite.sfde import solve_batch
 from oracles import from_callable, norm_window, zero_set
 
 
@@ -90,7 +91,7 @@ class TestFindZeros:
     def test_refined_zeros_are_small(self):
         order = Order(0.75)
         g = build_grid(0.0, 8.0, 1024, 2.0)
-        rep = solve_fite(lambda t: 4.0, order, 0.0, 1.0, g)
+        rep = solve_batch(lambda t: 4.0, order, 0.0, 1.0, g)[0]
         zs = find_zeros(rep.f, 0.08, 8.0)
         assert zs.size > 0
         tol = 1e-10 * norm_window(rep.f, 0.08, 8.0)
