@@ -45,7 +45,7 @@ def run(args) -> int:
     print(f"  min lhs/rhs among zero-pair scenarios: {coarse.min_ratio:.3f}")
     if coarse.counts["COUNTEREXAMPLE"]:
         for cell, (_, _, label) in coarse.counterexamples:
-            print(f"  !! {label}: lhs={cell.lhs} rhs={cell.rhs}")
+            print(f"  !! {label}: lhs={cell.scenario.lhs} rhs={cell.scenario.rhs}")
         return 1
 
     t0 = time.time()

@@ -153,7 +153,8 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
     and p* is its upper end, clamped by _CLAMP_EPS so that p* stays strictly
     admissible; the inequality holds at the open boundary by continuity.
     Within about 1e-6 of alpha = 1/2 the clamped range is empty, and p* is
-    the midpoint of the admissible range (1, 1/(2(1-alpha))).
+    the midpoint of the admissible range (1, 1/(2(1-alpha))). Within
+    rounding of 1/2 that range holds no float, and alpha is a config error.
     """
     p_lo = 1.0 + _CLAMP_EPS
     p_hi = (1.0 - _CLAMP_EPS) / (2.0 * order.gamma)
@@ -161,6 +162,8 @@ def best_min_length(order: Order, m: float) -> tuple[float, float]:
         p_star = min(max(1.0 / order.alpha, p_lo), p_hi)
     else:
         p_star = 0.5 * (1.0 + 0.5 / order.gamma)
+        if not (p_star > 1.0 and order.gamma * p_star < 0.5):  # see holder_params
+            raise ConfigError("alpha", f"no float p is admissible at {order.alpha!r}")
     return p_star, min_length(order, m, p_star)
 
 

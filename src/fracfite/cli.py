@@ -143,8 +143,8 @@ def _num(x: float):
 
 def _cell_objs(cell) -> list[dict]:  # one verify.json entry per direction
     config = cell.scenario.to_obj()
-    shared = {"m": _num(cell.m), "p_star": _num(cell.p_star),
-              "min_length": _num(cell.min_len), "lhs": _num(cell.lhs), "rhs": _num(cell.rhs)}
+    shared = {key: None if cell.detail is not None else _num(getattr(cell.scenario, key))
+              for key in ("m", "p_star", "min_length", "lhs", "rhs")}  # a failed cell: nulls
     if cell.detail is not None:
         shared["detail"] = cell.detail
     return [{"scenario": {**config, "f_a": f_a, "g_a": g_a}, "label": label,

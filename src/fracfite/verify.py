@@ -1,10 +1,10 @@
 """Scenario harness: solve, locate zeros, check the bound, sweep.
 
-A scenario solves the equation D^alpha(D^alpha f) + P f = 0 on [a, c],
-looks for a zero of f and a zero of D^alpha f inside the window [b, c],
-and, when such a pair exists, evaluates the Fite-type inequality with
-m = max(1, sup P) and length c - a at the optimized exponent. The
-possible verdicts:
+Validating a scenario fixes its bound: both sides of the Fite-type
+inequality with m = max(1, sup P) and length c - a at the optimized
+exponent. Its run solves D^alpha(D^alpha f) + P f = 0 on [a, c] and looks
+for a zero of f and a zero of D^alpha f inside the window [b, c]; the
+bound decides wherever such a pair exists. The possible verdicts:
 
     BOUND_HOLDS     zero pair found and the inequality is satisfied
     NO_ZERO_PAIR    hypothesis not met (nothing to check)
@@ -228,10 +228,13 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class Scenario(_Config):
-    """One solvable instance plus the window for the zero search. Its tol
-    is read by no solve (the marching solve has no tolerance): it is checked
-    to be finite and > 0 and echoed, and the key stays because the echo is
-    read (perfbench/worker.py's solve_large check wants residual <= 10 tol)."""
+    """One solvable instance plus the window for the zero search. Validation
+    also sets its grid and its bound: m = max(1, sup P), the optimal exponent
+    p_star, min_length (L* at p_star) and the sides lhs and rhs at c - a. Its
+    tol is read by no solve (the marching solve has no tolerance): it is
+    checked to be finite and > 0 and echoed, and the key stays because the
+    echo is read (perfbench/worker.py's solve_large check wants residual <=
+    10 tol)."""
 
     _WHERE = "config"
 
@@ -245,7 +248,6 @@ class Scenario(_Config):
     n: int = _key("n", _int, 512)
     r: float = _key("grading", _real, 2.0)
     tol: float = _key("tol", _real, 1e-10)
-    p_sup: float = field(init=False, repr=False, compare=False)
     grid: GradedGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -283,7 +285,10 @@ class Scenario(_Config):
             raise ConfigError("P", str(exc)) from None
         if p_min < 0.0:
             raise ConfigError("P", f"must be nonnegative, min is {p_min!r}")
-        object.__setattr__(self, "p_sup", p_max)
+        m = max(1.0, p_max)
+        p_star, min_len = best_min_length(self.order, m)
+        self.__dict__.update(m=m, p_star=p_star, min_length=min_len, rhs=fite_rhs(self.order),
+                             lhs=fite_lhs(self.order, p_star, m, self.length))
 
     @property
     def length(self) -> float:
@@ -300,31 +305,26 @@ Cell = tuple[Scenario, tuple[tuple[float, float, str], ...]]
 
 @dataclass(frozen=True)
 class CellReport:
-    """One cell's run: its validated Scenario and directions (f_a, g_a,
-    label), per direction the residual and first zero pair, and the cell's
-    bound. A failed solve keeps its detail, NaN residuals and no pairs."""
+    """One cell's run: its validated Scenario, which holds the bound, its
+    directions (f_a, g_a, label), and per direction the residual and first
+    zero pair. A failed solve keeps its detail, NaN residuals and no pairs."""
 
     scenario: Scenario
     directions: tuple[tuple[float, float, str], ...]
     residuals: tuple[float, ...]
     zero_pairs: tuple[tuple[float, float] | None, ...]
-    m: float = math.nan
-    p_star: float = math.nan
-    min_len: float = math.nan
-    lhs: float = math.nan
-    rhs: float = math.nan
     detail: str | None = None  # the failed solve's message; None when solved
 
     @property
     def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs else math.nan
+        return self.scenario.lhs / self.scenario.rhs if self.scenario.rhs else math.nan
 
     @property
     def verdicts(self) -> tuple[str, ...]:
         """Each direction's verdict (see the module docstring)."""
         if self.detail is not None:
             return (SOLVER_FAILED,) * len(self.directions)
-        paired = BOUND_HOLDS if self.lhs >= self.rhs else COUNTEREXAMPLE
+        paired = BOUND_HOLDS if self.scenario.lhs >= self.scenario.rhs else COUNTEREXAMPLE
         return tuple(NO_ZERO_PAIR if pair is None else paired for pair in self.zero_pairs)
 
 
@@ -338,8 +338,8 @@ def _problem(cell: Cell):
 def run_group(cells: list[Cell]) -> list[CellReport]:
     """Solve cells that share (order, n, r) in one march (sfde.solve_cells),
     then report each cell from one zero search over its columns
-    (zeros.first_zero_pair) and one bound. A cell whose solve fails is
-    reported with the detail its own solve gives."""
+    (zeros.first_zero_pair); the bound is its validated scenario's. A cell
+    whose solve fails is reported with the detail its own solve gives."""
     order = cells[0][0].order
     if any(s.order != order for s, _ in cells):
         raise ValueError("the cells of one march need one order")
@@ -353,11 +353,7 @@ def run_group(cells: list[Cell]) -> list[CellReport]:
         wf, wg, res = solved
         pairs = first_zero_pair(from_samples(wf, order.gamma, s.grid),
                                 from_samples(wg, order.gamma, s.grid), s.b, s.c)
-        m = max(1.0, s.p_sup)
-        p_star, min_len = best_min_length(s.order, m)
-        reports.append(CellReport(
-            s, directions, tuple(map(float, res)), tuple(pairs), m, p_star, min_len,
-            fite_lhs(s.order, p_star, m, s.length), fite_rhs(s.order)))
+        reports.append(CellReport(s, directions, tuple(map(float, res)), tuple(pairs)))
     return reports
 
 
@@ -406,8 +402,8 @@ class SweepSpec(_Config):
             raise ConfigError("b_fraction",
                               f"must lie in (0, 1), got {self.b_fraction!r}")
         # The direction moves only (f_a, g_a) on the unit circle, so one
-        # scenario per cell validates the grid and P, and the cell's
-        # directions share them; errors name the sweep's key.
+        # scenario per cell validates the grid, P and the bound, and the
+        # cell's directions share them; errors name the sweep's key.
         cells = []
         for cell in product(self.alphas, self.p_infs, self.lengths):
             alpha, p_inf, length = cell

@@ -44,6 +44,17 @@ SWEEP_CONFIG = {
     }
 }
 
+# A sweep whose P = 1e300 cell fails its solve, while its P = 1 sibling in
+# the same march solves.
+FAILING_SWEEP = {"sweep": {"alphas": [0.9], "p_infs": [1e300, 1.0],
+                           "lengths": [1e8], "directions": 3, "n": 64}}
+
+# The float next to 1/2: no float p has p > 1 and (1 - alpha) p < 1/2.
+ALPHA_EDGE = 0.5000000000000001
+
+# The bound's entries of a verify.json scenario record.
+BOUND_KEYS = ("m", "p_star", "min_length", "lhs", "rhs")
+
 
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
@@ -187,6 +198,13 @@ class TestBound:
         assert main(["bound", "--alpha", "0.5000001", "--m", "1"]) == 2
         captured = capsys.readouterr()
         assert "m: the minimal length for m=1.0 underflows" in captured.err
+        assert captured.out == ""
+
+    def test_alpha_within_rounding_of_one_half(self, capsys):
+        # p* rounded to 1.0 there, and the exit 2 named p, a flag not given
+        assert main(["bound", "--alpha", repr(ALPHA_EDGE), "--m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha: no float p is admissible")
         assert captured.out == ""
 
     def test_alpha_out_of_range(self, capsys):
@@ -368,6 +386,50 @@ def names_field(err: str, field: str) -> bool:
     """Scenario validation says `field: ...`, ConfigError says
     `config field 'field': ...`."""
     return f"{field}:" in err or f"config field '{field}':" in err
+
+
+class TestBoundAtValidation:
+    """A cell's bound is evaluated when its config is validated: a bound that
+    cannot be formed is a config error before any solve, and the run only
+    marches and searches."""
+
+    @pytest.mark.parametrize("command,config,field", [
+        ("solve", {**SOLVE_CONFIG, "alpha": ALPHA_EDGE}, "alpha"),
+        ("verify", {**SOLVE_CONFIG, "alpha": ALPHA_EDGE}, "alpha"),
+        ("verify", {"sweep": {**SWEEP_CONFIG["sweep"], "alphas": [0.75, ALPHA_EDGE]}},
+         "alphas"),
+    ], ids=["solve", "verify-scenario", "verify-sweep"])
+    def test_alpha_edge_exits_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                               command, config, field):
+        # verify solved the scenario, made --out and then exited 2 naming p;
+        # solve exited 0
+        def unreached(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(verify, "solve_cells", unreached)
+        monkeypatch.setattr(cli, "solve_batch", unreached)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: no float p is admissible")
+        assert not out.exists()
+
+    def test_failed_cell_writes_no_bound(self, tmp_path):
+        cfg = write_config(tmp_path, FAILING_SWEEP)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        entries = json.loads((tmp_path / "verify.json").read_text())["scenarios"]
+        failed, solved = entries[:3], entries[3:]
+        for entry in failed:
+            assert entry["verdict"] == "SOLVER_FAILED"
+            assert [entry[key] for key in BOUND_KEYS] == [None] * 5
+            assert entry["detail"] == "marching solve produced non-finite samples"
+        order = fracfite.Order(0.9)
+        p_star, min_len = bounds.best_min_length(order, 1.0)
+        bound = [1.0, p_star, min_len, bounds.fite_lhs(order, p_star, 1.0, 1e8),
+                 bounds.fite_rhs(order)]
+        for entry in solved:
+            assert entry["verdict"] == "BOUND_HOLDS" and "detail" not in entry
+            assert [entry[key] for key in BOUND_KEYS] == bound
 
 
 class TestInvalidScenarioConfig:

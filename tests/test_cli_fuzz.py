@@ -1,6 +1,7 @@
 """Random configs and flags through cli.main. Every run ends in a documented
-exit code, a config error (exit 2) writes no output file, every JSON the
-run writes is strict (no NaN or Infinity), and no RuntimeWarning escapes.
+exit code, a config error (exit 2) writes no output file and names a key of
+the input, every JSON the run writes is strict (no NaN or Infinity), and no
+RuntimeWarning escapes.
 The draws mix random values with the float extremes, where overflow,
 underflow and NaN start. The runs are derandomized, so a failure
 reproduces; a config that failed once stays as an explicit example."""
@@ -9,7 +10,9 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracfite.cli import main
+from fracfite.verify import Scenario, SweepSpec
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -29,6 +33,20 @@ OUTPUTS = ("summary.json", "trace.csv", "verify.json", "bound.json", "audit.json
 ROW0 = {"sweep": {"alphas": [0.75], "p_infs": [1e300], "lengths": [1e100],
                   "directions": 3, "n": 16}}
 ROW0_SHORT = {"sweep": {**ROW0["sweep"], "lengths": [1.0]}}
+
+# The float next to 1/2, where p* rounded to 1.0: exit 2 named p, which no
+# config has and no bound flag set gave.
+EDGE = 0.5000000000000001
+EDGE_SCENARIO = {"alpha": EDGE, "a": 0.0, "c": 10.0, "P": {"const": 1.0}, "n": 64}
+EDGE_SWEEP = {"sweep": {"alphas": [EDGE], "p_infs": [1.0], "lengths": [10.0],
+                        "directions": 1, "n": 16}}
+
+# What an exit 2 may name: a key of either config schema or an option of
+# solve/verify; for audit, any of its flags (a default may be at fault).
+CONFIG_FIELDS = {f.metadata["key"] for schema in (Scenario, SweepSpec)
+                 for f in fields(schema) if "key" in f.metadata} | {
+                     "config", "sweep", "out", "workers"}
+AUDIT_FIELDS = {"alpha", "p", "trials", "seed", "out"}
 
 FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -89,21 +107,24 @@ def strict(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
-def run(argv, out):
-    """cli.main on argv plus --out, in a fresh directory; checks the exit code
-    and the files and returns the exit code."""
+def run(argv, out, named):
+    """cli.main on argv plus --out, in a fresh directory; checks the exit code,
+    that an exit 2 names a field in `named`, and the files, and returns the
+    exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "taken").touch()
         if out is not None:
             argv = [*argv, "--out", out and str(root / out)]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
         assert code in (0, 2, 3, 4), code
         written = [p for p in root.rglob("*") if p.name in OUTPUTS]
         if code == 2:
             assert not written, written
+            field = re.match(r"error: (\w+): ", stderr.getvalue())
+            assert field and field[1] in named, stderr.getvalue()
         for path in written:
             if path.suffix == ".json":
                 json.loads(path.read_text(), parse_constant=strict)
@@ -118,12 +139,15 @@ def run(argv, out):
        outs.filter(lambda out: out is not None))  # solve and verify default to ./out
 @example(("verify", ROW0), "new")
 @example(("verify", ROW0_SHORT), "new")
+@example(("verify", EDGE_SCENARIO), "new")
+@example(("verify", EDGE_SWEEP), "new")
+@example(("solve", EDGE_SCENARIO), "new")
 def test_config(run_of, out):
     command, config = run_of
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         fh.write(json.dumps(config))
         fh.flush()
-        run([command, "--config", fh.name], out)
+        run([command, "--config", fh.name], out, CONFIG_FIELDS)
 
 
 def flag(name, value):
@@ -136,8 +160,10 @@ def flag(name, value):
        outs)
 @example({"alpha": 0.99999, "m": 2.225073858507203e-309}, None)  # D(L*) overflowed
 @example({"alpha": 0.99999, "m": 2.225073858507203e-309}, "new")
+@example({"alpha": EDGE, "m": 1.0}, None)
 def test_bound_flags(flags, out):
-    assert run(["bound", *(flag(k, v) for k, v in flags.items())], out) in (0, 2, 4)
+    named = {*flags, "out"} if out is not None else set(flags)  # the flags given
+    assert run(["bound", *(flag(k, v) for k, v in flags.items())], out, named) in (0, 2, 4)
 
 
 @FUZZ
@@ -146,7 +172,8 @@ def test_bound_flags(flags, out):
                                        "seed": st.integers(-1, 2**64)}),
        outs)
 def test_audit_flags(flags, out):
-    assert run(["audit", *(flag(k, v) for k, v in flags.items())], out) in (0, 2, 4)
+    assert run(["audit", *(flag(k, v) for k, v in flags.items())], out,
+               AUDIT_FIELDS) in (0, 2, 4)
 
 
 @pytest.mark.parametrize("config,verdict", [(ROW0, "SOLVER_FAILED"),

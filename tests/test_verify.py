@@ -266,8 +266,8 @@ class TestRunScenario:
         rep = sweep(fite_scenario(c=10.0, n=512)).cells[0]
         assert rep.verdicts[0] == "BOUND_HOLDS"
         assert rep.zero_pairs[0] is not None
-        assert rep.lhs >= rep.rhs
-        assert rep.m == 1.0
+        assert rep.scenario.lhs >= rep.scenario.rhs
+        assert rep.scenario.m == 1.0
 
     def test_short_interval_never_counterexample(self):
         # below the certified minimal length the hypothesis cannot be met
@@ -308,10 +308,10 @@ class TestRunScenario:
     def test_m_uses_coefficient_sup(self):
         rep = sweep(fite_scenario(p_coeff=CoefficientSpec.const(3.0),
                                   c=4.0, n=256)).cells[0]
-        assert rep.m == 3.0
+        assert rep.scenario.m == 3.0
 
     def test_coefficient_range_sampled_once(self, monkeypatch):
-        # p_sup is fixed during validation; the run does not resample P
+        # sup P is fixed during validation; the run does not resample P
         calls = []
         range_on = CoefficientSpec.range_on
 
@@ -323,7 +323,7 @@ class TestRunScenario:
         s = fite_scenario(p_coeff=CoefficientSpec.poly([1.0, 0.5]), c=2.0)
         rep = sweep(s).cells[0]
         assert len(calls) == 1
-        assert rep.m == pytest.approx(2.0)
+        assert rep.scenario.m == pytest.approx(2.0)
 
     def test_overflow_is_solver_failed(self):
         # a valid config whose solve overflows double precision
@@ -379,7 +379,7 @@ class TestClosedFormZeros:
             s = cell.scenario
             tol = 5e-5 * s.length
             for column, z in enumerate(pair):
-                lo, hi = (fite_closed_form(s.order.alpha, s.p_sup, f_a, g_a,
+                lo, hi = (fite_closed_form(s.order.alpha, s.p_coeff.data[0], f_a, g_a,
                                            z - s.a + dz)[column]
                           for dz in (-tol, tol))
                 assert lo * hi < 0.0, (label, "fg"[column], z)
@@ -409,14 +409,14 @@ class TestClosedFormZeros:
         basis = {}
         for rep, (f_a, g_a, label), verdict, _, _ in directions_of(report.cells):
             s = rep.scenario
-            cell = (s.order.alpha, s.p_sup, s.length)
+            cell = (s.order.alpha, s.p_coeff.data[0], s.length)
             if cell not in basis:
                 tol = 5e-5 * s.length
                 t = s.b - s.a + tol + (s.c - s.b - 2.0 * tol) * self.CHEB
                 basis[cell] = np.array([fite_closed_form(*cell[:2], 1.0, 0.0, x)
                                         for x in t]).T
             wf10, wg10 = basis[cell]
-            wf = f_a * wf10 - g_a * wg10 / s.p_sup
+            wf = f_a * wf10 - g_a * wg10 / s.p_coeff.data[0]
             wg = g_a * wf10 + f_a * wg10
             one_signed = any(np.all(w > 0.0) or np.all(w < 0.0) for w in (wf, wg))
             assert one_signed == (verdict == "NO_ZERO_PAIR"), label
@@ -587,7 +587,7 @@ class TestInjectionAtKappa:
             rep = sweep(fite_scenario(
                 order=order, b=1e-2 * length, c=length, n=512,
                 f_a=math.cos(theta or 0.0), g_a=math.sin(theta or 0.0))).cells[0]
-            assert rep.rhs == rhs
+            assert rep.scenario.rhs == rhs
             verdicts.append(rep.verdicts[0])
         assert verdicts == ["NO_ZERO_PAIR", "NO_ZERO_PAIR", "COUNTEREXAMPLE",
                             "BOUND_HOLDS"]
@@ -786,7 +786,7 @@ class TestSweep:
                 return "SOLVER_FAILED"
             if pair is None:
                 return "NO_ZERO_PAIR"
-            return "BOUND_HOLDS" if cell.lhs >= cell.rhs else "COUNTEREXAMPLE"
+            return "BOUND_HOLDS" if cell.scenario.lhs >= cell.scenario.rhs else "COUNTEREXAMPLE"
 
         inflate_rhs(monkeypatch, 30.0)
         runs = []
@@ -803,7 +803,7 @@ class TestSweep:
             assert len(paired) <= 1  # a cell's paired directions share one verdict
             kinds |= paired
             if paired and math.isfinite(cell.ratio):
-                ratios.append(cell.lhs / cell.rhs)
+                ratios.append(cell.scenario.lhs / cell.scenario.rhs)
         assert kinds == {"BOUND_HOLDS", "COUNTEREXAMPLE"}
         assert report.verdicts == tuple(v for cell in report.cells for v in cell.verdicts)
         assert report.counts == {v: sum(cell.verdicts.count(v) for cell in report.cells)
@@ -945,7 +945,7 @@ class TestSweep:
                          directions=4, n=96, seed=11)
         r1, r2 = sweep(spec), sweep(spec)
         assert r1.verdicts == r2.verdicts
-        assert [x.lhs for x in r1.cells] == [x.lhs for x in r2.cells]
+        assert [x.scenario.lhs for x in r1.cells] == [x.scenario.lhs for x in r2.cells]
         assert (r1.min_ratio == r2.min_ratio
                 or (math.isnan(r1.min_ratio) and math.isnan(r2.min_ratio)))
 
@@ -955,7 +955,7 @@ class TestSweep:
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=2)
         assert serial.verdicts == parallel.verdicts
-        assert [x.lhs for x in serial.cells] == [x.lhs for x in parallel.cells]
+        assert [x.scenario.lhs for x in serial.cells] == [x.scenario.lhs for x in parallel.cells]
 
     def test_verdicts_stable_under_refinement(self):
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0, 2.0), lengths=(0.05, 2.0),
