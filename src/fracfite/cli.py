@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -44,8 +45,17 @@ _TRACE_COLUMNS = "t,w_f,f,w_g,g"
 _NON_VALUE = "NA"  # raw f, g may be infinite at the first node
 
 
+def _write(path: Path, text: str) -> None:
+    """Write a file of --out, making the directory with the first file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {path}: {exc}") from None
+
+
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_config(path: str):
@@ -56,23 +66,26 @@ def _load_config(path: str):
 
 
 def _out_dir(path: str | None) -> Path | None:
-    """Make the --out directory before any run (None: no --out given). An
-    empty path, or one that cannot be a directory, is a config error."""
+    """The --out path, checked before any run and made by _write (None: no
+    --out). An empty path, or one whose nearest existing entry (a dangling
+    link too) is not a writable directory or cannot be looked up, is a config error."""
     if path is None:
         return None
     if not path:
         raise ConfigError("out", "must not be empty")
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. an existing file
+    try:  # pathlib's exists() raises every OSError but a missing entry's
+        near = next(p for p in (Path(path), *Path(path).parents) if p.exists() or p.is_symlink())
+        if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+            raise NotADirectoryError(f"{near} is not a writable directory")
+    except OSError as exc:
         raise ConfigError("out", f"cannot make directory {path}: {exc}") from None
     return Path(path)
 
 
 def _print_record(record: dict, out: Path | None, name: str) -> None:
-    print(json.dumps(record, sort_keys=True, indent=2))
-    if out:
+    if out:  # first: a record that cannot be written is not printed
         _dump_json(record, out / name)
+    print(json.dumps(record, sort_keys=True, indent=2))
 
 
 def _write_trace(path: Path, report) -> None:
@@ -84,7 +97,7 @@ def _write_trace(path: Path, report) -> None:
             wf, wg = f.reg_samples[j], g.reg_samples[j]
             wt = (t[j] - a) ** ga
             rows.append((t[j], wf, wf / wt, wg, wg / wt))
-    path.write_text("\n".join([_TRACE_COLUMNS, *(
+    _write(path, "\n".join([_TRACE_COLUMNS, *(
         ",".join(_NON_VALUE if x is None else f"{x:.17g}" for x in row)
         for row in rows)]) + "\n")
 
@@ -112,8 +125,7 @@ def cmd_bound(args) -> int:
     order = Order(args.alpha)
     out = _out_dir(args.out)
     if args.p is not None:
-        p_used = args.p
-        length = min_length(order, args.m, args.p)
+        p_used, length = args.p, min_length(order, args.m, args.p)
     else:
         p_used, length = best_min_length(order, args.m)
     if length == 0.0:

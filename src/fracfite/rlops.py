@@ -42,11 +42,11 @@ and leaves the hat functions unchanged: Omega on [a, a+L] is
 (L / n^r)^{1-beta-gamma} times the leading (n+1) x (n+1) block of the
 matrix on j^r for any larger n. Only that matrix is built, one per
 (r, beta, gamma), grown by its new blocks when a larger n is asked for,
-and the last one is cached: a sweep's cells at one alpha, marched
-together, and a solve at n then 2n ask for one key in a run. A sweep at
+and the last one is cached: a sweep fetches it once per march of one
+alpha's cells, and a solve at n then 2n asks for one key. A sweep at
 n = 512 and then 1024 in one process makes 6 fresh builds, 0 growths and
-48 hits (each cell asks for its scale): at 1024 the entry holds the last
-alpha's operator, so each alpha is built again rather than grown. An
+0 hits (one fetch per march): at 1024 the entry holds the last alpha's
+operator, so each alpha is built again rather than grown. An
 entry per alpha would grow them, but holds every alpha's operator at
 once: on the benchmark's sweep it gained about 23% in items per second
 and cost 4.1 MiB (+9.1%) of peak RSS. kernel_matrix returns the
@@ -301,21 +301,18 @@ def kernel_matrix(grid: GradedGrid, beta: float,
     whose nodes j^r overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
-    scale = kernel_scale(grid.length, grid.n, grid.r, beta, gamma)
+    scale = float(kernel_scale([grid.length], grid.n, grid.r, beta, gamma)[0])
     return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n), scale
 
 
-def kernel_scale(length, n: int, r: float, beta: float, gamma: float):
-    """The scale (L / n^r)^{1-beta-gamma} of Omega for n cells on an
-    interval of length L, taken as L^e / (n^r)^e; for an array of lengths,
-    the array of their scales. Each power is taken on a Python float, so
-    an array's scales are bit for bit those of its lengths one at a time:
-    numpy's array power may round the last bit differently."""
+def kernel_scale(lengths, n: int, r: float, beta: float, gamma: float) -> np.ndarray:
+    """The array of scales (L / n^r)^{1-beta-gamma} of Omega for n cells on
+    intervals of the given lengths L, each taken as L^e / (n^r)^e. Each
+    power is taken on a Python float, one length at a time: numpy's array
+    power may round the last bit differently."""
     e = 1.0 - beta - gamma
     unit = node_scale(n, r) ** e
-    if np.ndim(length) == 0:
-        return length ** e / unit
-    return np.array([v ** e for v in np.asarray(length, dtype=float).tolist()]) / unit
+    return np.array([v ** e for v in np.asarray(lengths, dtype=float).tolist()]) / unit
 
 
 def kernel_integral(lo, hi, a, t, beta, gamma):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .specfn import gamma_fn
-from .rlops import kernel_matrix
+from .rlops import kernel_matrix, kernel_scale
 from .weighted import GradedGrid, Order, WeightedFn, from_samples
 
 Coefficient = Callable[[np.ndarray], "np.ndarray | float"]
@@ -153,11 +153,12 @@ def solve_cells(order: Order, cells) -> Iterator[tuple | ConvergenceError]:
     cells = [(P, *_data(f_a, g_a), grid) for P, f_a, g_a, grid in cells]
     if len({(g.n, g.r) for *_, g in cells}) > 1:
         raise ValueError("the cells of one march need grids of one n and r")
-    ga = order.gamma
-    omega, scale = zip(*(kernel_matrix(g, 1.0 - order.alpha, ga) for *_, g in cells))
+    beta, ga, grid = 1.0 - order.alpha, order.gamma, cells[0][-1]
+    omega, _ = kernel_matrix(grid, beta, ga)  # one fetch: the cells differ in scale only
+    scale = kernel_scale([g.length for *_, g in cells], grid.n, grid.r, beta, ga)
     R, pf = map(np.array, zip(*(_node_data(P, order, g) for P, *_, g in cells)))
     try:
-        marches = zip(*_marching(omega[0], np.array(scale), R, pf))
+        marches = zip(*_marching(omega, scale, R, pf))
     except ConvergenceError as exc:
         if len(cells) == 1:
             yield exc

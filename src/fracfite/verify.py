@@ -114,9 +114,7 @@ class _Config:
     def to_obj(self) -> dict:
         """The config object of this instance; from_obj gives it back."""
         obj = {}
-        for f in fields(self):
-            if "key" not in f.metadata:
-                continue
+        for f in [f for f in fields(self) if "key" in f.metadata]:
             value = getattr(self, f.name)
             if isinstance(value, Order):
                 value = value.alpha
@@ -317,7 +315,7 @@ class CellReport:
 
     @property
     def ratio(self) -> float:
-        return self.scenario.lhs / self.scenario.rhs if self.scenario.rhs else math.nan
+        return self.scenario.lhs / self.scenario.rhs  # rhs > 0 at every valid alpha
 
     @property
     def verdicts(self) -> tuple[str, ...]:
@@ -399,8 +397,7 @@ class SweepSpec(_Config):
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed!r}")
         if not 0.0 < self.b_fraction < 1.0:
-            raise ConfigError("b_fraction",
-                              f"must lie in (0, 1), got {self.b_fraction!r}")
+            raise ConfigError("b_fraction", f"must lie in (0, 1), got {self.b_fraction!r}")
         # The direction moves only (f_a, g_a) on the unit circle, so one
         # scenario per cell validates the grid, P and the bound, and the
         # cell's directions share them; errors name the sweep's key.
@@ -420,8 +417,7 @@ class SweepSpec(_Config):
 
     def direction_angles(self) -> np.ndarray:
         if self.random_directions:
-            rng = np.random.default_rng(self.seed)
-            return rng.uniform(0.0, 2.0 * math.pi, self.directions)
+            return np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, self.directions)
         return 2.0 * math.pi * np.arange(self.directions) / self.directions
 
     def cells(self) -> list[Cell]:

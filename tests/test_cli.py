@@ -289,7 +289,7 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == 2
         assert "error: workers:" in capsys.readouterr().err
-        assert not (out / "verify.json").exists()
+        assert not out.exists()
 
     def test_single_scenario_config(self, tmp_path):
         cfg = write_config(tmp_path, {**SOLVE_CONFIG, "c": 10.0, "n": 256})
@@ -676,6 +676,92 @@ class TestEmptyOut:
         assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", ""]) == 2
         assert "error: out: must not be empty" in capsys.readouterr().err
         assert not any(cwd.iterdir())
+
+
+class TestOutNotWritable:
+    """An OSError while making --out or writing a file into it is a config
+    error naming out, not a traceback, and no record is printed. File modes
+    do not stop a superuser, so the error is injected."""
+
+    @pytest.mark.parametrize("method", ["mkdir", "write_text"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "{cfg}"], ["verify", "--config", "{cfg}"],
+        ["bound", "--alpha", "0.75", "--m", "1"], ["audit", "--trials", "5"]],
+        ids=["solve", "verify", "bound", "audit"])
+    def test_is_a_config_error(self, tmp_path, capsys, monkeypatch, argv, method):
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        monkeypatch.setattr(Path, method, refused)
+        out = tmp_path / "out"
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: out: cannot write " in captured.err
+        assert "Permission denied" in captured.err
+        assert not captured.out
+
+    def test_solve_keeps_the_files_written_before(self, tmp_path, capsys, monkeypatch):
+        """solve writes trace.csv and then summary.json: when the second write
+        fails after the run (a full disk, say), it exits 2 naming out and the
+        file, and trace.csv stays."""
+        write_text = Path.write_text
+
+        def full(self, *args, **kwargs):
+            if self.name == "summary.json":
+                raise OSError(28, "No space left on device", str(self))
+            return write_text(self, *args, **kwargs)
+
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: out: cannot write {out / 'summary.json'}: " in err
+        assert "No space left on device" in err
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+
+class TestOutUnusable:
+    """An --out at or under a dangling link, or under a directory that
+    access() says cannot be written (a read-only mount; injected, since file
+    modes do not stop a superuser), is a config error found before any run.
+    So is a name too long for the filesystem, which pathlib's exists()
+    raises on (it was an OSError traceback, exit 1)."""
+
+    COMMANDS = [(["solve", "--config", "{cfg}"], "solve_batch"),
+                (["verify", "--config", "{cfg}"], "sweep"),
+                (["bound", "--alpha", "0.75", "--m", "1"], "best_min_length"),
+                (["audit", "--trials", "5"], "audit_estimates")]
+    IDS = ["solve", "verify", "bound", "audit"]
+
+    @pytest.mark.parametrize("case", ["dangling", "under_dangling", "read_only"])
+    @pytest.mark.parametrize("argv,run", COMMANDS, ids=IDS)
+    def test_found_before_any_run(self, tmp_path, capsys, monkeypatch, argv, run, case):
+        def unreached(*args, **kwargs):
+            raise AssertionError(f"{run} ran")
+
+        monkeypatch.setattr(cli, run, unreached)
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        out = {"dangling": link, "under_dangling": link / "sub",
+               "read_only": tmp_path / "new"}[case]
+        if case == "read_only":
+            monkeypatch.setattr(os, "access", lambda path, mode: not mode & os.W_OK)
+        before = sorted(tmp_path.iterdir())
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 2
+        assert f"error: out: cannot make directory {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=IDS)
+    def test_name_too_long(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / ("x" * 300)
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 2
+        assert "error: out: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestMatrixCap:

@@ -1,7 +1,8 @@
 """Random configs and flags through cli.main. Every run ends in a documented
-exit code, a config error (exit 2) writes no output file and names a key of
-the input, every JSON the run writes is strict (no NaN or Infinity), and no
-RuntimeWarning escapes.
+exit code, a config error (exit 2) leaves the filesystem as it was (no
+output file, no --out directory) and names a key of the input, every JSON
+the run writes is strict (no NaN or Infinity), and no RuntimeWarning
+escapes.
 The draws mix random values with the float extremes, where overflow,
 underflow and NaN start. The runs are derandomized, so a failure
 reproduces; a config that failed once stays as an explicit example."""
@@ -99,8 +100,9 @@ sweeps = st.fixed_dictionaries(
               "b_fraction": reals(0.0, 1.0), "grading": reals(1.0, 4.0),
               "random_directions": st.booleans()}).map(lambda s: {"sweep": s})
 
-# --out: mostly none or a new directory, else empty or an existing file
-outs = mostly(st.sampled_from([None, "new"]), st.sampled_from(["", "taken"]))
+# --out: mostly none or a new directory, else empty, an existing file or a
+# name too long for the filesystem
+outs = mostly(st.sampled_from([None, "new"]), st.sampled_from(["", "taken", "x" * 300]))
 
 
 def strict(constant):
@@ -109,8 +111,8 @@ def strict(constant):
 
 def run(argv, out, named):
     """cli.main on argv plus --out, in a fresh directory; checks the exit code,
-    that an exit 2 names a field in `named`, and the files, and returns the
-    exit code."""
+    that an exit 2 names a field in `named` and leaves the directory as it
+    was, and the files, and returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "taken").touch()
@@ -121,8 +123,9 @@ def run(argv, out, named):
             code = main(argv)
         assert code in (0, 2, 3, 4), code
         written = [p for p in root.rglob("*") if p.name in OUTPUTS]
-        if code == 2:
-            assert not written, written
+        if code == 2:  # nothing made: the directory holds only "taken"
+            made = sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+            assert made == ["taken"], made
             field = re.match(r"error: (\w+): ", stderr.getvalue())
             assert field and field[1] in named, stderr.getvalue()
         for path in written:
@@ -161,6 +164,8 @@ def flag(name, value):
 @example({"alpha": 0.99999, "m": 2.225073858507203e-309}, None)  # D(L*) overflowed
 @example({"alpha": 0.99999, "m": 2.225073858507203e-309}, "new")
 @example({"alpha": EDGE, "m": 1.0}, None)
+@example({"alpha": 0.75, "m": -1.0}, "new")  # --out was made before m was checked
+@example({"alpha": 0.75, "m": 1.0}, "x" * 300)  # exists() raised: a traceback, exit 1
 def test_bound_flags(flags, out):
     named = {*flags, "out"} if out is not None else set(flags)  # the flags given
     assert run(["bound", *(flag(k, v) for k, v in flags.items())], out, named) in (0, 2, 4)
@@ -171,6 +176,7 @@ def test_bound_flags(flags, out):
                              optional={"alpha": alphas, "p": exponents,
                                        "seed": st.integers(-1, 2**64)}),
        outs)
+@example({"trials": 5, "alpha": 1.0}, "new")  # --out was made before any flag was read
 def test_audit_flags(flags, out):
     assert run(["audit", *(flag(k, v) for k, v in flags.items())], out,
                AUDIT_FIELDS) in (0, 2, 4)

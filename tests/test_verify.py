@@ -18,6 +18,7 @@ from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
 from fracfite import bounds, rlops
 from fracfite import cli as cli_module
 from fracfite.cli import main
+from fracfite import sfde as sfde_module
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch, solve_cells
@@ -642,24 +643,33 @@ class TestGroupMarch:
                 assert np.abs(np.subtract(pair, pair1)).max() <= 1e-13 * r.scenario.length
 
     def test_one_walk_per_group(self, monkeypatch):
-        # one walk per alpha, four columns per cell; a run of more than
-        # _MAX_MARCH cells is cut into marches of at most that many
-        walks = []
-        blocks = rlops.KernelOperator.blocks
+        # one walk and one kernel fetch per alpha, four columns per cell; a
+        # run of more than _MAX_MARCH cells is cut into marches of at most
+        # that many
+        walks, fetches = [], []
+        blocks, kernel_matrix = rlops.KernelOperator.blocks, sfde_module.kernel_matrix
 
         def counted(self, U):
             walks.append(U.shape)
             return blocks(self, U)
 
+        def fetched(grid, *args):
+            fetches.append(grid.n)
+            return kernel_matrix(grid, *args)
+
         monkeypatch.setattr(rlops.KernelOperator, "blocks", counted)
+        monkeypatch.setattr(sfde_module, "kernel_matrix", fetched)
         assert len(sweep(SweepSpec(**STANDARD_GRID, n=64)).verdicts) == 216
         assert walks == [(65, 36)] * 3
+        assert fetches == [64] * 3
         walks.clear()
+        fetches.clear()
         monkeypatch.setattr(verify_module, "_MAX_MARCH", 2)
         spec = SweepSpec(alphas=(0.75,), p_infs=(1.0,), lengths=(0.5, 1.0, 1.5, 2.0, 2.5),
                          directions=2, n=16)
         assert len(sweep(spec).verdicts) == 10
         assert walks == [(17, 8), (17, 8), (17, 4)]
+        assert fetches == [16] * 3
 
 
 class TestSweep:
