@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby, product
 
@@ -487,13 +486,16 @@ def sweep(spec: Scenario | SweepSpec, workers: int = 1) -> SweepReport:
     group of cells (see _groups) per march; deterministic for a given spec
     and seed regardless of worker count (groups, cell and direction order
     are fixed up front). The pool has at most one worker per group and per
-    CPU the process may run on; with one, the run stays in-process."""
+    CPU the process may run on; with one, the run stays in-process and the
+    pool's modules (multiprocessing and its kin) are never imported."""
     if workers < 1:
         raise ConfigError("workers", f"must be >= 1, got {workers!r}")
     groups = _groups(spec.cells())
     # the fork start method launches all max_workers processes at once
     workers = min(workers, len(groups), _cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_group, groups))
     else:

@@ -823,6 +823,27 @@ class TestImports:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
+    def test_pool_modules_load_only_for_a_pool(self, tmp_path):
+        # in a fresh interpreter, since pytest's plugins may import
+        # multiprocessing themselves; two alphas make two groups, and the
+        # child sees two CPUs so that --workers 2 starts a pool of two
+        src = str(Path(fracfite.__file__).resolve().parents[1])
+        cfg = write_config(tmp_path, {"sweep": {**SWEEP_CONFIG["sweep"], "alphas": [0.6, 0.75]}})
+        code = ("import sys; from fracfite import cli, verify\n"
+                "verify._cpu_count = lambda: 2\n"
+                "assert cli.main(['verify', '--config', sys.argv[1], '--workers', sys.argv[2],"
+                " '--out', sys.argv[3]]) == 0\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        loaded = {}
+        for workers in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code, cfg, workers, str(tmp_path / workers)],
+                                  check=True, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            loaded[workers] = proc.stdout.splitlines()[-1]
+        assert loaded == {"1": "[]", "2": "['concurrent.futures.process', 'multiprocessing']"}
+        one, two = ((tmp_path / w / "verify.json").read_bytes() for w in ("1", "2"))
+        assert one == two
+
 
 class TestDeterminism:
     def test_verify_bytes_do_not_depend_on_a_larger_n_run_first(self, tmp_path):

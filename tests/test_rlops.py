@@ -11,8 +11,8 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix)
-from fracfite.rlops import (_CHEB, _Omega, _chebyshev_interp, _matrix_cached,
-                            node_scale)
+from fracfite.rlops import (_CHEB, _FX, _FW, _GW, _GX, _Omega, _cell_rules,
+                            _chebyshev_interp, _matrix_cached, node_scale)
 from oracles import (build_matrix_reference, from_callable,
                      kernel_integral_reference, norm_full, q_operator,
                      rl_derivative, rl_integral)
@@ -260,6 +260,18 @@ class TestOperator:
         assert op.n == 4096
         assert held <= 12 * 2**20  # 11.6 MiB with every far block as two factors
 
+    def test_build_scratch_is_small(self):
+        # the 16-point rules are formed per leaf, not for the whole reach:
+        # a fresh build peaks 1.7 MiB above what it keeps
+        tracemalloc.start()
+        try:
+            op = _Omega(2.0, 0.25, 0.25).upto(4096)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.n == 4096
+        assert peak - held <= 2 * 2**20
+
 
 class TestBlockedBuild:
     """The blocked build (6-point rule on far cells, Chebyshev interpolation
@@ -307,6 +319,23 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("n", [1025, 2048])
     def test_interpolated_far_field(self, n, r, a):
         self.assert_agrees(build_grid(a, a + 1.0, n, r), 0.3, 0.7)
+
+
+class TestCellRules:
+    """The per-cell Gauss rules the build forms on slices of the nodes."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.7])
+    @pytest.mark.parametrize("rule", ["16-point", "6-point"])
+    @pytest.mark.parametrize("lo,hi", [(1, 40), (7, 8), (30, 101)])
+    def test_slice_gives_the_rows_of_the_whole_call(self, lo, hi, rule, gamma):
+        # a slice from node lo > 0 has no first-cell substitution: its rows
+        # are cells lo..hi-1 of the call on all the nodes
+        gx, gw = (_GX, _GW) if rule == "16-point" else (_FX, _FW)
+        nodes = np.arange(101.0) ** 2.0
+        whole = _cell_rules(nodes, gamma, gx, gw)
+        part = _cell_rules(nodes[lo:hi + 1], gamma, gx, gw)
+        for w, p in zip(whole, part):
+            np.testing.assert_array_equal(p, w[lo:hi])
 
 
 class TestChebyshevInterp:

@@ -1,5 +1,6 @@
 """Scenario harness: verdict logic, sweeps, and the classical oracle."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import gc
@@ -724,7 +725,7 @@ class TestSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         spec = SweepSpec(alphas=(0.6, 0.75), p_infs=(1.0,), lengths=(0.5, 2.0),
@@ -756,7 +757,7 @@ class TestSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
