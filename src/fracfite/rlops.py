@@ -21,6 +21,9 @@ the kernel (s-a)^{-gamma} (t_i-s)^{-beta}:
     in a Bernstein ellipse with parameter above ~15, and the two rules
     agree to a few 1e-14 of max|Omega| (3.1e-14 at n = 4096).
 
+Both Gauss-Legendre rules are literal tables, numpy's leggauss mapped to
+(0, 1), so that no run loads numpy.polynomial.
+
 Omega is built in blocks of _ROW_BLOCK rows with no per-row Python work,
 and kept in blocks: it is never formed as an (n+1) x (n+1) array. Far from
 its rows, a row block's 6-point far sums are analytic in t, so nested
@@ -62,20 +65,33 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .specfn import beta_fn, inc_beta
 from .weighted import GradedGrid
 
 
-def _gauss01(points: int):
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_GX, _GW = _gauss01(16)  # near cells and the singular end cells
-_FX, _FW = _gauss01(6)   # far cells
+# Gauss-Legendre rules on (0, 1): the nodes 0.5 (x + 1) and weights 0.5 w
+# of (x, w) = numpy.polynomial.legendre.leggauss(k) as numpy 2.4 gives them.
+_GX = np.array([  # near cells and the singular end cells
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412,
+    0.1222977958224985, 0.19106187779867811, 0.2709916111713863,
+    0.35919822461037054, 0.4524937450811813, 0.5475062549188188,
+    0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163,
+    0.994700467495825])
+_GW = np.array([
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463,
+    0.062314485627767036, 0.07479799440828835, 0.08457825969750132,
+    0.09130170752246182, 0.09472530522753432, 0.09472530522753432,
+    0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728,
+    0.013576229705877088])
+_FX = np.array([  # far cells
+    0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
+    0.6193095930415985, 0.8306046932331322, 0.9662347571015759])
+_FW = np.array([
+    0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
+    0.23395696728634552, 0.18038078652406936, 0.08566224618958514])
 
 _ROW_BLOCK = 32   # rows of Omega built together
 _FAR_GAP = 4      # cell j is far from row i when i-1-j > _FAR_GAP ...

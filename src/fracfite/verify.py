@@ -25,7 +25,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby, product
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bounds import best_min_length, fite_lhs, fite_rhs
 from .errors import ConfigError, ConvergenceError
@@ -193,7 +192,8 @@ class CoefficientSpec:
         """(min, max) over [a, c], exact: a piecewise linear table takes its
         extremes at its knots inside (a, c) or at a and c, a poly at a, at
         c or at a stationary point inside (candidates at the real parts of
-        its derivative's roots; extra points in [a, c] cannot hurt).
+        its derivative's roots; extra points in [a, c] cannot hurt). Only a
+        poly of degree 2 or more loads numpy.polynomial, for those roots.
         Raises ValueError if a table does not cover [a, c], or a value or
         a stationary point is not finite."""
         if self.kind == "table":
@@ -205,6 +205,8 @@ class CoefficientSpec:
         else:  # a poly; a const is the poly of degree 0
             u = np.empty(0)  # offsets t - a of the stationary points
             if len(self.data) > 2:
+                from numpy.polynomial import polynomial as npoly
+
                 with np.errstate(all="ignore"):  # overflows are checked below
                     slope = npoly.polyder(self.data)
                     if not np.isfinite(slope).all():

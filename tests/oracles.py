@@ -21,7 +21,9 @@ forms its instances at once), the weighted
 sup-norms, and helpers that sample, evaluate or search weighted
 functions point by point, the arcs of
 directions on which a combination of two basis solutions has a zero, and
-the closed-form sharp threshold kappa of the zero pair at P = 1.
+the closed-form sharp threshold kappa of the zero pair at P = 1. The
+Gauss-Legendre rules come from numpy.polynomial's leggauss here, which
+the package keeps as literal tables.
 """
 
 import math
@@ -379,9 +381,14 @@ def contraction_factor(P, order: Order, grid: GradedGrid) -> float:
                      (pf * (omega @ np.abs(R))).max()))
 
 
-_GX, _GW = leggauss(16)
-_GX = 0.5 * (_GX + 1.0)  # nodes on (0, 1)
-_GW = 0.5 * _GW
+def gauss01(points: int):
+    """Gauss-Legendre nodes and weights on (0, 1) from numpy's leggauss, the
+    rules rlops keeps as literal tables."""
+    x, w = leggauss(points)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_GX, _GW = gauss01(16)
 
 
 def _cell_rules_16(nodes, a, gamma):

@@ -844,6 +844,35 @@ class TestImports:
         one, two = ((tmp_path / w / "verify.json").read_bytes() for w in ("1", "2"))
         assert one == two
 
+    def test_const_p_runs_leave_numpy_polynomial_unloaded(self, tmp_path):
+        # in a fresh interpreter: the Gauss rules are literal tables, and
+        # only a poly P of degree 2 or more loads it, for its stationary
+        # points; some numpy versions import it with numpy itself
+        src = str(Path(fracfite.__file__).resolve().parents[1])
+        const = write_config(tmp_path, {**SOLVE_CONFIG, "n": 64}, "const.json")
+        poly = write_config(tmp_path, {**SOLVE_CONFIG, "n": 64, "c": 1.2,
+                                       "P": {"poly": [1.0, 1.0, 0.0, -1.0]}}, "poly.json")
+        runs = [["solve", "--config", const, "--out", str(tmp_path / "s")],
+                ["verify", "--config", const, "--out", str(tmp_path / "v")],
+                ["verify", "--config", write_config(tmp_path, SWEEP_CONFIG),
+                 "--out", str(tmp_path / "w")],
+                ["bound", "--alpha", "0.75", "--m", "1"],
+                ["audit", "--trials", "20"],
+                ["verify", "--config", poly, "--out", str(tmp_path / "p")]]
+        code = ("import json, sys; import numpy\n"
+                "print('numpy.polynomial' in sys.modules)\n"
+                "from fracfite import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert cli.main(argv) == 0\n"
+                "    print('numpy.polynomial' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                              check=True, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded = [line == "True" for line in proc.stdout.splitlines() if line in ("True", "False")]
+        if loaded[0]:
+            pytest.skip("this numpy imports numpy.polynomial with numpy")
+        assert loaded == [False] * 6 + [True]
+
 
 class TestDeterminism:
     def test_verify_bytes_do_not_depend_on_a_larger_n_run_first(self, tmp_path):

@@ -42,6 +42,15 @@ EDGE_SCENARIO = {"alpha": EDGE, "a": 0.0, "c": 10.0, "P": {"const": 1.0}, "n": 6
 EDGE_SWEEP = {"sweep": {"alphas": [EDGE], "p_infs": [1.0], "lengths": [10.0],
                         "directions": 1, "n": 16}}
 
+# Poly P at the edges of range_on's stationary points: trailing zero
+# coefficients (solved), a derivative that overflows and a companion
+# matrix that overflows (config errors naming P).
+POLY_TRAILING = {"alpha": 0.75, "a": 0.0, "c": 1.2, "f_a": 0.0, "g_a": 1.0, "n": 32,
+                 "P": {"poly": [1.0, 1.0, 0.0, -1.0, 0.0, 0.0]}}
+POLY_STEEP = {"alpha": 0.75, "a": 0.0, "c": 1.0, "n": 32, "P": {"poly": [0.0, 0.0, 1e308]}}
+POLY_COMPANION = {"alpha": 0.75, "a": 0.0, "c": 2.0, "n": 32,
+                  "P": {"poly": [1.0, 2.0, -1.0, 1e-320]}}
+
 # What an exit 2 may name: a key of either config schema or an option of
 # solve/verify; for audit, any of its flags (a default may be at fault).
 CONFIG_FIELDS = {f.metadata["key"] for schema in (Scenario, SweepSpec)
@@ -145,6 +154,9 @@ def run(argv, out, named):
 @example(("verify", EDGE_SCENARIO), "new")
 @example(("verify", EDGE_SWEEP), "new")
 @example(("solve", EDGE_SCENARIO), "new")
+@example(("verify", POLY_TRAILING), "new")
+@example(("verify", POLY_STEEP), "new")
+@example(("verify", POLY_COMPANION), "new")
 def test_config(run_of, out):
     command, config = run_of
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:

@@ -13,7 +13,7 @@ from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix)
 from fracfite.rlops import (_CHEB, _FX, _FW, _GW, _GX, _Omega, _cell_rules,
                             _chebyshev_interp, _matrix_cached, node_scale)
-from oracles import (build_matrix_reference, from_callable,
+from oracles import (build_matrix_reference, from_callable, gauss01,
                      kernel_integral_reference, norm_full, q_operator,
                      rl_derivative, rl_integral)
 
@@ -319,6 +319,20 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("n", [1025, 2048])
     def test_interpolated_far_field(self, n, r, a):
         self.assert_agrees(build_grid(a, a + 1.0, n, r), 0.3, 0.7)
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("points,rule", [(16, (_GX, _GW)), (6, (_FX, _FW))],
+                             ids=["16-point", "6-point"])
+    def test_tables_are_leggauss(self, points, rule):
+        # equal to the bit on numpy 2.4; leggauss may move by an ulp with
+        # the numpy and LAPACK it runs on, the tables do not
+        for table, ref in zip(rule, gauss01(points)):
+            assert table.dtype == np.float64 and table.shape == (points,)
+            np.testing.assert_array_max_ulp(table, ref, maxulp=2)
+        x, w = rule  # exact for x^k, k < 2 points: the moments 1 / (k + 1)
+        for k in range(2 * points):
+            assert abs(w @ x ** k - 1.0 / (k + 1)) < 1e-15
 
 
 class TestCellRules:
