@@ -14,7 +14,7 @@ from .weighted import (GradedGrid, Order, WeightedFn, build_grid, eval_reg,
                        from_samples)
 from .rlops import kernel_integral, kernel_matrix
 from .sfde import SolveReport
-from .zeros import find_zeros, first_zero_pair
+from .zeros import first_zero_pair
 from .bounds import (AuditReport, audit_estimates, best_min_length, big_C,
                      big_D, big_E, fite_lhs, fite_rhs, holder_params,
                      min_length, small_c)
@@ -28,7 +28,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "GradedGrid", "Order", "Scenario",
     "SolveReport", "SweepReport", "SweepSpec", "WeightedFn",
     "audit_estimates", "best_min_length", "beta_fn", "big_C", "big_D",
-    "big_E", "build_grid", "eval_reg", "find_zeros", "first_zero_pair",
-    "fite_lhs", "fite_rhs", "from_samples", "gamma_fn", "holder_params",
+    "big_E", "build_grid", "eval_reg", "first_zero_pair", "fite_lhs",
+    "fite_rhs", "from_samples", "gamma_fn", "holder_params",
     "kernel_integral", "kernel_matrix", "min_length", "small_c", "sweep",
 ]

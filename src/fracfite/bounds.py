@@ -289,7 +289,7 @@ def audit_sides(order: Order, p: float, seed: int, start: int,
     al = order.alpha
     a, length, b, i1, i2, t1, t2, A_nodes, W_nodes, x, y, e = _audit_draws(seed, start, stop)
     # Omega depends on n and r only: every trial grid shares this one, scaled
-    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, _AUDIT_R), beta, ga)[0].dense()
+    unit = kernel_matrix(build_grid(0.0, 1.0, _AUDIT_N, _AUDIT_R), beta, ga).dense()
     scale = kernel_scale((a + length) - a, _AUDIT_N, _AUDIT_R, beta, ga)  # c - a
     rows = scale[:, None, None] * unit[np.stack((i1, i2), axis=1)]
     AW = A_nodes * W_nodes

@@ -7,7 +7,8 @@ Subcommands
     audit    run the randomized inequality audit
 
 Exit codes: 0 ok, 2 config/domain error, 3 solver failure,
-4 verification/audit failure.
+4 verification/audit failure, 5 output not written (a file of --out that
+cannot be written after the run; the files written before it stay).
 
 The front end only maps argv to a run. Config files are parsed, defaulted
 and validated by `verify.parse_config` (the schemas of `Scenario` and
@@ -39,10 +40,14 @@ from .sfde import solve_batch
 from .verify import COUNTEREXAMPLE, Scenario, parse_config, sweep
 from .weighted import Order
 
-OK, CONFIG_ERROR, SOLVER_FAILURE, VERIFY_FAILURE = 0, 2, 3, 4
+OK, CONFIG_ERROR, SOLVER_FAILURE, VERIFY_FAILURE, NOT_WRITTEN = 0, 2, 3, 4, 5
 
 _TRACE_COLUMNS = "t,w_f,f,w_g,g"
 _NON_VALUE = "NA"  # raw f, g may be infinite at the first node
+
+
+class _NotWritten(Exception):
+    """A file of --out that could not be written after the run."""
 
 
 def _write(path: Path, text: str) -> None:
@@ -51,7 +56,7 @@ def _write(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
-        raise ConfigError("out", f"cannot write {path}: {exc}") from None
+        raise _NotWritten(f"out: cannot write {path}: {exc}") from None
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -246,6 +251,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    except _NotWritten as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NOT_WRITTEN
 
 
 if __name__ == "__main__":

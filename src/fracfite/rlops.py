@@ -56,8 +56,8 @@ operator, so each alpha is built again rather than grown. An
 entry per alpha would grow them, but holds every alpha's operator at
 once: on the benchmark's sweep it gained about 23% in items per second
 and cost 4.1 MiB (+9.1%) of peak RSS. kernel_matrix returns the
-operator for n with the scalar factor, which callers fold into the data
-they apply it to.
+operator for n; kernel_scale gives the scalar factor of each interval,
+which callers fold into the data they apply it to.
 """
 
 from __future__ import annotations
@@ -277,8 +277,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class KernelOperator:
     """Omega for n cells, lower triangular: the rows 0..n of a cached
-    _Omega's blocks. blocks() applies it, one small product per block,
-    O(n log n) in all; dense() forms the array."""
+    _Omega's blocks, on the nodes j^r of every interval, so it carries no
+    scale (kernel_scale gives an interval's). blocks() applies it, one small
+    product per block, O(n log n) in all; dense() forms the array."""
 
     def __init__(self, kernel: _Omega, n: int):
         self.n = n
@@ -332,16 +333,15 @@ def node_scale(n: int, r: float) -> float:
     return float(n) ** r
 
 
-def kernel_matrix(grid: GradedGrid, beta: float,
-                  gamma: float) -> tuple[KernelOperator, float]:
-    """(Omega, scale) with (Q u)(t_i) = scale * (Omega @ u)_i for u = nodal
-    A*W; Omega is the operator for n cells of the cached one on the nodes
-    j^r, scale = (L / n^r)^{1-beta-gamma}. A grid whose r is not >= 1, or
-    whose nodes j^r overflow (see node_scale), raises ValueError."""
+def kernel_matrix(grid: GradedGrid, beta: float, gamma: float) -> KernelOperator:
+    """Omega for the grid's n cells, from the cached operator on the nodes
+    j^r: (Q u)(t_i) = scale * (Omega @ u)_i for u = nodal A*W, with the
+    scale of the grid's length from kernel_scale. A grid whose r is not
+    >= 1, or whose nodes j^r overflow (see node_scale), raises ValueError."""
     if not grid.r >= 1.0:
         raise ValueError(f"need a graded grid a + L (j/n)^r, got r={grid.r!r}")
-    scale = float(kernel_scale([grid.length], grid.n, grid.r, beta, gamma)[0])
-    return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n), scale
+    node_scale(grid.n, grid.r)  # raises before any build on nodes that overflow
+    return _matrix_cached(grid.r, float(beta), float(gamma)).upto(grid.n)
 
 
 def kernel_scale(lengths, n: int, r: float, beta: float, gamma: float) -> np.ndarray:

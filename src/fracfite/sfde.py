@@ -72,7 +72,7 @@ def _marching(omega, scale, R, pf):
     scale[c], R[c] and pf[c] (shapes (C,), (C, n+1), (C, n+1)); returns wf,
     wg of shape (C, n+1, 2) and full = omega @ U of shape (C, n+1, 4). The
     history U = scale * (wg, R wf), four columns per cell, carries the
-    kernel_matrix scale, so no product on the raw nodes j^r is formed,
+    kernel_scale factor, so no product on the raw nodes j^r is formed,
     enters a block through one omega.blocks walk for all cells, and gives
     full its rows once the block is solved. The block coupling
     wf = F + A wg, wg = H + C wf is solved through its Schur complement
@@ -154,7 +154,7 @@ def solve_cells(order: Order, cells) -> Iterator[tuple | ConvergenceError]:
     if len({(g.n, g.r) for *_, g in cells}) > 1:
         raise ValueError("the cells of one march need grids of one n and r")
     beta, ga, grid = 1.0 - order.alpha, order.gamma, cells[0][-1]
-    omega, _ = kernel_matrix(grid, beta, ga)  # one fetch: the cells differ in scale only
+    omega = kernel_matrix(grid, beta, ga)  # one fetch: the cells differ in scale only
     scale = kernel_scale([g.length for *_, g in cells], grid.n, grid.r, beta, ga)
     R, pf = map(np.array, zip(*(_node_data(P, order, g) for P, *_, g in cells)))
     try:
@@ -201,7 +201,9 @@ def residual(P: Coefficient, order: Order, report: SolveReport) -> float:
     """Max regularized defect of the two integral equations over the nodes
     t_j, j >= 1, when the solution pair is substituted back."""
     grid = report.f.grid
-    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
+    beta, ga = 1.0 - order.alpha, order.gamma
+    omega = kernel_matrix(grid, beta, ga)
+    scale = kernel_scale([grid.length], grid.n, grid.r, beta, ga)[0]
     R, pf = _node_data(P, order, grid)
     wf, wg = report.f.reg_samples[:, None], report.g.reg_samples[:, None]
     U = scale * np.hstack((wg, R[:, None] * wf))

@@ -19,7 +19,8 @@ its seed's stream by one rng.uniform call per value on its own
 build_grid, where the audit fills a chunk's windows in one call and
 forms its instances at once), the weighted
 sup-norms, and helpers that sample, evaluate or search weighted
-functions point by point, the arcs of
+functions point by point (find_zeros, every zero of one function in a
+window, is the search zeros.first_zero_pair makes on columns), the arcs of
 directions on which a combination of two basis solutions has a zero, and
 the closed-form sharp threshold kappa of the zero pair at P = 1. The
 Gauss-Legendre rules come from numpy.polynomial's leggauss here, which
@@ -35,10 +36,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from fracfite import (AuditFailure, GradedGrid, Order, WeightedFn, beta_fn,
-                      big_D, big_E, bounds, build_grid, eval_reg, find_zeros,
-                      from_samples, gamma_fn, holder_params, kernel_matrix,
-                      small_c)
+                      big_D, big_E, bounds, build_grid, eval_reg, from_samples,
+                      gamma_fn, holder_params, kernel_matrix, small_c)
 from fracfite.errors import ConvergenceError
+from fracfite.rlops import kernel_scale
 from fracfite.sfde import _node_data
 
 # Mittag-Leffler series controls.
@@ -214,6 +215,17 @@ def _check_regime(beta: float, gamma: float) -> None:
             f"outside the estimate regime: beta + gamma = {beta + gamma!r} > 1")
 
 
+def grid_scale(grid: GradedGrid, beta: float, gamma: float) -> float:
+    """The scale (L / n^r)^{1-beta-gamma} of the kernel operator on the grid,
+    from rlops.kernel_scale: (Q u)(t_i) = scale * (Omega @ u)_i."""
+    return float(kernel_scale([grid.length], grid.n, grid.r, beta, gamma)[0])
+
+
+def kernel_dense(grid: GradedGrid, beta: float, gamma: float) -> np.ndarray:
+    """The kernel matrix of the grid as an array: its scale times Omega."""
+    return grid_scale(grid, beta, gamma) * kernel_matrix(grid, beta, gamma).dense()
+
+
 def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
                beta: float) -> WeightedFn:
     """(Q_{beta,A} f)(t) = int_a^t A(s) f(s) (t-s)^{-beta} ds on the grid.
@@ -226,8 +238,8 @@ def q_operator(w: WeightedFn, A: Callable[[np.ndarray], np.ndarray | float],
     """
     _check_regime(beta, w.gamma)
     u = np.asarray(A(w.grid.nodes), dtype=float) * w.reg_samples
-    omega, scale = kernel_matrix(w.grid, beta, w.gamma)
-    vals = scale * (omega.dense() @ u)
+    omega = kernel_matrix(w.grid, beta, w.gamma).dense()
+    vals = grid_scale(w.grid, beta, w.gamma) * (omega @ u)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("singular-kernel quadrature produced non-finite values")
     if beta + w.gamma >= 1.0 - 1e-14:
@@ -346,8 +358,7 @@ def picard_reference(P, order: Order, f_a: float, g_a: float,
     increment is <= tol, and raises ConvergenceError after max_iter
     iterations or when an increment is not finite or exceeds 1e12 times
     (first increment + 1)."""
-    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    omega = scale * omega.dense()
+    omega = kernel_dense(grid, 1.0 - order.alpha, order.gamma)
     R, pf = _node_data(P, order, grid)
     wf = np.full(omega.shape[0], float(f_a))
     wg = np.full(omega.shape[0], float(g_a))
@@ -374,8 +385,7 @@ def contraction_factor(P, order: Order, grid: GradedGrid) -> float:
     (wf, wg): the increments map as (df, dg) -> (pf Omega dg,
     -pf Omega (P df)), and Omega, pf >= 0, so the constant is one mat-vec
     per equation, max(max_i pf_i sum_j Omega_ij, same with |P_j|)."""
-    omega, scale = kernel_matrix(grid, 1.0 - order.alpha, order.gamma)
-    omega = scale * omega.dense()
+    omega = kernel_dense(grid, 1.0 - order.alpha, order.gamma)
     R, pf = _node_data(P, order, grid)
     return float(max((pf * (omega @ np.ones_like(pf))).max(),
                      (pf * (omega @ np.abs(R))).max()))
@@ -498,7 +508,7 @@ def audit_reference(order: Order, p: float, trials: int, seed: int):
     b_alpha = beta_fn(al, al)
     two_pow = 2.0 ** (2.0 * (2.0 - al))
     e_const = (two_pow + b_alpha) / gamma_fn(al)
-    unit = kernel_matrix(build_grid(0.0, 1.0, 96, 2.0), beta, ga)[0].dense()
+    unit = kernel_matrix(build_grid(0.0, 1.0, 96, 2.0), beta, ga).dense()
     sides = []
     for trial in range(trials):
         (a, length, b, i1, i2, t1, t2, A_nodes, W_nodes,
@@ -507,7 +517,7 @@ def audit_reference(order: Order, p: float, trials: int, seed: int):
         sup_A = float(np.abs(A_nodes).max())
         norm_f = float(np.abs(W_nodes).max())
 
-        scale = kernel_matrix(grid, beta, ga)[1]
+        scale = grid_scale(grid, beta, ga)
         rows = scale * unit[[i1, i2]]
         q1, q2 = rows @ (A_nodes * W_nodes)
         pairs = []
@@ -611,6 +621,37 @@ def norm_window(w: WeightedFn, b: float, c_w: float) -> float:
     ends = eval_reg(w, np.array([b, c_w]))
     vals = np.concatenate([ends, inside]) if inside.size else ends
     return float(np.abs(vals).max())
+
+
+_MERGE_REL = 1e-12  # of the grid length
+
+
+def find_zeros(w: WeightedFn, b: float, c_w: float) -> np.ndarray:
+    """Sorted zeros of the interpolated regularized part of a one-column w
+    inside [b, c_w], searched point by point: the search points (b, the
+    interior nodes, c_w) where it is exactly 0 and the root of the line
+    through each pair of consecutive points of opposite signs, clipped to
+    them; zeros closer than _MERGE_REL of the grid length count once. The
+    search zeros.first_zero_pair makes on columns, with its arithmetic."""
+    if w.reg_samples.ndim != 1:
+        raise ValueError("find_zeros searches one function; first_zero_pair, columns")
+    grid = w.grid
+    if not (grid.a < b < c_w <= grid.c):
+        raise ValueError(
+            f"window [{b!r}, {c_w!r}] not inside ({grid.a}, {grid.c}]")
+    inner = (grid.nodes > b) & (grid.nodes < c_w)
+    pts = [b, *grid.nodes[inner].tolist(), c_w]
+    end_b, end_c = eval_reg(w, np.array([b, c_w])).tolist()
+    vals = [end_b, *w.reg_samples[inner].tolist(), end_c]
+    zeros = [p for p, v in zip(pts, vals) if v == 0.0]
+    for lo, hi, flo, fhi in zip(pts, pts[1:], vals, vals[1:]):
+        if flo < 0.0 < fhi or fhi < 0.0 < flo:
+            zeros.append(min(max(lo - flo / (fhi - flo) * (hi - lo), lo), hi))
+    merged: list[float] = []
+    for z in sorted(zeros):
+        if not merged or z - merged[-1] > _MERGE_REL * grid.length:
+            merged.append(z)
+    return np.asarray(merged, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -679,9 +679,11 @@ class TestEmptyOut:
 
 
 class TestOutNotWritable:
-    """An OSError while making --out or writing a file into it is a config
-    error naming out, not a traceback, and no record is printed. File modes
-    do not stop a superuser, so the error is injected."""
+    """An OSError while making --out or writing a file into it, after the
+    run, exits 5 (output not written) with an error naming out, not a
+    traceback, and no record is printed. File modes do not stop a
+    superuser, so the error is injected, or a real one is met on Linux's
+    /dev/full. (The first test keeps its name from when this was exit 2.)"""
 
     @pytest.mark.parametrize("method", ["mkdir", "write_text"])
     @pytest.mark.parametrize("argv", [
@@ -695,7 +697,7 @@ class TestOutNotWritable:
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         monkeypatch.setattr(Path, method, refused)
         out = tmp_path / "out"
-        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 2
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 5
         captured = capsys.readouterr()
         assert "error: out: cannot write " in captured.err
         assert "Permission denied" in captured.err
@@ -703,7 +705,7 @@ class TestOutNotWritable:
 
     def test_solve_keeps_the_files_written_before(self, tmp_path, capsys, monkeypatch):
         """solve writes trace.csv and then summary.json: when the second write
-        fails after the run (a full disk, say), it exits 2 naming out and the
+        fails after the run (a full disk, say), it exits 5 naming out and the
         file, and trace.csv stays."""
         write_text = Path.write_text
 
@@ -715,11 +717,29 @@ class TestOutNotWritable:
         cfg = write_config(tmp_path, SOLVE_CONFIG)
         monkeypatch.setattr(Path, "write_text", full)
         out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 5
         err = capsys.readouterr().err
         assert f"error: out: cannot write {out / 'summary.json'}: " in err
         assert "No space left on device" in err
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/full")
+    def test_full_device(self, tmp_path, capsys):
+        """summary.json and verify.json are links to /dev/full, where every
+        write fails with ENOSPC: solve and verify exit 5 and print no record,
+        and the trace.csv solve wrote first stays."""
+        cfg = write_config(tmp_path, SOLVE_CONFIG)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("summary.json", "verify.json"):
+            (out / name).symlink_to("/dev/full")
+        for command, name in (("solve", "summary.json"), ("verify", "verify.json")):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 5
+            captured = capsys.readouterr()
+            assert f"error: out: cannot write {out / name}: " in captured.err
+            assert "No space left on device" in captured.err
+            assert not captured.out
+        assert (out / "trace.csv").stat().st_size > 0
 
 
 class TestOutUnusable:

@@ -13,9 +13,9 @@ from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix)
 from fracfite.rlops import (_CHEB, _FX, _FW, _GW, _GX, _Omega, _cell_rules,
                             _chebyshev_interp, _matrix_cached, node_scale)
-from oracles import (build_matrix_reference, from_callable, gauss01,
-                     kernel_integral_reference, norm_full, q_operator,
-                     rl_derivative, rl_integral)
+from oracles import (build_matrix_reference, from_callable, gauss01, grid_scale,
+                     kernel_dense, kernel_integral_reference, norm_full,
+                     q_operator, rl_derivative, rl_integral)
 
 B_2_075 = 16.0 / 21.0  # B(2, 0.75)
 
@@ -133,25 +133,25 @@ class TestKernelMatrixScaling:
     @pytest.mark.parametrize("length", [0.05, 5.0, 10.0])
     def test_scaled_unit_matrix_matches_direct_build(self, alpha, length):
         g = build_grid(0.0, length, 96, 2.0)
-        unit, scale = kernel_matrix(g, 1.0 - alpha, 1.0 - alpha)
         direct = build_matrix_reference(g.nodes, 0.0, 1.0 - alpha, 1.0 - alpha)
-        np.testing.assert_allclose(scale * unit.dense(), direct, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(kernel_dense(g, 1.0 - alpha, 1.0 - alpha), direct,
+                                   rtol=1e-12, atol=0.0)
 
     def test_shifted_interval_matches_direct_build(self):
         # The reference takes the offsets t_j - a: in absolute coordinates
         # its quadrature points near a round to the grid of a = 1.3.
         g = build_grid(1.3, 1.6, 96, 2.0)
-        unit, scale = kernel_matrix(g, 0.25, 0.25)
         direct = build_matrix_reference(g.nodes - 1.3, 0.0, 0.25, 0.25)
-        np.testing.assert_allclose(scale * unit.dense(), direct, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(kernel_dense(g, 0.25, 0.25), direct, rtol=1e-11, atol=0.0)
 
     def test_intervals_with_same_n_and_r_share_one_build(self):
         # one matrix per (r, beta, gamma): another interval, or a larger n,
         # reads (and grows) the same one and counts as a hit
         _matrix_cached.cache_clear()
-        u1, s1 = kernel_matrix(build_grid(-2.0, 0.7, 37, 1.7), 0.3, 0.3)
-        u2, s2 = kernel_matrix(build_grid(4.0, 9.0, 37, 1.7), 0.3, 0.3)
-        u3, s3 = kernel_matrix(build_grid(4.0, 9.0, 75, 1.7), 0.3, 0.3)
+        grids = [build_grid(-2.0, 0.7, 37, 1.7), build_grid(4.0, 9.0, 37, 1.7),
+                 build_grid(4.0, 9.0, 75, 1.7)]
+        u1, u2, u3 = (kernel_matrix(g, 0.3, 0.3) for g in grids)
+        s1, s2, s3 = (grid_scale(g, 0.3, 0.3) for g in grids)
         info = _matrix_cached.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert all(x is y for x, y in zip(u1.leaves, u2.leaves))
@@ -180,7 +180,8 @@ class TestKernelMatrixScaling:
                 hi = mid
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            omega, scale = kernel_matrix(build_grid(0.0, 1.0, n, lo), 0.25, 0.25)
+            g = build_grid(0.0, 1.0, n, lo)
+            omega, scale = kernel_matrix(g, 0.25, 0.25), grid_scale(g, 0.25, 0.25)
             assert all(np.isfinite(near).all() for *_, near, _ in omega.leaves)
             assert math.isfinite(scale)
 
@@ -286,7 +287,7 @@ class TestBlockedBuild:
         # the offsets of a grid at a = 1.3 the reference would round its
         # quadrature points near a and lose up to 7.5e-11 of a row.)
         _matrix_cached.cache_clear()
-        omega = kernel_matrix(grid, beta, gamma)[0].dense()
+        omega = kernel_matrix(grid, beta, gamma).dense()
         ref = build_matrix_reference(np.arange(grid.n + 1.0) ** grid.r, 0.0, beta, gamma)
         err = np.abs(omega - ref)
         assert err.max() <= rel * np.abs(ref).max()

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from fracfite import (ConvergenceError, GradedGrid, Order, big_E, build_grid,
-                      find_zeros, from_samples, gamma_fn)
+                      from_samples, gamma_fn)
 from fracfite.rlops import KernelOperator, kernel_matrix
 from fracfite.sfde import SolveReport, _marching, _node_data, residual, solve_batch
-from oracles import (contraction_factor, fite_closed_form, marching_reference,
-                     mittag_leffler, picard_reference, rl_derivative)
+from oracles import (contraction_factor, find_zeros, fite_closed_form, grid_scale,
+                     kernel_dense, marching_reference, mittag_leffler,
+                     picard_reference, rl_derivative)
 
 ORDER = Order(0.75)
 # Gamma(0.75) * E_{0.75,0.75}(1), 20-digit reference
@@ -189,7 +190,8 @@ class TestBlockedMarching:
         # initial data, each column against its own node-by-node loop
         P = self.VARYING if kind == "varying" else self.FORCED
         g = build_grid(0.0, 3.0, n, 2.0)
-        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
+        omega = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
+        scale = grid_scale(g, 1.0 - ORDER.alpha, ORDER.gamma)
         data = _node_data(P, ORDER, g)
         (basis_f,), (basis_g,), _ = _marching(omega, np.array([scale]),
                                               *(x[None] for x in data))
@@ -207,8 +209,7 @@ class TestBlockedMarching:
         # several levels of interpolated far blocks, applied as factors,
         # against the node-by-node loop on the dense matrix they stand for
         g = build_grid(0.0, 3.0, n, 2.0)
-        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        dense = scale * omega.dense()
+        dense = kernel_dense(g, 1.0 - ORDER.alpha, ORDER.gamma)
         data = _node_data(self.VARYING, ORDER, g)
         f_a, g_a = [0.6, 1.0, -0.3], [-0.8, 0.0, 2.0]
         reps = solve_batch(self.VARYING, ORDER, f_a, g_a, g)
@@ -220,8 +221,7 @@ class TestBlockedMarching:
         # P is nonzero only at node k > _BLOCK, where it makes det_k vanish
         n, k = 100, 40
         g = build_grid(0.0, 3.0, n, 2.0)
-        omega, scale = kernel_matrix(g, 1.0 - ORDER.alpha, ORDER.gamma)
-        omega = scale * omega.dense()
+        omega = kernel_dense(g, 1.0 - ORDER.alpha, ORDER.gamma)
         d = g.nodes[k] ** ORDER.gamma / gamma_fn(ORDER.alpha) * omega[k, k]
         P = lambda s: np.where(s == g.nodes[k], -d ** -2, 0.0)
         data = _node_data(P, ORDER, g)
@@ -270,7 +270,7 @@ class TestBatchedSolve:
                 solve_batch(lambda t: 1.0, ORDER, f_a, g_a, g)
 
     def test_data_near_the_float_maximum_solve(self):
-        # The history carries the kernel_matrix scale, so no product on the
+        # The history carries the kernel_scale factor, so no product on the
         # raw nodes j^r, (n^r)^(1-beta-gamma) = 64 times larger here, is
         # formed: data within that factor of the float maximum solve, with
         # samples and residual that scale with them.

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from fracfite import (CoefficientSpec, ConfigError, Order, Scenario, SweepSpec,
-                      best_min_length, build_grid, find_zeros, from_samples,
-                      sweep)
+                      best_min_length, build_grid, from_samples, sweep)
 from fracfite import bounds, rlops
 from fracfite import cli as cli_module
 from fracfite.cli import main
@@ -23,7 +22,7 @@ from fracfite import sfde as sfde_module
 from fracfite import verify as verify_module
 from fracfite.verify import VERDICTS, parse_config
 from fracfite.sfde import solve_batch, solve_cells
-from oracles import (arcs_meet, classical_fite_check, common_theta,
+from oracles import (arcs_meet, classical_fite_check, common_theta, find_zeros,
                      fite_closed_form, kappa_closed_form, mittag_leffler, on_arcs,
                      poly_series, theta_arcs)
 
@@ -562,6 +561,51 @@ class TestKappa:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if ml(mid) > 0.0 else (lo, mid)
         assert 0.5 * (lo + hi) == pytest.approx(kappa0, abs=5e-7)
+
+
+class TestMarginAtKappa:
+    """The bound at the sharp threshold, from the closed form of kappa: its
+    limit as alpha -> 1, and its law in a constant P."""
+
+    @pytest.mark.parametrize("b_fraction", [1e-2, 1e-3])
+    def test_alpha_to_one_limit(self, b_fraction):
+        # At alpha = 1 the equation is f'' + P f = 0, whose Pruefer angle at
+        # P = 1 is x: kappa(1, b_f) = pi / (2 (1 - b_f)), L*(1, 1) = 1/5,
+        # and the margin lhs/rhs at kappa tends to 5 pi / (2 (1 - b_f)).
+        # Measured: kappa - pi/(2(1 - b_f)) is -0.01555 and -0.00156 at
+        # b_f = 1e-2, -0.01616 and -0.00162 at 1e-3 (alpha 0.99, 0.999);
+        # the margin at 0.9999 is 7.93291 (limit 7.93331) and 7.86141
+        # (7.86184).
+        limit = math.pi / (2.0 * (1.0 - b_fraction))
+        for alpha in (0.99, 0.999):
+            assert abs(kappa_closed_form(alpha, b_fraction) - limit) <= 2.0 * (1.0 - alpha)
+        order = Order(0.9999)
+        p_star, _ = best_min_length(order, 1.0)
+        lhs = bounds.fite_lhs(order, p_star, 1.0, kappa_closed_form(0.9999, b_fraction))
+        assert lhs / bounds.fite_rhs(order) == pytest.approx(5.0 * limit, abs=1e-3)
+
+    def test_rhs_tends_to_one_fifth(self):
+        # Gamma(1) / (2^2 + B(1, 1)); measured 0.199981 at alpha = 0.9999
+        assert bounds.fite_rhs(Order(0.9999)) == pytest.approx(0.2, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.9])
+    def test_law_in_p(self, alpha):
+        # For constant P, L_emp = kappa P^(-1/(2 alpha)) (the scale
+        # identity), and for alpha > 2/3 (d = 0) L* = L*(alpha, 1) m^(-1/alpha)
+        # with m = max(1, P): so L_emp / L* = (kappa / L*(alpha, 1))
+        # max(P, 1/P)^(1/(2 alpha)), least at P = 1. Each L* is the const-P
+        # scenario's own.
+        kappa, e = kappa_closed_form(alpha, 1e-2), 1.0 / (2.0 * alpha)
+        ps = (0.25, 0.5, 1.0, 2.0, 4.0)
+        ratios = []
+        for P in ps:
+            s = fite_scenario(order=Order(alpha), p_coeff=CoefficientSpec.const(P), n=16)
+            assert s.m == max(1.0, P)
+            ratios.append(kappa * P ** -e / s.min_length)
+        at_one = ratios[2]
+        assert ratios == pytest.approx([at_one * max(P, 1.0 / P) ** e for P in ps], rel=1e-13)
+        if alpha == 0.75:
+            assert ratios == pytest.approx([33.90, 21.36, 13.45, 21.36, 33.90], abs=5e-3)
 
 
 class TestInjectionAtKappa:

@@ -1,4 +1,6 @@
-"""Zero localization on sampled regularized parts."""
+"""Zero localization on sampled regularized parts: zeros.first_zero_pair
+against find_zeros, the test oracle that searches one function point by
+point."""
 
 import math
 
@@ -7,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfite import (Order, build_grid, eval_reg, find_zeros, first_zero_pair,
-                      from_samples)
+from fracfite import Order, build_grid, eval_reg, first_zero_pair, from_samples
 from fracfite.sfde import solve_batch
-from oracles import from_callable, norm_window, zero_set
+from oracles import find_zeros, from_callable, norm_window, zero_set
 
 
 def sine_fn(k, n=1024, c=2.0):
@@ -40,6 +41,7 @@ class TestFindZeros:
         w = from_samples(1e-170 * (g.nodes - 0.3), 0.25, g)
         zs = find_zeros(w, 0.1, 1.0)
         assert zs.size == 1 and zs[0] == pytest.approx(0.3, abs=1e-15)
+        assert first_zero_pair(w, w, 0.1, 1.0) == [(zs[0], zs[0])]
 
     def test_root_on_a_long_window(self):
         # W falls from 4 to -4 across [5e307, 1e308]: 4 * 5e307 overflows, and
@@ -47,6 +49,7 @@ class TestFindZeros:
         g = build_grid(0.0, 1e308, 2, 1.0)
         w = from_samples(np.array([4.0, 4.0, -4.0]), 0.0, g)
         assert find_zeros(w, 1e300, 1e308).tolist() == [7.5e307]
+        assert first_zero_pair(w, w, 1e300, 1e308) == [(7.5e307, 7.5e307)]
 
     def test_single_sine_zero(self):
         g = build_grid(0.0, 2.0, 1024, 1.0)
@@ -100,12 +103,13 @@ class TestFindZeros:
 
     def test_window_validation(self):
         w = sine_fn(3)
-        with pytest.raises(ValueError):
-            find_zeros(w, 0.0, 1.0)    # b must exceed a
-        with pytest.raises(ValueError):
-            find_zeros(w, 0.5, 2.5)    # beyond c
-        with pytest.raises(ValueError):
-            find_zeros(w, 1.0, 0.5)
+        for b, c_w in ((0.0, 1.0),    # b must exceed a
+                       (0.5, 2.5),    # beyond c
+                       (1.0, 0.5)):
+            with pytest.raises(ValueError, match="not inside"):
+                find_zeros(w, b, c_w)
+            with pytest.raises(ValueError, match="not inside"):
+                first_zero_pair(w, w, b, c_w)
 
     def test_one_function_only(self):
         # the zeros of several columns are no one function's zeros
@@ -161,13 +165,32 @@ class TestFirstZeroPair:
         w = sine_fn(6)
         assert first_zero_pair(w, w, 0.2, 2.0) == [(find_zeros(w, 0.2, 2.0)[0],) * 2]
 
+    @staticmethod
+    def planted(rng, g, b, c_w):
+        """Three columns, positive but for an exact zero of the interpolant
+        at b, at c_w and at an interior node of [b, c_w] (if it holds one),
+        and that node's index or None. A zero between two nodes sets its
+        cell's two samples to 0."""
+        nodes = g.nodes
+        E = rng.uniform(0.5, 2.0, (g.n + 1, 3))
+        i_b = np.searchsorted(nodes, b, side="right") - 1  # b's cell starts here
+        E[[i_b, i_b + 1], 0] = 0.0
+        i_c = np.searchsorted(nodes, c_w)  # c_w's cell ends here
+        E[[i_c] if nodes[i_c] == c_w else [i_c - 1, i_c], 1] = 0.0
+        inner = np.flatnonzero((nodes > b) & (nodes < c_w))
+        i = int(rng.choice(inner)) if inner.size else None
+        if i is not None:
+            E[i, 2] = 0.0
+        return E, i
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_each_pair_is_the_columns_first_zeros(self, data):
         # Against find_zeros column by column, bit for bit: random columns,
-        # some of one sign, with exact zeros planted at nodes and at b, on
-        # unit and 1e308-long grids, at sample scales 1 and 1e-170, in
-        # windows that may end before c.
+        # some of one sign, with exact zeros planted at nodes and at b, and
+        # three columns of one sign with an exact zero at b, at c_w and at
+        # an interior node, on unit and 1e308-long grids, at sample scales
+        # 1 and 1e-170, in windows that may end before c.
         n, k = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 5))
         a, length = data.draw(st.sampled_from([(0.0, 1.0), (2.5, 3.0), (0.0, 1e308)]))
         g = build_grid(a, a + length, n, data.draw(st.sampled_from([1.0, 2.0, 3.5])))
@@ -183,13 +206,19 @@ class TestFirstZeroPair:
             b = a + data.draw(st.floats(1e-3, 0.9)) * length
         before_c = b + data.draw(st.floats(0.05, 0.99)) * (g.c - b)
         c_w = data.draw(st.sampled_from([g.c, before_c]))
+        (E_f, node), (E_h, _) = (self.planted(rng, g, b, c_w) for _ in range(2))
+        W = np.concatenate([W, np.stack([E_f, E_h[:, [2, 0, 1]]])], axis=2)
         W *= data.draw(st.sampled_from([1.0, 1e-170]))
         f, h = (from_samples(w, 0.0, g) for w in W)
         expected = []
-        for j in range(k):
+        for j in range(k + 3):
             zf, zh = (find_zeros(from_samples(w[:, j], 0.0, g), b, c_w) for w in W)
             expected.append((float(zf[0]), float(zh[0])) if zf.size and zh.size else None)
         assert repr(first_zero_pair(f, h, b, c_w)) == repr(expected)
+        firsts = [p[0] if p else None for p in first_zero_pair(f, f, b, c_w)[k:]]
+        assert firsts[0] == b
+        assert c_w != g.c or firsts[1] == c_w
+        assert firsts[2] == (None if node is None else g.nodes[node])
 
     def test_zero_set_collects_both(self):
         w = sine_fn(6)
