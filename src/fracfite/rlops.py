@@ -19,29 +19,34 @@ the kernel (s-a)^{-gamma} (t_i-s)^{-beta}:
     16-point Gauss-Legendre,
   * far cells use 6-point Gauss-Legendre: there the integrand is analytic
     in a Bernstein ellipse with parameter above ~15, and the two rules
-    agree to a few 1e-14 of max|Omega| (3.1e-14 at n = 4096).
+    agree to a few 1e-14 of max|Omega| (3.1e-14 at n = 4096),
+  * the cells that an interpolating block (below) takes and that lie
+    _FAR4_RATIO of their widths or more from a use 4-point Gauss-Legendre:
+    they lie at least 20 of their widths from a and 31 from the block's
+    rows, so the ellipse parameter is at least ~80, and 80^-8 is 6e-16.
 
-Both Gauss-Legendre rules are literal tables, numpy's leggauss mapped to
+The Gauss-Legendre rules are literal tables, numpy's leggauss mapped to
 (0, 1), so that no run loads numpy.polynomial.
 
 Omega is built in blocks of _ROW_BLOCK rows with no per-row Python work,
 and kept in blocks: it is never formed as an (n+1) x (n+1) array. Far from
-its rows, a row block's 6-point far sums are analytic in t, so nested
-blocks of 32 * 2^l rows evaluate them at _CHEB Chebyshev points only and
+its rows, a row block's far sums are analytic in t, so nested blocks of
+32 * 2^l rows evaluate them at _CHEB Chebyshev points only and
 interpolate to their rows (the kernel-independent interpolation of
 black-box fast multipole methods and H-matrices); a block takes the cells
 at least _ETA of its widths away that its parent block does not. At
-_ETA = 2 the interpolant converges like 9.9^-k, below the 6-point rule's
-own error at k = 16. Every interpolating block, the 32-row leaves
-included, is kept as its two factors, the (rows x _CHEB) interpolation
-matrix and the (_CHEB x cells) sums; each 32-row leaf keeps one dense
-block with its diagonal, its 16-point band and the cells left over. The
+_ETA = 1 the interpolant converges like (3 + 8^0.5)^-k = 5.83^-k, which
+is 4.5e-16 at k = 20, below the 6-point rule's own error. Every
+interpolating block, the 32-row leaves included, is kept as its two
+factors, the (rows x _CHEB) interpolation matrix and the (_CHEB x cells)
+sums; each 32-row leaf keeps one dense block with its diagonal, its
+16-point band and the cells left over. The
 build makes O(n log n) far-field power evaluations, storage and one
-application are O(n log n) too (about 11.6 MiB at n = 4096, against 128 MiB
+application are O(n log n) too (about 10.6 MiB at n = 4096, against 128 MiB
 dense), and it is applied only block by block in row order (see
-KernelOperator.blocks). Its scratch is O(n) for the 6-point rules of the
-cells and O(1) per leaf for its band's 16-point rules: a fresh build
-peaks about 1.7 MiB above what it keeps at n = 4096 and 4.0 MiB at
+KernelOperator.blocks). Its scratch is O(n) for the 6- and 4-point rules
+of the cells and O(1) per leaf for its band's 16-point rules: a fresh
+build peaks about 1.5 MiB above what it keeps at n = 4096 and 4.5 MiB at
 n = 16383. The substitution s = a + L sigma / n^r maps the
 grid a + L (j/n)^r onto the nodes t_j = j^r, which do not depend on n,
 and leaves the hat functions unchanged: Omega on [a, a+L] is
@@ -92,12 +97,19 @@ _FX = np.array([  # far cells
 _FW = np.array([
     0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
     0.23395696728634552, 0.18038078652406936, 0.08566224618958514])
+_F4X = np.array([  # interpolated cells far from a
+    0.06943184420297371, 0.33000947820757187, 0.6699905217924281,
+    0.9305681557970262])
+_F4W = np.array([
+    0.17392742256872679, 0.3260725774312732, 0.3260725774312732,
+    0.17392742256872679])
 
 _ROW_BLOCK = 32   # rows of Omega built together
 _FAR_GAP = 4      # cell j is far from row i when i-1-j > _FAR_GAP ...
 _FAR_RATIO = 3.5  # ... and t_j - a >= _FAR_RATIO h_j (j >= 8 at r = 2)
-_CHEB = 16        # Chebyshev points per interpolating row block
-_ETA = 2.0        # a block [T0, T0 + w] interpolates cells left of T0 - _ETA w
+_FAR4_RATIO = 20  # an interpolated cell with t_j - a >= _FAR4_RATIO h_j: 4 points
+_CHEB = 20        # Chebyshev points per interpolating row block
+_ETA = 1.0        # a block [T0, T0 + w] interpolates cells left of T0 - _ETA w
 _CHEB_X = 0.5 * (1.0 - np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1)))  # on [0, 1]
 _CHEB_W = np.r_[0.5, np.ones(_CHEB - 2), 0.5] * (-1.0) ** np.arange(_CHEB)  # barycentric
 
@@ -173,9 +185,9 @@ class _Omega:
         nodes t_j = j^r.
 
         Cell j <= i-2 adds its two hat integrals to columns j and j+1 of row
-        i; the cell ending at t_i uses its end-point rule. The 6-point rules
-        of the whole reach are formed once, since the far blocks read any
-        range of cells; the 16-point rules only where the bands read them:
+        i; the cell ending at t_i uses its end-point rule. The 6- and 4-point
+        rules of the whole reach are formed once, since the far blocks read
+        any range of cells; the 16-point rules only where the bands read them:
         those of the cells [0, first) near a once per growth, and those of
         each leaf's other band cells, at most 35, by the leaf. A band is
         evaluated only at the (row, cell) pairs it keeps.
@@ -183,10 +195,16 @@ class _Omega:
         beta, gamma = self.beta, self.gamma
         hi = n + 1
         reach = nodes[:hi + _ROW_BLOCK]  # the cells the row blocks touch
-        SF, F0, F1 = (x.T.copy() for x in _cell_rules(reach, gamma, _FX, _FW))
-        # t_j / h_j grows with j on a graded grid: cells far from a are a tail
-        away = np.flatnonzero(reach[:-1] >= _FAR_RATIO * np.diff(reach))
-        first = int(away[0]) if away.size else reach.size
+        six, four = ([x.T.copy() for x in _cell_rules(reach, gamma, gx, gw)]
+                     for gx, gw in ((_FX, _FW), (_F4X, _F4W)))
+
+        def tail(ratio: float) -> int:
+            """The first cell j with t_j >= ratio h_j: t_j / h_j grows with j
+            on a graded grid, so the cells that far from a are a tail."""
+            away = np.flatnonzero(reach[:-1] >= ratio * np.diff(reach))
+            return int(away[0]) if away.size else reach.size
+
+        first, first4 = tail(_FAR_RATIO), tail(_FAR4_RATIO)
         # the 16-point rules of the cells [0, first), which every band reads
         head = _cell_rules(reach[:first + 1], gamma, _GX, _GW)
 
@@ -198,14 +216,17 @@ class _Omega:
             J = np.searchsorted(nodes[1:], lim, side="right")
             return np.clip(J, first, np.maximum(first, i0 - 1 - _FAR_GAP))
 
-        def far(x: np.ndarray, c0: int, c1: int) -> np.ndarray:
-            """The 6-point integrals of cells c0..c1-1 at the points x, over
-            the columns c0..c1."""
-            K = np.subtract(x[:, None, None], SF[:, c0:c1])
-            np.power(K, -beta, out=K)  # in place: one (rows, 6, cells) array
+        def far(x: np.ndarray, c0: int, c1: int, c4: int) -> np.ndarray:
+            """The integrals of cells c0..c1-1 at the points x, over the
+            columns c0..c1: 6-point before cell c4, 4-point from it on."""
             P = np.zeros((x.size, c1 - c0 + 1))
-            P[:, :-1] = np.einsum("mgc,gc->mc", K, F0[:, c0:c1])
-            P[:, 1:] += np.einsum("mgc,gc->mc", K, F1[:, c0:c1])
+            c4 = min(max(c4, c0), c1)
+            for lo, up, (S, V0, V1) in ((c0, c4, six), (c4, c1, four)):
+                if up > lo:
+                    K = np.subtract(x[:, None, None], S[:, lo:up])
+                    np.power(K, -beta, out=K)  # in place: one (rows, points, cells) array
+                    for k, V in ((lo - c0, V0), (lo - c0 + 1, V1)):  # the hats' columns
+                        P[:, k:k + up - lo] += np.einsum("mgc,gc->mc", K, V[:, lo:up])
             return P
 
         # A block of 32 * 2^l rows [i0, i1) takes the far cells that end _ETA
@@ -213,10 +234,12 @@ class _Omega:
         # its parent (the block of twice the rows holding it) takes; a first
         # block takes none. Admissibility is a prefix in j, so each block
         # takes one range of cells, and its far sums, analytic in t, are
-        # evaluated at _CHEB Chebyshev points of its t-range and kept with
-        # the matrix that interpolates them to its rows. The leaves evaluate
-        # the far cells left over, those too close to interpolate, at their
-        # rows. cut[l] holds the cell ranges' ends for the blocks of level l.
+        # evaluated at _CHEB Chebyshev points of its t-range, by the 4-point
+        # rule on the cells from first4 on, and kept with the matrix that
+        # interpolates them to its rows. The leaves evaluate the far cells
+        # left over, those too close to interpolate, at their rows by the
+        # 6-point rule. cut[l] holds the cell ranges' ends for the blocks of
+        # level l.
         cut = [cuts(_ROW_BLOCK)]
         while _ROW_BLOCK << len(cut) <= 2 * hi:
             cut.append(cuts(_ROW_BLOCK << len(cut)))
@@ -237,7 +260,7 @@ class _Omega:
             near[r, i + h - c] = np.einsum("ig,ig->i", wl, (s - tl) / hl)
             edge = i0 - 1 - _FAR_GAP  # cells from here on are near some row
             if edge > lc:
-                near[:, lc + h - c:edge + 1 + h - c] += far(nodes[i0:i1], lc, edge)
+                near[:, lc + h - c:edge + 1 + h - c] += far(nodes[i0:i1], lc, edge, edge)
             # the band: the cells [0, first) near a, whose rules are head's,
             # and those from edge on, whose rules the leaf forms
             e, lo = min(first, i1 - 2), max(edge, first)
@@ -263,9 +286,9 @@ class _Omega:
                 if q % (1 << lv) or b == 0:
                     break
                 c0, c1 = int(cut[lv + 1][b // 2]), int(cut[lv][b])
-                if c1 > c0:  # interpolating pays with 2 _CHEB rows
+                if c1 > c0:  # interpolating pays: _CHEB points for 32 rows or more
                     tau, lag = _chebyshev_interp(nodes[i0:i0 + (_ROW_BLOCK << lv)])
-                    blocks.append((c0, _frozen(lag), _frozen(far(tau, c0, c1))))
+                    blocks.append((c0, _frozen(lag), _frozen(far(tau, c0, c1, first4))))
             self.leaves.append((i0, h, c, _frozen(near), tuple(blocks)))
 
 

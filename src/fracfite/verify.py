@@ -33,7 +33,7 @@ from .sfde import solve_cells
 from .weighted import GradedGrid, Order, build_grid, from_samples, interpolate
 from .zeros import first_zero_pair
 
-_MAX_N = 16383  # a plain bound; the kernel's blocks take 64 MiB at n = 16383
+_MAX_N = 16383  # a plain bound; the kernel's blocks take 55 MiB at n = 16383
 # Plain bounds on a sweep, which holds at most 2 GiB within them at n = _MAX_N:
 _MAX_DIRECTIONS = 512  # a cell's solve and search, 83 bytes per direction and node
 _MAX_CELLS = 2048  # each cell keeps its validated grid, 129 KiB at n = _MAX_N

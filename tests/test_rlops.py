@@ -11,8 +11,9 @@ import pytest
 
 from fracfite import (beta_fn, build_grid, from_samples, gamma_fn,
                       kernel_integral, kernel_matrix)
-from fracfite.rlops import (_CHEB, _FX, _FW, _GW, _GX, _Omega, _cell_rules,
-                            _chebyshev_interp, _matrix_cached, node_scale)
+from fracfite.rlops import (_CHEB, _F4W, _F4X, _FX, _FW, _GW, _GX, _Omega,
+                            _cell_rules, _chebyshev_interp, _matrix_cached,
+                            node_scale)
 from oracles import (build_matrix_reference, from_callable, gauss01, grid_scale,
                      kernel_dense, kernel_integral_reference, norm_full,
                      q_operator, rl_derivative, rl_integral)
@@ -259,7 +260,7 @@ class TestOperator:
         finally:
             tracemalloc.stop()
         assert op.n == 4096
-        assert held <= 12 * 2**20  # 11.6 MiB with every far block as two factors
+        assert held <= 11 * 2**20  # 10.6 MiB with every far block as two factors
 
     def test_build_scratch_is_small(self):
         # the 16-point rules are formed per leaf, not for the whole reach:
@@ -275,10 +276,11 @@ class TestOperator:
 
 
 class TestBlockedBuild:
-    """The blocked build (6-point rule on far cells, Chebyshev interpolation
-    in t on row blocks far from their cells) against the 16-point
-    row-by-row reference. The sizes straddle the far-cell thresholds, the
-    32-row block edges and the first interpolating block sizes."""
+    """The blocked build (6- and 4-point rules on far cells, Chebyshev
+    interpolation in t on row blocks far from their cells) against the
+    16-point row-by-row reference. The sizes straddle the far-cell
+    thresholds, the 32-row block edges and the first interpolating block
+    sizes."""
 
     @staticmethod
     def assert_agrees(grid, beta, gamma, rel=1e-13):
@@ -310,12 +312,15 @@ class TestBlockedBuild:
         self.assert_agrees(build_grid(0.0, 1.0, 513, r), beta, gamma)
 
     def test_large_n(self):
-        self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0), 0.25, 0.25)
+        # beta = gamma = 0.1 are the exponents of alpha = 0.9, and the worst
+        # case of this class: 2.8e-14 of a row, from the 4-point far cells
+        for beta_gamma in (0.25, 0.1):
+            self.assert_agrees(build_grid(0.0, 1.0, 2048, 2.0), beta_gamma, beta_gamma)
 
     # Several levels of interpolating blocks. At r = 6 the nodes of [1.3,
     # 2.3] near a round to a (build_grid rejects them), so that grid is
-    # placed at a = 0. These agree to 4.8e-15 of a row; eight Chebyshev
-    # points give up to 7.5e-10, admissibility at half a block width 3.3e-11.
+    # placed at a = 0. These agree to 5.0e-15 of a row; eight Chebyshev
+    # points give up to 5.9e-8, admissibility at half a block width 1.4e-13.
     @pytest.mark.parametrize("r,a", [(1.0, 1.3), (2.0, 1.3), (6.0, 0.0)])
     @pytest.mark.parametrize("n", [1025, 2048])
     def test_interpolated_far_field(self, n, r, a):
@@ -323,8 +328,9 @@ class TestBlockedBuild:
 
 
 class TestGaussRules:
-    @pytest.mark.parametrize("points,rule", [(16, (_GX, _GW)), (6, (_FX, _FW))],
-                             ids=["16-point", "6-point"])
+    @pytest.mark.parametrize("points,rule", [(16, (_GX, _GW)), (6, (_FX, _FW)),
+                                             (4, (_F4X, _F4W))],
+                             ids=["16-point", "6-point", "4-point"])
     def test_tables_are_leggauss(self, points, rule):
         # equal to the bit on numpy 2.4; leggauss may move by an ulp with
         # the numpy and LAPACK it runs on, the tables do not

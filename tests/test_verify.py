@@ -359,6 +359,11 @@ class TestRunScenario:
 
 STANDARD_GRID = dict(alphas=(0.6, 0.75, 0.9), p_infs=(0.5, 1.0, 2.0),
                      lengths=(0.05, 0.5, 5.0), directions=8, seed=42)
+# ROADMAP item 12's corner: P = 1 at lengths about kappa(alpha, 1e-3), where
+# the bound's margin is least (about 6.3 near alpha = 0.55); CI runs it too
+CORNER_SWEEP = dict(alphas=(0.55, 0.6, 0.75), p_infs=(1.0,),
+                    lengths=(0.96, 1.0014, 1.0429, 1.0843, 1.1257, 1.1671, 1.2086, 1.25),
+                    directions=512, b_fraction=0.001, n=2048)
 
 
 @functools.lru_cache(maxsize=None)
@@ -637,6 +642,20 @@ class TestInjectionAtKappa:
             verdicts.append(rep.verdicts[0])
         assert verdicts == ["NO_ZERO_PAIR", "NO_ZERO_PAIR", "COUNTEREXAMPLE",
                             "BOUND_HOLDS"]
+
+
+class TestDetectionPowerAtTheCorner:
+    """ROADMAP item 12's corner sweep, which CI runs unscaled: P = 1 at
+    lengths from 0.96 to 1.25 about kappa(alpha, 1e-3), 512 directions,
+    n = 2048. Its least lhs/rhs is 6.3253, so a bound's right side 6.5
+    times too large shows there as counterexamples (12 of them), where the
+    standard sweep passes any factor below 20.059."""
+
+    def test_rhs_scaled_by_6_5_is_caught(self, monkeypatch):
+        inflate_rhs(monkeypatch, 6.5)
+        report = sweep(SweepSpec(**CORNER_SWEEP))
+        assert report.counts["COUNTEREXAMPLE"] > 0
+        assert report.counts["SOLVER_FAILED"] == 0
 
 
 class TestGroupMarch:
